@@ -13,6 +13,13 @@ custom costs and runs the ranked enumerator with them:
   relations cannot be co-partitioned).  Costs may return ``inf`` to forbid
   decompositions, exactly like the paper's κ[I,X] compilation.
 
+Custom costs take the block DP's generic path: every candidate's bag list
+is assembled and handed to ``evaluate``.  The built-in costs instead
+declare a fold (``BagCost.fold``, contract in ``repro.costs.base``) and are
+valued from per-PMC numbers without bags, which makes their ranked
+enumeration several times faster; a custom cost may declare one too, as
+long as it returns exactly the float its ``evaluate`` would.
+
 Run:  python examples/custom_cost_functions.py
 """
 

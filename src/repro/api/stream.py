@@ -43,7 +43,6 @@ from ..core.mintriang import Triangulation, min_triangulation_and_table
 from ..core.ranked import RankedResult
 from ..engine import ExpansionStrategy, resolve_engine
 from ..graphs.graph import Vertex
-from ..graphs.ordering import vertex_set_sort_key
 from .checkpoint import FrontierEntry, StreamCheckpoint
 from .fingerprint import canonical_edges, canonical_vertices
 
@@ -241,7 +240,8 @@ class RankedStream(Iterator[RankedResult]):
         self._rank += 1
 
         free = sorted(
-            current.minimal_separators - include, key=vertex_set_sort_key
+            current.minimal_separators - include,
+            key=self._context.separator_sort_key,
         )
         jobs = []
         accumulated: list[Separator] = []

@@ -106,7 +106,10 @@ DEFAULT_MAX_BYTES = 1 << 30
 #: schemas.  Bump on any change to what the cached artifacts contain —
 #: old entries then become clean misses instead of wrong answers.
 #: v2: ``last_used`` became a monotonic access counter (was wall clock).
-CACHE_FORMAT_VERSION = 2
+#: v3: the ``prepared`` DP table became a list of ``(value, fold state,
+#: argmin candidate)`` entries parallel to the context's blocks (was a
+#: ``Block``-keyed dict of bag lists).
+CACHE_FORMAT_VERSION = 3
 
 _MAGIC = b"REPROART\x01"
 _DIGEST_BYTES = 32

@@ -41,7 +41,12 @@ from ..pmc.predicate import minseps_of_pmc, minseps_of_pmc_masks
 Separator = frozenset[Vertex]
 PMC = frozenset[Vertex]
 
-__all__ = ["TriangulationContext"]
+#: One compiled DP candidate: ``(Ω, |Ω|, fill term, child positions)``.
+#: The fill term is ``nonedges(Ω) − Σ nonedges(S_child)`` and the child
+#: positions index :attr:`TriangulationContext.blocks`.
+Candidate = tuple[PMC, int, int, tuple[int, ...]]
+
+__all__ = ["Candidate", "TriangulationContext"]
 
 
 def _block_order_key(block: Block) -> tuple:
@@ -110,6 +115,10 @@ class TriangulationContext:
     _containing_cache: dict[Separator, frozenset[int]] = field(
         default_factory=dict, repr=False
     )
+    _candidates: (
+        tuple[list[tuple[Candidate, ...]], tuple[Candidate, ...]] | None
+    ) = field(default=None, repr=False)
+    _sort_keys: dict[Separator, tuple] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def build(
@@ -275,51 +284,112 @@ class TriangulationContext:
         graph): components of ``region \\ Ω`` with their neighborhoods.
 
         Depends only on the graph structure — not on the cost function or
-        Lawler–Murty constraints — so it is cached across the many
-        constrained DP runs of the ranked enumerator.
+        Lawler–Murty constraints — so it is cached.  The DP itself reads
+        the compiled :meth:`candidates` instead.
         """
         key = (block, omega)
         cached = self._children_cache.get(key)
         if cached is None:
             bitgraph, indexer = self.bitgraph, self.indexer
-            children = []
             if bitgraph is not None and indexer is not None:
-                region_mask = (
-                    indexer.mask_of(block.vertices)
-                    if block is not None
-                    else bitgraph.full_mask
-                )
-                remaining = region_mask & ~indexer.mask_of(omega)
-                for comp in bitgraph.components_within(remaining):
-                    separator = bitgraph.neighborhood_of_set(comp)
-                    children.append(
-                        Block(
-                            indexer.labels_of(separator),
-                            indexer.labels_of(comp),
-                        )
-                    )
+                labels = indexer.labels_of
+                neighborhood = bitgraph.neighborhood_of_set
             else:
-                graph = self.graph
-                region = (
-                    block.vertices if block is not None else graph.vertex_set()
-                )
-                remaining = set(region - omega)
-                while remaining:
-                    start = remaining.pop()
-                    comp = {start}
-                    queue = [start]
-                    while queue:
-                        u = queue.pop()
-                        for w in graph.adj(u):
-                            if w in remaining:
-                                remaining.discard(w)
-                                comp.add(w)
-                                queue.append(w)
-                    separator = frozenset(graph.neighborhood_of_set(comp))
-                    children.append(Block(separator, frozenset(comp)))
-            cached = tuple(children)
+                labels = frozenset
+                neighborhood = self.graph.neighborhood_of_set
+            cached = tuple(
+                Block(labels(neighborhood(piece)), labels(piece))
+                for piece in self._pieces(block, omega)
+            )
             self._children_cache[key] = cached
         return cached
+
+    def _pieces(self, block: Block | None, omega: PMC) -> list:
+        """Components of ``region \\ Ω`` in the kernel's order: masks
+        under a mask kernel, vertex sets under ``"sets"``."""
+        bitgraph, indexer = self.bitgraph, self.indexer
+        if bitgraph is not None and indexer is not None:
+            region_mask = (
+                indexer.mask_of(block.vertices)
+                if block is not None
+                else bitgraph.full_mask
+            )
+            return bitgraph.components_within(
+                region_mask & ~indexer.mask_of(omega)
+            )
+        graph = self.graph
+        region = block.vertices if block is not None else graph.vertex_set()
+        remaining = set(region - omega)
+        pieces = []
+        while remaining:
+            start = remaining.pop()
+            comp = {start}
+            queue = [start]
+            while queue:
+                u = queue.pop()
+                for w in graph.adj(u):
+                    if w in remaining:
+                        remaining.discard(w)
+                        comp.add(w)
+                        queue.append(w)
+            pieces.append(frozenset(comp))
+        return pieces
+
+    def candidates(
+        self,
+    ) -> tuple[list[tuple[Candidate, ...]], tuple[Candidate, ...]]:
+        """The block DP's candidate lists, compiled on first use.
+
+        Returns ``(per_block, root)``: ``per_block[i]`` lists the
+        candidates of ``blocks[i]``, one per ``Ω`` of
+        ``pmc_index[blocks[i]]`` in that order, and ``root`` one per
+        ``Ω`` of :meth:`root_pmc_order`.  A candidate whose child block
+        is not among :attr:`blocks` can never be assembled and is left
+        out.  Independent of cost and constraints, so every DP run over
+        this context shares them.
+        """
+        compiled = self._candidates
+        if compiled is not None:
+            return compiled
+        bitgraph, indexer = self.bitgraph, self.indexer
+        if bitgraph is not None and indexer is not None:
+            key_of = indexer.mask_of
+            nonedges = bitgraph.missing_pair_count
+        else:
+            graph = self.graph
+            key_of = frozenset
+
+            def nonedges(vertices: frozenset) -> int:
+                return sum(1 for _ in graph.missing_edges(vertices))
+
+        # A full block is determined by its component (S = N(C)).
+        position = {key_of(b.component): i for i, b in enumerate(self.blocks)}
+        separator_nonedges = [nonedges(key_of(b.separator)) for b in self.blocks]
+        omega_nonedges: dict[PMC, int] = {}
+
+        def compile_one(block: Block | None, omega: PMC) -> Candidate | None:
+            fill = omega_nonedges.get(omega)
+            if fill is None:
+                fill = omega_nonedges[omega] = nonedges(key_of(omega))
+            children = []
+            for piece in self._pieces(block, omega):
+                child = position.get(piece)
+                if child is None:
+                    return None
+                children.append(child)
+                fill -= separator_nonedges[child]
+            return (omega, len(omega), fill, tuple(children))
+
+        def compile_all(block: Block | None, omegas) -> tuple[Candidate, ...]:
+            found = (compile_one(block, omega) for omega in omegas)
+            return tuple(c for c in found if c is not None)
+
+        compiled = (
+            [compile_all(b, self.pmc_index.get(b, ())) for b in self.blocks],
+            compile_all(None, self.root_pmc_order()),
+        )
+        self._candidates = compiled
+        return compiled
 
     def root_pmc_order(self) -> tuple[PMC, ...]:
         """``PMC(G)`` in canonical (label-sorted) order.
@@ -335,6 +405,18 @@ class TriangulationContext:
             order = tuple(sorted(self.pmcs, key=vertex_set_sort_key))
             self._pmc_order = order
         return order
+
+    def separator_sort_key(self, separator: Separator) -> tuple:
+        """:func:`vertex_set_sort_key` of ``separator``, cached.
+
+        The ranked enumerator sorts every popped triangulation's
+        separators into its pivot order; they are all members of
+        ``MinSep(G)``, so the cache stays bounded by it.
+        """
+        key = self._sort_keys.get(separator)
+        if key is None:
+            key = self._sort_keys[separator] = vertex_set_sort_key(separator)
+        return key
 
     def blocks_containing(self, separator: Separator) -> frozenset[int]:
         """Indices (into :attr:`blocks`) of the blocks whose vertex set

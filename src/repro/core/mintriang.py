@@ -12,19 +12,45 @@ Dynamic programming over full blocks by ascending cardinality
 A triangulation is represented by its bag set — its maximal cliques — which
 suffices because κ is a bag cost; the chordal graph itself is materialized
 only on demand.
+
+The DP is compositional.  Each block's candidates are compiled once per
+context (:meth:`TriangulationContext.candidates`: ``Ω``, ``|Ω|``, the
+structural fill term and the child block positions), and a table entry
+is ``(value, fold state, argmin candidate)``.  Bags are rebuilt from
+these backpointers only for the winner of a run.  A candidate is valued
+in one of two ways, inside the same loop:
+
+* **Fold.**  A cost that declares a fold next to its ``evaluate`` (the
+  four registry costs; the contract is in :mod:`repro.costs.base`) is
+  valued from ``|Ω|``, the fill term and the children's fold states.
+  The fold returns exactly the float ``evaluate`` would.
+* **Generic.**  Every other cost — weighted, hypergraph, user-defined,
+  or a subclass that overrides ``evaluate`` — is valued by ``evaluate``
+  over the assembled bag list, which is then its fold state.
+
+Lawler–Murty constraints ``κ[I,X]`` (a :class:`ConstrainedCost` over a
+folding base) fold without bags too.  A constraint ``S`` applies to a
+block when ``S ⊆ S ∪ C``; an applicable excluded ``S`` rejects ``Ω``
+exactly when ``S ⊆ Ω``, and an applicable included ``S`` passes when
+``S ⊆ Ω`` or ``S`` lies inside one child block.  This is exact: each
+child's entry already enforces the constraints inside its own region,
+and a set is a clique of ``H_T`` exactly when it lies in one bag of
+``T``.  Over a non-folding base the generic step calls
+:meth:`ConstrainedCost.evaluate`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from ..graphs.graph import Graph, Vertex
 from ..graphs.kernels import KernelSpec
-from ..costs.base import Bag, BagCost, INFEASIBLE
-from ..separators.blocks import Block
+from ..costs.base import Bag, BagCost, Fold, INFEASIBLE, declared_fold
+from ..costs.constrained import ConstrainedCost
 from ..triangulation.saturate import saturate_bags
-from .context import TriangulationContext
+from .context import Candidate, TriangulationContext
 
 Separator = frozenset[Vertex]
 PMC = frozenset[Vertex]
@@ -59,14 +85,34 @@ class Triangulation:
     def minimal_separators(self) -> frozenset[Separator]:
         """``MinSep(H)`` — the maximal pairwise-parallel set identifying H.
 
-        Computed as the clique-tree adhesions over the bag set
-        (Parra–Scheffler, Theorem 2.5).
+        Computed as the adhesions of a clique tree over the bag set
+        (Parra–Scheffler, Theorem 2.5).  Every clique tree has the same
+        adhesions, so a Prim pass over bag intersections (a
+        maximum-weight spanning tree of the clique graph) serves; an
+        empty adhesion joins two components and is not a separator.
         """
-        from ..graphs.cliquetree import clique_tree_from_cliques
-
-        edges = clique_tree_from_cliques(set(self.bags))
-        seps = {a & b for a, b in edges}
-        seps.discard(frozenset())
+        rest = list(self.bags)
+        if not rest:
+            return frozenset()
+        tree_bag = rest.pop()
+        # links[i]: the largest adhesion of rest[i] to the tree so far.
+        links = [tree_bag & bag for bag in rest]
+        sizes = [len(link) for link in links]
+        seps = set()
+        while rest:
+            best = sizes.index(max(sizes))
+            tree_bag = rest[best]
+            if sizes[best]:
+                seps.add(links[best])
+            rest[best], links[best], sizes[best] = rest[-1], links[-1], sizes[-1]
+            rest.pop()
+            links.pop()
+            sizes.pop()
+            for i, bag in enumerate(rest):
+                link = tree_bag & bag
+                if len(link) > sizes[i]:
+                    links[i] = link
+                    sizes[i] = len(link)
         return frozenset(seps)
 
     @property
@@ -84,69 +130,149 @@ class Triangulation:
         return len(self.bags)
 
 
-def _assemble_bags(
-    context: TriangulationContext,
-    block: Block | None,
-    omega: PMC,
-    table: dict[Block, tuple[list[Bag] | None, float]],
-) -> list[Bag] | None:
-    """Bags of ``H(Ω)`` inside ``block``: ``[Ω] ++ child optima``.
+#: A DP table entry: ``(value, fold state, argmin candidate index)``.
+_Entry = tuple[float, object, int]
+_Table = list[_Entry]
+_INFEASIBLE_ENTRY: _Entry = (INFEASIBLE, None, -1)
+#: ``admits(Ω, child positions)``: whether a candidate meets the
+#: constraints that apply where it is tried.
+_Admits = Callable[[PMC, tuple[int, ...]], bool]
 
-    Bags across ``Ω`` and the children are pairwise distinct (Lemma A.1:
-    they are the maximal cliques of the assembled triangulation), so a
-    plain list works and avoids per-candidate set hashing.  Returns
-    ``None`` when some required child block is infeasible (possible only
-    under a width bound or constraints) or not tabulated (possible only
-    under a width bound, where its separator was filtered out).
+
+def _fold_and_constraints(
+    cost: BagCost, graph: Graph
+) -> tuple[Fold | None, frozenset[Separator], frozenset[Separator]]:
+    """``(fold, include, exclude)`` for the DP loop.
+
+    ``fold`` is ``None`` for the generic path, whose value step is
+    ``cost.evaluate`` — constraints included, so both sets are empty.
+    A :class:`ConstrainedCost` whose ``evaluate`` is not overridden
+    folds when its base does, and hands its constraints to the loop.
     """
-    bags: list[Bag] = [omega]
-    for child in context.children_of(block, omega):
-        entry = table.get(child)
-        if entry is None:
+    empty: frozenset[Separator] = frozenset()
+    if (
+        isinstance(cost, ConstrainedCost)
+        and type(cost).evaluate is ConstrainedCost.evaluate
+    ):
+        fold = declared_fold(cost.base, graph)
+        if fold is None:
+            return None, empty, empty
+        return fold, cost.include, cost.exclude
+    return declared_fold(cost, graph), empty, empty
+
+
+class _Constraints:
+    """One run's ``κ[I,X]`` constraints, folded per candidate.
+
+    A constraint ``S`` applies to the blocks containing it
+    (:meth:`TriangulationContext.blocks_containing`) and to the root.
+    Included separators are bits: ``need[p]`` holds those applying to
+    block ``p``.  A candidate's child ``c`` already enforces ``need[c]``,
+    so the candidate itself must hold each remaining included ``S``
+    inside ``Ω``, and no excluded ``S`` there.
+    """
+
+    def __init__(
+        self,
+        context: TriangulationContext,
+        include: frozenset[Separator],
+        exclude: frozenset[Separator],
+    ) -> None:
+        vertices = context.graph.vertex_set()
+        self.included = list(include)
+        self.need = [0] * len(context.blocks)
+        self.root_need = 0
+        for bit, s in enumerate(self.included):
+            for position in context.blocks_containing(s):
+                self.need[position] |= 1 << bit
+            if s <= vertices:
+                self.root_need |= 1 << bit
+        self.excluded: dict[int, list[Separator]] = {}
+        for s in exclude:
+            for position in context.blocks_containing(s):
+                self.excluded.setdefault(position, []).append(s)
+        self.root_excluded = [s for s in exclude if s <= vertices]
+
+    def at(self, position: int | None) -> _Admits | None:
+        """The check for block ``position`` (``None``: the root), or
+        ``None`` when no constraint applies there."""
+        if position is None:
+            need, excluded = self.root_need, self.root_excluded
+        else:
+            need = self.need[position]
+            excluded = self.excluded.get(position, ())
+        if not need and not excluded:
             return None
-        child_bags, child_cost = entry
-        if child_bags is None or child_cost == INFEASIBLE:
-            return None
-        bags.extend(child_bags)
-    return bags
+        child_need, included = self.need, self.included
+
+        def admits(omega: PMC, children: tuple[int, ...]) -> bool:
+            for s in excluded:
+                if s <= omega:
+                    return False
+            missing = need
+            for child in children:
+                missing &= ~child_need[child]
+            while missing:
+                low = missing & -missing
+                if not included[low.bit_length() - 1] <= omega:
+                    return False
+                missing ^= low
+            return True
+
+        return admits
 
 
-_Table = dict[Block, tuple[list[Bag] | None, float]]
-
-
-def _run_block_dp(
-    context: TriangulationContext,
+def _best(
+    candidates: Sequence[Candidate],
+    table: _Table,
+    fold: Fold | None,
     cost: BagCost,
-    reusable: _Table | None = None,
-    touched: "frozenset[int] | None" = None,
-) -> _Table:
-    """The per-block DP loop (lines 3–5 of Figure 3).
+    region: Graph | None,
+    admits: _Admits | None,
+) -> _Entry:
+    """One DP step: the cheapest feasible candidate, ties to the first.
 
-    When ``reusable`` is given, blocks outside the ``touched`` index set
-    copy their entry from it instead of recomputing — used by the ranked
-    enumerator to share the unconstrained table across constrained runs
-    (a block too small to contain any constraint separator has the same
-    optimum under ``κ[I,X]`` as under ``κ``, recursively; the touched set
-    comes from :meth:`TriangulationContext.touched_blocks`).
+    ``region`` is the graph the generic step evaluates on (unused by a
+    fold); ``admits`` checks the constraints that apply here.
     """
-    table: _Table = {}
-    for idx, block in enumerate(context.blocks):  # ascending |S ∪ C|
-        if reusable is not None and touched is not None and idx not in touched:
-            table[block] = reusable[block]
-            continue
-        sub = context.block_subgraph(block)
-        best_bags: list[Bag] | None = None
-        best_cost = INFEASIBLE
-        for omega in context.pmc_index.get(block, ()):
-            bags = _assemble_bags(context, block, omega, table)
-            if bags is None:
+    best = _INFEASIBLE_ENTRY
+    best_value = INFEASIBLE
+    for index, (omega, size, fill, children) in enumerate(candidates):
+        states = []
+        for child in children:
+            entry = table[child]
+            if entry[2] < 0:
+                break
+            states.append(entry[1])
+        else:
+            if admits is not None and not admits(omega, children):
                 continue
-            value = cost.evaluate(sub, bags)
-            if value < best_cost:
-                best_cost = value
-                best_bags = bags
-        table[block] = (best_bags, best_cost)
-    return table
+            if fold is not None:
+                value, state = fold(size, fill, states)
+            else:
+                state = [omega]
+                for child_bags in states:
+                    state.extend(child_bags)
+                value = cost.evaluate(region, state)
+            if value < best_value:
+                best_value = value
+                best = (value, state, index)
+    return best
+
+
+def _rebuild_bags(
+    winner: Candidate, per_block: list[tuple[Candidate, ...]], table: _Table
+) -> list[Bag]:
+    """The winner's bags from the backpointers: ``Ω``, then each child's
+    bags in turn (the order the generic step assembles them in)."""
+    bags: list[Bag] = []
+    stack = [winner]
+    while stack:
+        omega, _size, _fill, children = stack.pop()
+        bags.append(omega)
+        for child in reversed(children):
+            stack.append(per_block[child][table[child][2]])
+    return bags
 
 
 def min_triangulation_and_table(
@@ -157,40 +283,58 @@ def min_triangulation_and_table(
 ) -> tuple[Triangulation | None, _Table]:
     """``MinTriang⟨κ⟩`` over a prebuilt context, exposing the DP table.
 
+    The table is a list parallel to ``context.blocks``.
     ``reusable_table`` / ``constraint_separators`` enable the ranked
-    enumerator's table-sharing optimization: a block is recomputed only if
-    some constraint separator fits inside it, found in O(touched) via the
-    context's block → separator containment index rather than by scanning
-    every block.  The triangulation is ``None`` when no feasible one
-    exists (only possible with a width bound or an unsatisfiable
-    constrained cost).
+    enumerator's table-sharing optimization: a block is recomputed only
+    if some constraint separator fits inside it (found in O(touched) via
+    :meth:`TriangulationContext.touched_blocks`); every other block has
+    the same optimum under ``κ[I,X]`` as under ``κ``, recursively, and
+    copies its entry.  The reusable table must come from the same
+    context and the same base cost.  The triangulation is ``None`` when
+    no feasible one exists (only possible with a width bound or an
+    unsatisfiable constrained cost).
     """
     graph = context.graph
     if graph.num_vertices() == 0:
         empty = Triangulation(graph, frozenset(), cost.evaluate(graph, frozenset()))
-        return empty, {}
+        return empty, []
 
-    touched = None
+    fold, include, exclude = _fold_and_constraints(cost, graph)
+    per_block, root = context.candidates()
+    blocks = context.blocks
     if reusable_table is not None and constraint_separators is not None:
-        touched = context.touched_blocks(constraint_separators)
+        table = list(reusable_table)
+        positions: Sequence[int] = sorted(
+            context.touched_blocks(constraint_separators)
+        )
+    else:
+        table = [_INFEASIBLE_ENTRY] * len(blocks)
+        positions = range(len(blocks))
 
-    table = _run_block_dp(context, cost, reusable_table, touched)
-
-    best_bags = None
-    best_cost = INFEASIBLE
-    # Canonical order (not the raw pmcs set): ties must resolve the same
-    # way under both graph kernels and across resumed processes.
-    for omega in context.root_pmc_order():
-        bags = _assemble_bags(context, None, omega, table)
-        if bags is None:
-            continue
-        value = cost.evaluate(graph, bags)
-        if value < best_cost:
-            best_cost = value
-            best_bags = bags
-    if best_bags is None:
+    constraints = _Constraints(context, include, exclude) if include or exclude else None
+    for position in positions:
+        table[position] = _best(
+            per_block[position],
+            table,
+            fold,
+            cost,
+            None if fold is not None else context.block_subgraph(blocks[position]),
+            constraints.at(position) if constraints is not None else None,
+        )
+    # The root candidates follow root_pmc_order(): ties must resolve the
+    # same way under every graph kernel and across resumed processes.
+    value, state, index = _best(
+        root,
+        table,
+        fold,
+        cost,
+        graph,
+        constraints.at(None) if constraints is not None else None,
+    )
+    if index < 0:
         return None, table
-    return Triangulation(graph, frozenset(best_bags), best_cost), table
+    bags = state if fold is None else _rebuild_bags(root[index], per_block, table)
+    return Triangulation(graph, frozenset(bags), value), table
 
 
 def min_triangulation_with_context(

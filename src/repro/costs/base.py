@@ -16,13 +16,31 @@ random instances (see ``tests/costs/test_split_monotone.py``).
 Because bag costs are invariant under bag equivalence, evaluating a cost on
 a triangulation ``H`` means evaluating it on ``MaxClq(H)`` — any clique
 tree gives the same value.  :meth:`BagCost.of_triangulation` does this.
+
+The fold contract
+-----------------
+The block DP of :mod:`repro.core.mintriang` builds every candidate
+triangulation of a block from one PMC ``Ω`` and the stored optima of
+``Ω``'s child blocks.  A cost may declare :meth:`BagCost.fold`, which
+values such a candidate from three numbers instead of its bag list:
+``|Ω|``, the structural fill term ``nonedges(Ω) − Σ nonedges(S_child)``
+and the *fold states* the children's table entries hold.  A fold
+returns ``(value, state)``, and ``value`` must be exactly the float
+``evaluate`` returns on the assembled bags — the DP's tie-breaking, the
+ranked order and every persisted answer depend on that identity.  The
+DP uses a fold only when the class that defines ``evaluate`` also
+defines ``fold`` (see :func:`declared_fold`): a subclass that overrides
+``evaluate`` alone is valued by its own ``evaluate``.  Costs without a
+fold — weighted, hypergraph and user-defined ones — take the generic
+path, where the fold state is the assembled bag list and ``evaluate``
+values it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Collection
+from collections.abc import Callable, Collection, Sequence
 
 from ..graphs.graph import Graph, Vertex
 from ..graphs.chordal import maximal_cliques_chordal
@@ -32,7 +50,11 @@ Bag = frozenset[Vertex]
 INFEASIBLE = math.inf
 """Cost of a forbidden decomposition (constraint violations, width bounds)."""
 
-__all__ = ["Bag", "BagCost", "INFEASIBLE"]
+Fold = Callable[[int, int, Sequence[object]], tuple[float, object]]
+"""``fold(|Ω|, fill term, child states) -> (value, state)``; see the
+module docstring for the contract."""
+
+__all__ = ["Bag", "BagCost", "Fold", "INFEASIBLE", "declared_fold"]
 
 
 class BagCost(ABC):
@@ -66,6 +88,16 @@ class BagCost(ABC):
             the maximal cliques).
         """
 
+    def fold(self, graph: Graph) -> Fold | None:
+        """This cost as a fold over the block DP of ``graph``, or ``None``.
+
+        ``graph`` is the whole graph the DP triangulates (every block
+        region is an induced subgraph of it).  Return ``None`` where no
+        fold reproduces :meth:`evaluate`'s floats exactly; the DP then
+        takes the generic path.  See the module docstring.
+        """
+        return None
+
     def of_triangulation(self, graph: Graph, triangulation: Graph) -> float:
         """``κ(G, H)``: the cost of a triangulation via its maximal cliques."""
         return self.evaluate(graph, maximal_cliques_chordal(triangulation))
@@ -75,3 +107,20 @@ class BagCost(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
+
+
+def declared_fold(cost: BagCost, graph: Graph) -> Fold | None:
+    """``cost.fold(graph)`` when the class defining ``evaluate`` declares it.
+
+    The fold mirrors one particular ``evaluate``; a subclass that
+    overrides ``evaluate`` without declaring its own fold must not
+    inherit its parent's, so dispatch keys on where the two methods are
+    defined rather than on ``isinstance`` of a built-in.
+    """
+
+    def definer(name: str) -> type:
+        return next(k for k in type(cost).__mro__ if name in vars(k))
+
+    if definer("fold") is not definer("evaluate"):
+        return None
+    return cost.fold(graph)

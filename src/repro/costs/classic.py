@@ -6,14 +6,18 @@ These are the costs named explicitly in Section 3 of the paper:
 * ``fill-in(G, T)`` — number of edges added when saturating every bag;
 * the lexicographic combination ``|E(G)| · width + fill-in``;
 * the "sum of exponents of bag cardinalities" cost ``Σ_b 2^|b|``.
+
+Each declares a fold next to its ``evaluate`` (the contract is in
+:mod:`repro.costs.base`), so the block DP values candidates without
+assembling bag lists.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 
 from ..graphs.graph import Graph, Vertex
-from .base import Bag, BagCost
+from .base import Bag, BagCost, Fold
 
 __all__ = [
     "WidthCost",
@@ -52,6 +56,20 @@ class WidthCost(BagCost):
             return -1.0
         return float(max(len(b) for b in bags) - 1)
 
+    def fold(self, graph: Graph) -> Fold:
+        """``max(|Ω| − 1, children)``."""
+        return _width_fold
+
+
+def _width_fold(
+    size: int, _fill: int, states: Sequence[float]
+) -> tuple[float, float]:
+    value = size - 1.0
+    for state in states:
+        if state > value:
+            value = state
+    return value, value
+
 
 class FillInCost(BagCost):
     """``fill-in(G, T)``: number of edges required to saturate all bags."""
@@ -60,6 +78,24 @@ class FillInCost(BagCost):
 
     def evaluate(self, graph: Graph, bags: Collection[Bag]) -> float:
         return float(count_fill_edges(graph, bags))
+
+    def fold(self, graph: Graph) -> Fold:
+        """The fill term of ``Ω`` plus the children's fill.
+
+        A child's bags cover every non-edge of its separator ``S_i``,
+        and every non-edge two children share lies in ``Ω``, so the
+        fill term ``nonedges(Ω) − Σ nonedges(S_i)`` counts each
+        distinct non-edge once.
+        """
+        return _fill_fold
+
+
+def _fill_fold(
+    _size: int, fill: int, states: Sequence[int]
+) -> tuple[float, int]:
+    for state in states:
+        fill += state
+    return float(fill), fill
 
 
 class LexWidthFillCost(BagCost):
@@ -85,6 +121,22 @@ class LexWidthFillCost(BagCost):
         width = max((len(b) for b in bags), default=0) - 1
         return self._scale * width + count_fill_edges(graph, bags)
 
+    def fold(self, graph: Graph) -> Fold:
+        """The pair (width, fill), valued ``scale · width + fill``."""
+        scale = self._scale
+
+        def lex_fold(
+            size: int, fill: int, states: Sequence[tuple[int, int]]
+        ) -> tuple[float, tuple[int, int]]:
+            width = size - 1
+            for child_width, child_fill in states:
+                if child_width > width:
+                    width = child_width
+                fill += child_fill
+            return scale * width + fill, (width, fill)
+
+        return lex_fold
+
 
 class SumExpBagCost(BagCost):
     """``Σ_b base^|b|``: total state-space size over the bags.
@@ -104,3 +156,28 @@ class SumExpBagCost(BagCost):
 
     def evaluate(self, graph: Graph, bags: Collection[Bag]) -> float:
         return float(sum(self._base ** len(b) for b in bags))
+
+    def fold(self, graph: Graph) -> Fold | None:
+        """``base^|Ω|`` plus the children's sums, where that is exact.
+
+        ``evaluate`` adds floats in bag order; a fold adds them in
+        another order, which gives the same float only when every
+        partial sum is an exact integer.  That holds when the base is an
+        integer and ``n · base^n`` (at most ``n`` bags of at most ``n``
+        vertices) stays below ``2^53``; otherwise ``None``.
+        """
+        n = graph.num_vertices()
+        base = self._base
+        if not base.is_integer() or n * int(base) ** n >= 2**53:
+            return None
+        terms = [base**k for k in range(n + 1)]
+
+        def sum_exp_fold(
+            size: int, _fill: int, states: Sequence[float]
+        ) -> tuple[float, float]:
+            value = terms[size]
+            for state in states:
+                value += state
+            return value, value
+
+        return sum_exp_fold

@@ -79,10 +79,12 @@ def satisfies_constraints(
 class ConstrainedCost(BagCost):
     """``κ[I,X]``: ``base`` where the constraints hold, ``∞`` elsewhere.
 
-    Constraint checks are the hot path of the ranked enumerator (every
-    block/PMC candidate of every Lawler–Murty child optimization runs
-    them), so the evaluator pre-sorts constraints by size and relies on
-    the single-bag fast path of :func:`is_clique_after_saturation`.
+    Over a base cost that declares a fold, the block DP checks these
+    constraints per PMC without calling :meth:`evaluate` (see
+    :mod:`repro.core.mintriang`).  Over any other base, :meth:`evaluate`
+    runs on every block/PMC candidate of every Lawler–Murty child
+    optimization, so it pre-sorts constraints by size and relies on the
+    single-bag fast path of :func:`is_clique_after_saturation`.
     """
 
     def __init__(

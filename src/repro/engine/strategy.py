@@ -196,11 +196,13 @@ class ProcessPoolStrategy(ExpansionStrategy):
             self._executor = None
             return
         try:
-            # Build the vertex → block index in the parent so forked
-            # workers inherit it copy-on-write instead of each rebuilding
-            # it.  Per-separator containment sets stay lazy — only the
-            # separators of popped triangulations are ever queried.
+            # Build the vertex → block index and the DP's candidate lists
+            # in the parent so forked workers inherit them copy-on-write
+            # instead of each rebuilding them.  Per-separator containment
+            # sets stay lazy — only the separators of popped
+            # triangulations are ever queried.
             context.ensure_block_index()
+            context.candidates()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers or os.cpu_count() or 1,
                 mp_context=multiprocessing.get_context("fork"),

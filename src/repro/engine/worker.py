@@ -46,10 +46,10 @@ def expand_job(
 ) -> tuple[frozenset[Bag], float] | None:
     """Solve ``MinTriang⟨κ[I,X]⟩`` for one Lawler–Murty child partition.
 
-    Returns ``(bags, base_cost)`` of the partition's representative — the
-    cost reported is ``κ``, with the constraint wrapper stripped — or
+    Returns ``(bags, base_cost)`` of the partition's representative — or
     ``None`` when the partition contains no triangulation (the constrained
-    DP came back infeasible).
+    DP came back infeasible).  A feasible ``κ[I,X]`` value is the ``κ``
+    value, so the DP's own value is the base cost.
     """
     constrained = ConstrainedCost(cost, include=include, exclude=exclude)
     candidate, _table = min_triangulation_and_table(
@@ -60,8 +60,7 @@ def expand_job(
     )
     if candidate is None or candidate.cost >= INFEASIBLE:
         return None
-    base_value = cost.evaluate(candidate.graph, candidate.bags)
-    return candidate.bags, base_value
+    return candidate.bags, candidate.cost
 
 
 # ---------------------------------------------------------------------------

@@ -121,3 +121,83 @@ def test_session_falls_back_to_build_on_wrong_tag(tmp_path):
     finally:
         session.close()
         stale.close()
+
+
+def _parent_shaped_table(context, table):
+    """The DP table as format-2 builds stored it: a ``Block``-keyed dict
+    of ``(bag list or None, value)``."""
+    from repro.core.mintriang import _rebuild_bags
+
+    per_block, _root = context.candidates()
+    shaped = {}
+    for position, (value, _state, index) in enumerate(table):
+        bags = (
+            _rebuild_bags(per_block[position][index], per_block, table)
+            if index >= 0
+            else None
+        )
+        shaped[context.blocks[position]] = (bags, value)
+    return shaped
+
+
+@pytest.mark.parametrize("name", ["petersen", "grid-3x4"])
+def test_format_2_prepared_table_reads_as_clean_miss(tmp_path, name):
+    """A store filled by a format-2 build holds ``prepared`` tables this
+    build's DP cannot read (``Block``-keyed dicts where it indexes a
+    list); the format bump turns them into misses, and the answers equal
+    an uncached session's."""
+    from repro.api import Session
+    from repro.api.fingerprint import graph_fingerprint
+    from repro.cache.store import CACHE_FORMAT_VERSION, context_key, prepared_key
+    from repro.core.context import TriangulationContext
+    from repro.core.mintriang import min_triangulation_and_table
+    from repro.costs.classic import FillInCost
+    from repro.costs.constrained import ConstrainedCost
+    from repro.graphs.generators import grid_graph, petersen_graph
+
+    graph = {"petersen": petersen_graph, "grid-3x4": lambda: grid_graph(3, 4)}[name]()
+    plain = Session(kernel="bitset", preprocess=False)
+    expected = plain.top(graph, "fill", k=12)
+    plain.close()
+
+    context = TriangulationContext.build(graph, kernel="bitset")
+    first, table = min_triangulation_and_table(context, FillInCost())
+    parent_table = _parent_shaped_table(context, table)
+    separator = next(iter(first.minimal_separators))
+    with pytest.raises((KeyError, TypeError)):
+        # What reading it would do: the constrained DP cannot use it.
+        min_triangulation_and_table(
+            context,
+            ConstrainedCost(FillInCost(), exclude=[separator]),
+            reusable_table=parent_table,
+            constraint_separators=frozenset([separator]),
+        )
+
+    current = default_schema_tag()
+    format_2 = current.replace(
+        f"repro-artifacts/{CACHE_FORMAT_VERSION}", "repro-artifacts/2"
+    )
+    assert format_2 != current
+    path = tmp_path / "c"
+    fp = graph_fingerprint(graph)
+    with ArtifactStore(path, schema_tag=format_2) as parent:
+        parent.put("context", context_key(fp, None, "bitset"), context)
+        parent.put(
+            "prepared",
+            prepared_key(fp, "fill", None, "bitset"),
+            (first, parent_table),
+        )
+
+    session = Session(kernel="bitset", preprocess=False, cache_dir=path)
+    try:
+        with pytest.warns(CacheIntegrityWarning, match="schema"):
+            response = session.top(graph, "fill", k=12)
+        kinds = session.cache_info()["disk"]["kinds"]
+        assert kinds["prepared"]["misses"] == 1
+        assert kinds["prepared"]["corrupt"] == 1
+        assert kinds["context"]["corrupt"] == 1
+    finally:
+        session.close()
+    assert [(r.cost, r.triangulation.bags) for r in response.results] == [
+        (r.cost, r.triangulation.bags) for r in expected.results
+    ]

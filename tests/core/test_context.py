@@ -12,6 +12,7 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.pmc.predicate import is_pmc
 from repro.separators.berry import SeparatorLimitExceeded
+from tests.conftest import connected_random_graphs
 
 
 class TestBuild:
@@ -114,3 +115,34 @@ class TestChildrenCache:
         block = ctx.blocks[0]
         assert ctx.block_subgraph(block) is ctx.block_subgraph(block)
         assert ctx.block_subgraph(block).vertex_set() == block.vertices
+
+
+class TestCandidates:
+    def test_compiled_once_and_mirror_children(self):
+        # Each candidate is (Ω, |Ω|, nonedges(Ω) − Σ nonedges(S_child),
+        # child positions), in pmc_index / root_pmc_order order.
+        for kernel in ("sets", "bitset"):
+            for g in connected_random_graphs(9, 0.35, 4, seed_base=40):
+                ctx = TriangulationContext.build(g, kernel=kernel)
+                per_block, root = ctx.candidates()
+                assert ctx.candidates() is ctx.candidates()
+                position = {b: i for i, b in enumerate(ctx.blocks)}
+
+                def nonedges(vertices):
+                    return len(list(g.missing_edges(vertices)))
+
+                def expected(block, omega):
+                    children = ctx.children_of(block, omega)
+                    fill = nonedges(omega) - sum(
+                        nonedges(c.separator) for c in children
+                    )
+                    positions = tuple(position[c] for c in children)
+                    return (omega, len(omega), fill, positions)
+
+                for block, candidates in zip(ctx.blocks, per_block):
+                    assert candidates == tuple(
+                        expected(block, om) for om in ctx.pmc_index[block]
+                    )
+                assert root == tuple(
+                    expected(None, om) for om in ctx.root_pmc_order()
+                )

@@ -4,7 +4,11 @@ import pytest
 
 from repro.baselines.brute import minimal_triangulations_bruteforce
 from repro.core.context import TriangulationContext
-from repro.core.mintriang import min_triangulation, min_triangulation_with_context
+from repro.core.mintriang import (
+    Triangulation,
+    min_triangulation,
+    min_triangulation_with_context,
+)
 from repro.costs.classic import FillInCost, LexWidthFillCost, SumExpBagCost, WidthCost
 from repro.graphs.chordal import fill_in, maximal_cliques_chordal, treewidth_chordal
 from repro.graphs.generators import (
@@ -145,6 +149,26 @@ class TestTriangulationObject:
             frozenset({"u", "v"}),
             frozenset({"v"}),
         }
+
+    def test_minimal_separators_match_clique_tree_adhesions(self):
+        # Every clique tree has the same adhesions: the Prim pass must
+        # agree with the canonical Kruskal clique tree, also when the
+        # graph has several components.
+        from repro.graphs.cliquetree import minimal_separators_chordal
+        from repro.triangulation.lb_triang import lb_triang
+
+        two_parts = Graph(
+            vertices=range(7),
+            edges=[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)],
+        )
+        graphs = connected_random_graphs(10, 0.3, 12, seed_base=900)
+        for g in [*graphs, two_parts, path_graph(1)]:
+            h = lb_triang(g)
+            bags = frozenset(maximal_cliques_chordal(h))
+            triangulation = Triangulation(g, bags, 0.0)
+            assert triangulation.minimal_separators == frozenset(
+                minimal_separators_chordal(h)
+            )
 
     def test_len_is_bag_count(self, paper_graph):
         result = min_triangulation(paper_graph, FillInCost())
