@@ -2,9 +2,9 @@
 
 For each workload instance (one per family of the paper's evaluation:
 G(n,p) random graphs, PGM grids, and a PACE-style instance) the driver
-measures, under every *available* registered kernel
-(:func:`repro.graphs.kernels.available_kernels` — ``sets``, ``bitset``,
-and ``numpy`` when importable),
+measures, under every registered kernel
+(:func:`repro.graphs.kernels.available_kernels` — ``sets`` and
+``bitset``, plus any kernel registered before the run),
 
 * ``init`` — the minimal-separator + PMC enumeration time (lines 1–2 of
   ``MinTriang``, the shared initialization the ISSUE calls the hot
@@ -20,17 +20,9 @@ test on real workload sizes.
 Rows land in ``results/kernel.json`` / ``results/kernel.txt`` (the table
 quoted by the README "Performance" section).  Override the ranked answer
 count with ``REPRO_BENCH_KERNEL_K``, the best-of-N init repeats with
-``REPRO_BENCH_KERNEL_REPEATS`` (default 3), the enforced minimum bitset
-init speedup with ``REPRO_BENCH_MIN_KERNEL_SPEEDUP`` (default 1.5), and
-the enforced minimum numpy init speedup on the batched-scale instance
-with ``REPRO_BENCH_MIN_NUMPY_SPEEDUP`` (default 3.5).
-
-Scale note: the numpy kernel's batched paths engage above its scalar
-cutoff (small graphs/batches take the inherited int-mask loops, so on
-``gnp-n14`` / ``myciel4`` numpy ≈ bitset by design).  The numpy floors
-are therefore asserted on ``grid-5x5``, the non-smoke instance large
-enough to exercise the whole-array pipeline; recorded speedups on an
-idle machine are ~5x over sets and ~1.1x over bitset there.
+``REPRO_BENCH_KERNEL_REPEATS`` (default 3), and the enforced minimum
+bitset init speedup with ``REPRO_BENCH_MIN_KERNEL_SPEEDUP`` (default
+1.5).
 """
 
 from __future__ import annotations
@@ -50,19 +42,6 @@ from repro.graphs.generators import (
 )
 from repro.pmc.enumerate import potential_maximal_cliques
 from repro.separators.berry import minimal_separators
-
-#: Kernel column order: the oracle baseline first, then the registered
-#: fast kernels that are actually available in this environment.
-def _kernels() -> tuple[str, ...]:
-    avail = available_kernels()
-    return tuple(
-        k for k in ("sets", "bitset", "numpy") if k in avail
-    ) + tuple(k for k in avail if k not in ("sets", "bitset", "numpy"))
-
-
-#: The non-smoke instance whose scale exercises the numpy kernel's
-#: batched whole-array paths (the others sit below the scalar cutoff).
-BATCHED_SCALE_INSTANCE = "grid-5x5"
 
 
 def _instances(smoke: bool = False):
@@ -111,10 +90,11 @@ def _ranked_run(graph, kernel: str, k: int):
 def test_kernel_speedup_report(benchmark, smoke):
     k = 3 if smoke else int(os.environ.get("REPRO_BENCH_KERNEL_K", "10"))
     min_speedup = float(os.environ.get("REPRO_BENCH_MIN_KERNEL_SPEEDUP", "1.5"))
-    min_numpy = float(os.environ.get("REPRO_BENCH_MIN_NUMPY_SPEEDUP", "3.5"))
     repeats = 1 if smoke else int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "3"))
     instances = _instances(smoke)
-    kernels = _kernels()
+    # Registration order: the oracle baseline first, then bitset and
+    # any kernel registered before the run.
+    kernels = available_kernels()
 
     def run():
         rows = []
@@ -174,16 +154,3 @@ def test_kernel_speedup_report(benchmark, smoke):
             f"{name}: bitset init speedup {got}x below the "
             f"{min_speedup}x floor"
         )
-    if "numpy" not in kernels:
-        return  # no-numpy leg: the bitset floors above are the whole gate
-    numpy_row = by_row[(BATCHED_SCALE_INSTANCE, "numpy")]
-    bitset_row = by_row[(BATCHED_SCALE_INSTANCE, "bitset")]
-    assert numpy_row["init_speedup"] >= min_numpy, (
-        f"{BATCHED_SCALE_INSTANCE}: numpy init speedup "
-        f"{numpy_row['init_speedup']}x below the {min_numpy}x floor"
-    )
-    assert numpy_row["init_speedup"] >= bitset_row["init_speedup"], (
-        f"{BATCHED_SCALE_INSTANCE}: numpy init "
-        f"({numpy_row['init_speedup']}x) did not beat bitset "
-        f"({bitset_row['init_speedup']}x)"
-    )

@@ -3,15 +3,15 @@
 
 Every enumeration call runs on a *graph kernel* — the data structure
 the hot subroutines (neighborhoods, components, PMC checks) execute on.
-Kernels live in a registry (`repro.graphs.kernels`); the default
-``kernel="auto"`` resolves to the fastest available one (``numpy`` when
-importable, else the pure-python ``bitset``), and all kernels produce
-bit-for-bit identical ranked output.
+Kernels live in a registry (`repro.graphs.kernels`).  Two are built in:
+``bitset``, the pure-python int-mask kernel, and ``sets``, the
+label-level oracle.  The default ``kernel="auto"`` is an alias of
+``bitset``, and all kernels produce bit-for-bit identical ranked output.
 
 This example
 
-1. inspects the registry and what ``"auto"`` resolves to,
-2. times the same enumeration under each available kernel,
+1. lists the registered kernels and what ``"auto"`` names,
+2. runs the same enumeration under ``sets`` and ``bitset``,
 3. registers a custom kernel and uses it by name, end to end.
 
 Run:  python examples/kernel_selection.py
@@ -35,16 +35,14 @@ from repro.graphs.kernels import (
 def main() -> None:
     print("=== The registry ===")
     for spec in registered_kernels():
-        tags = ", ".join(sorted(spec.capabilities)) or "-"
-        state = "available" if spec.is_available() else "UNAVAILABLE"
-        print(f"  {spec.name:>8}  priority={spec.priority:<3} [{tags}]  "
-              f"{state}: {spec.description}")
-    print(f"  'auto' resolves to: {resolve_kernel('auto').name!r}")
+        level = "mask-level" if spec.uses_masks else "label-level"
+        print(f"  {spec.name:>8}  [{level}]  {spec.description}")
+    print(f"  'auto' names: {resolve_kernel('auto').name!r}")
 
-    print("\n=== Same answers under every kernel ===")
+    print("\n=== Same answers under sets and bitset ===")
     graph = grid_graph(4, 4)
     sequences = {}
-    for name in available_kernels():
+    for name in ("sets", "bitset"):
         session = Session(kernel=name)
         started = time.perf_counter()
         response = session.top(graph, "fill", k=5)
@@ -54,8 +52,8 @@ def main() -> None:
         ]
         print(f"  {name:>8}: top-5 in {elapsed:.3f}s  "
               f"(stats.kernel={response.stats.kernel!r})")
-    assert len(set(map(tuple, sequences.values()))) == 1, "kernels diverged!"
-    print("  all kernels emitted the identical ranked sequence")
+    assert sequences["sets"] == sequences["bitset"], "kernels diverged!"
+    print("  both kernels emitted the identical ranked sequence")
 
     print("\n=== Registering a custom kernel ===")
     # A real custom kernel would bring its own BitGraph subclass with
@@ -66,17 +64,16 @@ def main() -> None:
         KernelSpec(
             name="mine",
             description="custom kernel demo (BitGraph re-badged)",
-            build=lambda g, indexer=None: BitGraph.from_graph(g, indexer),
-            capabilities=frozenset({"masks"}),
-            priority=5,  # above "sets", below "bitset"/"numpy"
+            build=BitGraph.from_graph,
         )
     )
     try:
         print(f"  available_kernels() -> {available_kernels()}")
-        session = Session(kernel="mine")
-        response = session.top(graph, "fill", k=3)
+        response = Session(kernel="mine").top(graph, "fill", k=5)
         print(f"  Session(kernel='mine').top(...) served {len(response)} "
               f"answers, stats.kernel={response.stats.kernel!r}")
+        mine = [(r.cost, frozenset(r.triangulation.bags)) for r in response]
+        assert mine == sequences["bitset"], "custom kernel diverged!"
     finally:
         unregister_kernel("mine")
 

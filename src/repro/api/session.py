@@ -140,12 +140,12 @@ class Session:
     kernel:
         Graph kernel used when this session builds a context: a
         registered kernel name, a :class:`~repro.graphs.kernels
-        .KernelSpec`, or the default ``"auto"`` policy (highest-priority
-        available kernel — numpy when importable, else bitset).
-        ``"auto"`` is resolved here at construction, so cache keys and
-        reported stats always carry a concrete kernel name.  All kernels
-        serve bit-identical enumeration sequences — see the README
-        "Performance" section for how to choose or register one.
+        .KernelSpec`, or the default ``"auto"`` (an alias of
+        ``"bitset"``, the mask-level kernel).  ``"auto"`` is resolved
+        here at construction, so cache keys and reported stats always
+        carry a concrete kernel name.  All kernels serve bit-identical
+        enumeration sequences — see the README "Performance" section for
+        how to choose or register one.
     preprocess:
         Default for requests that do not say: ``True`` (default) routes
         eligible requests through the preprocessing pipeline — safe

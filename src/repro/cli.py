@@ -49,8 +49,8 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
 
     Choices come from the kernel registry, so a kernel registered before
     argument parsing (e.g. in a sitecustomize or plugin) is immediately
-    selectable.  The default ``auto`` resolves to the fastest available
-    registered kernel; the output is identical under every choice.
+    selectable.  The default ``auto`` is an alias of ``bitset``; the
+    output is identical under every choice.
     """
     from .graphs.kernels import AUTO_KERNEL, available_kernels
 
@@ -59,8 +59,7 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
         default=AUTO_KERNEL,
         choices=(AUTO_KERNEL, *available_kernels()),
         help="graph kernel for the enumeration hot path (default: auto = "
-        "fastest available registered kernel); the output is identical "
-        "under every kernel",
+        "bitset); the output is identical under every kernel",
     )
 
 

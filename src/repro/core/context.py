@@ -150,9 +150,8 @@ class TriangulationContext:
             is how the experiment harness detects poly-MS violations.
         kernel:
             A registered kernel name or :class:`KernelSpec` (see
-            :mod:`repro.graphs.kernels`).  The default ``"auto"`` policy
-            resolves to the highest-priority available kernel (numpy when
-            importable, else bitset) **here**, so the stored
+            :mod:`repro.graphs.kernels`).  The default ``"auto"`` is an
+            alias of ``"bitset"``, resolved **here**, so the stored
             :attr:`kernel` — and everything keyed on it, cache keys most
             of all — is always a concrete name.  Mask-level kernels run
             the enumeration hot path — minimal separators, PMCs, full

@@ -131,21 +131,18 @@ def render_metrics(snapshot: dict, service: dict | None = None) -> str:
     )
 
     # Kernel registry, modelled on backend_info: one series per
-    # registered kernel, value 1 when its availability probe passes,
-    # with the "auto" resolution carried as a label on each series.
+    # registered kernel, with the kernel "auto" names carried as a label
+    # on each series.
     from ..service.scheduler import kernel_registry_stats
 
     kernels = kernel_registry_stats()
     page.metric(
         "kernel_info", "gauge",
-        "Registered graph kernels (value is 1 when available); the "
-        "'auto' label names the kernel the auto policy resolves to.",
+        "Registered graph kernels (value is always 1); the 'auto' "
+        "label names the kernel the auto alias stands for.",
         [
-            (
-                {"kernel": name, "auto": kernels["auto"]},
-                1 if entry["available"] else 0,
-            )
-            for name, entry in sorted(kernels["registered"].items())
+            ({"kernel": name, "auto": kernels["auto"]}, 1)
+            for name in sorted(kernels["registered"])
         ],
     )
     if "workers" in telemetry:

@@ -47,8 +47,8 @@ def validate_kernel(kernel) -> str:
 
     Deprecated shim over :func:`repro.graphs.kernels.validate_kernel`
     (kept because historical call sites import it from here).  Note the
-    registry semantics: ``"auto"`` resolves to the best available
-    kernel, so the returned name is always concrete.
+    registry semantics: ``"auto"`` is an alias of ``"bitset"``, so the
+    returned name is always concrete.
     """
     from .kernels import validate_kernel as _validate
 
@@ -128,11 +128,6 @@ class BitGraph:
     methods are read-only except :meth:`saturate`, which is only ever
     called on copies (:meth:`copy`) or throwaway instances.
     """
-
-    #: Capability flag: whether this kernel provides the batched
-    #: whole-array operations (see :class:`repro.graphs.npgraph.NumpyBitGraph`).
-    #: The algorithm layers dispatch their batched inner loops on it.
-    BATCHED = False
 
     __slots__ = ("indexer", "adj", "full_mask")
 

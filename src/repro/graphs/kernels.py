@@ -1,31 +1,28 @@
-"""First-class kernel registry: name → capability spec → builder.
+"""Kernel registry: name → spec → builder.
 
 Kernel selection used to be a hardcoded ``KERNELS = ("bitset", "sets")``
 tuple string-threaded through every layer of the stack.  This module
 replaces the tuple with a registry of :class:`KernelSpec` entries so a
-new kernel (the numpy one in :mod:`repro.graphs.npgraph`, or a caller's
-own) plugs in at exactly one point and is immediately visible to the
-``Session`` API, the context builder, the service wire protocol, the
-gateway, the CLI ``--kernel`` choices, and the differential test
-harness.
+caller's own kernel plugs in at exactly one point and is immediately
+visible to the ``Session`` API, the context builder, the service wire
+protocol, the gateway, the CLI ``--kernel`` choices, and the
+differential test harness.
 
 Concepts:
 
-* A **kernel name** is a short string (``"sets"``, ``"bitset"``,
-  ``"numpy"``).  ``"auto"`` is not a kernel: it is a *policy* resolved
-  by :func:`resolve_kernel` to the highest-priority available spec, so
+* A **kernel name** is a short string.  Two kernels are built in:
+  ``"bitset"`` (the mask-level kernel of :mod:`repro.graphs.bitgraph`)
+  and ``"sets"`` (the label-level oracle).  ``"auto"`` is not a kernel
+  but an alias of ``"bitset"``, resolved by :func:`resolve_kernel` so
   that everything downstream of resolution — cache keys most of all —
   only ever sees concrete names.
-* A :class:`KernelSpec` carries the builder (label graph → mask-level
-  graph), a capability set, an availability probe, and an ``"auto"``
-  priority.  Mask-level specs build :class:`~repro.graphs.bitgraph.BitGraph`
-  instances (or subclasses); the ``"sets"`` oracle has no builder and
-  runs the original label-level code paths.
-* Availability is probed lazily and may change (e.g. the numpy spec
-  honours ``REPRO_DISABLE_NUMPY`` for the no-numpy CI leg), so probes
-  are consulted per call rather than cached at import.
+* A :class:`KernelSpec` carries a name, a description and a builder
+  (label graph → mask-level graph).  Mask-level specs build
+  :class:`~repro.graphs.bitgraph.BitGraph` instances (or subclasses);
+  the ``"sets"`` oracle has no builder and runs the original
+  label-level code paths.
 
-The old entry points stay importable: :func:`validate_kernel` is now a
+The old entry points stay importable: :func:`validate_kernel` is a
 registry lookup that also resolves ``"auto"``, and
 ``repro.graphs.bitgraph.KERNELS`` remains as a deprecated alias of the
 built-in names.
@@ -33,9 +30,8 @@ built-in names.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitgraph import BitGraph, VertexIndexer
 from .graph import Graph
@@ -51,14 +47,8 @@ __all__ = [
     "validate_kernel",
 ]
 
-#: The resolution policy name accepted everywhere a kernel name is:
-#: pick the highest-priority available registered kernel.
+#: The alias accepted everywhere a kernel name is; it names ``"bitset"``.
 AUTO_KERNEL = "auto"
-
-#: Environment switch forcing the numpy spec to report unavailable, so
-#: the ``"auto"`` → ``"bitset"`` degradation path is testable without
-#: uninstalling numpy.
-DISABLE_NUMPY_ENV = "REPRO_DISABLE_NUMPY"
 
 
 @dataclass(frozen=True)
@@ -75,30 +65,16 @@ class KernelSpec:
     build:
         ``(graph, indexer=None) -> BitGraph`` for mask-level kernels;
         ``None`` for the label-level ``"sets"`` oracle.
-    capabilities:
-        Free-form capability tags.  The stack dispatches on two:
-        ``"masks"`` (the kernel builds a :class:`BitGraph`-compatible
-        object and takes the mask-level hot paths) and ``"batched"``
-        (the built object additionally exposes the batched whole-array
-        operations of :class:`~repro.graphs.npgraph.NumpyBitGraph`).
-    available:
-        Zero-argument probe; a spec whose probe returns ``False`` is
-        skipped by ``"auto"`` and rejected when named explicitly.
-    priority:
-        ``"auto"`` resolution order — highest available priority wins.
     """
 
     name: str
     description: str = ""
     build: Callable[..., BitGraph] | None = None
-    capabilities: frozenset[str] = frozenset()
-    available: Callable[[], bool] = field(default=lambda: True)
-    priority: int = 0
 
     @property
     def uses_masks(self) -> bool:
         """Whether this kernel runs the mask-level (bitset) hot paths."""
-        return "masks" in self.capabilities
+        return self.build is not None
 
     def build_graph(
         self, graph: Graph, indexer: VertexIndexer | None = None
@@ -109,13 +85,6 @@ class KernelSpec:
                 f"kernel {self.name!r} is label-level and has no builder"
             )
         return self.build(graph, indexer)
-
-    def is_available(self) -> bool:
-        """Probe availability (never raises)."""
-        try:
-            return bool(self.available())
-        except Exception:  # pragma: no cover - defensive probe guard
-            return False
 
 
 _REGISTRY: dict[str, KernelSpec] = {}
@@ -129,7 +98,7 @@ def register_kernel(spec: KernelSpec, *, replace: bool = False) -> KernelSpec:
     and CLI).  Re-registering a taken name requires ``replace=True``.
     """
     if spec.name == AUTO_KERNEL:
-        raise ValueError(f"{AUTO_KERNEL!r} is the resolution policy, not a kernel name")
+        raise ValueError(f"{AUTO_KERNEL!r} is an alias of 'bitset', not a kernel name")
     if not replace and spec.name in _REGISTRY:
         raise ValueError(f"kernel {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
@@ -144,30 +113,25 @@ def unregister_kernel(name: str) -> None:
 
 
 def registered_kernels() -> tuple[KernelSpec, ...]:
-    """All registered specs, highest ``"auto"`` priority first."""
-    return tuple(
-        sorted(_REGISTRY.values(), key=lambda s: (-s.priority, s.name))
-    )
+    """All registered specs, in registration order."""
+    return tuple(_REGISTRY.values())
 
 
 def available_kernels() -> tuple[str, ...]:
-    """Names of the registered kernels whose availability probe passes.
+    """Names of the registered kernels, in registration order.
 
     This is the single source of truth for what a kernel name may be:
     the wire protocol, the gateway handlers, and the CLI ``--kernel``
-    choices all validate against it (plus the ``"auto"`` policy).
+    choices all validate against it (plus the ``"auto"`` alias).
     """
-    return tuple(s.name for s in registered_kernels() if s.is_available())
+    return tuple(_REGISTRY)
 
 
 def resolve_kernel(kernel: str | KernelSpec = AUTO_KERNEL) -> KernelSpec:
-    """Resolve a kernel name, spec, or the ``"auto"`` policy to a spec.
+    """Resolve a kernel name, spec, or the ``"auto"`` alias to a spec.
 
-    ``"auto"`` picks the highest-priority spec whose availability probe
-    passes (numpy when importable, else bitset).  Naming an unknown or
-    unavailable kernel raises ``ValueError`` — graceful degradation is
-    the policy's job, never a silent substitution under an explicit
-    name.
+    ``"auto"`` is ``"bitset"``.  Naming an unknown kernel raises
+    ``ValueError`` listing the registered names.
     """
     if isinstance(kernel, KernelSpec):
         registered = _REGISTRY.get(kernel.name)
@@ -176,22 +140,12 @@ def resolve_kernel(kernel: str | KernelSpec = AUTO_KERNEL) -> KernelSpec:
                 f"kernel spec {kernel.name!r} is not the registered spec; "
                 "register it with register_kernel() first"
             )
-        kernel = kernel.name
-    if kernel == AUTO_KERNEL:
-        for spec in registered_kernels():
-            if spec.is_available():
-                return spec
-        raise ValueError("no registered kernel is available")
-    spec = _REGISTRY.get(kernel)
+        return kernel
+    spec = _REGISTRY.get("bitset" if kernel == AUTO_KERNEL else kernel)
     if spec is None:
-        known = (AUTO_KERNEL, *(s.name for s in registered_kernels()))
         raise ValueError(
-            f"unknown graph kernel {kernel!r}; expected one of {known}"
-        )
-    if not spec.is_available():
-        raise ValueError(
-            f"graph kernel {kernel!r} is registered but unavailable "
-            f"(available: {available_kernels()})"
+            f"unknown graph kernel {kernel!r}; expected one of "
+            f"{(AUTO_KERNEL, *_REGISTRY)}"
         )
     return spec
 
@@ -200,9 +154,9 @@ def validate_kernel(kernel: str | KernelSpec) -> str:
     """Resolve ``kernel`` and return the concrete kernel *name*.
 
     The historical entry point, now a registry lookup.  Note that
-    ``validate_kernel("auto")`` returns the resolved concrete name —
-    callers that persist or key on the result (cache keys, wire frames)
-    therefore never see ``"auto"``.
+    ``validate_kernel("auto")`` returns ``"bitset"`` — callers that
+    persist or key on the result (cache keys, wire frames) therefore
+    never see ``"auto"``.
     """
     return resolve_kernel(kernel).name
 
@@ -210,33 +164,10 @@ def validate_kernel(kernel: str | KernelSpec) -> str:
 # ----------------------------------------------------------------------
 # Built-in kernels
 # ----------------------------------------------------------------------
-def _build_bitset(graph: Graph, indexer: VertexIndexer | None = None) -> BitGraph:
-    return BitGraph.from_graph(graph, indexer)
-
-
-def _numpy_available() -> bool:
-    if os.environ.get(DISABLE_NUMPY_ENV):
-        return False
-    try:
-        from . import npgraph  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _build_numpy(graph: Graph, indexer: VertexIndexer | None = None) -> BitGraph:
-    from .npgraph import NumpyBitGraph
-
-    return NumpyBitGraph.from_graph(graph, indexer)
-
-
 register_kernel(
     KernelSpec(
         name="sets",
         description="label-level frozenset oracle (slow, obviously correct)",
-        build=None,
-        capabilities=frozenset({"oracle"}),
-        priority=0,
     )
 )
 
@@ -244,19 +175,6 @@ register_kernel(
     KernelSpec(
         name="bitset",
         description="pure-python int-mask kernel (word-parallel, no deps)",
-        build=_build_bitset,
-        capabilities=frozenset({"masks"}),
-        priority=10,
-    )
-)
-
-register_kernel(
-    KernelSpec(
-        name="numpy",
-        description="numpy uint64-array kernel (batched whole-array ops)",
-        build=_build_numpy,
-        capabilities=frozenset({"masks", "batched"}),
-        available=_numpy_available,
-        priority=20,
+        build=BitGraph.from_graph,
     )
 )

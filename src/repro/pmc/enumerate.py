@@ -180,22 +180,14 @@ def prefix_minimal_separator_masks(
     prefix_mask = 0
     for v in order:
         prefix_mask |= 1 << v
-    batched = getattr(bitgraph, "BATCHED", False)
     for i in range(n - 1, 0, -1):
         abit = 1 << order[i]
         prefix_mask &= ~abit
         smaller = bitgraph.induced(prefix_mask)
         candidates = {s & ~abit for s in per_prefix[i]}
-        if batched:
-            ordered = sorted(candidates)
-            flags = smaller.is_minimal_separator_batch(ordered)
-            per_prefix[i - 1] = {
-                s for s, ok in zip(ordered, flags) if ok
-            }
-        else:
-            per_prefix[i - 1] = {
-                s for s in candidates if is_minimal_separator_mask(smaller, s)
-            }
+        per_prefix[i - 1] = {
+            s for s in candidates if is_minimal_separator_mask(smaller, s)
+        }
     return per_prefix
 
 
@@ -213,15 +205,6 @@ def one_more_vertex_masks(
     case-4 inner condition ``inter ≠ ∅ and inter ⊄ S`` collapses to one
     ``inter & ~S`` test.
     """
-    if getattr(bigger, "BATCHED", False):
-        return _one_more_vertex_masks_batched(
-            bigger,
-            new_vertex,
-            pmcs_smaller,
-            minseps_smaller,
-            minseps_bigger,
-            budget=budget,
-        )
     abit = 1 << new_vertex
     out: set[int] = set()
     checked: set[int] = set()
@@ -254,156 +237,6 @@ def one_more_vertex_masks(
                 inter = t & comp
                 if inter & ~s:
                     consider(s | inter)
-    return out
-
-
-def _one_more_vertex_masks_batched(
-    bigger: BitGraph,
-    new_vertex: int,
-    pmcs_smaller: set[int],
-    minseps_smaller: set[int],
-    minseps_bigger: set[int],
-    budget: int | None = None,
-) -> set[int]:
-    """Batched ONE_MORE_VERTEX: same candidate family, whole-array ops.
-
-    Candidate *generation* vectorizes case 4 — one batched component
-    sweep over every ``G \\ S``, then the full ``(S, C) × T``
-    intersection grid as one array expression per chunk.  Candidate
-    *verification* splits by provenance: candidates born from a
-    ``(S, C)`` pair (cases 3 and 4, the bulk of the family) carry a
-    separator decomposition of ``G \\ Ω``, so they go through
-    :meth:`NumpyBitGraph.is_pmc_restricted_batch` — a closure over the
-    tiny region ``C \\ Ω`` plus a precomputed static cover for the
-    untouched components of ``G \\ S`` — while the rest (cases 1/2)
-    take the full-region :meth:`NumpyBitGraph.is_pmc_batch`.  The
-    verified set is identical to the scalar loop's; only discovery
-    order differs, which the set semantics (and a sorted verification
-    order) make unobservable.
-    """
-    import numpy as np
-
-    abit = 1 << new_vertex
-    full = bigger.full_mask
-    labels_of = bigger.indexer.labels_of
-
-    candidates: set[int] = {abit}
-    for om in pmcs_smaller:
-        candidates.add(om)
-        candidates.add(om | abit)
-    for s in minseps_bigger:
-        if s & abit:
-            candidates.add(s | abit)  # == s; no decomposition applies
-
-    # Cases 3 and 4, vectorized: components of every G \ S in one
-    # batch, then S ∪ {a}, S ∪ C directly and S ∪ (T ∩ C) as an outer
-    # intersection grid.  Each candidate remembers the (S, C) pair that
-    # produced it (first discovery wins; any witness pair is valid).
-    prov: dict[int, int] = {}
-    pair_comp: list[int] = []
-    pair_static: list[list[int]] = []
-    n = bigger.n_index
-
-    def add_pair(mask: int, pid: int) -> None:
-        if mask not in candidates:
-            candidates.add(mask)
-            prov[mask] = pid
-
-    avoiding = [s for s in minseps_bigger if not s & abit]
-    if avoiding:
-        comp_lists = bigger.components_with_neighborhoods_batch(
-            [full & ~s for s in avoiding]
-        )
-        pair_s: list[int] = []
-        pair_c: list[int] = []
-        for s, comps in zip(avoiding, comp_lists):
-            base = len(pair_comp)
-            for ci, (comp, _nbh) in enumerate(comps):
-                pid = base + ci
-                pair_s.append(s)
-                pair_c.append(comp)
-                pair_comp.append(comp)
-                # Static condition-2 cover of the pair: for u ∈ S, the
-                # OR of N(D) over the *other* components D of G \ S
-                # whose neighborhood contains u.
-                rows = [0] * n
-                for oc, (ocomp, onbh) in enumerate(comps):
-                    if oc == ci:
-                        continue
-                    m = onbh
-                    while m:
-                        low = m & -m
-                        rows[low.bit_length() - 1] |= onbh
-                        m ^= low
-                pair_static.append(rows)
-                add_pair(s | comp, pid)
-                if comp & abit:
-                    add_pair(s | abit, pid)
-        if pair_s and minseps_smaller:
-            t_words = bigger._to_words(sorted(minseps_smaller))
-            n_t = t_words.shape[0]
-            chunk = max(1, (1 << 21) // max(1, n_t * bigger.n_words))
-            for start in range(0, len(pair_s), chunk):
-                s_words = bigger._to_words(pair_s[start : start + chunk])
-                c_words = bigger._to_words(pair_c[start : start + chunk])
-                inter = c_words[:, None, :] & t_words[None, :, :]
-                extra = inter & ~s_words[:, None, :]
-                valid = (extra != 0).any(axis=2)
-                rows_w = (s_words[:, None, :] | inter)[valid]
-                if rows_w.size == 0:
-                    continue
-                if bigger.n_words == 1:
-                    uniq, first = np.unique(rows_w[:, 0], return_index=True)
-                    uniq = uniq[:, None]
-                else:
-                    uniq, first = np.unique(rows_w, axis=0, return_index=True)
-                # Map each unique mask back to the (S, C) grid row that
-                # first produced it.
-                grid_row = np.flatnonzero(valid.reshape(-1)) // n_t
-                for mask, fi in zip(
-                    bigger._to_ints(uniq), grid_row[first].tolist()
-                ):
-                    add_pair(mask, start + int(fi))
-
-    # Pack the per-pair static covers once; verification chunks below
-    # index into this stack.
-    static_stack = None
-    if prov:
-        flat_rows: list[int] = []
-        for rows in pair_static:
-            flat_rows.extend(rows)
-        static_stack = bigger._to_words(flat_rows).reshape(
-            len(pair_static), n, bigger.n_words
-        )
-
-    out: set[int] = set()
-    ordered = sorted(candidates)
-    chunk = bigger._chunk_size()
-    for start in range(0, len(ordered), chunk):
-        part = ordered[start : start + chunk]
-        flags = [False] * len(part)
-        plain = [i for i, m in enumerate(part) if m not in prov]
-        paired = [i for i, m in enumerate(part) if m in prov]
-        if plain:
-            for i, ok in zip(plain, bigger.is_pmc_batch([part[i] for i in plain])):
-                flags[i] = ok
-        if paired:
-            oms = [part[i] for i in paired]
-            pids = [prov[om] for om in oms]
-            regs = [pair_comp[p] & ~om for p, om in zip(pids, oms)]
-            static = static_stack[np.asarray(pids, dtype=np.intp)]
-            for i, ok in zip(
-                paired, bigger.is_pmc_restricted_batch(oms, regs, static)
-            ):
-                flags[i] = ok
-        for cand, ok in zip(part, flags):
-            if ok:
-                out.add(cand)
-                if budget is not None and len(out) > budget:
-                    raise SeparatorLimitExceeded(
-                        f"more than {budget} potential maximal cliques",
-                        partial={labels_of(m) for m in out},
-                    )
     return out
 
 
@@ -480,10 +313,9 @@ def potential_maximal_cliques(
         A registered kernel name or spec (see
         :mod:`repro.graphs.kernels`).  Mask-level kernels run the whole
         pipeline — prefix minimal separators, ONE_MORE_VERTEX, the PMC
-        predicate — over dense bitmasks (batched whole-array ops under
-        the numpy kernel) and convert the result once at the end;
-        ``"sets"`` is the original label-level path.  Identical output
-        under every kernel.
+        predicate — over dense bitmasks and convert the result once at
+        the end; ``"sets"`` is the original label-level path.  Identical
+        output under every kernel.
     """
     import time
 

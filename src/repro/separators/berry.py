@@ -106,10 +106,9 @@ def iter_minimal_separators(
     (the empty set is never yielded).  Yields in no particular order.
     ``kernel`` selects the execution substrate (a registered kernel name
     or spec; see :mod:`repro.graphs.kernels`): mask-level kernels run
-    the loop over dense bitmasks — batched whole-array rounds under the
-    numpy kernel — and convert each separator to a label frozenset on
-    emission; ``"sets"`` is the original label-level path.  All kernels
-    emit exactly the same set of separators.
+    the loop over dense bitmasks and convert each separator to a label
+    frozenset on emission; ``"sets"`` is the original label-level path.
+    All kernels emit exactly the same set of separators.
     """
     spec = resolve_kernel(kernel)
     if spec.uses_masks and graph.num_vertices():
@@ -171,13 +170,7 @@ def iter_minimal_separator_masks(bitgraph: BitGraph) -> Iterator[int]:
     The logic is line-for-line the set-kernel loop with vertex sets
     replaced by int masks; the ``seen`` set hashes machine ints instead
     of frozensets, and components/neighborhoods are word-parallel.
-    Batched kernels take :func:`_iter_minimal_separator_masks_batched`
-    instead — the same closure computed round by round over whole-array
-    operations.
     """
-    if getattr(bitgraph, "BATCHED", False):
-        yield from _iter_minimal_separator_masks_batched(bitgraph)
-        return
     adj = bitgraph.adj
     full = bitgraph.full_mask
     seen: set[int] = set()
@@ -206,46 +199,6 @@ def iter_minimal_separator_masks(bitgraph: BitGraph) -> Iterator[int]:
                 full & ~removed
             ):
                 yield from admit(nbh)
-
-
-def _iter_minimal_separator_masks_batched(bitgraph: BitGraph) -> Iterator[int]:
-    """Round-based BBC closure over a batched (numpy) kernel.
-
-    The BBC closure is confluent — the final separator set does not
-    depend on the order expansion steps are applied — so instead of a
-    work queue this variant expands the whole frontier of newly admitted
-    separators at once: one batched component sweep generates every
-    candidate neighborhood of the round, one batched minimality filter
-    admits the survivors.  Yield order is rounds of ascending masks
-    (deterministic), and the yielded *set* is identical to the scalar
-    queue's.
-    """
-    adj = bitgraph.adj
-    full = bitgraph.full_mask
-    seen: set[int] = set()
-    rejected: set[int] = set()
-    regions = [
-        full & ~(adj[v] | (1 << v)) for v in iter_bits(full)
-    ]
-    while regions:
-        admitted: list[int] = []
-        candidates = bitgraph.separator_candidates_batch(regions)
-        novel = [c for c in candidates if c not in seen and c not in rejected]
-        if novel:
-            flags = bitgraph.is_minimal_separator_batch(novel)
-            for cand, ok in zip(novel, flags):
-                if ok:
-                    admitted.append(cand)
-                else:
-                    rejected.add(cand)
-        for sep in admitted:
-            seen.add(sep)
-            yield sep
-        regions = [
-            full & ~(sep | adj[x] | (1 << x))
-            for sep in admitted
-            for x in iter_bits(sep)
-        ]
 
 
 def minimal_separator_masks(
@@ -291,8 +244,8 @@ def minimal_separators(
     graph:
         Input graph.
     kernel:
-        A registered kernel name or spec; the ``"auto"`` default picks
-        the fastest available kernel.  Mask-level kernels enumerate over
+        A registered kernel name or spec; the ``"auto"`` default is
+        ``"bitset"``.  Mask-level kernels enumerate over
         dense bitmasks and convert to label frozensets once per
         separator; ``"sets"`` is the original label-level path.
         Identical output under every kernel.

@@ -408,9 +408,9 @@ class ServiceRequest:
             raise ProtocolError(
                 f"unknown op {self.op!r}; expected one of {', '.join(OPS)}"
             )
-        # Registry-driven kernel validation: any registered, available
-        # kernel (or a spec, or "auto") is accepted the moment it is
-        # registered; the stored value is always the concrete name.
+        # Registry-driven kernel validation: any registered kernel (or a
+        # spec, or "auto") is accepted the moment it is registered; the
+        # stored value is always the concrete name.
         try:
             resolved = resolve_kernel(self.kernel).name
         except ValueError as exc:
@@ -601,8 +601,8 @@ class ServiceStatsFrame:
     workers: tuple
     cache: dict = field(default_factory=dict)
     #: Kernel-registry view: ``{"available": [...], "auto": name,
-    #: "registered": {name: {description, available, priority,
-    #: capabilities}}}`` (empty when talking to an older server).
+    #: "registered": {name: {description}}}`` (empty when talking to an
+    #: older server).
     kernels: dict = field(default_factory=dict)
     raw: bytes = field(compare=False, repr=False, default=b"")
 

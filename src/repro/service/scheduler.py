@@ -744,19 +744,13 @@ def kernel_registry_stats() -> dict:
 
     Served under ``"kernels"`` in the ``stats`` op and echoed by the
     gateway's ``/metrics`` as ``repro_kernel_info``: which kernels this
-    server knows, which are available right now, and what ``"auto"``
-    resolves to.
+    server knows and what the ``"auto"`` alias names.
     """
     return {
         "available": list(available_kernels()),
         "auto": resolve_kernel("auto").name,
         "registered": {
-            spec.name: {
-                "description": spec.description,
-                "available": spec.is_available(),
-                "priority": spec.priority,
-                "capabilities": sorted(spec.capabilities),
-            }
+            spec.name: {"description": spec.description}
             for spec in registered_kernels()
         },
     }

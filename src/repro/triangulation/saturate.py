@@ -68,8 +68,8 @@ def saturate_separators(
 
     When ``separators`` is a maximal pairwise-parallel set of minimal
     separators the result is a minimal triangulation (Theorem 2.5(1)).
-    Mask-level kernels (any registered spec with the ``"masks"``
-    capability; the ``"auto"`` default) saturate word-parallel over
+    Mask-level kernels (any registered spec with a builder; the
+    ``"auto"`` default is ``"bitset"``) saturate word-parallel over
     adjacency bitmasks; ``"sets"`` mutates a :class:`Graph` copy directly.
     """
     spec = resolve_kernel(kernel)

@@ -116,24 +116,8 @@ def _observed(name, cost, kernel, mode):
     ]
 
 
-def _kernel_params():
-    from repro.graphs.kernels import available_kernels
-
-    params = ["sets", "bitset"]
-    params.append(
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(
-                "numpy" not in available_kernels(),
-                reason="numpy kernel unavailable",
-            ),
-        )
-    )
-    return params
-
-
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kernel", _kernel_params())
+@pytest.mark.parametrize("kernel", ["sets", "bitset"])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_golden_top20(name, kernel, mode):
     golden = load_golden()
@@ -147,13 +131,11 @@ def test_golden_top20(name, kernel, mode):
 
 
 @pytest.mark.parametrize("name", ["paper-example", "grid-4x4"])
-def test_auto_matches_golden_without_numpy(name, monkeypatch):
-    """The no-numpy degradation leg: with the numpy kernel disabled,
-    ``kernel="auto"`` must resolve to ``bitset`` and reproduce the
-    golden sequences byte-for-byte."""
+def test_auto_matches_golden_without_numpy(name):
+    """The library default: ``kernel="auto"`` is ``bitset``, needs no
+    numpy, and reproduces the golden sequences byte-for-byte."""
     from repro.graphs.kernels import resolve_kernel
 
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
     assert resolve_kernel("auto").name == "bitset"
     golden = load_golden()
     _factory, decoder = GRAPHS[name]
@@ -161,7 +143,7 @@ def test_auto_matches_golden_without_numpy(name, monkeypatch):
         expected = _decode(golden[name][cost]["direct"], decoder)
         assert _observed(name, cost, "auto", "direct") == expected, (
             f"{name}/{cost}: auto->bitset diverged from the golden "
-            "sequence with numpy disabled"
+            "sequence"
         )
 
 

@@ -81,8 +81,8 @@ def test_iter_bits():
 def test_validate_kernel():
     assert validate_kernel("bitset") == "bitset"
     assert validate_kernel("sets") == "sets"
-    # "auto" resolves to a concrete registered name, never itself.
-    assert validate_kernel("auto") in ("numpy", "bitset")
+    # "auto" is an alias: it resolves to a concrete name, never itself.
+    assert validate_kernel("auto") == "bitset"
     with pytest.raises(ValueError):
         validate_kernel("quantum")
 

@@ -2,9 +2,11 @@
 
 The registry is the single source of truth for kernel names across the
 Session API, the context builder, the wire protocol, the gateway, and
-the CLI, so its resolution rules — ``"auto"`` priority, availability
-probes, explicit-name strictness — are pinned here in isolation.
+the CLI, so its resolution rules — ``"auto"`` as an alias of
+``"bitset"``, explicit-name strictness — are pinned here in isolation.
 """
+
+import sys
 
 import pytest
 
@@ -12,7 +14,6 @@ from repro.graphs.bitgraph import BitGraph
 from repro.graphs.generators import cycle_graph
 from repro.graphs.kernels import (
     AUTO_KERNEL,
-    DISABLE_NUMPY_ENV,
     KernelSpec,
     available_kernels,
     register_kernel,
@@ -21,8 +22,6 @@ from repro.graphs.kernels import (
     unregister_kernel,
     validate_kernel,
 )
-
-HAS_NUMPY = "numpy" in available_kernels()
 
 
 @pytest.fixture
@@ -35,8 +34,6 @@ def scratch_kernel():
             build=lambda graph, indexer=None: BitGraph.from_graph(
                 graph, indexer
             ),
-            capabilities=frozenset({"masks"}),
-            priority=-5,
         )
     )
     try:
@@ -52,23 +49,28 @@ class TestResolution:
         assert not resolve_kernel("sets").uses_masks
         assert resolve_kernel("bitset").uses_masks
 
-    def test_auto_picks_highest_priority_available(self):
-        expected = "numpy" if HAS_NUMPY else "bitset"
-        assert resolve_kernel(AUTO_KERNEL).name == expected
-        assert resolve_kernel().name == expected  # default argument
+    def test_auto_is_an_alias_of_bitset(self):
+        bitset = resolve_kernel("bitset")
+        assert resolve_kernel(AUTO_KERNEL) is bitset
+        assert resolve_kernel() is bitset  # default argument
 
     def test_auto_degrades_to_bitset_when_numpy_disabled(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        assert resolve_kernel(AUTO_KERNEL).name == "bitset"
+        # With numpy unimportable, "auto" still names a working kernel.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert resolve_kernel(AUTO_KERNEL) is resolve_kernel("bitset")
         assert "numpy" not in available_kernels()
+        built = resolve_kernel(AUTO_KERNEL).build_graph(cycle_graph(5))
+        assert built.to_graph() == cycle_graph(5)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernel unavailable")
     def test_explicit_numpy_rejected_when_disabled(self, monkeypatch):
-        # Graceful degradation is the policy's job: an explicit name for
-        # an unavailable kernel is an error, never a silent substitute.
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        with pytest.raises(ValueError, match="unavailable"):
+        # An explicit name for a kernel that is not registered is an
+        # error, never a silent substitute: the deleted numpy kernel is
+        # refused like any unknown name, also when numpy cannot import.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueError, match="unknown graph kernel 'numpy'"):
             resolve_kernel("numpy")
+        with pytest.raises(ValueError, match="unknown graph kernel 'numpy'"):
+            validate_kernel("numpy")
 
     def test_unknown_name_lists_known_kernels(self):
         with pytest.raises(ValueError, match="auto.*sets"):
@@ -84,37 +86,34 @@ class TestResolution:
             resolve_kernel(rogue)
 
     def test_validate_kernel_returns_concrete_name(self):
-        assert validate_kernel(AUTO_KERNEL) != AUTO_KERNEL
-        assert validate_kernel(AUTO_KERNEL) in available_kernels()
+        assert validate_kernel(AUTO_KERNEL) == "bitset"
 
 
 class TestRegistry:
-    def test_priority_order(self):
-        specs = registered_kernels()
-        priorities = [s.priority for s in specs]
-        assert priorities == sorted(priorities, reverse=True)
-        names = [s.name for s in specs]
-        assert names.index("bitset") < names.index("sets")
-        if HAS_NUMPY:
-            assert names.index("numpy") < names.index("bitset")
+    def test_builtins_come_first_in_registration_order(self):
+        assert available_kernels()[:2] == ("sets", "bitset")
+        assert registered_kernels()[:2] == (
+            resolve_kernel("sets"), resolve_kernel("bitset"),
+        )
 
     def test_register_then_resolve_then_unregister(self, scratch_kernel):
         assert "test-scratch" in available_kernels()
         assert resolve_kernel("test-scratch") is scratch_kernel
         assert validate_kernel("test-scratch") == "test-scratch"
+        # Registering a kernel never changes what "auto" names.
+        assert validate_kernel(AUTO_KERNEL) == "bitset"
 
     def test_duplicate_name_needs_replace(self, scratch_kernel):
         with pytest.raises(ValueError, match="already registered"):
             register_kernel(KernelSpec(name="test-scratch"))
         replaced = register_kernel(
-            KernelSpec(name="test-scratch", build=scratch_kernel.build,
-                       capabilities=frozenset({"masks"})),
+            KernelSpec(name="test-scratch", build=scratch_kernel.build),
             replace=True,
         )
         assert resolve_kernel("test-scratch") is replaced
 
     def test_auto_is_not_a_registrable_name(self):
-        with pytest.raises(ValueError, match="policy"):
+        with pytest.raises(ValueError, match="alias"):
             register_kernel(KernelSpec(name=AUTO_KERNEL))
 
     def test_builtins_cannot_be_unregistered(self):
@@ -122,25 +121,6 @@ class TestRegistry:
             unregister_kernel("sets")
         with pytest.raises(ValueError):
             unregister_kernel("bitset")
-
-    def test_unavailable_kernel_hidden_from_available(self):
-        spec = register_kernel(
-            KernelSpec(name="test-broken", available=lambda: False)
-        )
-        try:
-            assert "test-broken" not in available_kernels()
-            assert spec in registered_kernels()
-            with pytest.raises(ValueError, match="unavailable"):
-                resolve_kernel("test-broken")
-        finally:
-            unregister_kernel("test-broken")
-
-    def test_raising_probe_counts_as_unavailable(self):
-        def boom():
-            raise RuntimeError("probe exploded")
-
-        spec = KernelSpec(name="test-boom", available=boom)
-        assert spec.is_available() is False
 
 
 class TestSpec:
@@ -153,13 +133,12 @@ class TestSpec:
         built = resolve_kernel("bitset").build_graph(g)
         assert built.to_graph() == g
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernel unavailable")
-    def test_numpy_spec_is_batched(self):
-        spec = resolve_kernel("numpy")
-        assert "batched" in spec.capabilities
-        built = spec.build_graph(cycle_graph(5))
-        assert getattr(built, "BATCHED", False)
-        assert built.to_graph() == cycle_graph(5)
+    def test_spec_has_name_description_and_builder_only(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(KernelSpec)] == [
+            "name", "description", "build",
+        ]
 
 
 class TestSessionIntegration:
@@ -174,9 +153,8 @@ class TestSessionIntegration:
     def test_session_auto_resolves_before_anything_runs(self):
         from repro.api import Session
 
-        expected = "numpy" if HAS_NUMPY else "bitset"
-        assert Session(kernel="auto").kernel_name == expected
-        assert Session().kernel_name == expected
+        assert Session(kernel="auto").kernel_name == "bitset"
+        assert Session().kernel_name == "bitset"
 
     def test_session_stats_carry_concrete_kernel(self):
         from repro.api import Session

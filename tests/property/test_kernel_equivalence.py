@@ -1,8 +1,8 @@
 """Differential tests: every fast kernel is *exact* w.r.t. the set kernel.
 
 The whole point of ranked enumeration is a bit-for-bit ordered output
-stream, so a mask-level kernel (``bitset``, ``numpy``, or anything
-third-party code registers) is only admissible if it is observationally
+stream, so a mask-level kernel (``bitset``, or anything third-party
+code registers) is only admissible if it is observationally
 identical to the label-level reference.  These tests generate random
 graphs (Hypothesis plus a fixed corpus — well over 200 cases per run)
 and assert, for every registered kernel other than ``sets``,
@@ -13,9 +13,8 @@ and assert, for every registered kernel other than ``sets``,
 * **identical ordered ranked-enumeration prefixes** — same costs, same
   bag sets, same sequence positions, under two different cost specs.
 
-The parametrization is registry-driven: ``numpy`` rows are skip-marked
-when the import probe fails (or ``REPRO_DISABLE_NUMPY`` is set), and any
-extra kernel registered before collection is swept automatically.
+The parametrization is registry-driven: any extra kernel registered
+before collection is swept automatically.
 """
 
 import pytest
@@ -32,29 +31,8 @@ from repro.separators.crossing import SeparatorFamily
 from ..conftest import connected_random_graphs
 
 
-def _fast_kernel_params():
-    """Every registered non-oracle kernel, skip-marked when unavailable."""
-    avail = available_kernels()
-    params = [pytest.param("bitset", id="bitset")]
-    params.append(
-        pytest.param(
-            "numpy",
-            id="numpy",
-            marks=pytest.mark.skipif(
-                "numpy" not in avail,
-                reason="numpy kernel unavailable (not importable or disabled)",
-            ),
-        )
-    )
-    params.extend(
-        pytest.param(name, id=name)
-        for name in avail
-        if name not in ("sets", "bitset", "numpy")
-    )
-    return params
-
-
-FAST_KERNELS = _fast_kernel_params()
+#: Every registered non-oracle kernel.
+FAST_KERNELS = [name for name in available_kernels() if name != "sets"]
 fast_kernels = pytest.mark.parametrize("kernel", FAST_KERNELS)
 
 
@@ -187,8 +165,8 @@ def test_children_of_identical_across_kernels(kernel):
 
 
 # ---------------------------------------------------------------------------
-# Batched-scale equivalence: instances big enough that the numpy kernel's
-# whole-array paths (above its scalar cutoff) actually engage.
+# Larger-scale equivalence: hundreds of separators and PMCs per instance,
+# beyond what the generated cases above reach.
 # ---------------------------------------------------------------------------
 @fast_kernels
 def test_batched_scale_structures_identical(kernel):

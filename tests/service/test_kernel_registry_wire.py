@@ -12,6 +12,8 @@ registered only in the parent.)
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.api import Session
@@ -19,7 +21,6 @@ from repro.graphs.bitgraph import BitGraph
 from repro.graphs.generators import paper_example_graph
 from repro.graphs.kernels import (
     KernelSpec,
-    available_kernels,
     register_kernel,
     unregister_kernel,
 )
@@ -43,8 +44,6 @@ def wire_kernel():
             build=lambda graph, indexer=None: BitGraph.from_graph(
                 graph, indexer
             ),
-            capabilities=frozenset({"masks"}),
-            priority=-10,  # never wins "auto"
         )
     )
     try:
@@ -78,20 +77,34 @@ class TestRequestValidation:
         request = ServiceRequest(
             op="top", graph=paper_example_graph(), k=3, kernel="auto"
         )
-        assert request.kernel != "auto"
-        assert request.kernel in available_kernels()
+        assert request.kernel == "bitset"
+        # The wire default and the library default name the same kernel.
+        assert ServiceRequest(op="stats").kernel == Session().kernel_name
 
-    def test_unavailable_kernel_rejected(self, monkeypatch):
-        if "numpy" not in available_kernels():
-            pytest.skip("numpy kernel unavailable")
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.raises(ProtocolError, match="unavailable"):
-            ServiceRequest(
-                op="top", graph=paper_example_graph(), k=3, kernel="numpy"
-            )
+    def test_unavailable_kernel_rejected(self, wire_kernel):
+        # The deleted numpy kernel is refused like any unknown name...
+        frame = {
+            "type": "request",
+            "op": "top",
+            "graph": graph_to_wire(paper_example_graph()),
+            "k": 3,
+            "kernel": "numpy",
+        }
+        with pytest.raises(ProtocolError, match="unknown graph kernel 'numpy'"):
+            parse_request(frame)
+        # ...and so is a kernel once it has been unregistered.
+        frame["kernel"] = TEST_KERNEL
+        assert parse_request(frame).kernel == TEST_KERNEL
+        unregister_kernel(TEST_KERNEL)
+        try:
+            with pytest.raises(ProtocolError, match="unknown graph kernel"):
+                parse_request(frame)
+        finally:
+            register_kernel(wire_kernel)
 
     def test_auto_degrades_on_the_wire(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        # With numpy unimportable, "auto" on the wire is still "bitset".
+        monkeypatch.setitem(sys.modules, "numpy", None)
         request = ServiceRequest(
             op="top", graph=paper_example_graph(), k=3, kernel="auto"
         )
@@ -100,7 +113,7 @@ class TestRequestValidation:
 
 class TestEndToEnd:
     def test_registered_kernel_served_by_gateway(self, wire_kernel):
-        from repro.gateway import GatewayClient, GatewayThread
+        from repro.gateway import GatewayClient, GatewayError, GatewayThread
 
         graph = paper_example_graph()
         expected = serialize_answers(
@@ -118,6 +131,18 @@ class TestEndToEnd:
                 }
             ).collect()
             assert result.answer_lines == expected
+            # The HTTP door refuses the deleted numpy kernel as unknown.
+            with pytest.raises(GatewayError) as excinfo:
+                client.submit(
+                    {
+                        "op": "top",
+                        "graph": graph_to_wire(graph),
+                        "k": 3,
+                        "kernel": "numpy",
+                    }
+                )
+            assert excinfo.value.status == 400
+            assert "unknown graph kernel 'numpy'" in str(excinfo.value)
             page = client.metrics()
         assert "# TYPE repro_kernel_info gauge" in page
         assert f'kernel="{TEST_KERNEL}"' in page
@@ -127,5 +152,7 @@ class TestEndToEnd:
 
         stats = kernel_registry_stats()
         assert TEST_KERNEL in stats["available"]
-        assert stats["registered"][TEST_KERNEL]["available"] is True
-        assert stats["auto"] in ("numpy", "bitset")
+        assert stats["registered"][TEST_KERNEL] == {
+            "description": wire_kernel.description
+        }
+        assert stats["auto"] == "bitset"

@@ -630,7 +630,8 @@ class TestDiverseInterruption:
         """Cancel/deadline land mid-scan (between scanned candidates),
         not only between kept answers — a diverse job that keeps nothing
         must still honor its deadline."""
-        graph = connected_erdos_renyi(12, 0.3, seed=5)  # 200+ answers
+        # 4,000+ answers: seconds of scanning, far past the deadline.
+        graph = connected_erdos_renyi(16, 0.3, seed=5)
 
         async def main():
             scheduler = EnumerationScheduler(slice_answers=1)
@@ -654,7 +655,7 @@ class TestDiverseInterruption:
         assert elapsed < 5, f"deadline ignored for {elapsed:.1f}s of scanning"
 
     def test_cancel_interrupts_a_long_diverse_scan(self):
-        graph = connected_erdos_renyi(12, 0.3, seed=5)
+        graph = connected_erdos_renyi(16, 0.3, seed=5)
 
         async def main():
             scheduler = EnumerationScheduler(slice_answers=1)
