@@ -244,10 +244,13 @@ class Session:
         graph: Graph,
         width_bound: int | None,
         prebuilt: TriangulationContext | None = None,
+        fp: str | None = None,
     ) -> tuple[_CacheEntry, str, bool]:
+        """The cache entry of ``graph``; ``fp`` is its fingerprint when
+        the caller has already computed it."""
         if prebuilt is not None:
             width_bound = prebuilt.width_bound
-        fp = graph_fingerprint(graph)
+        fp = fp or graph_fingerprint(graph)
         key = (fp, width_bound)
         with self._lock:
             entry = self._contexts.get(key)
@@ -452,7 +455,11 @@ class Session:
         are cached per ``(fingerprint, duplicate_sensitive)`` alongside
         the context LRU.
         """
-        fp = graph_fingerprint(graph)
+        return self._plan_for(graph, graph_fingerprint(graph), duplicate_sensitive)
+
+    def _plan_for(
+        self, graph: Graph, fp: str, duplicate_sensitive: bool
+    ) -> PreprocessPlan:
         key = (fp, duplicate_sensitive)
         with self._lock:
             plan = self._plans.get(key)
@@ -556,27 +563,27 @@ class Session:
         engine: "object | None" = None,
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
+        fp: str | None = None,
     ) -> "tuple[RankedStream | ComposedRankedStream, dict]":
         if isinstance(graph, str):
             from ..graphs.io import read_graph
 
             graph = read_graph(graph)
+        # One fingerprint per request: the plan, the context entry and
+        # the stream all key on it.
+        fp = fp or graph_fingerprint(graph)
         spec = cost if isinstance(cost, str) else None
         if graph.num_vertices() == 0:
-            stream = RankedStream.start(
-                None, None, cost_spec=spec, fingerprint=graph_fingerprint(graph)
-            )
+            stream = RankedStream.start(None, None, cost_spec=spec, fingerprint=fp)
             return stream, {"context_cached": False, "init_seconds": 0.0}
         if self._preprocess_applies(graph, spec, engine, context, preprocess):
             assert spec is not None
             composition = composition_for(spec)
             assert composition is not None
-            plan = self.plan_for(
-                graph, duplicate_sensitive=composition.duplicate_sensitive
-            )
+            plan = self._plan_for(graph, fp, composition.duplicate_sensitive)
             if not plan.trivial:
                 return self._open_composed(
-                    plan, spec, composition,
+                    plan, spec, composition, fp,
                     width_bound=width_bound, engine=engine,
                 )
         if context is None and not graph.is_connected():
@@ -586,7 +593,9 @@ class Session:
                 "with a composable cost, which splits components "
                 "automatically)"
             )
-        entry, fp, cached = self._entry_for(graph, width_bound, prebuilt=context)
+        entry, fp, cached = self._entry_for(
+            graph, width_bound, prebuilt=context, fp=fp
+        )
         cost_obj = resolve_cost(cost, entry.context.graph)
         prepared = self._prepared(entry, spec, cost_obj, fp)
         stream = RankedStream.start(
@@ -608,6 +617,7 @@ class Session:
         plan: PreprocessPlan,
         spec: str,
         composition,
+        plan_fp: str,
         *,
         width_bound: int | None,
         engine: "object | None",
@@ -637,7 +647,7 @@ class Session:
             resolve_cost(spec, plan.graph),
             composition,
             cost_spec=spec,
-            fingerprint=graph_fingerprint(plan.graph),
+            fingerprint=plan_fp,
             width_bound=width_bound,
             open_piece=open_piece,
         )
@@ -903,6 +913,7 @@ class Session:
             engine=request.engine,
             context=None,
             preprocess=request.preprocess,
+            fp=fp,
         )
         response = self._collect_ranked(
             stream, meta, limit, request.time_budget, started
@@ -1256,7 +1267,9 @@ class Session:
                 "checkpoint fingerprint does not match its embedded graph; "
                 "the token is corrupted"
             )
-        entry, fp, cached = self._entry_for(graph, checkpoint.width_bound)
+        entry, fp, cached = self._entry_for(
+            graph, checkpoint.width_bound, fp=checkpoint.fingerprint
+        )
         spec: str | None
         if cost is None:
             spec = checkpoint.cost_spec

@@ -20,6 +20,12 @@ argument in the text requires covering the branch that excludes ``S_k``
 while including the rest, so we run the loop through ``k`` — with ``k-1``
 the enumeration demonstrably misses answers on small graphs, see
 ``tests/core/test_ranked.py::test_partition_loop_covers_all_answers``.)
+``MinSep(H)`` is read off the context's
+:class:`~repro.core.context.SeparatorIndex`, not recomputed from a clique
+tree: the minimal separators of a minimal triangulation ``H`` are the
+members of ``MinSep(G)`` that lie inside one bag of ``H``, so
+``MinSep(H)`` is the OR of the bags' masks, and its bits ascend in the
+pivot order ``S_1..S_k`` (``vertex_set_sort_key`` over the separators).
 
 Children are expanded *eagerly* when their parent is emitted, so that
 after ``next()`` returns the result of rank ``r`` the frontier is exactly
@@ -239,13 +245,22 @@ class RankedStream(Iterator[RankedResult]):
         )
         self._rank += 1
 
-        free = sorted(
-            current.minimal_separators - include,
-            key=self._context.separator_sort_key,
-        )
+        # MinSep(H) is the OR of the bags' masks (see SeparatorIndex);
+        # its bits ascend in pivot order.
+        index = self._context.separator_index()
+        pmc_masks = index.pmcs
+        separators = 0
+        for bag in bags:
+            separators |= pmc_masks[bag]
         jobs = []
         accumulated: list[Separator] = []
-        for pivot in free:
+        for pivot in index.members(separators):
+            if pivot in include:
+                continue
+            # A fresh object per pop, as the clique-tree pass made: pickle
+            # memoizes shared objects, so handing out the index's own
+            # separators would change the checkpoint token layout.
+            pivot = frozenset([*pivot])
             jobs.append((include | frozenset(accumulated), exclude | {pivot}))
             accumulated.append(pivot)
         if jobs:

@@ -7,7 +7,8 @@ paper therefore computes them **once** per input graph and shares them
 across the many ``MinTriang⟨κ[I,X]⟩`` invocations of ``RankedTriang``
 (Section 7.1, "initialization step").  :class:`TriangulationContext` is
 that shared state, plus the block → candidate-PMC index that makes the DP
-loop efficient.
+loop efficient and the :class:`SeparatorIndex` that turns the ranked
+loop's constraints and pivots into integer masks.
 
 The index construction uses the fact recorded in Section 5.1: the minimal
 separators contained in a PMC ``Ω`` are exactly the ones *associated* to it
@@ -31,7 +32,6 @@ from ..separators.blocks import (
     full_blocks_of_separator,
     full_component_masks,
 )
-from ..separators.crossing import SeparatorFamily
 from ..pmc.enumerate import (
     potential_maximal_clique_masks,
     potential_maximal_cliques,
@@ -46,7 +46,7 @@ PMC = frozenset[Vertex]
 #: positions index :attr:`TriangulationContext.blocks`.
 Candidate = tuple[PMC, int, int, tuple[int, ...]]
 
-__all__ = ["Candidate", "TriangulationContext"]
+__all__ = ["Candidate", "SeparatorIndex", "TriangulationContext"]
 
 
 def _block_order_key(block: Block) -> tuple:
@@ -79,8 +79,6 @@ class TriangulationContext:
         The full blocks over ``separators``, ascending by ``|S ∪ C|``.
     pmc_index:
         For each full block, the candidate PMCs ``{Ω : S ⊂ Ω ⊆ S ∪ C}``.
-    family:
-        Crossing-relation cache over ``separators``.
     width_bound:
         The bound ``b`` of ``MinTriangB`` or ``None`` (Section 5.3).
     init_seconds:
@@ -93,7 +91,6 @@ class TriangulationContext:
     pmcs: set[PMC]
     blocks: list[Block]
     pmc_index: dict[Block, list[PMC]]
-    family: SeparatorFamily
     width_bound: int | None = None
     init_seconds: float = 0.0
     #: Which graph kernel built (and serves) this context — always a
@@ -109,16 +106,10 @@ class TriangulationContext:
     _children_cache: dict[tuple[Block | None, PMC], tuple[Block, ...]] = field(
         default_factory=dict, repr=False
     )
-    _vertex_blocks: dict[Vertex, frozenset[int]] | None = field(
-        default=None, repr=False
-    )
-    _containing_cache: dict[Separator, frozenset[int]] = field(
-        default_factory=dict, repr=False
-    )
     _candidates: (
         tuple[list[tuple[Candidate, ...]], tuple[Candidate, ...]] | None
     ) = field(default=None, repr=False)
-    _sort_keys: dict[Separator, tuple] = field(default_factory=dict, repr=False)
+    _separator_index: "SeparatorIndex | None" = field(default=None, repr=False)
 
     @staticmethod
     def build(
@@ -206,7 +197,6 @@ class TriangulationContext:
                     m for m in sep_masks if m.bit_count() <= width_bound
                 }
 
-        family = SeparatorFamily(graph, separators, bitgraph=bitgraph)
         blocks: list[Block] = []
         if bitgraph is not None and indexer is not None:
             assert sep_masks is not None
@@ -261,7 +251,6 @@ class TriangulationContext:
             pmcs=pmcs,
             blocks=blocks,
             pmc_index=pmc_index,
-            family=family,
             width_bound=width_bound,
             init_seconds=time.perf_counter() - started,
             kernel=spec.name,
@@ -405,81 +394,18 @@ class TriangulationContext:
             self._pmc_order = order
         return order
 
-    def separator_sort_key(self, separator: Separator) -> tuple:
-        """:func:`vertex_set_sort_key` of ``separator``, cached.
+    def separator_index(self) -> "SeparatorIndex":
+        """The :class:`SeparatorIndex` of this context, built on first use.
 
-        The ranked enumerator sorts every popped triangulation's
-        separators into its pivot order; they are all members of
-        ``MinSep(G)``, so the cache stays bounded by it.
+        The ranked loop asks for it at its first pop and at its first
+        constrained DP run, so an unconstrained ``MinTriang`` never pays
+        for it.  The process-pool engine builds it before forking, so
+        workers inherit it copy-on-write.
         """
-        key = self._sort_keys.get(separator)
-        if key is None:
-            key = self._sort_keys[separator] = vertex_set_sort_key(separator)
-        return key
-
-    def blocks_containing(self, separator: Separator) -> frozenset[int]:
-        """Indices (into :attr:`blocks`) of the blocks whose vertex set
-        contains ``separator``.
-
-        Backed by a lazily built vertex → block inverted index: the answer
-        is the intersection of the member vertices' block sets, starting
-        from the smallest.  The per-separator result is cached because the
-        ranked enumerator asks about the same ``MinSep(G)`` members across
-        thousands of Lawler–Murty children — after the first query a
-        lookup is O(1).
-        """
-        cached = self._containing_cache.get(separator)
-        if cached is not None:
-            return cached
-        if not separator:
-            result = frozenset(range(len(self.blocks)))
-            self._containing_cache[separator] = result
-            return result
-        index = self.ensure_block_index()
-        empty: frozenset[int] = frozenset()
-        member_sets = sorted(
-            (index.get(v, empty) for v in separator), key=len
-        )
-        result = member_sets[0]
-        for s in member_sets[1:]:
-            if not result:
-                break
-            result &= s
-        self._containing_cache[separator] = result
-        return result
-
-    def ensure_block_index(self) -> dict[Vertex, frozenset[int]]:
-        """The vertex → block-indices inverted index, built on first use.
-
-        Exposed so the process-pool engine can force the build in the
-        parent before forking workers — the index is then inherited
-        copy-on-write instead of being rebuilt once per worker.  (The
-        per-separator containment sets stay lazy: only the separators of
-        actually-popped triangulations are ever queried.)
-        """
-        index = self._vertex_blocks
+        index = self._separator_index
         if index is None:
-            built: dict[Vertex, set[int]] = {}
-            for i, block in enumerate(self.blocks):
-                for v in block.vertices:
-                    built.setdefault(v, set()).add(i)
-            index = {v: frozenset(ids) for v, ids in built.items()}
-            self._vertex_blocks = index
+            index = self._separator_index = SeparatorIndex.build(self)
         return index
-
-    def touched_blocks(self, separators: "Iterable[Separator]") -> frozenset[int]:
-        """Indices of blocks containing **any** of ``separators``.
-
-        These are exactly the blocks whose constrained-DP entry can differ
-        from the unconstrained one under ``κ[I,X]`` with
-        ``I ∪ X = separators`` (a constraint is vacuous on any region that
-        does not contain its separator), so every other block may copy its
-        entry from a reusable unconstrained table.
-        """
-        touched: set[int] = set()
-        for s in separators:
-            touched |= self.blocks_containing(s)
-        return frozenset(touched)
 
     def stats(self) -> dict[str, float]:
         """Summary counters for benchmark reports."""
@@ -492,3 +418,91 @@ class TriangulationContext:
             "init_seconds": self.init_seconds,
             "kernel": self.kernel,
         }
+
+
+@dataclass(frozen=True)
+class SeparatorIndex:
+    """``MinSep(G)`` numbered as bits, for the ranked loop.
+
+    Bit ``i`` is the ``i``-th separator in :func:`vertex_set_sort_key`
+    order, the pivot order; the mask of a vertex set holds the
+    separators inside it.  Every Lawler–Murty constraint and pivot is a
+    member of :attr:`TriangulationContext.separators`, so a run's
+    ``κ[I,X]`` is two ints:
+
+    * the blocks to recompute are those whose mask meets ``I | X``;
+    * a candidate ``Ω`` of a block with mask ``B`` is admitted when
+      ``inside & X == 0`` and ``I & B & ~covered == 0`` (``inside`` is
+      ``Ω``'s mask, ``covered`` adds its child blocks' masks: each child
+      enforces the constraints inside its own region);
+    * ``MinSep(H)`` is the OR of ``H``'s bags' masks, because the minimal
+      separators of a minimal triangulation ``H`` are the members of
+      ``MinSep(G)`` that are cliques of ``H``; less ``I``, its bits
+      ascend in pivot order.
+
+    ``blocks`` is parallel to :attr:`TriangulationContext.blocks`,
+    ``pmcs`` maps each PMC to its mask, and ``candidates`` holds each
+    candidate's ``(inside, covered)`` parallel to
+    :meth:`TriangulationContext.candidates`.
+    """
+
+    separators: tuple[Separator, ...]
+    bits: dict[Separator, int]
+    blocks: list[int]
+    pmcs: dict[PMC, int]
+    candidates: tuple[list[tuple[tuple[int, int], ...]], tuple[tuple[int, int], ...]]
+
+    @staticmethod
+    def build(context: TriangulationContext) -> "SeparatorIndex":
+        """Index ``context``: a set's mask is every separator less those
+        containing a vertex outside it, one pass over the vertices."""
+        order = tuple(sorted(context.separators, key=vertex_set_sort_key))
+        bits = {s: 1 << i for i, s in enumerate(order)}
+        vertices = list(context.graph.vertices)
+        containing = dict.fromkeys(vertices, 0)
+        for s, bit in bits.items():
+            for v in s:
+                containing[v] |= bit
+        everything = (1 << len(order)) - 1
+
+        def inside(vertex_set: frozenset) -> int:
+            outside = 0
+            for v in vertices:
+                if v not in vertex_set:
+                    outside |= containing[v]
+            return everything & ~outside
+
+        blocks = [inside(b.vertices) for b in context.blocks]
+        pmcs = {omega: inside(omega) for omega in context.pmcs}
+
+        def covering(candidates: tuple[Candidate, ...]) -> tuple[tuple[int, int], ...]:
+            compiled = []
+            for omega, _size, _fill, children in candidates:
+                mask = covered = pmcs[omega]
+                for child in children:
+                    covered |= blocks[child]
+                compiled.append((mask, covered))
+            return tuple(compiled)
+
+        per_block, root = context.candidates()
+        compiled = ([covering(c) for c in per_block], covering(root))
+        return SeparatorIndex(order, bits, blocks, pmcs, compiled)
+
+    def mask_of(self, separators: Iterable[Separator]) -> int | None:
+        """The mask of ``separators``; ``None`` if one is not indexed."""
+        mask = 0
+        for s in separators:
+            bit = self.bits.get(s)
+            if bit is None:
+                return None
+            mask |= bit
+        return mask
+
+    def members(self, mask: int) -> list[Separator]:
+        """The separators of ``mask``'s bits, in ascending (pivot) order."""
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(self.separators[low.bit_length() - 1])
+            mask ^= low
+        return found

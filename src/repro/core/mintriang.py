@@ -29,19 +29,22 @@ in one of two ways, inside the same loop:
   over the assembled bag list, which is then its fold state.
 
 Lawler–Murty constraints ``κ[I,X]`` (a :class:`ConstrainedCost` over a
-folding base) fold without bags too.  A constraint ``S`` applies to a
-block when ``S ⊆ S ∪ C``; an applicable excluded ``S`` rejects ``Ω``
-exactly when ``S ⊆ Ω``, and an applicable included ``S`` passes when
-``S ⊆ Ω`` or ``S`` lies inside one child block.  This is exact: each
-child's entry already enforces the constraints inside its own region,
-and a set is a clique of ``H_T`` exactly when it lies in one bag of
-``T``.  Over a non-folding base the generic step calls
-:meth:`ConstrainedCost.evaluate`.
+folding base) fold without bags too, as integer masks over the context's
+:class:`~repro.core.context.SeparatorIndex`.  A constraint ``S`` applies
+to a block when ``S ⊆ S ∪ C``; an applicable excluded ``S`` rejects
+``Ω`` exactly when ``S ⊆ Ω``, and an applicable included ``S`` passes
+when ``S ⊆ Ω`` or ``S`` lies inside one child block.  This is exact:
+each child's entry already enforces the constraints inside its own
+region, and a set is a clique of ``H_T`` exactly when it lies in one bag
+of ``T``.  Over a non-folding base the generic step calls
+:meth:`ConstrainedCost.evaluate`, and so does a run with a constraint
+outside ``MinSep(G)`` (only a library caller can pass one), which then
+recomputes every block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,9 +137,10 @@ class Triangulation:
 _Entry = tuple[float, object, int]
 _Table = list[_Entry]
 _INFEASIBLE_ENTRY: _Entry = (INFEASIBLE, None, -1)
-#: ``admits(Ω, child positions)``: whether a candidate meets the
-#: constraints that apply where it is tried.
-_Admits = Callable[[PMC, tuple[int, ...]], bool]
+#: The constraint check of one DP step: the candidates' ``(inside,
+#: covered)`` masks, the included separators that apply there and the
+#: excluded ones (see :class:`~repro.core.context.SeparatorIndex`).
+_Checks = tuple[Sequence[tuple[int, int]], int, int]
 
 
 def _fold_and_constraints(
@@ -161,83 +165,28 @@ def _fold_and_constraints(
     return declared_fold(cost, graph), empty, empty
 
 
-class _Constraints:
-    """One run's ``κ[I,X]`` constraints, folded per candidate.
-
-    A constraint ``S`` applies to the blocks containing it
-    (:meth:`TriangulationContext.blocks_containing`) and to the root.
-    Included separators are bits: ``need[p]`` holds those applying to
-    block ``p``.  A candidate's child ``c`` already enforces ``need[c]``,
-    so the candidate itself must hold each remaining included ``S``
-    inside ``Ω``, and no excluded ``S`` there.
-    """
-
-    def __init__(
-        self,
-        context: TriangulationContext,
-        include: frozenset[Separator],
-        exclude: frozenset[Separator],
-    ) -> None:
-        vertices = context.graph.vertex_set()
-        self.included = list(include)
-        self.need = [0] * len(context.blocks)
-        self.root_need = 0
-        for bit, s in enumerate(self.included):
-            for position in context.blocks_containing(s):
-                self.need[position] |= 1 << bit
-            if s <= vertices:
-                self.root_need |= 1 << bit
-        self.excluded: dict[int, list[Separator]] = {}
-        for s in exclude:
-            for position in context.blocks_containing(s):
-                self.excluded.setdefault(position, []).append(s)
-        self.root_excluded = [s for s in exclude if s <= vertices]
-
-    def at(self, position: int | None) -> _Admits | None:
-        """The check for block ``position`` (``None``: the root), or
-        ``None`` when no constraint applies there."""
-        if position is None:
-            need, excluded = self.root_need, self.root_excluded
-        else:
-            need = self.need[position]
-            excluded = self.excluded.get(position, ())
-        if not need and not excluded:
-            return None
-        child_need, included = self.need, self.included
-
-        def admits(omega: PMC, children: tuple[int, ...]) -> bool:
-            for s in excluded:
-                if s <= omega:
-                    return False
-            missing = need
-            for child in children:
-                missing &= ~child_need[child]
-            while missing:
-                low = missing & -missing
-                if not included[low.bit_length() - 1] <= omega:
-                    return False
-                missing ^= low
-            return True
-
-        return admits
-
-
 def _best(
     candidates: Sequence[Candidate],
     table: _Table,
     fold: Fold | None,
     cost: BagCost,
     region: Graph | None,
-    admits: _Admits | None,
+    checks: _Checks | None,
 ) -> _Entry:
     """One DP step: the cheapest feasible candidate, ties to the first.
 
     ``region`` is the graph the generic step evaluates on (unused by a
-    fold); ``admits`` checks the constraints that apply here.
+    fold); ``checks`` are the constraints that apply here, if any.
     """
     best = _INFEASIBLE_ENTRY
     best_value = INFEASIBLE
+    if checks is not None:
+        masks, need, exclude = checks
     for index, (omega, size, fill, children) in enumerate(candidates):
+        if checks is not None:
+            inside, covered = masks[index]
+            if inside & exclude or need & ~covered:
+                continue
         states = []
         for child in children:
             entry = table[child]
@@ -245,8 +194,6 @@ def _best(
                 break
             states.append(entry[1])
         else:
-            if admits is not None and not admits(omega, children):
-                continue
             if fold is not None:
                 value, state = fold(size, fill, states)
             else:
@@ -286,13 +233,14 @@ def min_triangulation_and_table(
     The table is a list parallel to ``context.blocks``.
     ``reusable_table`` / ``constraint_separators`` enable the ranked
     enumerator's table-sharing optimization: a block is recomputed only
-    if some constraint separator fits inside it (found in O(touched) via
-    :meth:`TriangulationContext.touched_blocks`); every other block has
-    the same optimum under ``κ[I,X]`` as under ``κ``, recursively, and
-    copies its entry.  The reusable table must come from the same
-    context and the same base cost.  The triangulation is ``None`` when
-    no feasible one exists (only possible with a width bound or an
-    unsatisfiable constrained cost).
+    if some constraint separator fits inside it (its mask in the
+    context's :meth:`~TriangulationContext.separator_index` meets the
+    constraints' mask); every other block has the same optimum under
+    ``κ[I,X]`` as under ``κ``, recursively, and copies its entry.  The
+    reusable table must come from the same context and the same base
+    cost.  The triangulation is ``None`` when no feasible one exists
+    (only possible with a width bound or an unsatisfiable constrained
+    cost).
     """
     graph = context.graph
     if graph.num_vertices() == 0:
@@ -302,38 +250,52 @@ def min_triangulation_and_table(
     fold, include, exclude = _fold_and_constraints(cost, graph)
     per_block, root = context.candidates()
     blocks = context.blocks
-    if reusable_table is not None and constraint_separators is not None:
-        table = list(reusable_table)
-        positions: Sequence[int] = sorted(
-            context.touched_blocks(constraint_separators)
+    table = [_INFEASIBLE_ENTRY] * len(blocks)
+    positions: Sequence[int] = range(len(blocks))
+    reuse = reusable_table is not None and constraint_separators is not None
+    included = excluded = 0
+    if include or exclude or reuse:
+        index = context.separator_index()
+        masks = (
+            index.mask_of(include),
+            index.mask_of(exclude),
+            index.mask_of(constraint_separators or ()),
         )
-    else:
-        table = [_INFEASIBLE_ENTRY] * len(blocks)
-        positions = range(len(blocks))
+        if None in masks:
+            # A constraint outside MinSep(G): the generic path (which
+            # ConstrainedCost.evaluate makes correct) over every block.
+            fold = None
+        else:
+            included, excluded, touched = masks
+            block_masks = index.blocks
+            block_checks, root_checks = index.candidates
+            if reuse:
+                table = list(reusable_table)
+                positions = [
+                    p for p, mask in enumerate(block_masks) if mask & touched
+                ]
+    constrained = included | excluded
 
-    constraints = _Constraints(context, include, exclude) if include or exclude else None
     for position in positions:
+        checks = None
+        if constrained and block_masks[position] & constrained:
+            need = included & block_masks[position]
+            checks = (block_checks[position], need, excluded)
         table[position] = _best(
             per_block[position],
             table,
             fold,
             cost,
             None if fold is not None else context.block_subgraph(blocks[position]),
-            constraints.at(position) if constraints is not None else None,
+            checks,
         )
     # The root candidates follow root_pmc_order(): ties must resolve the
     # same way under every graph kernel and across resumed processes.
-    value, state, index = _best(
-        root,
-        table,
-        fold,
-        cost,
-        graph,
-        constraints.at(None) if constraints is not None else None,
-    )
-    if index < 0:
+    checks = (root_checks, included, excluded) if constrained else None
+    value, state, winner = _best(root, table, fold, cost, graph, checks)
+    if winner < 0:
         return None, table
-    bags = state if fold is None else _rebuild_bags(root[index], per_block, table)
+    bags = state if fold is None else _rebuild_bags(root[winner], per_block, table)
     return Triangulation(graph, frozenset(bags), value), table
 
 

@@ -57,13 +57,13 @@ class ExpansionStrategy(ABC):
 
     _context: TriangulationContext | None = None
     _cost: BagCost | None = None
-    _base_table: dict | None = None
+    _base_table: list | None = None
 
     def bind(
         self,
         context: TriangulationContext,
         cost: BagCost,
-        base_table: dict,
+        base_table: list,
     ) -> None:
         """Attach the run's shared state (context, κ, unconstrained table).
 
@@ -141,8 +141,10 @@ class ProcessPoolStrategy(ExpansionStrategy):
     The pool is created lazily inside :meth:`bind` — after the shared
     state exists — because forked workers receive the context and base
     table through the pool initializer's arguments, which the ``fork``
-    start method inherits by memory copy rather than pickling.  Only the
-    small per-job constraint pairs and per-result bag sets are pickled.
+    start method inherits by memory copy rather than pickling.  ``bind``
+    builds the context's separator index (and candidate lists) first, so
+    the workers inherit those too.  Only the small per-job constraint
+    pairs and per-result bag sets are pickled.
 
     Dispatch is **batched**: each pop's ``k`` jobs are split into at
     most ``workers`` contiguous chunks, one future (one pickle round
@@ -170,7 +172,7 @@ class ProcessPoolStrategy(ExpansionStrategy):
         self,
         context: TriangulationContext,
         cost: BagCost,
-        base_table: dict,
+        base_table: list,
     ) -> None:
         # Check platform support before taking the bound state, so a
         # failed bind leaves the instance reusable.  macOS lists 'fork'
@@ -196,13 +198,10 @@ class ProcessPoolStrategy(ExpansionStrategy):
             self._executor = None
             return
         try:
-            # Build the vertex → block index and the DP's candidate lists
-            # in the parent so forked workers inherit them copy-on-write
-            # instead of each rebuilding them.  Per-separator containment
-            # sets stay lazy — only the separators of popped
-            # triangulations are ever queried.
-            context.ensure_block_index()
-            context.candidates()
+            # Build the separator index (and with it the DP's candidate
+            # lists) in the parent so forked workers inherit it
+            # copy-on-write instead of each rebuilding it.
+            context.separator_index()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers or os.cpu_count() or 1,
                 mp_context=multiprocessing.get_context("fork"),

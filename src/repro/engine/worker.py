@@ -32,7 +32,6 @@ Separator = frozenset[Vertex]
 __all__ = [
     "expand_job",
     "pool_initializer",
-    "pool_expand_job",
     "pool_expand_batch",
 ]
 
@@ -40,7 +39,7 @@ __all__ = [
 def expand_job(
     context: TriangulationContext,
     cost: BagCost,
-    base_table: dict,
+    base_table: list,
     include: frozenset[Separator],
     exclude: frozenset[Separator],
 ) -> tuple[frozenset[Bag], float] | None:
@@ -66,25 +65,15 @@ def expand_job(
 # ---------------------------------------------------------------------------
 # Worker-process state (set once per worker by the pool initializer)
 # ---------------------------------------------------------------------------
-_WORKER_STATE: tuple[TriangulationContext, BagCost, dict] | None = None
+_WORKER_STATE: tuple[TriangulationContext, BagCost, list] | None = None
 
 
 def pool_initializer(
-    context: TriangulationContext, cost: BagCost, base_table: dict
+    context: TriangulationContext, cost: BagCost, base_table: list
 ) -> None:
     """Install the shared enumeration state in a forked worker process."""
     global _WORKER_STATE
     _WORKER_STATE = (context, cost, base_table)
-
-
-def pool_expand_job(
-    include: frozenset[Separator], exclude: frozenset[Separator]
-) -> tuple[frozenset[Bag], float] | None:
-    """:func:`expand_job` against the worker's installed shared state."""
-    if _WORKER_STATE is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker used before pool_initializer ran")
-    context, cost, base_table = _WORKER_STATE
-    return expand_job(context, cost, base_table, include, exclude)
 
 
 def pool_expand_batch(

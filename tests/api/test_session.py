@@ -12,6 +12,7 @@ from repro.graphs.generators import (
     cycle_graph,
     paper_example_graph,
     path_graph,
+    petersen_graph,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.io import write_graph
@@ -43,6 +44,26 @@ class TestContextCache:
         session.diverse(g1, "width", k=2)
         list(session.stream(g2, "width"))
         assert len(build_counter) == 1
+
+    def test_one_fingerprint_per_request(self, monkeypatch):
+        """A first page and a resume each hash their graph once: the
+        plan, the context entry and the stream share the value."""
+        calls = []
+        original = session_mod.graph_fingerprint
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(session_mod, "graph_fingerprint", counting)
+        session = Session()
+        stream = session.stream(petersen_graph(), "width")
+        assert session.plan_for(petersen_graph()).trivial
+        next(stream)
+        token = stream.checkpoint().to_bytes()
+        assert len(calls) == 2  # the stream, then plan_for above
+        next(session.resume_stream(token))
+        assert len(calls) == 3
 
     def test_distinct_content_builds_separately(self, build_counter):
         session = Session()

@@ -1,52 +1,148 @@
-"""Tests for the block → separator containment index and table reuse."""
+"""Tests for the separator bit index and constrained-table reuse.
+
+:class:`~repro.core.context.SeparatorIndex` numbers ``MinSep(G)`` as bits
+in pivot order; the constrained DP and the ranked loop read every
+constraint, touched block and ``MinSep(H)`` off its masks.  The masks are
+checked against a brute-force subset scan, and the pivots the ranked loop
+derives from them against the clique-tree pass of
+``Triangulation.minimal_separators``.
+"""
 
 from __future__ import annotations
 
 import itertools
 
+import pytest
+
+from repro.api import Session
 from repro.core.context import TriangulationContext
 from repro.core.mintriang import min_triangulation_and_table
 from repro.core.ranked import ranked_triangulations
 from repro.costs.classic import FillInCost
 from repro.costs.constrained import ConstrainedCost, satisfies_constraints
+from repro.engine import SerialStrategy
+from repro.graphs.generators import (
+    cycle_graph,
+    grid_graph,
+    mycielski_graph,
+    petersen_graph,
+    queen_graph,
+)
+from repro.graphs.ordering import vertex_set_sort_key
 from tests.conftest import connected_random_graphs
 
+KERNELS = ("sets", "bitset")
 
-class TestBlocksContaining:
-    def test_matches_bruteforce_subset_scan(self):
-        """The index answers exactly the old any(s <= block.vertices) scan."""
-        for g in connected_random_graphs(8, 0.4, 3, seed_base=9300):
-            ctx = TriangulationContext.build(g)
-            for s in itertools.islice(sorted(ctx.separators, key=len), 12):
-                expected = frozenset(
-                    i
-                    for i, block in enumerate(ctx.blocks)
-                    if s <= block.vertices
+
+def _graphs():
+    return [
+        *connected_random_graphs(8, 0.4, 3, seed_base=9300),
+        *connected_random_graphs(10, 0.3, 2, seed_base=9350),
+        petersen_graph(),
+        grid_graph(3, 4),
+        queen_graph(3, 4),
+        cycle_graph(8),
+        mycielski_graph(4),
+    ]
+
+
+def _bits(index, separators):
+    """The mask of ``separators``, one bit per member, brute force."""
+    return sum(
+        1 << i for i, s in enumerate(index.separators) if s in separators
+    )
+
+
+class TestSeparatorIndex:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("width_bound", [None, 3])
+    def test_masks_match_bruteforce_scan(self, kernel, width_bound):
+        for graph in _graphs():
+            ctx = TriangulationContext.build(
+                graph, width_bound=width_bound, kernel=kernel
+            )
+            index = ctx.separator_index()
+            assert ctx.separator_index() is index  # built once
+            assert index.separators == tuple(
+                sorted(ctx.separators, key=vertex_set_sort_key)
+            )
+            for s in ctx.separators:
+                assert index.bits[s] == _bits(index, {s})
+            seps = index.separators
+            for block, mask in zip(ctx.blocks, index.blocks, strict=True):
+                inside = {s for s in seps if s <= block.vertices}
+                assert mask == _bits(index, inside)
+            assert set(index.pmcs) == ctx.pmcs
+            for omega, mask in index.pmcs.items():
+                assert mask == _bits(index, {s for s in seps if s <= omega})
+            per_block, root = ctx.candidates()
+            per_block_masks, root_masks = index.candidates
+            for candidates, masks in zip(
+                [*per_block, root], [*per_block_masks, root_masks], strict=True
+            ):
+                for (omega, _size, _fill, children), (inside, covered) in zip(
+                    candidates, masks, strict=True
+                ):
+                    assert inside == index.pmcs[omega]
+                    regions = [omega] + [ctx.blocks[c].vertices for c in children]
+                    assert covered == _bits(
+                        index, {s for s in seps if any(s <= r for r in regions)}
+                    )
+
+    def test_mask_of_and_members(self):
+        ctx = TriangulationContext.build(grid_graph(3, 4))
+        index = ctx.separator_index()
+        some = sorted(ctx.separators, key=vertex_set_sort_key)[::3]
+        mask = index.mask_of(some)
+        assert mask == _bits(index, set(some))
+        assert index.members(mask) == some
+        assert index.mask_of(()) == 0 and index.members(0) == []
+        outside = frozenset(ctx.graph.vertices)
+        assert index.mask_of([some[0], outside]) is None
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("width_bound", [None, 3])
+    def test_pivots_are_minsep_of_h_in_pivot_order(self, kernel, width_bound):
+        """Every pop's jobs exclude, one at a time, exactly the clique-tree
+        pass's ``MinSep(H) \\ I`` in ``vertex_set_sort_key`` order."""
+
+        class Recording(SerialStrategy):
+            def __init__(self):
+                self.batches = []
+
+            def expand(self, jobs):
+                self.batches.append(list(jobs))
+                return super().expand(jobs)
+
+        for graph in _graphs():
+            for cost in ("width", "fill"):
+                session = Session(kernel=kernel, preprocess=False)
+                recording = Recording()
+                stream = session.stream(
+                    graph, cost, width_bound=width_bound, engine=recording
                 )
-                assert ctx.blocks_containing(s) == expected
-                # Cached second query returns the same answer.
-                assert ctx.blocks_containing(s) == expected
-
-    def test_empty_separator_touches_everything(self):
-        g = connected_random_graphs(7, 0.4, 1, seed_base=9400)[0]
-        ctx = TriangulationContext.build(g)
-        assert ctx.blocks_containing(frozenset()) == frozenset(
-            range(len(ctx.blocks))
-        )
-
-    def test_foreign_vertex_touches_nothing(self):
-        g = connected_random_graphs(7, 0.4, 1, seed_base=9500)[0]
-        ctx = TriangulationContext.build(g)
-        assert ctx.blocks_containing(frozenset({"not-a-vertex"})) == frozenset()
-
-    def test_touched_blocks_is_union(self):
-        g = connected_random_graphs(8, 0.4, 1, seed_base=9600)[0]
-        ctx = TriangulationContext.build(g)
-        seps = sorted(ctx.separators, key=len)[:4]
-        expected = frozenset().union(
-            *(ctx.blocks_containing(s) for s in seps)
-        )
-        assert ctx.touched_blocks(seps) == expected
+                results = list(itertools.islice(stream, 25))
+                stream.close()
+                index = session.context(graph, width_bound).separator_index()
+                popped = []
+                for r in results:
+                    minseps = r.triangulation.minimal_separators  # Prim
+                    mask = 0
+                    for bag in r.triangulation.bags:
+                        mask |= index.pmcs[bag]
+                    assert set(index.members(mask)) == minseps
+                    pivots = sorted(minseps - r.include, key=vertex_set_sort_key)
+                    if pivots:
+                        popped.append((r, pivots))
+                assert len(popped) == len(recording.batches)
+                for (r, pivots), jobs in zip(popped, recording.batches):
+                    assert [exclude - r.exclude for _inc, exclude in jobs] == [
+                        {p} for p in pivots
+                    ]
+                    assert [include for include, _exc in jobs] == [
+                        r.include | frozenset(pivots[:i])
+                        for i in range(len(pivots))
+                    ]
 
 
 class TestConstrainedTableReuse:

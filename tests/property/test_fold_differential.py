@@ -142,6 +142,51 @@ def test_infeasible_constraints_agree(kernel, cost_name):
         assert result is None
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("cost_name", COSTS)
+def test_constraint_outside_minsep(kernel, cost_name):
+    """Constraints a library caller may pass that are not members of
+    ``MinSep(G)``: a non-adjacent pair that separates nothing and a bag of
+    the optimum (a PMC is never a minimal separator).  The run takes the
+    generic path over every block, fresh or with a reused table."""
+    graph = grid_graph(3, 3)
+    context = TriangulationContext.build(graph, kernel=kernel)
+    cost = make_cost(cost_name, graph)
+    first, table = min_triangulation_and_table(context, cost)
+    _oracle_first, oracle_table = min_triangulation_and_table(
+        context, BagsOnly(cost)
+    )
+    corners = frozenset({(0, 0), (2, 2)})
+    bag = min(first.bags, key=vertex_set_sort_key)
+    separator = min(context.separators, key=vertex_set_sort_key)
+    assert corners not in context.separators and bag not in context.separators
+    pairs = [
+        ({corners}, ()),
+        ((), {bag}),
+        ({corners}, {bag}),
+        ({corners}, {separator}),
+        ({separator}, {bag}),
+    ]
+    for include, exclude in pairs:
+        constrained = ConstrainedCost(cost, include=include, exclude=exclude)
+        oracle = BagsOnly(ConstrainedCost(cost, include=include, exclude=exclude))
+        touched = constrained.include | constrained.exclude
+        full, _ = min_triangulation_and_table(context, constrained)
+        _same(full, min_triangulation_and_table(context, oracle)[0])
+        reused, _ = min_triangulation_and_table(
+            context, constrained, reusable_table=table,
+            constraint_separators=touched,
+        )
+        _same(
+            reused,
+            min_triangulation_and_table(
+                context, oracle, reusable_table=oracle_table,
+                constraint_separators=touched,
+            )[0],
+        )
+        _same(reused, full)
+
+
 class HalfBagFill(FillInCost):
     """Overrides ``evaluate`` only: must not inherit ``FillInCost``'s fold."""
 
