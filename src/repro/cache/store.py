@@ -109,7 +109,9 @@ DEFAULT_MAX_BYTES = 1 << 30
 #: v3: the ``prepared`` DP table became a list of ``(value, fold state,
 #: argmin candidate)`` entries parallel to the context's blocks (was a
 #: ``Block``-keyed dict of bag lists).
-CACHE_FORMAT_VERSION = 3
+#: v4: the ``context`` carries its compiled candidate lists and its block
+#: and separator masks, and no longer its label-level block → PMC index.
+CACHE_FORMAT_VERSION = 4
 
 _MAGIC = b"REPROART\x01"
 _DIGEST_BYTES = 32

@@ -6,37 +6,50 @@ independent of the cost function and of any Lawler–Murty constraints.  The
 paper therefore computes them **once** per input graph and shares them
 across the many ``MinTriang⟨κ[I,X]⟩`` invocations of ``RankedTriang``
 (Section 7.1, "initialization step").  :class:`TriangulationContext` is
-that shared state, plus the block → candidate-PMC index that makes the DP
-loop efficient and the :class:`SeparatorIndex` that turns the ranked
-loop's constraints and pivots into integer masks.
+that shared state, plus the block DP's candidate lists and the
+:class:`SeparatorIndex` that turns the ranked loop's constraints and
+pivots into integer masks.
 
-The index construction uses the fact recorded in Section 5.1: the minimal
-separators contained in a PMC ``Ω`` are exactly the ones *associated* to it
-(neighborhoods of the components of ``G \\ Ω``), so
-``Ω ∈ PMC(S, C)  ⟺  S ∈ MinSep_G(Ω) and C ⊇ Ω \\ S``.
+:meth:`TriangulationContext.build` compiles the DP's inputs in one pass
+over vertex masks.  The PMC enumerator hands back, with each PMC ``Ω``,
+the components ``C_k`` of ``G \\ Ω`` and their neighborhoods
+``S_k = N(C_k)``; four facts turn those alone into the DP's inputs:
+
+1. **Blocks and children need no search.**  ``Ω`` is a candidate
+   (``S ⊂ Ω ⊆ S ∪ C``) of exactly the full blocks ``(S_j, D_j)`` with
+   ``D_j = (Ω \\ S_j) ∪ ⋃{C_k : S_k ⊄ S_j}``, because the separators
+   inside ``Ω`` are its ``S_k`` (fact 3) and ``Ω \\ S_j`` lies in one
+   full component of ``G \\ S_j``.  Inside ``(S_j, D_j)`` the
+   children of ``Ω`` are those ``C_k``; at the root they are all the
+   ``C_k``.  Every full block ``(S, C)`` is some ``(S_k, C_k)``: that of
+   any ``Ω ∈ PMC(S, D)`` for another full component ``D`` of ``S``.
+2. **Two components can share a neighborhood** (in ``K_{2,3}``,
+   ``Ω = {a, b, x}`` leaves ``{y}`` and ``{z}``, both with
+   ``N = {a, b}``), so each distinct ``S_j`` is taken once.
+3. **The minimal separators inside ``Ω`` are exactly its ``S_k``**
+   (Section 5.1: the separators *associated* to ``Ω``), so a PMC's
+   :class:`SeparatorIndex` mask is the OR of their bits.
+4. **The canonical order needs no labels.**  With each vertex ranked
+   once by :func:`vertex_sort_key`, the sorted rank tuple of a mask
+   orders exactly like :func:`vertex_set_sort_key` of its labels.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from ..graphs.bitgraph import BitGraph, VertexIndexer
+from ..graphs.bitgraph import BitGraph, VertexIndexer, iter_bits
 from ..graphs.kernels import KernelSpec, resolve_kernel
 from ..graphs.graph import Graph, Vertex
-from ..graphs.ordering import vertex_set_sort_key
+from ..graphs.ordering import vertex_sort_key
 from ..separators.berry import minimal_separator_masks, minimal_separators
-from ..separators.blocks import (
-    Block,
-    full_blocks_of_separator,
-    full_component_masks,
-)
+from ..separators.blocks import Block
 from ..pmc.enumerate import (
     potential_maximal_clique_masks,
     potential_maximal_cliques,
 )
-from ..pmc.predicate import minseps_of_pmc, minseps_of_pmc_masks
 
 Separator = frozenset[Vertex]
 PMC = frozenset[Vertex]
@@ -45,24 +58,36 @@ PMC = frozenset[Vertex]
 #: The fill term is ``nonedges(Ω) − Σ nonedges(S_child)`` and the child
 #: positions index :attr:`TriangulationContext.blocks`.
 Candidate = tuple[PMC, int, int, tuple[int, ...]]
+Candidates = tuple[list[tuple[Candidate, ...]], tuple[Candidate, ...]]
 
 __all__ = ["Candidate", "SeparatorIndex", "TriangulationContext"]
 
 
-def _block_order_key(block: Block) -> tuple:
-    """Canonical processing order for the DP: ascending ``|S ∪ C|`` with a
-    deterministic label-level tie-break, so both graph kernels build the
-    same block list and the DP resolves cost ties identically."""
-    return (
-        len(block),
-        vertex_set_sort_key(block.separator),
-        vertex_set_sort_key(block.component),
-    )
+def _mask_sort_key(indexer: VertexIndexer) -> Callable[[int], tuple[int, ...]]:
+    """A key on vertex masks that orders them exactly like
+    :func:`vertex_set_sort_key` of their labels (fact 4)."""
+    labels = indexer.labels
+    rank = [0] * len(labels)
+    for r, i in enumerate(
+        sorted(range(len(labels)), key=lambda i: vertex_sort_key(labels[i]))
+    ):
+        rank[i] = r
+
+    def key(mask: int) -> tuple[int, ...]:
+        ranks = []
+        while mask:
+            low = mask & -mask
+            ranks.append(rank[low.bit_length() - 1])
+            mask ^= low
+        ranks.sort()
+        return tuple(ranks)
+
+    return key
 
 
 @dataclass
 class TriangulationContext:
-    """Precomputed separators, PMCs, full blocks and indexes for one graph.
+    """Precomputed separators, PMCs, full blocks and candidate lists.
 
     Build with :meth:`TriangulationContext.build`; all triangulation
     algorithms accept a prebuilt context to share the initialization.
@@ -75,47 +100,47 @@ class TriangulationContext:
         ``MinSep(G)``, possibly restricted to ``|S| ≤ width_bound``.
     pmcs:
         ``PMC(G)``, possibly restricted to ``|Ω| ≤ width_bound + 1``.
-    blocks:
-        The full blocks over ``separators``, ascending by ``|S ∪ C|``.
-    pmc_index:
-        For each full block, the candidate PMCs ``{Ω : S ⊂ Ω ⊆ S ∪ C}``.
+    block_masks:
+        The full blocks over ``separators`` as ``(S, C)`` vertex masks
+        under :attr:`indexer`, ascending by ``|S ∪ C|`` with a
+        label-order tie-break, so every kernel builds the same list and
+        the DP resolves cost ties identically.  :attr:`blocks` holds the
+        same blocks as label sets.
+    separator_masks:
+        ``separators`` as masks in :func:`vertex_set_sort_key` order,
+        the pivot order.
+    indexer:
+        The vertex numbering of the masks.
     width_bound:
         The bound ``b`` of ``MinTriangB`` or ``None`` (Section 5.3).
     init_seconds:
-        Wall-clock time of the initialization (reported as ``init`` in
-        Table 2).
+        Wall-clock time of the initialization, the candidate compile
+        included (reported as ``init`` in Table 2).
+    kernel:
+        Which graph kernel enumerated ``MinSep(G)`` and ``PMC(G)`` —
+        always a concrete registered name (``"auto"`` is resolved by
+        :meth:`build` before anything is keyed on it).  Every kernel
+        feeds the same mask compile.
     """
 
     graph: Graph
     separators: set[Separator]
     pmcs: set[PMC]
-    blocks: list[Block]
-    pmc_index: dict[Block, list[PMC]]
+    block_masks: list[tuple[int, int]] = field(repr=False)
+    separator_masks: tuple[int, ...] = field(repr=False)
+    indexer: VertexIndexer = field(repr=False)
+    _pmc_order: tuple[PMC, ...] = field(repr=False)
+    _candidates: Candidates = field(repr=False)
     width_bound: int | None = None
     init_seconds: float = 0.0
-    #: Which graph kernel built (and serves) this context — always a
-    #: concrete registered name (``"auto"`` is resolved by :meth:`build`
-    #: before anything is keyed on it).  Mask-level kernels keep a dense
-    #: encoding for the component/neighborhood hot paths; ``"sets"`` is
-    #: the pure label-level original.
     kernel: str = "sets"
-    indexer: VertexIndexer | None = field(default=None, repr=False)
-    bitgraph: BitGraph | None = field(default=None, repr=False)
-    _pmc_order: tuple[PMC, ...] | None = field(default=None, repr=False)
+    _blocks: list[Block] | None = field(default=None, repr=False)
     _block_subgraphs: dict[Block, Graph] = field(default_factory=dict, repr=False)
-    _children_cache: dict[tuple[Block | None, PMC], tuple[Block, ...]] = field(
-        default_factory=dict, repr=False
-    )
-    _candidates: (
-        tuple[list[tuple[Candidate, ...]], tuple[Candidate, ...]] | None
-    ) = field(default=None, repr=False)
     _separator_index: "SeparatorIndex | None" = field(default=None, repr=False)
 
     @staticmethod
     def build(
         graph: Graph,
-        separators: set[Separator] | None = None,
-        pmcs: set[PMC] | None = None,
         width_bound: int | None = None,
         separator_limit: int | None = None,
         pmc_limit: int | None = None,
@@ -128,8 +153,6 @@ class TriangulationContext:
         graph:
             A connected graph (the block/PMC machinery of the paper assumes
             connectivity; decompose disconnected inputs first).
-        separators, pmcs:
-            Precomputed sets, if available.
         width_bound:
             If given, keep only separators of size ≤ bound and PMCs of size
             ≤ bound + 1 — the ``MinTriangB⟨b,κ⟩`` restriction.  (We filter
@@ -144,14 +167,13 @@ class TriangulationContext:
             :mod:`repro.graphs.kernels`).  The default ``"auto"`` is an
             alias of ``"bitset"``, resolved **here**, so the stored
             :attr:`kernel` — and everything keyed on it, cache keys most
-            of all — is always a concrete name.  Mask-level kernels run
-            the enumeration hot path — minimal separators, PMCs, full
-            blocks, component queries — over dense adjacency bitmasks,
-            translating vertex labels to dense ints exactly once here at
-            the context boundary.  ``"sets"`` keeps the pure label-level
-            path (useful for debugging and as the differential-testing
-            reference).  All kernels produce identical contexts and
-            identical downstream enumeration order.
+            of all — is always a concrete name.  Mask-level kernels
+            enumerate minimal separators and PMCs over dense adjacency
+            bitmasks, and the PMC enumerator hands back each PMC's
+            components.  ``"sets"`` keeps the label-level enumerators
+            (the differential-testing reference for that layer) and
+            finds each PMC's components with one search.  Both feed the
+            same compile, so all kernels produce identical contexts.
         """
         started = time.perf_counter()
         spec = resolve_kernel(kernel)
@@ -161,103 +183,50 @@ class TriangulationContext:
                 "split the input into components first"
             )
 
-        indexer: VertexIndexer | None = None
-        bitgraph: BitGraph | None = None
-        sep_masks: set[int] | None = None
-        if spec.uses_masks and graph.num_vertices():
-            indexer = VertexIndexer(graph.vertices)
+        indexer = VertexIndexer(graph.vertices)
+        if spec.uses_masks:
             bitgraph = spec.build_graph(graph, indexer)
-            if separators is None:
-                sep_masks = minimal_separator_masks(
-                    bitgraph, limit=separator_limit
-                )
-                separators = {indexer.labels_of(m) for m in sep_masks}
-            else:
-                sep_masks = {indexer.mask_of(s) for s in separators}
-            if pmcs is None:
-                pmc_masks = potential_maximal_clique_masks(
-                    bitgraph, separator_masks=sep_masks, budget=pmc_limit
-                )
-                pmcs = {indexer.labels_of(m) for m in pmc_masks}
+            separator_masks = minimal_separator_masks(
+                bitgraph, limit=separator_limit
+            )
+            found = potential_maximal_clique_masks(
+                bitgraph, separator_masks=separator_masks, budget=pmc_limit
+            )
         else:
-            if separators is None:
-                separators = minimal_separators(
-                    graph, limit=separator_limit, kernel=spec
+            separators = minimal_separators(
+                graph, limit=separator_limit, kernel=spec
+            )
+            pmcs = potential_maximal_cliques(
+                graph, separators=separators, budget=pmc_limit, kernel=spec
+            )
+            bitgraph = BitGraph.from_graph(graph, indexer)
+            separator_masks = set(map(indexer.mask_of, separators))
+            found = {
+                omega: bitgraph.components_with_neighborhoods(
+                    bitgraph.full_mask & ~omega
                 )
-            if pmcs is None:
-                pmcs = potential_maximal_cliques(
-                    graph, separators=separators, budget=pmc_limit,
-                    kernel=spec,
-                )
-        if width_bound is not None:
-            separators = {s for s in separators if len(s) <= width_bound}
-            pmcs = {om for om in pmcs if len(om) <= width_bound + 1}
-            if sep_masks is not None:
-                sep_masks = {
-                    m for m in sep_masks if m.bit_count() <= width_bound
-                }
-
-        blocks: list[Block] = []
-        if bitgraph is not None and indexer is not None:
-            assert sep_masks is not None
-            for m in sep_masks:
-                s_labels = indexer.labels_of(m)
-                for comp in full_component_masks(bitgraph, m):
-                    blocks.append(Block(s_labels, indexer.labels_of(comp)))
-        else:
-            for s in separators:
-                blocks.extend(full_blocks_of_separator(graph, s))
-        blocks.sort(key=_block_order_key)
-
-        # The PMC iteration order below (and hence each block's candidate
-        # list) is canonical for the same reason as the block order: the
-        # DP breaks cost ties by first-seen, and both kernels must break
-        # them the same way.
-        pmc_order = tuple(sorted(pmcs, key=vertex_set_sort_key))
-        block_set = set(blocks)
-        pmc_index: dict[Block, list[PMC]] = {b: [] for b in blocks}
-        for om in pmc_order:
-            if bitgraph is not None and indexer is not None:
-                om_mask = indexer.mask_of(om)
-                for s_mask in minseps_of_pmc_masks(bitgraph, om_mask):
-                    s = indexer.labels_of(s_mask)
-                    if s not in separators:
-                        # Only possible under a width bound: the separator
-                        # was filtered out, so its blocks are not in the DP.
-                        continue
-                    rest = om_mask & ~s_mask
-                    anchor = (rest & -rest).bit_length() - 1
-                    comp_mask = bitgraph.component_of(anchor, removed=s_mask)
-                    block = Block(s, indexer.labels_of(comp_mask))
-                    if block in block_set:
-                        pmc_index[block].append(om)
-            else:
-                for s in minseps_of_pmc(graph, om):
-                    if s not in separators:
-                        # Only possible under a width bound (as above).
-                        continue
-                    rest = om - s
-                    anchor = next(iter(rest))
-                    component = frozenset(
-                        graph.component_of(anchor, removed=s)
-                    )
-                    block = Block(s, component)
-                    if block in block_set:
-                        pmc_index[block].append(om)
-
-        return TriangulationContext(
-            graph=graph,
-            separators=separators,
-            pmcs=pmcs,
-            blocks=blocks,
-            pmc_index=pmc_index,
-            width_bound=width_bound,
-            init_seconds=time.perf_counter() - started,
-            kernel=spec.name,
-            indexer=indexer,
-            bitgraph=bitgraph,
-            _pmc_order=pmc_order,
+                for omega in map(indexer.mask_of, pmcs)
+            }
+        context = _compile(
+            graph, bitgraph, separator_masks, found, width_bound, spec.name
         )
+        context.init_seconds = time.perf_counter() - started
+        return context
+
+    @property
+    def blocks(self) -> list[Block]:
+        """The full blocks as label sets, parallel to :attr:`block_masks`.
+
+        Built on first access: only the generic-cost DP path reads
+        them.  Two threads racing here build equal lists; either wins.
+        """
+        blocks = self._blocks
+        if blocks is None:
+            labels_of = self.indexer.labels_of
+            blocks = self._blocks = [
+                Block(labels_of(s), labels_of(c)) for s, c in self.block_masks
+            ]
+        return blocks
 
     def block_subgraph(self, block: Block) -> Graph:
         """``G[S ∪ C]`` for a block, cached (the κ-evaluation graph)."""
@@ -267,132 +236,28 @@ class TriangulationContext:
             self._block_subgraphs[block] = cached
         return cached
 
-    def children_of(self, block: Block | None, omega: PMC) -> tuple[Block, ...]:
-        """The sub-blocks of PMC ``omega`` inside ``block`` (``None`` = whole
-        graph): components of ``region \\ Ω`` with their neighborhoods.
-
-        Depends only on the graph structure — not on the cost function or
-        Lawler–Murty constraints — so it is cached.  The DP itself reads
-        the compiled :meth:`candidates` instead.
-        """
-        key = (block, omega)
-        cached = self._children_cache.get(key)
-        if cached is None:
-            bitgraph, indexer = self.bitgraph, self.indexer
-            if bitgraph is not None and indexer is not None:
-                labels = indexer.labels_of
-                neighborhood = bitgraph.neighborhood_of_set
-            else:
-                labels = frozenset
-                neighborhood = self.graph.neighborhood_of_set
-            cached = tuple(
-                Block(labels(neighborhood(piece)), labels(piece))
-                for piece in self._pieces(block, omega)
-            )
-            self._children_cache[key] = cached
-        return cached
-
-    def _pieces(self, block: Block | None, omega: PMC) -> list:
-        """Components of ``region \\ Ω`` in the kernel's order: masks
-        under a mask kernel, vertex sets under ``"sets"``."""
-        bitgraph, indexer = self.bitgraph, self.indexer
-        if bitgraph is not None and indexer is not None:
-            region_mask = (
-                indexer.mask_of(block.vertices)
-                if block is not None
-                else bitgraph.full_mask
-            )
-            return bitgraph.components_within(
-                region_mask & ~indexer.mask_of(omega)
-            )
-        graph = self.graph
-        region = block.vertices if block is not None else graph.vertex_set()
-        remaining = set(region - omega)
-        pieces = []
-        while remaining:
-            start = remaining.pop()
-            comp = {start}
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for w in graph.adj(u):
-                    if w in remaining:
-                        remaining.discard(w)
-                        comp.add(w)
-                        queue.append(w)
-            pieces.append(frozenset(comp))
-        return pieces
-
-    def candidates(
-        self,
-    ) -> tuple[list[tuple[Candidate, ...]], tuple[Candidate, ...]]:
-        """The block DP's candidate lists, compiled on first use.
+    def candidates(self) -> Candidates:
+        """The block DP's candidate lists, compiled by :meth:`build`.
 
         Returns ``(per_block, root)``: ``per_block[i]`` lists the
-        candidates of ``blocks[i]``, one per ``Ω`` of
-        ``pmc_index[blocks[i]]`` in that order, and ``root`` one per
-        ``Ω`` of :meth:`root_pmc_order`.  A candidate whose child block
-        is not among :attr:`blocks` can never be assembled and is left
-        out.  Independent of cost and constraints, so every DP run over
-        this context shares them.
+        candidates ``Ω`` of ``blocks[i]`` (``S ⊂ Ω ⊆ S ∪ C``) and
+        ``root`` one per ``Ω`` of :meth:`root_pmc_order`, each list in
+        that order.  A child is a component of the block (or of ``G``)
+        less ``Ω``, in ascending order of its lowest member index.
+        Independent of cost and constraints, so every DP run over this
+        context shares them.
         """
-        compiled = self._candidates
-        if compiled is not None:
-            return compiled
-        bitgraph, indexer = self.bitgraph, self.indexer
-        if bitgraph is not None and indexer is not None:
-            key_of = indexer.mask_of
-            nonedges = bitgraph.missing_pair_count
-        else:
-            graph = self.graph
-            key_of = frozenset
-
-            def nonedges(vertices: frozenset) -> int:
-                return sum(1 for _ in graph.missing_edges(vertices))
-
-        # A full block is determined by its component (S = N(C)).
-        position = {key_of(b.component): i for i, b in enumerate(self.blocks)}
-        separator_nonedges = [nonedges(key_of(b.separator)) for b in self.blocks]
-        omega_nonedges: dict[PMC, int] = {}
-
-        def compile_one(block: Block | None, omega: PMC) -> Candidate | None:
-            fill = omega_nonedges.get(omega)
-            if fill is None:
-                fill = omega_nonedges[omega] = nonedges(key_of(omega))
-            children = []
-            for piece in self._pieces(block, omega):
-                child = position.get(piece)
-                if child is None:
-                    return None
-                children.append(child)
-                fill -= separator_nonedges[child]
-            return (omega, len(omega), fill, tuple(children))
-
-        def compile_all(block: Block | None, omegas) -> tuple[Candidate, ...]:
-            found = (compile_one(block, omega) for omega in omegas)
-            return tuple(c for c in found if c is not None)
-
-        compiled = (
-            [compile_all(b, self.pmc_index.get(b, ())) for b in self.blocks],
-            compile_all(None, self.root_pmc_order()),
-        )
-        self._candidates = compiled
-        return compiled
+        return self._candidates
 
     def root_pmc_order(self) -> tuple[PMC, ...]:
         """``PMC(G)`` in canonical (label-sorted) order.
 
         The root loop of every ``MinTriang`` run iterates this instead of
         the raw :attr:`pmcs` set so cost ties resolve identically under
-        both kernels and across processes (set iteration order depends on
-        insertion history; this does not).  Built eagerly by
-        :meth:`build`, lazily for hand-assembled contexts.
+        every kernel and across processes (set iteration order depends
+        on insertion history; this does not).
         """
-        order = self._pmc_order
-        if order is None:
-            order = tuple(sorted(self.pmcs, key=vertex_set_sort_key))
-            self._pmc_order = order
-        return order
+        return self._pmc_order
 
     def separator_index(self) -> "SeparatorIndex":
         """The :class:`SeparatorIndex` of this context, built on first use.
@@ -414,10 +279,111 @@ class TriangulationContext:
             "edges": self.graph.num_edges(),
             "minimal_separators": len(self.separators),
             "pmcs": len(self.pmcs),
-            "full_blocks": len(self.blocks),
+            "full_blocks": len(self.block_masks),
             "init_seconds": self.init_seconds,
             "kernel": self.kernel,
         }
+
+
+def _compile(
+    graph: Graph,
+    bitgraph: BitGraph,
+    separator_masks: set[int],
+    found: dict[int, list[tuple[int, int]]],
+    width_bound: int | None,
+    kernel: str,
+) -> TriangulationContext:
+    """The context of ``graph`` from its separator masks and its PMCs
+    with their ``(C, N(C))`` components, in one pass (facts 1–4)."""
+    indexer = bitgraph.indexer
+    if width_bound is not None:
+        separator_masks = {
+            s for s in separator_masks if s.bit_count() <= width_bound
+        }
+    key = _mask_sort_key(indexer)
+    labels_of = indexer.labels_of
+
+    # Fact 1: every full block is a component pair of some PMC,
+    # including PMCs above the width bound.
+    separator_of = {
+        c: s
+        for components in found.values()
+        for c, s in components
+        if s in separator_masks
+    }
+    separator_key = {s: key(s) for s in separator_masks}
+    ordered = sorted(
+        separator_of.items(),
+        key=lambda cs: (
+            cs[0].bit_count() + cs[1].bit_count(),
+            separator_key[cs[1]],
+            key(cs[0]),
+        ),
+    )
+    block_masks = [(s, c) for c, s in ordered]
+    position = {c: i for i, (_s, c) in enumerate(block_masks)}
+
+    # The DP breaks cost ties by first-seen, so candidates follow the
+    # canonical PMC order in every list.
+    pmc_masks = sorted(
+        (
+            omega
+            for omega in found
+            if width_bound is None or omega.bit_count() <= width_bound + 1
+        ),
+        key=key,
+    )
+    pmc_order = tuple(map(labels_of, pmc_masks))
+    missing = bitgraph.missing_pair_count
+    separator_fill = {s: missing(s) for s in separator_masks}
+    per_block: list[list[Candidate]] = [[] for _ in block_masks]
+    root: list[Candidate] = []
+    for mask, omega in zip(pmc_masks, pmc_order):
+        components = found[mask]
+        size = len(omega)
+        fill = missing(mask)
+        # Each S_k ⊊ Ω is within the width bound whenever Ω is.
+        children = [position[c] for c, _s in components]
+        root.append((
+            omega,
+            size,
+            fill - sum(separator_fill[s] for _c, s in components),
+            tuple(children),
+        ))
+        # Fact 1: Ω is a candidate of (S_j, D_j), whose component D_j is
+        # Ω \\ S_j plus the C_k with S_k ⊄ S_j, its children there.
+        seen: set[int] = set()
+        for _c, s_j in components:
+            if s_j in seen:  # fact 2
+                continue
+            seen.add(s_j)
+            region = mask & ~s_j
+            block_fill = fill
+            block_children = []
+            for (c_k, s_k), child in zip(components, children):
+                if s_k & ~s_j:
+                    region |= c_k
+                    block_fill -= separator_fill[s_k]
+                    block_children.append(child)
+            at = position.get(region)
+            if at is not None and block_masks[at][0] == s_j:
+                per_block[at].append(
+                    (omega, size, block_fill, tuple(block_children))
+                )
+
+    pivot_order = tuple(sorted(separator_masks, key=separator_key.__getitem__))
+    return TriangulationContext(
+        graph=graph,
+        separators=set(map(labels_of, pivot_order)),
+        pmcs=set(pmc_order),
+        block_masks=block_masks,
+        separator_masks=pivot_order,
+        indexer=indexer,
+        _pmc_order=pmc_order,
+        _candidates=(list(map(tuple, per_block)), tuple(root)),
+        width_bound=width_bound,
+        kernel=kernel,
+    )
 
 
 @dataclass(frozen=True)
@@ -440,7 +406,7 @@ class SeparatorIndex:
       ``MinSep(G)`` that are cliques of ``H``; less ``I``, its bits
       ascend in pivot order.
 
-    ``blocks`` is parallel to :attr:`TriangulationContext.blocks`,
+    ``blocks`` is parallel to :attr:`TriangulationContext.block_masks`,
     ``pmcs`` maps each PMC to its mask, and ``candidates`` holds each
     candidate's ``(inside, covered)`` parallel to
     :meth:`TriangulationContext.candidates`.
@@ -454,26 +420,41 @@ class SeparatorIndex:
 
     @staticmethod
     def build(context: TriangulationContext) -> "SeparatorIndex":
-        """Index ``context``: a set's mask is every separator less those
-        containing a vertex outside it, one pass over the vertices."""
-        order = tuple(sorted(context.separators, key=vertex_set_sort_key))
+        """Index ``context`` from its compiled masks.
+
+        A block's mask is every separator less those containing a vertex
+        outside ``S ∪ C``, one pass over those vertices; a PMC's is the
+        OR of the separators of its root children's blocks (fact 3).
+        """
+        separator_masks = context.separator_masks
+        order = tuple(map(context.indexer.labels_of, separator_masks))
         bits = {s: 1 << i for i, s in enumerate(order)}
-        vertices = list(context.graph.vertices)
-        containing = dict.fromkeys(vertices, 0)
-        for s, bit in bits.items():
-            for v in s:
+        bit_of = {s: 1 << i for i, s in enumerate(separator_masks)}
+        containing = [0] * len(context.indexer)
+        for s, bit in bit_of.items():
+            for v in iter_bits(s):
                 containing[v] |= bit
         everything = (1 << len(order)) - 1
+        vertices = (1 << len(containing)) - 1
 
-        def inside(vertex_set: frozenset) -> int:
+        def inside(vertex_set: int) -> int:
             outside = 0
-            for v in vertices:
-                if v not in vertex_set:
-                    outside |= containing[v]
+            rest = vertices & ~vertex_set
+            while rest:
+                low = rest & -rest
+                outside |= containing[low.bit_length() - 1]
+                rest ^= low
             return everything & ~outside
 
-        blocks = [inside(b.vertices) for b in context.blocks]
-        pmcs = {omega: inside(omega) for omega in context.pmcs}
+        blocks = [inside(s | c) for s, c in context.block_masks]
+        own = [bit_of[s] for s, _c in context.block_masks]
+        per_block, root = context.candidates()
+        pmcs = {}
+        for omega, _size, _fill, children in root:
+            mask = 0
+            for child in children:
+                mask |= own[child]
+            pmcs[omega] = mask
 
         def covering(candidates: tuple[Candidate, ...]) -> tuple[tuple[int, int], ...]:
             compiled = []
@@ -484,7 +465,6 @@ class SeparatorIndex:
                 compiled.append((mask, covered))
             return tuple(compiled)
 
-        per_block, root = context.candidates()
         compiled = ([covering(c) for c in per_block], covering(root))
         return SeparatorIndex(order, bits, blocks, pmcs, compiled)
 

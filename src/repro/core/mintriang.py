@@ -230,7 +230,7 @@ def min_triangulation_and_table(
 ) -> tuple[Triangulation | None, _Table]:
     """``MinTriang⟨κ⟩`` over a prebuilt context, exposing the DP table.
 
-    The table is a list parallel to ``context.blocks``.
+    The table is a list parallel to ``context.block_masks``.
     ``reusable_table`` / ``constraint_separators`` enable the ranked
     enumerator's table-sharing optimization: a block is recomputed only
     if some constraint separator fits inside it (its mask in the
@@ -249,9 +249,8 @@ def min_triangulation_and_table(
 
     fold, include, exclude = _fold_and_constraints(cost, graph)
     per_block, root = context.candidates()
-    blocks = context.blocks
-    table = [_INFEASIBLE_ENTRY] * len(blocks)
-    positions: Sequence[int] = range(len(blocks))
+    table = [_INFEASIBLE_ENTRY] * len(per_block)
+    positions: Sequence[int] = range(len(per_block))
     reuse = reusable_table is not None and constraint_separators is not None
     included = excluded = 0
     if include or exclude or reuse:
@@ -275,6 +274,8 @@ def min_triangulation_and_table(
                     p for p, mask in enumerate(block_masks) if mask & touched
                 ]
     constrained = included | excluded
+    # Only the generic step reads the label-level blocks.
+    blocks = context.blocks if fold is None else None
 
     for position in positions:
         checks = None
@@ -286,7 +287,7 @@ def min_triangulation_and_table(
             table,
             fold,
             cost,
-            None if fold is not None else context.block_subgraph(blocks[position]),
+            None if blocks is None else context.block_subgraph(blocks[position]),
             checks,
         )
     # The root candidates follow root_pmc_order(): ties must resolve the

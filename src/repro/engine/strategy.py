@@ -198,9 +198,8 @@ class ProcessPoolStrategy(ExpansionStrategy):
             self._executor = None
             return
         try:
-            # Build the separator index (and with it the DP's candidate
-            # lists) in the parent so forked workers inherit it
-            # copy-on-write instead of each rebuilding it.
+            # Build the separator index in the parent so forked workers
+            # inherit it copy-on-write instead of each rebuilding it.
             context.separator_index()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers or os.cpu_count() or 1,

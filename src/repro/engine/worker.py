@@ -8,7 +8,7 @@ unconstrained table for every block no constraint separator fits into.
 :class:`~repro.engine.strategy.ProcessPoolStrategy` runs these jobs in
 forked worker processes.  The heavyweight shared state — the
 :class:`~repro.core.context.TriangulationContext` (separators, PMCs,
-blocks, PMC index) and the unconstrained DP table — is handed to each
+blocks, candidate lists) and the unconstrained DP table — is handed to each
 worker through the pool *initializer*.  Under the ``fork`` start method
 the initializer arguments are inherited copy-on-write from the parent, so
 nothing of the shared state is ever pickled; only the per-job constraint

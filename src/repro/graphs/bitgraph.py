@@ -110,8 +110,7 @@ class VertexIndexer:
 
     def labels_of(self, mask: int) -> frozenset[Vertex]:
         """The label set of a bitmask."""
-        labels = self._labels
-        return frozenset(labels[i] for i in iter_bits(mask))
+        return frozenset(map(self._labels.__getitem__, iter_bits(mask)))
 
     def sorted_labels_of(self, mask: int) -> list[Vertex]:
         """The labels of a bitmask, in index (insertion) order."""
@@ -257,23 +256,19 @@ class BitGraph:
             comp |= frontier
         return comp
 
-    def components_within(self, region: int) -> list[int]:
-        """Connected components of the induced subgraph on ``region``.
+    def components_without(self, removed: int) -> list[int]:
+        """Connected components of ``G \\ removed`` (both masks).
 
         Returned ascending by lowest member index — the bitset analogue
         of :meth:`Graph.components_without`'s insertion-order scan.
         """
-        todo = region & self.full_mask
+        todo = self.full_mask & ~removed
         components = []
         while todo:
             comp = self._spread(todo & -todo, todo)
             todo &= ~comp
             components.append(comp)
         return components
-
-    def components_without(self, removed: int) -> list[int]:
-        """Connected components of ``G \\ removed`` (both masks)."""
-        return self.components_within(self.full_mask & ~removed)
 
     def components_with_neighborhoods(
         self, region: int
@@ -285,7 +280,9 @@ class BitGraph:
         adjacency word, so the neighborhood falls out of the same pass
         for free instead of a second sweep over the component's bits.
         ``N(C)`` is taken in the whole (view) graph, exactly like
-        calling :meth:`neighborhood_of_set` on the component.
+        calling :meth:`neighborhood_of_set` on the component.  Pairs come
+        ascending by lowest member index, as in
+        :meth:`components_without`.
         """
         adj = self.adj
         todo = region & self.full_mask

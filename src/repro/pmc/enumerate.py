@@ -21,6 +21,12 @@ candidate is verified with :func:`repro.pmc.predicate.is_pmc`, so the
 output is exactly ``PMC(G)`` whenever the candidate family is complete,
 and the oracle tests establish completeness.
 
+The mask-level enumerator, :func:`potential_maximal_clique_masks`, hands
+back more than the set: each PMC ``Ω`` comes with the ``(C, N(C))``
+components of ``G \\ Ω`` that its last PMC test computed.  Those are all
+:class:`~repro.core.context.TriangulationContext` needs to compile the
+full blocks and the block DP's candidate lists.
+
 The per-prefix minimal separator sets are derived *top-down* from a single
 Berry–Bordat–Cogis run on the full graph, using the vertex-removal lemma:
 for every minimal separator ``S'`` of ``G − a``, either ``S'`` or
@@ -37,7 +43,7 @@ experiment harness uses to classify graphs as "PMC-intractable"
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from ..graphs.bitgraph import BitGraph, VertexIndexer
 from ..graphs.graph import Graph, Vertex
@@ -49,7 +55,7 @@ from ..separators.berry import (
     minimal_separator_masks,
     minimal_separators,
 )
-from .predicate import is_pmc, is_pmc_mask
+from .predicate import is_pmc, pmc_components_mask
 
 Separator = frozenset[Vertex]
 PMC = frozenset[Vertex]
@@ -194,19 +200,20 @@ def prefix_minimal_separator_masks(
 def one_more_vertex_masks(
     bigger: BitGraph,
     new_vertex: int,
-    pmcs_smaller: set[int],
+    pmcs_smaller: Iterable[int],
     minseps_smaller: set[int],
     minseps_bigger: set[int],
     budget: int | None = None,
-) -> set[int]:
+) -> dict[int, list[tuple[int, int]]]:
     """Mask-level :func:`one_more_vertex` (identical candidate family).
 
-    ``checked`` hashes machine ints rather than frozensets, and the
-    case-4 inner condition ``inter ≠ ∅ and inter ⊄ S`` collapses to one
-    ``inter & ~S`` test.
+    Returns each PMC of ``bigger`` with the ``(C, N(C))`` components of
+    ``bigger \\ Ω`` that its PMC test computed.  ``checked`` hashes
+    machine ints rather than frozensets, and the case-4 inner condition
+    ``inter ≠ ∅ and inter ⊄ S`` collapses to one ``inter & ~S`` test.
     """
     abit = 1 << new_vertex
-    out: set[int] = set()
+    out: dict[int, list[tuple[int, int]]] = {}
     checked: set[int] = set()
     labels_of = bigger.indexer.labels_of
 
@@ -214,8 +221,9 @@ def one_more_vertex_masks(
         if candidate in checked:
             return
         checked.add(candidate)
-        if is_pmc_mask(bigger, candidate):
-            out.add(candidate)
+        components = pmc_components_mask(bigger, candidate)
+        if components is not None:
+            out[candidate] = components
             if budget is not None and len(out) > budget:
                 raise SeparatorLimitExceeded(
                     f"more than {budget} potential maximal cliques",
@@ -246,12 +254,19 @@ def potential_maximal_clique_masks(
     budget: int | None = None,
     order: Sequence[int] | None = None,
     deadline: float | None = None,
-) -> set[int]:
-    """Mask-level :func:`potential_maximal_cliques` over a bit kernel."""
+) -> dict[int, list[tuple[int, int]]]:
+    """Mask-level :func:`potential_maximal_cliques` over a bit kernel.
+
+    Returns a dict from each PMC ``Ω`` to the ``(C, N(C))`` pairs of the
+    components of ``G \\ Ω``, ascending by lowest member index: the last
+    ONE_MORE_VERTEX step tests every candidate on ``G`` itself, and
+    :func:`~repro.pmc.predicate.pmc_components_mask` hands back the
+    components it found.  Its ``len`` is ``|PMC(G)|``.
+    """
     import time
 
     if bitgraph.num_vertices() == 0:
-        return set()
+        return {}
     if order is None:
         order = bitgraph.bfs_order()
     if separator_masks is None:
@@ -261,7 +276,8 @@ def potential_maximal_clique_masks(
     )
 
     prefix_mask = 1 << order[0]
-    pmcs: set[int] = {prefix_mask}
+    # A one-vertex graph's only PMC leaves no components.
+    pmcs: dict[int, list[tuple[int, int]]] = {prefix_mask: []}
     for i in range(1, len(order)):
         a = order[i]
         prefix_mask |= 1 << a

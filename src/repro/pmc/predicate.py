@@ -31,9 +31,8 @@ PMC = frozenset[Vertex]
 
 __all__ = [
     "is_pmc",
-    "is_pmc_mask",
+    "pmc_components_mask",
     "minseps_of_pmc",
-    "minseps_of_pmc_masks",
     "blocks_of_pmc",
 ]
 
@@ -61,24 +60,30 @@ def is_pmc(graph: Graph, omega: Iterable[Vertex]) -> bool:
     return True
 
 
-def is_pmc_mask(bitgraph: BitGraph, omega: int) -> bool:
-    """Mask-level :func:`is_pmc` (the PMC-enumeration hot predicate).
+def pmc_components_mask(
+    bitgraph: BitGraph, omega: int
+) -> list[tuple[int, int]] | None:
+    """Mask-level :func:`is_pmc` that hands back what it computed.
 
-    Condition 2 is evaluated one ``Ω``-vertex at a time: the vertices of
-    ``Ω`` that ``u`` is *not* adjacent to must all lie in the union of
-    the component neighborhoods containing ``u`` — a pair ``(u, v)`` is
-    co-located in some ``S_i`` exactly when that union covers ``v``.
+    Returns the ``(C, N(C))`` pairs of the components of ``G \\ Ω``,
+    ascending by lowest member index, when ``Ω`` is a PMC, and ``None``
+    otherwise.  Condition 2 is evaluated one ``Ω``-vertex at a time: the
+    vertices of ``Ω`` that ``u`` is *not* adjacent to must all lie in the
+    union of the component neighborhoods containing ``u`` — a pair
+    ``(u, v)`` is co-located in some ``S_i`` exactly when that union
+    covers ``v``.
     """
     if not omega:
-        return False
+        return None
     adj = bitgraph.adj
-    neighborhoods = []
-    for _comp, nbh in bitgraph.components_with_neighborhoods(
+    components = bitgraph.components_with_neighborhoods(
         bitgraph.full_mask & ~omega
-    ):
+    )
+    neighborhoods = []
+    for _comp, nbh in components:
         # Condition 1: no full component (every N(C) is a subset of Ω).
         if nbh == omega:
-            return False
+            return None
         neighborhoods.append(nbh)
     # Condition 2: completability.
     for u in iter_bits(omega):
@@ -91,8 +96,8 @@ def is_pmc_mask(bitgraph: BitGraph, omega: int) -> bool:
             if nbh & bit:
                 cover |= nbh
         if need & ~cover:
-            return False
-    return True
+            return None
+    return components
 
 
 def minseps_of_pmc(graph: Graph, omega: Iterable[Vertex]) -> set[Separator]:
@@ -107,17 +112,6 @@ def minseps_of_pmc(graph: Graph, omega: Iterable[Vertex]) -> set[Separator]:
         nbh = graph.neighborhood_of_set(comp)
         if nbh:
             out.add(frozenset(nbh))
-    return out
-
-
-def minseps_of_pmc_masks(bitgraph: BitGraph, omega: int) -> set[int]:
-    """Mask-level :func:`minseps_of_pmc`."""
-    out: set[int] = set()
-    for _comp, nbh in bitgraph.components_with_neighborhoods(
-        bitgraph.full_mask & ~omega
-    ):
-        if nbh:
-            out.add(nbh)
     return out
 
 

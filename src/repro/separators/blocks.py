@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
-from ..graphs.bitgraph import BitGraph
 from ..graphs.graph import Graph, Vertex
 
 Separator = frozenset[Vertex]
@@ -22,7 +21,6 @@ __all__ = [
     "Block",
     "blocks_of_separator",
     "full_blocks_of_separator",
-    "full_component_masks",
     "all_full_blocks",
 ]
 
@@ -103,19 +101,6 @@ def full_blocks_of_separator(graph: Graph, separator: Separator) -> Iterator[Blo
     for comp in graph.components_without(separator):
         if graph.neighborhood_of_set(comp) == separator:
             yield Block(separator, frozenset(comp))
-
-
-def full_component_masks(bitgraph: BitGraph, separator: int) -> Iterator[int]:
-    """Mask-level :func:`full_blocks_of_separator`: the full components.
-
-    Yields the component masks ``C`` of ``G \\ S`` with ``N(C) = S``;
-    the caller pairs them with ``separator`` to form blocks.
-    """
-    for comp, nbh in bitgraph.components_with_neighborhoods(
-        bitgraph.full_mask & ~separator
-    ):
-        if nbh == separator:
-            yield comp
 
 
 def all_full_blocks(graph: Graph, separators: Iterable[Separator]) -> list[Block]:

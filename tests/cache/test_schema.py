@@ -201,3 +201,149 @@ def test_format_2_prepared_table_reads_as_clean_miss(tmp_path, name):
     assert [(r.cost, r.triangulation.bags) for r in response.results] == [
         (r.cost, r.triangulation.bags) for r in expected.results
     ]
+
+
+#: Field names of the persisted context under ``CACHE_FORMAT_VERSION``.
+PERSISTED_SHAPE = (
+    4,
+    (
+        "graph",
+        "separators",
+        "pmcs",
+        "block_masks",
+        "separator_masks",
+        "indexer",
+        "_pmc_order",
+        "_candidates",
+        "width_bound",
+        "init_seconds",
+        "kernel",
+        "_blocks",
+        "_block_subgraphs",
+        "_separator_index",
+    ),
+    ("separators", "bits", "blocks", "pmcs", "candidates"),
+)
+
+
+def test_persisted_context_shape_is_pinned_to_the_format_version():
+    """Contexts are pickled into the store, so a change to their fields
+    must come with a format bump, or another build's entries load into
+    objects this build cannot use."""
+    from dataclasses import fields
+
+    from repro.cache.store import CACHE_FORMAT_VERSION
+    from repro.core.context import SeparatorIndex, TriangulationContext
+
+    shape = (
+        CACHE_FORMAT_VERSION,
+        tuple(f.name for f in fields(TriangulationContext)),
+        tuple(f.name for f in fields(SeparatorIndex)),
+    )
+    assert shape == PERSISTED_SHAPE, (
+        "TriangulationContext or SeparatorIndex changed shape, so contexts "
+        "persisted by other builds no longer load. Bump CACHE_FORMAT_VERSION "
+        "in repro/cache/store.py (with a line in its comment), then update "
+        "PERSISTED_SHAPE here."
+    )
+
+
+def _format_3_context(context):
+    """``context`` as format-3 builds pickled it: label-level ``blocks``
+    and ``pmc_index`` fields and a ``bitgraph``, with the candidate lists
+    left to the first DP run."""
+    from repro.core.context import TriangulationContext
+    from repro.graphs.bitgraph import BitGraph
+
+    per_block, _root = context.candidates()
+    shaped = object.__new__(TriangulationContext)
+    shaped.__dict__.update(
+        graph=context.graph,
+        separators=context.separators,
+        pmcs=context.pmcs,
+        blocks=context.blocks,
+        pmc_index={
+            block: [omega for omega, *_rest in candidates]
+            for block, candidates in zip(context.blocks, per_block)
+        },
+        width_bound=context.width_bound,
+        init_seconds=context.init_seconds,
+        kernel=context.kernel,
+        indexer=context.indexer,
+        bitgraph=BitGraph.from_graph(context.graph, context.indexer),
+        _pmc_order=context.root_pmc_order(),
+        _block_subgraphs={},
+        _children_cache={},
+        _candidates=None,
+        _separator_index=None,
+    )
+    return shaped
+
+
+@pytest.mark.parametrize("name", ["petersen", "grid-3x4"])
+def test_format_3_context_reads_as_clean_miss(tmp_path, name):
+    """A store filled by a format-3 build holds contexts without the
+    compiled lists this build's DP reads; the format bump turns them into
+    misses, and the answers equal an uncached session's."""
+    from repro.api import Session
+    from repro.api.fingerprint import graph_fingerprint
+    from repro.cache.store import CACHE_FORMAT_VERSION, context_key
+    from repro.core.context import TriangulationContext
+    from repro.core.mintriang import min_triangulation_and_table
+    from repro.costs.classic import FillInCost
+    from repro.graphs.generators import grid_graph, petersen_graph
+
+    graph = {"petersen": petersen_graph, "grid-3x4": lambda: grid_graph(3, 4)}[name]()
+    plain = Session(kernel="bitset", preprocess=False)
+    expected = plain.top(graph, "fill", k=12)
+    plain.close()
+
+    parent_context = _format_3_context(TriangulationContext.build(graph, kernel="bitset"))
+    with pytest.raises((AttributeError, TypeError)):
+        # What reading it would do: the DP finds no compiled lists.
+        min_triangulation_and_table(parent_context, FillInCost())
+
+    current = default_schema_tag()
+    format_3 = current.replace(
+        f"repro-artifacts/{CACHE_FORMAT_VERSION}", "repro-artifacts/3"
+    )
+    assert format_3 != current
+    path = tmp_path / "c"
+    with ArtifactStore(path, schema_tag=format_3) as parent:
+        parent.put(
+            "context", context_key(graph_fingerprint(graph), None, "bitset"), parent_context
+        )
+
+    session = Session(kernel="bitset", preprocess=False, cache_dir=path)
+    try:
+        with pytest.warns(CacheIntegrityWarning, match="schema"):
+            response = session.top(graph, "fill", k=12)
+        kinds = session.cache_info()["disk"]["kinds"]
+        assert kinds["context"]["misses"] == 1
+        assert kinds["context"]["corrupt"] == 1
+        assert session.cache_info()["builds"] == 1
+    finally:
+        session.close()
+    assert [(r.cost, r.triangulation.bags) for r in response.results] == [
+        (r.cost, r.triangulation.bags) for r in expected.results
+    ]
+
+
+def test_warm_context_load_carries_the_compile(tmp_path):
+    """The persisted context holds its candidate lists: a warm session
+    loads it without building or compiling anything."""
+    from repro.api import Session
+    from repro.core.context import TriangulationContext
+    from repro.graphs.generators import queen_graph
+
+    graph = queen_graph(4, 4)
+    fresh = TriangulationContext.build(graph, kernel="bitset")
+    path = tmp_path / "c"
+    with Session(kernel="bitset", preprocess=False, cache_dir=path) as cold:
+        cold.context(graph)
+    with Session(kernel="bitset", preprocess=False, cache_dir=path) as warm:
+        loaded = warm.context(graph)
+        assert warm.cache_info()["builds"] == 0
+        assert loaded.candidates() == fresh.candidates()
+        assert loaded.block_masks == fresh.block_masks
+        assert loaded._blocks is None

@@ -2,16 +2,20 @@
 
 import pytest
 
+from repro.api import Session
 from repro.core.context import TriangulationContext
+from repro.costs.weighted import WeightedWidthCost
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     erdos_renyi,
-    paper_example_graph,
+    grid_graph,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.ordering import vertex_set_sort_key
 from repro.pmc.predicate import is_pmc
 from repro.separators.berry import SeparatorLimitExceeded
+from repro.separators.blocks import Block, full_blocks_of_separator
 from tests.conftest import connected_random_graphs
 
 
@@ -36,22 +40,23 @@ class TestBuild:
             if not g.is_connected():
                 continue
             ctx = TriangulationContext.build(g)
-            for block, pmcs in ctx.pmc_index.items():
-                for om in pmcs:
-                    assert block.separator < om <= block.vertices
-            # Completeness: every (full block, PMC) inclusion is indexed.
-            for block in ctx.blocks:
-                expected = {
+            per_block, _root = ctx.candidates()
+            # Correct and complete: a block's candidates are every PMC
+            # with S ⊂ Ω ⊆ S ∪ C, each once.
+            for block, candidates in zip(ctx.blocks, per_block, strict=True):
+                omegas = [omega for omega, *_rest in candidates]
+                assert len(set(omegas)) == len(omegas)
+                assert set(omegas) == {
                     om
                     for om in ctx.pmcs
                     if block.separator < om <= block.vertices
                 }
-                assert set(ctx.pmc_index[block]) == expected
 
     def test_every_full_block_has_a_candidate(self):
         ctx = TriangulationContext.build(erdos_renyi(9, 0.35, seed=1))
-        for block in ctx.blocks:
-            assert ctx.pmc_index[block], block
+        per_block, _root = ctx.candidates()
+        for block, candidates in zip(ctx.blocks, per_block, strict=True):
+            assert candidates, block
 
     def test_disconnected_rejected(self):
         g = Graph(edges=[(1, 2), (3, 4)])
@@ -77,6 +82,22 @@ class TestBuild:
         assert stats["edges"] == 7
         assert stats["minimal_separators"] == 3
         assert stats["pmcs"] == 6
+        assert stats["full_blocks"] == 7
+
+    def test_fold_costs_never_build_label_blocks(self):
+        # Only the generic DP step reads the label-level blocks; ranked
+        # streams under folding costs run on the compiled lists alone.
+        g = grid_graph(3, 3)
+        session = Session(preprocess=False)
+        for cost in ("fill", "width"):
+            with session.stream(g, cost) as stream:
+                assert len(list(zip(range(10), stream))) == 10
+        ctx = session.context(g)
+        assert ctx._blocks is None
+        assert ctx.stats()["full_blocks"] == len(ctx.block_masks)
+        assert ctx._blocks is None
+        session.top(g, WeightedWidthCost(len), k=3)
+        assert ctx._blocks is not None
 
 
 class TestWidthBound:
@@ -99,16 +120,17 @@ class TestChildrenCache:
         ctx = TriangulationContext.build(paper_graph)
         omega = frozenset({"u", "w1", "w2", "w3"})
         assert is_pmc(paper_graph, omega)
-        children = ctx.children_of(None, omega)
+        _per_block, root = ctx.candidates()
+        (children,) = [kids for om, _size, _fill, kids in root if om == omega]
         assert len(children) == 1
-        (child,) = children
+        child = ctx.blocks[children[0]]
         assert child.separator == frozenset({"w1", "w2", "w3"})
         assert child.component == frozenset({"v", "v'"})
 
     def test_cache_returns_same_object(self, paper_graph):
         ctx = TriangulationContext.build(paper_graph)
-        omega = frozenset({"u", "w1", "w2", "w3"})
-        assert ctx.children_of(None, omega) is ctx.children_of(None, omega)
+        assert ctx.candidates() is ctx.candidates()
+        assert ctx.blocks is ctx.blocks
 
     def test_block_subgraph_cached(self, paper_graph):
         ctx = TriangulationContext.build(paper_graph)
@@ -117,32 +139,82 @@ class TestChildrenCache:
         assert ctx.block_subgraph(block).vertex_set() == block.vertices
 
 
+def _expected(ctx: TriangulationContext):
+    """The candidate lists from their definition, at label level: for a
+    block ``(S, C)`` every ``Ω`` of :meth:`root_pmc_order` with
+    ``S ⊂ Ω ⊆ S ∪ C``, its children the components of ``(S ∪ C) \\ Ω``,
+    its fill term ``nonedges(Ω) − Σ nonedges(S_child)``; the root the
+    same over ``G \\ Ω``.  A candidate with a child outside the blocks is
+    left out."""
+    g = ctx.graph
+    position = {block: i for i, block in enumerate(ctx.blocks)}
+
+    def nonedges(vertices):
+        return len(list(g.missing_edges(vertices)))
+
+    def compile_one(region, omega):
+        fill = nonedges(omega)
+        children = []
+        for piece in g.components_without(omega | (g.vertex_set() - region)):
+            child = Block(frozenset(g.neighborhood_of_set(piece)), frozenset(piece))
+            if child not in position:
+                return None
+            children.append(position[child])
+            fill -= nonedges(child.separator)
+        return (omega, len(omega), fill, tuple(children))
+
+    def compile_all(region, omegas):
+        found = (compile_one(region, omega) for omega in omegas)
+        return tuple(c for c in found if c is not None)
+
+    order = ctx.root_pmc_order()
+    per_block = [
+        compile_all(
+            block.vertices,
+            [om for om in order if block.separator < om <= block.vertices],
+        )
+        for block in ctx.blocks
+    ]
+    return per_block, compile_all(g.vertex_set(), order)
+
+
 class TestCandidates:
-    def test_compiled_once_and_mirror_children(self):
-        # Each candidate is (Ω, |Ω|, nonedges(Ω) − Σ nonedges(S_child),
-        # child positions), in pmc_index / root_pmc_order order.
+    def test_compiled_once_and_mirror_children(self, paper_graph):
+        # Blocks, PMC order and candidate lists against their definitions,
+        # under both kernels, unbounded and under a bound that drops
+        # candidates.
+        graphs = [
+            *connected_random_graphs(9, 0.35, 4, seed_base=40),
+            # K_{2,3}: Ω = {a, b, x} leaves {y} and {z}, both seeing {a, b}.
+            Graph(edges=[(a, x) for a in "ab" for x in "xyz"]),
+            paper_graph,
+        ]
         for kernel in ("sets", "bitset"):
-            for g in connected_random_graphs(9, 0.35, 4, seed_base=40):
-                ctx = TriangulationContext.build(g, kernel=kernel)
-                per_block, root = ctx.candidates()
-                assert ctx.candidates() is ctx.candidates()
-                position = {b: i for i, b in enumerate(ctx.blocks)}
-
-                def nonedges(vertices):
-                    return len(list(g.missing_edges(vertices)))
-
-                def expected(block, omega):
-                    children = ctx.children_of(block, omega)
-                    fill = nonedges(omega) - sum(
-                        nonedges(c.separator) for c in children
+            dropped = 0
+            for g in graphs:
+                sizes = {}
+                for width_bound in (None, 3):
+                    ctx = TriangulationContext.build(
+                        g, width_bound=width_bound, kernel=kernel
                     )
-                    positions = tuple(position[c] for c in children)
-                    return (omega, len(omega), fill, positions)
-
-                for block, candidates in zip(ctx.blocks, per_block):
-                    assert candidates == tuple(
-                        expected(block, om) for om in ctx.pmc_index[block]
+                    assert ctx.candidates() is ctx.candidates()
+                    assert ctx.blocks == sorted(
+                        (
+                            block
+                            for s in ctx.separators
+                            for block in full_blocks_of_separator(g, s)
+                        ),
+                        key=lambda b: (
+                            len(b),
+                            vertex_set_sort_key(b.separator),
+                            vertex_set_sort_key(b.component),
+                        ),
                     )
-                assert root == tuple(
-                    expected(None, om) for om in ctx.root_pmc_order()
-                )
+                    assert ctx.root_pmc_order() == tuple(
+                        sorted(ctx.pmcs, key=vertex_set_sort_key)
+                    )
+                    per_block, root = ctx.candidates()
+                    assert (per_block, root) == _expected(ctx)
+                    sizes[width_bound] = len(root) + sum(map(len, per_block))
+                dropped += sizes[None] - sizes[3]
+            assert dropped > 0

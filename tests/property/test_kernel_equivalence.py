@@ -135,8 +135,9 @@ def test_full_enumeration_identical_with_width_bound(kernel):
 
 @fast_kernels
 def test_contexts_structurally_identical(kernel):
-    # Same separators, PMCs, blocks (in the same order), and the same
-    # block -> candidate-PMC lists — the DP inputs match exactly.
+    # Same separators, PMCs, blocks (in the same order), candidate lists
+    # (children in the same order) and separator index: every kernel
+    # feeds the same compile, so the DP inputs match exactly.
     for g in connected_random_graphs(9, 0.4, 4, seed_base=1300):
         ctx_sets = TriangulationContext.build(g, kernel="sets")
         ctx_fast = TriangulationContext.build(g, kernel=kernel)
@@ -144,24 +145,9 @@ def test_contexts_structurally_identical(kernel):
         assert ctx_sets.separators == ctx_fast.separators
         assert ctx_sets.pmcs == ctx_fast.pmcs
         assert ctx_sets.blocks == ctx_fast.blocks
-        assert ctx_sets.pmc_index == ctx_fast.pmc_index
         assert ctx_sets.root_pmc_order() == ctx_fast.root_pmc_order()
-
-
-@fast_kernels
-def test_children_of_identical_across_kernels(kernel):
-    for g in connected_random_graphs(8, 0.45, 3, seed_base=1400):
-        ctx_sets = TriangulationContext.build(g, kernel="sets")
-        ctx_fast = TriangulationContext.build(g, kernel=kernel)
-        for omega in ctx_sets.root_pmc_order():
-            assert sorted(
-                ctx_sets.children_of(None, omega), key=repr
-            ) == sorted(ctx_fast.children_of(None, omega), key=repr)
-        for block in ctx_sets.blocks:
-            for omega in ctx_sets.pmc_index[block][:3]:
-                assert sorted(
-                    ctx_sets.children_of(block, omega), key=repr
-                ) == sorted(ctx_fast.children_of(block, omega), key=repr)
+        assert ctx_sets.candidates() == ctx_fast.candidates()
+        assert ctx_sets.separator_index() == ctx_fast.separator_index()
 
 
 # ---------------------------------------------------------------------------
