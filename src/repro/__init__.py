@@ -55,12 +55,6 @@ from .core import (
     treewidth,
     triangulation_distance,
 )
-from .engine import (
-    ExpansionStrategy,
-    ProcessPoolStrategy,
-    SerialStrategy,
-    resolve_engine,
-)
 from .api import (
     EnumerationRequest,
     EnumerationResponse,
@@ -122,10 +116,6 @@ __all__ = [
     "minimum_fill_in",
     "diverse_top_k",
     "triangulation_distance",
-    "ExpansionStrategy",
-    "SerialStrategy",
-    "ProcessPoolStrategy",
-    "resolve_engine",
     "GeneralizedHypertreeDecomposition",
     "ghd_from_tree_decomposition",
     "minimum_ghd",

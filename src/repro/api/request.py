@@ -3,20 +3,18 @@
 One :class:`EnumerationRequest` describes everything a serving endpoint
 needs to answer a ranked-enumeration call: the graph source, the cost
 spec, how many answers, in which mode (plain ranked, diverse, or tree
-decompositions), on which engine, and under what budgets.  Sessions
-dispatch on :attr:`EnumerationRequest.mode` via
-:meth:`repro.api.Session.execute`, and the convenience methods
-(``top`` / ``diverse`` / ``decompositions``) are thin constructors over
-this dataclass.
+decompositions), and under what budgets.  Sessions dispatch on
+:attr:`EnumerationRequest.mode` via :meth:`repro.api.Session.execute`,
+and the convenience methods (``top`` / ``diverse`` /
+``decompositions``) are thin constructors over this dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 from ..costs.base import BagCost
-from ..engine import ExpansionStrategy
 from ..graphs.graph import Graph
 
 __all__ = ["EnumerationRequest", "MODES"]
@@ -26,7 +24,6 @@ MODES = ("ranked", "diverse", "decompositions")
 
 GraphSource = Union[Graph, str]
 CostSpec = Union[str, BagCost]
-EngineSpec = Union[ExpansionStrategy, str, int, None]
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,6 @@ class EnumerationRequest:
     per_triangulation:
         Decompositions-mode cap on clique trees expanded per
         triangulation (``1`` = bag-distinct results only).
-    engine:
-        Expansion backend: a strategy instance, ``"serial"`` /
-        ``"process-pool"``, or a worker count.  ``None`` uses the
-        session default.
     preprocess:
         Whether to route through the preprocessing pipeline (safe
         reductions + clique-separator atoms with exact ranked
@@ -90,7 +83,6 @@ class EnumerationRequest:
     min_distance: int = 1
     scan_limit: int | None = None
     per_triangulation: int | None = None
-    engine: EngineSpec = field(default=None, compare=False)
     time_budget: float | None = None
     answer_budget: int | None = None
     preprocess: bool | None = None

@@ -45,7 +45,11 @@ class EnumerationStats:
         Wall-clock time spent collecting answers (excludes a cached
         context's original build time).
     engine:
-        Name of the expansion backend that served the request.
+        Which path served the request: ``"serial"`` (a live direct
+        stream), ``"composed"`` (the preprocessing pipeline),
+        ``"cache"`` (replayed from the answer-prefix cache) or
+        ``"none"`` (no stream ran: a zero-answer request, or nothing
+        was left to enumerate when the stream opened).
     exhausted:
         Whether the enumeration space was fully emitted.
     timed_out:

@@ -23,9 +23,7 @@ The serving primitives::
 
 Sessions are cheap; create one per process (or per tenant) and reuse it.
 Cache operations are lock-protected, so a session may serve concurrent
-threads; per-stream engine strategies must not be shared across
-overlapping runs (pass names or worker counts, not strategy instances,
-as the session default).
+threads.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from ..core.mintriang import min_triangulation_and_table
 from ..core.proper import RankedDecomposition
 from ..core.spanning import clique_trees
 from ..costs.registry import resolve_cost
-from ..engine import ExpansionStrategy
 from ..graphs.graph import Graph
 from ..graphs.kernels import KernelSpec
 from ..preprocess.recompose import (
@@ -132,11 +129,6 @@ class Session:
     max_contexts:
         LRU capacity of the context cache (per ``(fingerprint,
         width_bound)`` key).
-    engine:
-        Default expansion backend for every request that does not name
-        one: ``"serial"`` (default), ``"process-pool"``, or a worker
-        count.  Avoid strategy *instances* here — one instance cannot
-        serve overlapping streams.
     kernel:
         Graph kernel used when this session builds a context: a
         registered kernel name, a :class:`~repro.graphs.kernels
@@ -176,7 +168,6 @@ class Session:
     def __init__(
         self,
         max_contexts: int = 8,
-        engine: "object | None" = None,
         kernel: "str | KernelSpec" = "auto",
         preprocess: bool = True,
         cache_dir: "str | None" = None,
@@ -187,7 +178,6 @@ class Session:
         if max_contexts < 1:
             raise ValueError(f"max_contexts must be >= 1, got {max_contexts}")
         self._max_contexts = max_contexts
-        self._engine = engine
         self._kernel_spec = resolve_kernel(kernel)
         self._kernel = self._kernel_spec.name
         self._preprocess = bool(preprocess)
@@ -498,9 +488,6 @@ class Session:
 
             self._store.put("plan", plan_key(fp, duplicate_sensitive), plan)
 
-    def _engine_spec(self, engine: "object | None") -> "object | None":
-        return engine if engine is not None else self._engine
-
     # ------------------------------------------------------------------
     # Streams
     # ------------------------------------------------------------------
@@ -510,7 +497,6 @@ class Session:
         cost: "str | object" = "width",
         *,
         width_bound: int | None = None,
-        engine: "object | None" = None,
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> "RankedStream | ComposedRankedStream":
@@ -524,34 +510,32 @@ class Session:
         with the same iteration/checkpoint surface.
         """
         stream, _meta = self._open(
-            graph, cost, width_bound=width_bound, engine=engine,
+            graph, cost, width_bound=width_bound,
             context=context, preprocess=preprocess,
         )
         return stream
 
     def _preprocess_applies(
         self,
-        graph: Graph,
         spec: str | None,
-        engine: "object | None",
         context: TriangulationContext | None,
         preprocess: bool | None,
     ) -> bool:
         """Whether this request is eligible for the composed pipeline.
 
         Preprocessing needs a registry-name cost with a declared
-        composition (per-atom values must combine exactly), no caller-
-        supplied prebuilt context, and no shared strategy *instance*
-        (one instance cannot serve several concurrent atom streams —
-        names and worker counts resolve per atom instead).
+        composition (per-atom values must combine exactly) and no
+        caller-supplied prebuilt context.  The same rule keys the
+        answer-prefix cache, here and in the service scheduler
+        (:func:`~repro.cache.answers.preprocess_applies_for`).
         """
+        from ..cache.answers import preprocess_applies_for
+
         effective = self._preprocess if preprocess is None else preprocess
         return (
-            effective
-            and context is None
+            context is None
             and spec is not None
-            and composition_for(spec) is not None
-            and not isinstance(self._engine_spec(engine), ExpansionStrategy)
+            and preprocess_applies_for(spec, effective)
         )
 
     def _open(
@@ -560,7 +544,6 @@ class Session:
         cost: "str | object",
         *,
         width_bound: int | None = None,
-        engine: "object | None" = None,
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
         fp: str | None = None,
@@ -576,15 +559,14 @@ class Session:
         if graph.num_vertices() == 0:
             stream = RankedStream.start(None, None, cost_spec=spec, fingerprint=fp)
             return stream, {"context_cached": False, "init_seconds": 0.0}
-        if self._preprocess_applies(graph, spec, engine, context, preprocess):
+        if self._preprocess_applies(spec, context, preprocess):
             assert spec is not None
             composition = composition_for(spec)
             assert composition is not None
             plan = self._plan_for(graph, fp, composition.duplicate_sensitive)
             if not plan.trivial:
                 return self._open_composed(
-                    plan, spec, composition, fp,
-                    width_bound=width_bound, engine=engine,
+                    plan, spec, composition, fp, width_bound=width_bound
                 )
         if context is None and not graph.is_connected():
             raise ValueError(
@@ -601,7 +583,6 @@ class Session:
         stream = RankedStream.start(
             entry.context,
             cost_obj,
-            engine=self._engine_spec(engine),
             cost_spec=spec,
             fingerprint=fp,
             prepared=prepared,
@@ -620,10 +601,8 @@ class Session:
         plan_fp: str,
         *,
         width_bound: int | None,
-        engine: "object | None",
     ) -> tuple[ComposedRankedStream, dict]:
         """Start a composed stream, one cached context per variable atom."""
-        engine_spec = self._engine_spec(engine)
         cached_flags: list[bool] = []
         init_seconds = [0.0]
 
@@ -636,7 +615,6 @@ class Session:
             return RankedStream.start(
                 entry.context,
                 cost_obj,
-                engine=engine_spec,
                 cost_spec=spec,
                 fingerprint=fp,
                 prepared=prepared,
@@ -664,7 +642,6 @@ class Session:
         *,
         per_triangulation: int | None = None,
         width_bound: int | None = None,
-        engine: "object | None" = None,
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ):
@@ -673,10 +650,10 @@ class Session:
         Expands each enumerated triangulation into its clique trees,
         optionally capped at ``per_triangulation`` trees each
         (``1`` = bag-distinct results only).  Returns a generator;
-        closing it releases the underlying engine.
+        closing it closes the underlying stream.
         """
         stream = self.stream(
-            graph, cost, width_bound=width_bound, engine=engine,
+            graph, cost, width_bound=width_bound,
             context=context, preprocess=preprocess,
         )
 
@@ -750,7 +727,6 @@ class Session:
             graph,
             request.cost,
             width_bound=request.width_bound,
-            engine=request.engine,
             context=context,
             preprocess=request.preprocess,
         )
@@ -765,25 +741,14 @@ class Session:
         """Key probes for a fresh (non-token) ranked request."""
         from ..cache.answers import candidate_keys
 
-        spec = request.cost
-        effective = (
-            self._preprocess
-            if request.preprocess is None
-            else request.preprocess
-        )
-        applies = (
-            effective
-            and composition_for(spec) is not None
-            and not isinstance(
-                self._engine_spec(request.engine), ExpansionStrategy
-            )
-        )
         return candidate_keys(
             fingerprint=fp,
-            cost_spec=spec,
+            cost_spec=request.cost,
             width_bound=request.width_bound,
             kernel=self._kernel,
-            applies=applies,
+            applies=self._preprocess_applies(
+                request.cost, None, request.preprocess
+            ),
         )
 
     def _replay_answers(
@@ -886,7 +851,7 @@ class Session:
         ):
             tip = load_checkpoint(record.checkpoints[n])
             if not tip.exhausted:
-                stream, meta = self._reopen(tip, engine=request.engine)
+                stream, meta = self._reopen(tip)
                 remaining = None if limit is None else limit - n
                 tail = self._collect_ranked(
                     stream, meta, remaining, request.time_budget, started
@@ -910,7 +875,6 @@ class Session:
             graph,
             request.cost,
             width_bound=request.width_bound,
-            engine=request.engine,
             context=None,
             preprocess=request.preprocess,
             fp=fp,
@@ -982,7 +946,6 @@ class Session:
             graph,
             request.cost,
             width_bound=request.width_bound,
-            engine=request.engine,
             context=context,
             preprocess=request.preprocess,
         )
@@ -1043,7 +1006,6 @@ class Session:
             graph,
             request.cost,
             width_bound=request.width_bound,
-            engine=request.engine,
             context=context,
             preprocess=request.preprocess,
         )
@@ -1095,7 +1057,6 @@ class Session:
         k: int | None = 10,
         *,
         width_bound: int | None = None,
-        engine: "object | None" = None,
         time_budget: float | None = None,
         answer_budget: int | None = None,
         context: TriangulationContext | None = None,
@@ -1108,7 +1069,6 @@ class Session:
             k=k,
             mode="ranked",
             width_bound=width_bound,
-            engine=engine,
             time_budget=time_budget,
             answer_budget=answer_budget,
             preprocess=preprocess,
@@ -1124,7 +1084,6 @@ class Session:
         min_distance: int = 1,
         scan_limit: int | None = None,
         width_bound: int | None = None,
-        engine: "object | None" = None,
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> EnumerationResponse:
@@ -1137,7 +1096,6 @@ class Session:
             min_distance=min_distance,
             scan_limit=scan_limit,
             width_bound=width_bound,
-            engine=engine,
             preprocess=preprocess,
         )
         return self.execute(request, context=context)
@@ -1150,7 +1108,6 @@ class Session:
         *,
         per_triangulation: int | None = None,
         width_bound: int | None = None,
-        engine: "object | None" = None,
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> EnumerationResponse:
@@ -1162,7 +1119,6 @@ class Session:
             mode="decompositions",
             per_triangulation=per_triangulation,
             width_bound=width_bound,
-            engine=engine,
             preprocess=preprocess,
         )
         return self.execute(request, context=context)
@@ -1175,7 +1131,6 @@ class Session:
         checkpoint: "StreamCheckpoint | ComposedCheckpoint | bytes",
         *,
         cost: "str | object | None" = None,
-        engine: "object | None" = None,
     ) -> "RankedStream | ComposedRankedStream":
         """Reopen a paused stream; continues the exact emission sequence.
 
@@ -1183,7 +1138,7 @@ class Session:
         from preprocessed (composed) streams both resume here, each with
         its own pipeline, each continuing bit-for-bit.
         """
-        stream, _meta = self._reopen(checkpoint, cost=cost, engine=engine)
+        stream, _meta = self._reopen(checkpoint, cost=cost)
         return stream
 
     def _reopen_composed(
@@ -1191,7 +1146,6 @@ class Session:
         checkpoint: ComposedCheckpoint,
         *,
         cost: "str | object | None" = None,
-        engine: "object | None" = None,
     ) -> tuple[ComposedRankedStream, dict]:
         graph = checkpoint.restore_graph()
         if graph_fingerprint(graph) != checkpoint.fingerprint:
@@ -1215,7 +1169,6 @@ class Session:
                 f"cost {spec!r} no longer declares a composition; "
                 "cannot resume a preprocessed checkpoint"
             )
-        engine_spec = self._engine_spec(engine)
         cached_flags: list[bool] = []
         init_seconds = [0.0]
 
@@ -1231,7 +1184,6 @@ class Session:
                 entry.context,
                 cost_obj,
                 piece_checkpoint,
-                engine=engine_spec,
                 prepared=prepared,
             )
 
@@ -1252,12 +1204,11 @@ class Session:
         checkpoint: "StreamCheckpoint | ComposedCheckpoint | bytes",
         *,
         cost: "str | object | None" = None,
-        engine: "object | None" = None,
     ) -> "tuple[RankedStream | ComposedRankedStream, dict]":
         if isinstance(checkpoint, (bytes, bytearray)):
             checkpoint = load_checkpoint(bytes(checkpoint))
         if isinstance(checkpoint, ComposedCheckpoint):
-            return self._reopen_composed(checkpoint, cost=cost, engine=engine)
+            return self._reopen_composed(checkpoint, cost=cost)
         if checkpoint.exhausted:
             stream = RankedStream.from_checkpoint(None, None, checkpoint)
             return stream, {"context_cached": False, "init_seconds": 0.0}
@@ -1296,7 +1247,6 @@ class Session:
             entry.context,
             cost_obj,
             checkpoint,
-            engine=self._engine_spec(engine),
             prepared=prepared,
         )
         meta = {
@@ -1311,7 +1261,6 @@ class Session:
         *,
         k: int | None = None,
         cost: "str | object | None" = None,
-        engine: "object | None" = None,
         time_budget: float | None = None,
     ) -> EnumerationResponse:
         """Serve the next ``k`` answers after a checkpoint (all if ``None``).
@@ -1331,7 +1280,7 @@ class Session:
         replayed = self._resume_from_answers(checkpoint, k, cost, started)
         if replayed is not None:
             return replayed
-        stream, meta = self._reopen(checkpoint, cost=cost, engine=engine)
+        stream, meta = self._reopen(checkpoint, cost=cost)
         response = self._collect_ranked(stream, meta, k, time_budget, started)
         self._publish_resumed(checkpoint, response)
         return response

@@ -30,11 +30,10 @@ pivot order ``S_1..S_k`` (``vertex_set_sort_key`` over the separators).
 Children are expanded *eagerly* when their parent is emitted, so that
 after ``next()`` returns the result of rank ``r`` the frontier is exactly
 the state "``r+1`` answers pending" — the invariant that makes
-:meth:`RankedStream.checkpoint` correct at every point.  *How* the ``k``
-independent child optimizations of one pop execute is delegated to an
-:class:`~repro.engine.strategy.ExpansionStrategy` (``engine=``): in
-process (default) or fanned across a process pool, with the identical
-emission sequence either way.
+:meth:`RankedStream.checkpoint` correct at every point.  The ``k`` child
+optimizations of one pop run in process, one after the other in pivot
+order, each a call of :func:`repro.engine.strategy.expand_job` against
+the unconstrained DP table the stream holds.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from ..costs.base import BagCost
 from ..core.context import TriangulationContext
 from ..core.mintriang import Triangulation, min_triangulation_and_table
 from ..core.ranked import RankedResult
-from ..engine import ExpansionStrategy, resolve_engine
+from ..engine import strategy
 from ..graphs.graph import Vertex
 from .checkpoint import FrontierEntry, StreamCheckpoint
 from .fingerprint import canonical_edges, canonical_vertices
@@ -72,9 +71,8 @@ class RankedStream(Iterator[RankedResult]):
     Build with :meth:`start` (rank 0) or :meth:`from_checkpoint` (resume);
     iterate to receive :class:`~repro.core.ranked.RankedResult` objects in
     non-decreasing cost order, :meth:`checkpoint` at any point to capture
-    the frontier, and :meth:`close` to release engine resources (also done
-    automatically on exhaustion; ``with`` blocks and
-    ``contextlib.closing`` both work).
+    the frontier, and :meth:`close` to end iteration early (``with``
+    blocks and ``contextlib.closing`` both work).
     """
 
     def __init__(
@@ -87,7 +85,7 @@ class RankedStream(Iterator[RankedResult]):
         heap: list[_HeapEntry],
         next_rank: int,
         next_order: int,
-        strategy: ExpansionStrategy | None,
+        base_table: list | None,
         started: float | None = None,
     ) -> None:
         self._context = context
@@ -99,8 +97,10 @@ class RankedStream(Iterator[RankedResult]):
         self._rank = next_rank
         self._base_rank = next_rank
         self._order = next_order
-        self._strategy = strategy
-        self.engine_name = type(strategy).__name__ if strategy else "none"
+        # The unconstrained DP table every child run reuses; ``None``
+        # only for a stream that was exhausted when it was opened.
+        self._base_table = base_table
+        self.engine_name = "none" if base_table is None else "serial"
         self._expansions = 0
         self._closed = False
         # The delay clock: covers the unconstrained DP when this stream
@@ -117,7 +117,6 @@ class RankedStream(Iterator[RankedResult]):
         context: TriangulationContext | None,
         cost: BagCost | None,
         *,
-        engine: "ExpansionStrategy | str | int | None" = None,
         cost_spec: str | None = None,
         fingerprint: str = "",
         prepared: Prepared | None = None,
@@ -141,8 +140,6 @@ class RankedStream(Iterator[RankedResult]):
                 context=context, cost_spec=cost_spec, fingerprint=fingerprint
             )
         heap = [(first.cost, 0, first.bags, frozenset(), frozenset())]
-        strategy = resolve_engine(engine)
-        strategy.bind(context, cost, base_table)
         return cls(
             context=context,
             cost=cost,
@@ -151,7 +148,7 @@ class RankedStream(Iterator[RankedResult]):
             heap=heap,
             next_rank=0,
             next_order=1,
-            strategy=strategy,
+            base_table=base_table,
             started=started,
         )
 
@@ -162,7 +159,6 @@ class RankedStream(Iterator[RankedResult]):
         cost: BagCost | None,
         checkpoint: StreamCheckpoint,
         *,
-        engine: "ExpansionStrategy | str | int | None" = None,
         prepared: Prepared | None = None,
     ) -> "RankedStream":
         """Resume the exact sequence a prior stream paused.
@@ -189,8 +185,6 @@ class RankedStream(Iterator[RankedResult]):
             (e.value, e.order, e.bags, e.include, e.exclude)
             for e in checkpoint.frontier
         ]
-        strategy = resolve_engine(engine)
-        strategy.bind(context, cost, base_table)
         return cls(
             context=context,
             cost=cost,
@@ -199,7 +193,7 @@ class RankedStream(Iterator[RankedResult]):
             heap=heap,
             next_rank=checkpoint.next_rank,
             next_order=checkpoint.next_order,
-            strategy=strategy,
+            base_table=base_table,
             started=started,
         )
 
@@ -220,7 +214,7 @@ class RankedStream(Iterator[RankedResult]):
             heap=[],
             next_rank=next_rank,
             next_order=next_order,
-            strategy=None,
+            base_table=None,
         )
 
     # ------------------------------------------------------------------
@@ -231,11 +225,11 @@ class RankedStream(Iterator[RankedResult]):
 
     def __next__(self) -> RankedResult:
         if self._closed or not self._heap:
-            self.close()
             raise StopIteration
         value, _order, bags, include, exclude = heapq.heappop(self._heap)
-        assert self._context is not None
-        current = Triangulation(self._context.graph, bags, value)
+        context = self._context
+        assert context is not None
+        current = Triangulation(context.graph, bags, value)
         result = RankedResult(
             triangulation=current,
             rank=self._rank,
@@ -246,13 +240,13 @@ class RankedStream(Iterator[RankedResult]):
         self._rank += 1
 
         # MinSep(H) is the OR of the bags' masks (see SeparatorIndex);
-        # its bits ascend in pivot order.
-        index = self._context.separator_index()
+        # its bits ascend in pivot order, so the children are solved and
+        # pushed in pivot order, which fixes the emitted sequence.
+        index = context.separator_index()
         pmc_masks = index.pmcs
         separators = 0
         for bag in bags:
             separators |= pmc_masks[bag]
-        jobs = []
         accumulated: list[Separator] = []
         for pivot in index.members(separators):
             if pivot in include:
@@ -261,26 +255,24 @@ class RankedStream(Iterator[RankedResult]):
             # memoizes shared objects, so handing out the index's own
             # separators would change the checkpoint token layout.
             pivot = frozenset([*pivot])
-            jobs.append((include | frozenset(accumulated), exclude | {pivot}))
+            child_include = include | frozenset(accumulated)
+            child_exclude = exclude | {pivot}
             accumulated.append(pivot)
-        if jobs:
-            assert self._strategy is not None
-            # Outcomes come back in job (pivot) order regardless of the
-            # backend, so heap pushes — and hence the emitted sequence —
-            # are identical under every strategy.
-            outcomes = self._strategy.expand(jobs)
-            self._expansions += len(jobs)
-            for job, outcome in zip(jobs, outcomes):
-                if outcome is None:
-                    continue
-                child_bags, base_value = outcome
-                heapq.heappush(
-                    self._heap,
-                    (base_value, self._order, child_bags, job[0], job[1]),
-                )
-                self._order += 1
-        if not self._heap:
-            self.close()  # release pool workers at exhaustion, not at GC
+            # Through the module attribute, so a wrapper installed on
+            # ``repro.engine.strategy.expand_job`` sees every child.
+            outcome = strategy.expand_job(
+                context, self._cost, self._base_table,
+                child_include, child_exclude,
+            )
+            self._expansions += 1
+            if outcome is None:
+                continue
+            child_bags, base_value = outcome
+            heapq.heappush(
+                self._heap,
+                (base_value, self._order, child_bags, child_include, child_exclude),
+            )
+            self._order += 1
         return result
 
     # ------------------------------------------------------------------
@@ -344,11 +336,9 @@ class RankedStream(Iterator[RankedResult]):
         )
 
     def close(self) -> None:
-        """Release engine resources.  Idempotent; iteration ends after."""
+        """End iteration: later ``next()`` calls raise ``StopIteration``.
+        Idempotent; :meth:`checkpoint` still works after it."""
         self._closed = True
-        if self._strategy is not None:
-            self._strategy.close()
-            self._strategy = None
 
     def __enter__(self) -> "RankedStream":
         return self

@@ -54,9 +54,8 @@ def _ranked_stream(
     context: TriangulationContext,
     cost_name: str,
     offset: float,
-    engine=None,
 ) -> Iterator[TimedResult]:
-    stream = session.stream(graph, cost_name, context=context, engine=engine)
+    stream = session.stream(graph, cost_name, context=context)
     yield from timed_results(stream, offset=offset)
 
 
@@ -66,17 +65,14 @@ def ranked_run(
     cost_name: str,
     budget: float,
     context: TriangulationContext | None = None,
-    engine=None,
     session: Session | None = None,
     preprocess: bool = False,
 ) -> TimedRun:
     """One time-budgeted RankedTriang run (init counted into the budget).
 
-    ``engine`` selects the expansion backend (see
-    :func:`repro.engine.resolve_engine`); the measured stream is identical
-    under every backend, only its timing changes.  ``session`` supplies
-    the context cache; each run defaults to a private session so the
-    measured ``init`` reflects a cold build, as in the paper's protocol.
+    ``session`` supplies the context cache; each run defaults to a
+    private session so the measured ``init`` reflects a cold build, as in
+    the paper's protocol.
 
     ``preprocess=True`` measures the preprocessing pipeline instead: no
     upfront full-graph context is built — the per-atom initializations
@@ -90,9 +86,7 @@ def ranked_run(
             algorithm=f"ranked-{cost_name}-preprocess",
             graph_name=name,
             stream_factory=lambda: timed_results(
-                session.stream(
-                    graph, cost_name, engine=engine, preprocess=True
-                )
+                session.stream(graph, cost_name, preprocess=True)
             ),
             budget_seconds=budget,
             init_seconds=0.0,
@@ -115,7 +109,7 @@ def ranked_run(
         algorithm=f"ranked-{cost_name}",
         graph_name=name,
         stream_factory=lambda: _ranked_stream(
-            session, graph, context, cost_name, init, engine=engine
+            session, graph, context, cost_name, init
         ),
         budget_seconds=budget,
         init_seconds=init,

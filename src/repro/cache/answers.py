@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from ..api.fingerprint import graph_fingerprint
 from ..core.mintriang import Triangulation
 from ..core.ranked import RankedResult
 from ..graphs.graph import Graph
@@ -256,10 +255,7 @@ def preprocess_applies_for(cost_spec: str, preprocess: bool | None) -> bool:
         return False
     from ..preprocess.recompose import composition_for
 
-    try:
-        return composition_for(cost_spec) is not None
-    except Exception:
-        return False
+    return composition_for(cost_spec) is not None
 
 
 def candidate_keys(
@@ -317,8 +313,3 @@ def load_prefix(
             continue
         return key, record
     return primary, None
-
-
-def fingerprint_for(graph: Graph) -> str:
-    """Convenience re-export used by scheduler-side probing."""
-    return graph_fingerprint(graph)

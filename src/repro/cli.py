@@ -19,7 +19,6 @@ Graphs are read in the PACE ``.gr`` or DIMACS ``.col`` formats.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -114,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="D",
         help="keep only results pairwise >= D fill edges apart",
-    )
-    p_enum.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="expand Lawler-Murty children on N worker processes "
-        "(1 = serial; the output sequence is identical either way)",
     )
     _add_kernel_option(p_enum)
     p_enum.add_argument(
@@ -394,7 +385,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             k=args.top,
             min_distance=args.diverse,
             width_bound=args.width_bound,
-            engine=args.workers,
         )
         for i, tri in enumerate(response.results):
             print(f"#{i}: cost={tri.cost} width={tri.width} fill={tri.fill_in()}")
@@ -412,26 +402,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        stream = session.resume_stream(token, engine=args.workers)
+        stream = session.resume_stream(token)
     else:
-        stream = session.stream(
-            graph, args.cost, width_bound=args.width_bound, engine=args.workers
-        )
+        stream = session.stream(graph, args.cost, width_bound=args.width_bound)
     emitted = 0
-    with contextlib.closing(stream):  # release pool workers on early exit
-        for result in stream:
-            tri = result.triangulation
-            bags = sorted(sorted(map(str, b)) for b in tri.bags)
-            print(f"#{result.rank}: cost={result.cost} width={tri.width} bags={bags}")
-            emitted += 1
-            if emitted >= args.top:
-                break
-        if args.checkpoint is not None:
-            token = stream.checkpoint()
-            with open(args.checkpoint, "wb") as fh:
-                fh.write(token.to_bytes())
-            state = "exhausted" if token.exhausted else f"rank {token.next_rank}"
-            print(f"checkpoint written to {args.checkpoint} ({state})")
+    for result in stream:
+        tri = result.triangulation
+        bags = sorted(sorted(map(str, b)) for b in tri.bags)
+        print(f"#{result.rank}: cost={result.cost} width={tri.width} bags={bags}")
+        emitted += 1
+        if emitted >= args.top:
+            break
+    if args.checkpoint is not None:
+        token = stream.checkpoint()
+        with open(args.checkpoint, "wb") as fh:
+            fh.write(token.to_bytes())
+        state = "exhausted" if token.exhausted else f"rank {token.next_rank}"
+        print(f"checkpoint written to {args.checkpoint} ({state})")
     if emitted == 0:
         if args.resume is not None:
             print("(nothing left to enumerate)")

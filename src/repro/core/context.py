@@ -264,8 +264,7 @@ class TriangulationContext:
 
         The ranked loop asks for it at its first pop and at its first
         constrained DP run, so an unconstrained ``MinTriang`` never pays
-        for it.  The process-pool engine builds it before forking, so
-        workers inherit it copy-on-write.
+        for it.
         """
         index = self._separator_index
         if index is None:

@@ -65,7 +65,6 @@ def diverse_top_k(
     min_distance: int = 1,
     scan_limit: int | None = None,
     context: TriangulationContext | None = None,
-    engine=None,
     width_bound: int | None = None,
 ) -> list[Triangulation]:
     """Up to ``k`` low-cost, pairwise-``min_distance``-separated results.
@@ -77,11 +76,9 @@ def diverse_top_k(
     Scans the cost-ranked stream (at most ``scan_limit`` results, default
     ``25 * k``) and keeps a result iff it is at distance ≥ ``min_distance``
     from everything kept so far.  With ``min_distance = 1`` this is plain
-    top-k (all enumerated triangulations are distinct).  ``engine``
-    selects the stream's expansion backend (see
-    :func:`repro.engine.resolve_engine`); ``width_bound`` restricts the
-    scanned stream to triangulations of width ≤ bound, exactly as in
-    :func:`~repro.core.ranked.ranked_triangulations`.
+    top-k (all enumerated triangulations are distinct).  ``width_bound``
+    restricts the scanned stream to triangulations of width ≤ bound,
+    exactly as in :func:`~repro.core.ranked.ranked_triangulations`.
     """
     warnings.warn(
         "diverse_top_k is deprecated; use repro.api.Session.diverse",
@@ -99,7 +96,6 @@ def diverse_top_k(
         min_distance=min_distance,
         scan_limit=scan_limit,
         width_bound=width_bound,
-        engine=engine,
         context=context,
     )
     return list(response.results)

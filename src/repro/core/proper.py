@@ -62,7 +62,6 @@ def ranked_tree_decompositions(
     context: TriangulationContext | None = None,
     width_bound: int | None = None,
     per_triangulation: int | None = None,
-    engine: "object | None" = None,
 ) -> Iterator[RankedDecomposition]:
     """Enumerate proper tree decompositions of ``graph`` by increasing cost.
 
@@ -72,7 +71,7 @@ def ranked_tree_decompositions(
 
     Parameters
     ----------
-    graph, cost, context, width_bound, engine:
+    graph, cost, context, width_bound:
         As in :func:`~repro.core.ranked.ranked_triangulations`.
     per_triangulation:
         Optional cap on the number of clique trees expanded per
@@ -90,7 +89,6 @@ def ranked_tree_decompositions(
             cost,
             per_triangulation=per_triangulation,
             width_bound=width_bound,
-            engine=engine,
             context=context,
         )
 
@@ -104,7 +102,6 @@ def top_k_tree_decompositions(
     context: TriangulationContext | None = None,
     width_bound: int | None = None,
     per_triangulation: int | None = None,
-    engine: "object | None" = None,
 ) -> list[RankedDecomposition]:
     """The ``k`` cheapest proper tree decompositions (fewer if exhausted).
 
@@ -121,7 +118,6 @@ def top_k_tree_decompositions(
         k=k,
         per_triangulation=per_triangulation,
         width_bound=width_bound,
-        engine=engine,
         context=context,
     )
     return list(response.results)

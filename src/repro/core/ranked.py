@@ -2,9 +2,9 @@
 (Figure 4 of the paper).
 
 The enumeration loop itself — Lawler–Murty partitioning over the space of
-minimal triangulations, priority-queue frontier, pluggable expansion
-engine — lives in :class:`repro.api.stream.RankedStream`, where it is
-resumable from a checkpoint.  This module keeps the result type
+minimal triangulations, priority-queue frontier, child expansion — lives
+in :class:`repro.api.stream.RankedStream`, where it is resumable from a
+checkpoint.  This module keeps the result type
 (:class:`RankedResult`) and the original free-function entry points,
 which are now **deprecated** thin wrappers over the process-wide default
 :class:`repro.api.Session`:
@@ -81,7 +81,6 @@ def ranked_triangulations(
     cost: BagCost,
     context: TriangulationContext | None = None,
     width_bound: int | None = None,
-    engine: "object | None" = None,
 ) -> Iterator[RankedResult]:
     """Enumerate the minimal triangulations of ``graph`` by increasing ``κ``.
 
@@ -103,12 +102,6 @@ def ranked_triangulations(
         If given, enumerate only triangulations of width ≤ bound — the
         ``MinTriangB``-backed variant of Theorem 4.5, which does not need
         the poly-MS assumption.
-    engine:
-        Expansion backend for the per-pop child optimizations: an
-        :class:`~repro.engine.strategy.ExpansionStrategy` instance, a
-        name (``"serial"``, ``"process-pool"``), or a worker count.
-        ``None`` (default) runs serially.  Every backend emits the exact
-        same sequence.
 
     Yields
     ------
@@ -124,7 +117,6 @@ def ranked_triangulations(
             graph,
             cost,
             width_bound=width_bound,
-            engine=engine,
             context=context,
         )
         try:
@@ -141,7 +133,6 @@ def top_k_triangulations(
     k: int,
     context: TriangulationContext | None = None,
     width_bound: int | None = None,
-    engine: "object | None" = None,
 ) -> list[Triangulation]:
     """The ``k`` cheapest minimal triangulations (fewer if exhausted).
 
@@ -157,7 +148,6 @@ def top_k_triangulations(
         cost,
         k=k,
         width_bound=width_bound,
-        engine=engine,
         context=context,
     )
     return [r.triangulation for r in response.results]

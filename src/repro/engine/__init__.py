@@ -1,72 +1,10 @@
-"""Execution engine for ranked enumeration.
+"""The child expansion of the ranked loop.
 
-``RankedTriang⟨κ⟩`` spends almost all of its per-answer delay expanding
-Lawler–Murty child partitions — ``k`` mutually independent constrained
-``MinTriang⟨κ[I,X]⟩`` DP runs per emitted result.  This package makes
-that hot path pluggable:
-
-* :class:`~repro.engine.strategy.SerialStrategy` — the paper's serial
-  expansion (default).
-* :class:`~repro.engine.strategy.ProcessPoolStrategy` — the same batch
-  fanned across a process pool with the shared initialization inherited
-  via fork, emitting the **identical** ranked sequence.
-
-Select an engine through the public API::
-
-    from repro import ranked_triangulations
-    from repro.engine import ProcessPoolStrategy
-
-    for r in ranked_triangulations(g, cost, engine=ProcessPoolStrategy(4)):
-        ...
-
-or by name: ``engine="serial"`` / ``engine="process-pool"`` / an integer
-worker count (``1`` means serial).  The CLI exposes the same choice as
-``repro enumerate --workers N``.
+``RankedTriang⟨κ⟩`` spends almost all of its per-answer delay solving
+Lawler–Murty child partitions: after each pop, one constrained
+``MinTriang⟨κ[I,X]⟩`` DP run per pivot.
+:func:`~repro.engine.strategy.expand_job` is that run;
+:class:`~repro.api.stream.RankedStream` calls it once per child, in
+pivot order, through the module attribute
+``repro.engine.strategy.expand_job``.
 """
-
-from __future__ import annotations
-
-from .strategy import ExpansionStrategy, ProcessPoolStrategy, SerialStrategy
-
-__all__ = [
-    "ExpansionStrategy",
-    "SerialStrategy",
-    "ProcessPoolStrategy",
-    "resolve_engine",
-]
-
-#: Accepted string spellings for the two built-in strategies.
-_NAMED = {
-    "serial": SerialStrategy,
-    "process": ProcessPoolStrategy,
-    "process-pool": ProcessPoolStrategy,
-    "processpool": ProcessPoolStrategy,
-}
-
-
-def resolve_engine(
-    engine: "ExpansionStrategy | str | int | None",
-) -> ExpansionStrategy:
-    """Normalize an engine spec into an :class:`ExpansionStrategy`.
-
-    ``None`` → serial; a string → the named strategy; an integer ``n`` →
-    serial for ``n <= 1`` else a process pool of ``n`` workers; a
-    strategy instance passes through unchanged.
-    """
-    if engine is None:
-        return SerialStrategy()
-    if isinstance(engine, ExpansionStrategy):
-        return engine
-    if isinstance(engine, bool):
-        raise TypeError("engine must be a strategy, name, or worker count")
-    if isinstance(engine, int):
-        return SerialStrategy() if engine <= 1 else ProcessPoolStrategy(engine)
-    if isinstance(engine, str):
-        try:
-            factory = _NAMED[engine.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown engine {engine!r}; known: {', '.join(sorted(_NAMED))}"
-            ) from None
-        return factory()
-    raise TypeError(f"cannot interpret {engine!r} as an expansion strategy")

@@ -175,7 +175,7 @@ class PreprocessPlan:
 
         The plan depends on the graph and the ``duplicate_sensitive``
         flag of the cost composition only — it is shared across cost
-        specs with the same flag, width bounds, engines and kernels.
+        specs with the same flag, width bounds and kernels.
         """
         snapshot = graph.copy()
         reduced, trace = reduce_graph(
@@ -658,7 +658,7 @@ class ComposedRankedStream(Iterator[RankedResult]):
         )
 
     def close(self) -> None:
-        """Release every atom stream's engine.  Idempotent."""
+        """End iteration and close every atom stream.  Idempotent."""
         self._closed = True
         for piece in self._pieces:
             piece.close()

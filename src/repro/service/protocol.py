@@ -339,7 +339,7 @@ def answer_frame(result, rank: int | None = None) -> dict:
     :class:`~repro.core.mintriang.Triangulation` (diverse mode passes
     the selection index as ``rank``).  Deliberately timing-free: the
     frame bytes depend only on the enumerated structure, never on which
-    engine, kernel, or interleaving produced it.  A decomposition result
+    pipeline, kernel, or interleaving produced it.  A decomposition result
     additionally carries its ``tree`` (node bags + tree edges), since
     distinct clique trees of one triangulation share the same bag set.
     """

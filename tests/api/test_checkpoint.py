@@ -1,9 +1,8 @@
 """Checkpoint/resume tests: the resumed stream must be bit-identical.
 
 The acceptance bar: a stream paused at rank ``k`` and resumed emits the
-exact same (rank, cost, bags) suffix an uninterrupted run would — under
-the serial engine AND the process-pool engine, within one session, and
-across sessions via the serialized token.
+exact same (rank, cost, bags) suffix an uninterrupted run would — within
+one session, and across sessions via the serialized token.
 """
 
 from __future__ import annotations
@@ -14,23 +13,22 @@ import pytest
 
 from repro.api import Session, StreamCheckpoint
 from repro.costs.classic import FillInCost, WidthCost
-from repro.engine import ProcessPoolStrategy
 from repro.graphs.generators import cycle_graph, paper_example_graph
 from tests.conftest import connected_random_graphs
 
 
 def signature(results):
-    """The engine-invariant identity of a ranked prefix."""
+    """The identity of a ranked prefix: ranks, costs and bag sets."""
     return [(r.rank, r.cost, frozenset(r.triangulation.bags)) for r in results]
 
 
-def paused_and_resumed(session, graph, cost, pause_at, engine=None):
+def paused_and_resumed(session, graph, cost, pause_at):
     """Emit ``pause_at`` results, checkpoint, resume, drain; concatenated."""
-    stream = session.stream(graph, cost, engine=engine)
+    stream = session.stream(graph, cost)
     head = [next(stream) for _ in range(pause_at)]
     token = stream.checkpoint()
     stream.close()
-    resumed = session.resume_stream(token, engine=engine)
+    resumed = session.resume_stream(token)
     tail = list(resumed)
     return signature(head) + signature(tail)
 
@@ -53,31 +51,6 @@ class TestResumeEquivalence:
                 assert (
                     paused_and_resumed(session, g, spec, pause) == uninterrupted
                 )
-
-    def test_process_pool_engine(self):
-        """Pause under a pool, resume under a pool: identical sequence."""
-        session = Session()
-        g = cycle_graph(7)  # 42 answers (Catalan(5))
-        uninterrupted = signature(session.stream(g, "fill"))
-        assert len(uninterrupted) == 42
-        resumed = paused_and_resumed(
-            session, g, "fill", 5, engine=ProcessPoolStrategy(workers=2)
-        )
-        assert resumed == uninterrupted
-
-    def test_mixed_engines_across_the_pause(self):
-        """Serial before the pause, process-pool after — still identical."""
-        session = Session()
-        g = cycle_graph(7)
-        uninterrupted = signature(session.stream(g, "fill"))
-        stream = session.stream(g, "fill")  # serial
-        head = [next(stream) for _ in range(4)]
-        token = stream.checkpoint()
-        stream.close()
-        tail = list(
-            session.resume_stream(token, engine=ProcessPoolStrategy(workers=2))
-        )
-        assert signature(head) + signature(tail) == uninterrupted
 
     def test_checkpoint_is_nondestructive(self):
         """Taking a checkpoint must not perturb the live stream."""

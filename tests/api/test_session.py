@@ -201,6 +201,9 @@ class TestRankedResponses:
         response = session.top(cycle_graph(6), "fill", k=10, answer_budget=3)
         assert len(response.results) == 3
         assert not response.exhausted
+        # A cycle has no clique separator, so this live run is direct.
+        assert not response.stats.preprocessed
+        assert response.stats.engine == "serial"
 
     def test_time_budget_marks_timeout(self):
         session = Session()

@@ -1,1 +1,1 @@
-"""Tests for the ranked-enumeration execution engine."""
+"""Tests for the separator index and the ranked loop's child expansion."""

@@ -5,7 +5,8 @@ in pivot order; the constrained DP and the ranked loop read every
 constraint, touched block and ``MinSep(H)`` off its masks.  The masks are
 checked against a brute-force subset scan, and the pivots the ranked loop
 derives from them against the clique-tree pass of
-``Triangulation.minimal_separators``.
+``Triangulation.minimal_separators``, recorded at the one call the loop
+makes per child.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.core.mintriang import min_triangulation_and_table
 from repro.core.ranked import ranked_triangulations
 from repro.costs.classic import FillInCost
 from repro.costs.constrained import ConstrainedCost, satisfies_constraints
-from repro.engine import SerialStrategy
+from repro.engine import strategy
 from repro.graphs.generators import (
     cycle_graph,
     grid_graph,
@@ -102,29 +103,30 @@ class TestSeparatorIndex:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("width_bound", [None, 3])
-    def test_pivots_are_minsep_of_h_in_pivot_order(self, kernel, width_bound):
-        """Every pop's jobs exclude, one at a time, exactly the clique-tree
-        pass's ``MinSep(H) \\ I`` in ``vertex_set_sort_key`` order."""
+    def test_pivots_are_minsep_of_h_in_pivot_order(
+        self, kernel, width_bound, monkeypatch
+    ):
+        """Every pop's children exclude, one at a time, exactly the
+        clique-tree pass's ``MinSep(H) \\ I`` in ``vertex_set_sort_key``
+        order, each solved by a call of ``repro.engine.strategy.expand_job``
+        looked up through the module (where traced runs wrap it)."""
+        recorded = []
+        original = strategy.expand_job
 
-        class Recording(SerialStrategy):
-            def __init__(self):
-                self.batches = []
+        def recorder(context, cost, base_table, include, exclude):
+            recorded.append((include, exclude))
+            return original(context, cost, base_table, include, exclude)
 
-            def expand(self, jobs):
-                self.batches.append(list(jobs))
-                return super().expand(jobs)
-
+        monkeypatch.setattr(strategy, "expand_job", recorder)
         for graph in _graphs():
             for cost in ("width", "fill"):
                 session = Session(kernel=kernel, preprocess=False)
-                recording = Recording()
-                stream = session.stream(
-                    graph, cost, width_bound=width_bound, engine=recording
-                )
+                recorded.clear()
+                stream = session.stream(graph, cost, width_bound=width_bound)
                 results = list(itertools.islice(stream, 25))
                 stream.close()
                 index = session.context(graph, width_bound).separator_index()
-                popped = []
+                expected = []
                 for r in results:
                     minseps = r.triangulation.minimal_separators  # Prim
                     mask = 0
@@ -132,17 +134,12 @@ class TestSeparatorIndex:
                         mask |= index.pmcs[bag]
                     assert set(index.members(mask)) == minseps
                     pivots = sorted(minseps - r.include, key=vertex_set_sort_key)
-                    if pivots:
-                        popped.append((r, pivots))
-                assert len(popped) == len(recording.batches)
-                for (r, pivots), jobs in zip(popped, recording.batches):
-                    assert [exclude - r.exclude for _inc, exclude in jobs] == [
-                        {p} for p in pivots
-                    ]
-                    assert [include for include, _exc in jobs] == [
-                        r.include | frozenset(pivots[:i])
-                        for i in range(len(pivots))
-                    ]
+                    expected.extend(
+                        (r.include | frozenset(pivots[:i]), r.exclude | {pivot})
+                        for i, pivot in enumerate(pivots)
+                    )
+                assert recorded == expected
+                assert stream.expansions == len(expected)
 
 
 class TestConstrainedTableReuse:

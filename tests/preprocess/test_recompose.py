@@ -159,21 +159,6 @@ class TestComposedStream:
             frozenset({0, 1, 2}) in r.triangulation.bags for r in results
         )
 
-    def test_engine_thread_through(self):
-        session = Session()
-        g = ring_of_cycles(2, 5)
-        serial = signature(session.stream(g, "fill"))
-        pooled = signature(session.stream(g, "fill", engine=2))
-        assert serial == pooled
-
-    def test_strategy_instance_falls_back_to_direct(self):
-        from repro.engine import SerialStrategy
-
-        session = Session()
-        g = ring_of_cycles(2, 4)
-        response = session.top(g, "fill", k=2, engine=SerialStrategy())
-        assert not response.stats.preprocessed
-
     def test_preprocess_flag_per_request_overrides_session(self):
         g = paper_example_graph()
         on_session = Session()

@@ -188,7 +188,7 @@ class TestTypedFrames:
                     "expansions": 7,
                     "exhausted": False,
                     "elapsed_seconds": 0.5,
-                    "engine": "SerialStrategy",
+                    "engine": "serial",
                     "preprocessed": False,
                     "next_rank": 3,
                     "checkpoint": encode_token(b"tok"),

@@ -163,7 +163,9 @@ class TestFailurePaths:
     def test_in_band_cancel_returns_cancelled_frame_with_token(
         self, client, server
     ):
-        graph = connected_erdos_renyi(12, 0.3, seed=6)
+        # 4,141 answers over seconds, so the cancel lands mid-stream
+        # however fast the loop gets.
+        graph = connected_erdos_renyi(16, 0.3, seed=5)
         stream = client.open(
             ServiceRequest(op="enumerate", graph=graph, cost="fill")
         )
