@@ -34,6 +34,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from itertools import islice
 
+from ..cache.answers import AnswerCache, AnswerPage, preprocess_applies_for
 from ..core.context import TriangulationContext
 from ..core.diversity import _fill_set
 from ..core.mintriang import min_triangulation_and_table
@@ -525,12 +526,12 @@ class Session:
 
         Preprocessing needs a registry-name cost with a declared
         composition (per-atom values must combine exactly) and no
-        caller-supplied prebuilt context.  The same rule keys the
-        answer-prefix cache, here and in the service scheduler
-        (:func:`~repro.cache.answers.preprocess_applies_for`).
+        caller-supplied prebuilt context.  The same rule
+        (:func:`~repro.cache.answers.preprocess_applies_for`) picks the
+        keys of the request's :class:`~repro.cache.answers.AnswerCache`;
+        the service scheduler, which probes before any session exists,
+        calls it directly.
         """
-        from ..cache.answers import preprocess_applies_for
-
         effective = self._preprocess if preprocess is None else preprocess
         return (
             context is None
@@ -737,90 +738,6 @@ class Session:
     # ------------------------------------------------------------------
     # The "answers" artifact kind: ranked prefixes served from disk
     # ------------------------------------------------------------------
-    def _answers_probes(self, request: EnumerationRequest, fp: str):
-        """Key probes for a fresh (non-token) ranked request."""
-        from ..cache.answers import candidate_keys
-
-        return candidate_keys(
-            fingerprint=fp,
-            cost_spec=request.cost,
-            width_bound=request.width_bound,
-            kernel=self._kernel,
-            applies=self._preprocess_applies(
-                request.cost, None, request.preprocess
-            ),
-        )
-
-    def _replay_answers(
-        self,
-        record,
-        graph: Graph,
-        started: float,
-        start: int,
-        limit: int | None,
-    ) -> EnumerationResponse:
-        """Serve a covered request straight from a cached prefix.
-
-        Results are rebuilt from the cached (cost, bags, constraints)
-        rows — the same pure inputs the protocol's ``answer_frame``
-        renders — so served answers are identical to a live run's, with
-        ``elapsed_seconds`` 0.0 and ``engine="cache"`` marking the path.
-        """
-        from ..cache.answers import result_from_cached
-
-        served, _end, ckpt_bytes, exhausted_here = record.page(start, limit)
-        results = tuple(
-            result_from_cached(answer, graph, start + index)
-            for index, answer in enumerate(served)
-        )
-        checkpoint = (
-            load_checkpoint(ckpt_bytes) if ckpt_bytes is not None else None
-        )
-        stats = EnumerationStats(
-            fingerprint=record.fingerprint,
-            mode="ranked",
-            cost_spec=record.cost_spec,
-            emitted=len(results),
-            expansions=0,
-            init_seconds=0.0,
-            context_cached=False,
-            elapsed_seconds=time.perf_counter() - started,
-            engine="cache",
-            exhausted=exhausted_here,
-            timed_out=False,
-            preprocessed=record.preprocessed,
-            kernel=self._kernel,
-        )
-        return EnumerationResponse(
-            results=results, stats=stats, checkpoint=checkpoint
-        )
-
-    def _publish_answers(
-        self, key: str, record, start: int, response: EnumerationResponse
-    ) -> None:
-        """Fold a live run's results into the prefix record under ``key``."""
-        from ..cache.answers import cached_from_result, merge_prefix
-
-        if response.checkpoint is None or self._store is None:
-            return
-        answers = tuple(
-            cached_from_result(result) for result in response.results
-        )
-        if record is None and not answers:
-            return  # an empty fresh record stores nothing servable
-        merged = merge_prefix(
-            record,
-            fingerprint=response.stats.fingerprint,
-            cost_spec=response.stats.cost_spec,
-            preprocessed=response.stats.preprocessed,
-            start=start,
-            answers=answers,
-            end_checkpoint=response.checkpoint.to_bytes(),
-            exhausted=response.stats.exhausted,
-        )
-        if merged is not None:
-            self._store.put("answers", key, merged)
-
     def _ranked_with_answers(
         self,
         request: EnumerationRequest,
@@ -835,40 +752,36 @@ class Session:
         prefix tip, enumerate only the missing tail, write the longer
         prefix back.  Miss → live run, then publish the prefix.
         """
-        from ..cache.answers import load_prefix
-
         fp = graph_fingerprint(graph)
-        key, record = load_prefix(self._store, self._answers_probes(request, fp))
-        if record is not None and record.covers(0, limit):
-            return self._replay_answers(record, graph, started, 0, limit)
+        answers = AnswerCache(
+            self._store,
+            fp,
+            request.cost,
+            request.width_bound,
+            applies=self._preprocess_applies(
+                request.cost, None, request.preprocess
+            ),
+        )
+        record = answers.load()
+        page = answers.replay(record, graph, 0, limit)
+        if page is not None:
+            return self._replayed(answers, page, started)
         n = len(record.answers) if record is not None else 0
-        if (
-            record is not None
-            and not record.exhausted
-            and n > 0
-            and (limit is None or limit > n)
-            and n in record.checkpoints
-        ):
-            tip = load_checkpoint(record.checkpoints[n])
-            if not tip.exhausted:
+        if n > 0 and (limit is None or limit > n):
+            # Not covered, so the record is not exhausted; a head page
+            # exists exactly when a checkpoint is stored at its tip.
+            head = answers.replay(record, graph, 0, n)
+            tip = load_checkpoint(head.checkpoint) if head is not None else None
+            if tip is not None and not tip.exhausted:
                 stream, meta = self._reopen(tip)
                 remaining = None if limit is None else limit - n
                 tail = self._collect_ranked(
                     stream, meta, remaining, request.time_budget, started
                 )
-                from ..cache.answers import result_from_cached
-
-                head = tuple(
-                    result_from_cached(answer, graph, index)
-                    for index, answer in enumerate(record.answers)
-                )
-                self._publish_answers(key, record, n, tail)
-                stats = replace(
-                    tail.stats, emitted=n + tail.stats.emitted
-                )
+                self._write_back(answers, n, tail)
                 return EnumerationResponse(
-                    results=head + tail.results,
-                    stats=stats,
+                    results=head.results + tail.results,
+                    stats=replace(tail.stats, emitted=n + tail.stats.emitted),
                     checkpoint=tail.checkpoint,
                 )
         stream, meta = self._open(
@@ -882,8 +795,48 @@ class Session:
         response = self._collect_ranked(
             stream, meta, limit, request.time_budget, started
         )
-        self._publish_answers(key, record, 0, response)
+        self._write_back(answers, 0, response)
         return response
+
+    def _replayed(
+        self, answers: AnswerCache, page: AnswerPage, started: float
+    ) -> EnumerationResponse:
+        """The response of a page served from the answers tier: results
+        identical to a live run's, with ``elapsed_seconds`` 0.0 and
+        ``engine="cache"`` marking the path."""
+        stats = EnumerationStats(
+            fingerprint=answers.fingerprint,
+            mode="ranked",
+            cost_spec=answers.cost_spec,
+            emitted=len(page.results),
+            expansions=0,
+            init_seconds=0.0,
+            context_cached=False,
+            elapsed_seconds=time.perf_counter() - started,
+            engine="cache",
+            exhausted=page.exhausted,
+            timed_out=False,
+            preprocessed=page.preprocessed,
+            kernel=self._kernel,
+        )
+        return EnumerationResponse(
+            results=page.results,
+            stats=stats,
+            checkpoint=load_checkpoint(page.checkpoint),
+        )
+
+    @staticmethod
+    def _write_back(
+        answers: AnswerCache, start: int, response: EnumerationResponse
+    ) -> None:
+        """Publish a live collect that started at position ``start``."""
+        answers.publish(
+            start,
+            response.results,
+            response.checkpoint.to_bytes(),
+            exhausted=response.stats.exhausted,
+            preprocessed=response.stats.preprocessed,
+        )
 
     def _collect_ranked(
         self,
@@ -1277,64 +1230,20 @@ class Session:
         started = time.perf_counter()
         if isinstance(checkpoint, (bytes, bytearray)):
             checkpoint = load_checkpoint(bytes(checkpoint))
-        replayed = self._resume_from_answers(checkpoint, k, cost, started)
-        if replayed is not None:
-            return replayed
+        answers = AnswerCache.for_checkpoint(self._store, checkpoint)
+        # A cost mismatch skips the replay: the live path raises it.
+        if (
+            answers is not None
+            and not checkpoint.exhausted
+            and not (isinstance(cost, str) and cost != checkpoint.cost_spec)
+        ):
+            page = answers.replay(
+                answers.load(), checkpoint.restore_graph, checkpoint.next_rank, k
+            )
+            if page is not None:
+                return self._replayed(answers, page, started)
         stream, meta = self._reopen(checkpoint, cost=cost)
         response = self._collect_ranked(stream, meta, k, time_budget, started)
-        self._publish_resumed(checkpoint, response)
+        if answers is not None:
+            self._write_back(answers, checkpoint.next_rank, response)
         return response
-
-    def _resume_probes(self, checkpoint):
-        from ..cache.answers import candidate_keys
-
-        return candidate_keys(
-            fingerprint=checkpoint.fingerprint,
-            cost_spec=checkpoint.cost_spec,
-            width_bound=checkpoint.width_bound,
-            kernel=self._kernel,
-            applies=None,
-            composed=isinstance(checkpoint, ComposedCheckpoint),
-        )
-
-    def _resume_from_answers(
-        self,
-        checkpoint: "StreamCheckpoint | ComposedCheckpoint",
-        k: int | None,
-        cost: "str | object | None",
-        started: float,
-    ) -> EnumerationResponse | None:
-        """Replay a token resume from a cached prefix, or ``None``."""
-        if (
-            self._store is None
-            or checkpoint.cost_spec is None
-            or checkpoint.exhausted
-        ):
-            return None
-        if isinstance(cost, str) and cost != checkpoint.cost_spec:
-            return None  # the live path raises the proper mismatch error
-        from ..cache.answers import load_prefix
-
-        _key, record = load_prefix(
-            self._store, self._resume_probes(checkpoint)
-        )
-        start = checkpoint.next_rank
-        if record is None or not record.covers(start, k):
-            return None
-        graph = checkpoint.restore_graph()
-        return self._replay_answers(record, graph, started, start, k)
-
-    def _publish_resumed(
-        self,
-        checkpoint: "StreamCheckpoint | ComposedCheckpoint",
-        response: EnumerationResponse,
-    ) -> None:
-        """Extend the cached prefix with a live continuation's stretch."""
-        if self._store is None or checkpoint.cost_spec is None:
-            return
-        from ..cache.answers import load_prefix
-
-        key, record = load_prefix(
-            self._store, self._resume_probes(checkpoint)
-        )
-        self._publish_answers(key, record, checkpoint.next_rank, response)

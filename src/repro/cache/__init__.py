@@ -9,7 +9,9 @@ context and a cost spec, a :class:`~repro.preprocess.recompose
 since the ranked sequence itself is deterministic, the enumerated
 *answers*: :class:`~repro.cache.answers.AnswerPrefix` records hold the
 first k results plus the frontier checkpoint at k, so repeat requests
-replay from disk and longer requests resume mid-sequence.  The
+replay from disk and longer requests resume mid-sequence.  The session
+layer and the service scheduler both reach those records through one
+:class:`~repro.cache.answers.AnswerCache`.  The
 session layer already caches the first three in memory — this package makes
 those caches survive the process: a single sqlite-backed
 :class:`~repro.cache.store.ArtifactStore` shared by every session (and
@@ -40,11 +42,12 @@ from __future__ import annotations
 
 from .answers import (
     ANSWERS_VERSION,
+    MAX_PREFIX,
+    AnswerCache,
+    AnswerPage,
     AnswerPrefix,
     CachedAnswer,
-    cached_from_result,
     merge_prefix,
-    result_from_cached,
 )
 from .store import (
     ArtifactStore,
@@ -64,6 +67,8 @@ from .warm import WarmReport, warm_graphs
 
 __all__ = [
     "ANSWERS_VERSION",
+    "AnswerCache",
+    "AnswerPage",
     "AnswerPrefix",
     "ArtifactStore",
     "CacheIntegrityWarning",
@@ -71,9 +76,9 @@ __all__ = [
     "DEFAULT_MAX_BYTES",
     "ENV_CACHE_DIR",
     "ENV_MAX_BYTES",
+    "MAX_PREFIX",
     "WarmReport",
     "answers_key",
-    "cached_from_result",
     "context_key",
     "default_schema_tag",
     "merge_prefix",
@@ -81,6 +86,5 @@ __all__ = [
     "plan_key",
     "prepared_key",
     "resolve_cache_dir",
-    "result_from_cached",
     "warm_graphs",
 ]

@@ -1,12 +1,15 @@
 """The ``answers`` artifact kind: cached ranked answer prefixes.
 
 The ranked-enumeration guarantee makes the top-k answer sequence for a
-(fingerprint, cost spec, kernel, width bound, preprocess mode) key a
-pure value: the same request always yields the same triangulations in
-the same order.  This module stores that value — the first ``k``
-answers plus the frontier checkpoint *at* position ``k`` — so repeat
-requests replay from disk and longer requests resume from the stored
-frontier instead of re-running the Lawler–Murty loop from rank 0.
+(fingerprint, cost spec, width bound, preprocess mode) key a pure
+value: the same request always yields the same triangulations in the
+same order, under every graph kernel.  This module stores that value —
+the first ``k`` answers plus the frontier checkpoint *at* position
+``k`` — so repeat requests replay from disk and longer requests resume
+from the stored frontier instead of re-running the Lawler–Murty loop
+from rank 0.  :class:`AnswerCache` is the one path to the kind: the
+session layer and the service scheduler both probe, replay and publish
+through it.
 
 Design notes
 ------------
@@ -24,33 +27,34 @@ Design notes
   collect.  Interior positions accrue as requests with smaller ``k``
   run live or replay: each stored position becomes servable later.
 * ``merge_prefix`` only ever *extends* a record (or adds interior
-  checkpoints); it never shrinks a longer prefix, and it refuses gaps —
-  a run must start at a position the record already covers.
+  checkpoints) up to :data:`MAX_PREFIX` answers; it never shrinks a
+  longer prefix, and it refuses gaps — a run must start at a position
+  the record already covers.  :meth:`AnswerCache.publish` re-reads the
+  record before merging, so a longer prefix stored meanwhile survives.
+* No kernel in the key: every kernel enumerates the same sequence and
+  checkpoints carry none, so a record serves every kernel.
 * Eviction: one record per key, LRU'd by the store like any other kind;
   extension rewrites the row, which also bumps recency.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from ..core.mintriang import Triangulation
 from ..core.ranked import RankedResult
-from ..graphs.graph import Graph
+from ..preprocess.recompose import ComposedCheckpoint, composition_for
+from .store import answers_key
 
 __all__ = [
     "ANSWERS_VERSION",
-    "DEFAULT_MAX_PREFIX",
+    "MAX_PREFIX",
+    "AnswerCache",
+    "AnswerPage",
     "AnswerPrefix",
     "CachedAnswer",
-    "cached_from_result",
-    "candidate_keys",
-    "load_prefix",
-    "max_prefix_answers",
     "merge_prefix",
     "preprocess_applies_for",
-    "result_from_cached",
 ]
 
 #: Version folded into the artifact key (and stored on the record):
@@ -60,17 +64,7 @@ ANSWERS_VERSION = 1
 #: Longest prefix a single record will grow to.  Beyond this, requests
 #: fall through to live enumeration (the frontier at the cap is still
 #: stored, so serving the capped prefix stays a disk read).
-DEFAULT_MAX_PREFIX = 512
-
-
-def max_prefix_answers() -> int:
-    """The prefix cap, overridable via ``REPRO_CACHE_MAX_PREFIX``."""
-    raw = os.environ.get("REPRO_CACHE_MAX_PREFIX", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_PREFIX
-    return value if value > 0 else DEFAULT_MAX_PREFIX
+MAX_PREFIX = 512
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,8 @@ class AnswerPrefix:
         """Whether ``limit`` answers from position ``start`` are servable.
 
         Servable means: the answers are stored AND a checkpoint exists
-        at the reply position (or the sequence provably ends first).
+        at the reply position (or the sequence provably ends first, at
+        ``len(answers)``, which always holds one).
         """
         n = len(self.answers)
         if start > n:
@@ -140,44 +135,18 @@ class AnswerPrefix:
         # resume frontier even though the sequence continues.
         return self.exhausted and end >= n
 
-    def page(
-        self, start: int, limit: int | None
-    ) -> tuple[tuple[CachedAnswer, ...], int, bytes | None, bool]:
-        """Slice the served answers for a covered request.
 
-        Returns ``(served, end, checkpoint_bytes, exhausted_here)``
-        where ``end`` is the absolute position after the served slice
-        and ``exhausted_here`` is whether the reply terminates the
-        sequence (no further answers exist).
-        """
-        n = len(self.answers)
-        end = n if limit is None else min(start + limit, n)
-        served = self.answers[start:end]
-        exhausted_here = self.exhausted and (limit is None or start + limit >= n)
-        return served, end, self.checkpoints.get(end), exhausted_here
+@dataclass(frozen=True)
+class AnswerPage:
+    """A replayed page: results (absolute ranks, 0.0 timings), the
+    position after them, the serialized frontier there, whether the
+    page ends the sequence and whether its pipeline was composed."""
 
-
-def cached_from_result(result: RankedResult) -> CachedAnswer:
-    """Strip a live result down to its cacheable core."""
-    return CachedAnswer(
-        cost=result.triangulation.cost,
-        bags=result.triangulation.bags,
-        include=result.include,
-        exclude=result.exclude,
-    )
-
-
-def result_from_cached(
-    answer: CachedAnswer, graph: Graph, rank: int
-) -> RankedResult:
-    """Rebuild a replayed result; timing is 0.0 by definition."""
-    return RankedResult(
-        triangulation=Triangulation(graph, answer.bags, answer.cost),
-        rank=rank,
-        elapsed_seconds=0.0,
-        include=answer.include,
-        exclude=answer.exclude,
-    )
+    results: tuple[RankedResult, ...]
+    end: int
+    checkpoint: bytes
+    exhausted: bool
+    preprocessed: bool
 
 
 def merge_prefix(
@@ -190,7 +159,6 @@ def merge_prefix(
     answers: tuple[CachedAnswer, ...],
     end_checkpoint: bytes,
     exhausted: bool,
-    max_answers: int | None = None,
 ) -> AnswerPrefix | None:
     """Fold one enumeration run into a record; ``None`` = nothing to store.
 
@@ -200,10 +168,9 @@ def merge_prefix(
     prefix) are dropped; runs inside the stored prefix only contribute
     their end checkpoint (making that interior position servable).
     """
-    cap = max_prefix_answers() if max_answers is None else max_answers
     end = start + len(answers)
     if record is None:
-        if start != 0 or end > cap:
+        if start != 0 or end > MAX_PREFIX:
             return None
         return AnswerPrefix(
             fingerprint=fingerprint,
@@ -216,7 +183,7 @@ def merge_prefix(
     if record.fingerprint != fingerprint or record.cost_spec != cost_spec:
         return None
     n = len(record.answers)
-    if start > n or end > cap:
+    if start > n or end > MAX_PREFIX:
         return None
     if end <= n:
         # Fully inside the stored prefix: learn the interior frontier.
@@ -253,63 +220,152 @@ def preprocess_applies_for(cost_spec: str, preprocess: bool | None) -> bool:
     """
     if preprocess is not None and not preprocess:
         return False
-    from ..preprocess.recompose import composition_for
-
     return composition_for(cost_spec) is not None
 
 
-def candidate_keys(
-    *,
-    fingerprint: str,
-    cost_spec: str,
-    width_bound: int | None,
-    kernel: str,
-    applies: bool | None,
-    composed: bool | None = None,
-) -> tuple[tuple[str, bool | None], ...]:
-    """Key probes for a request, as ``(key, require_preprocessed)`` pairs.
+class AnswerCache:
+    """The answers tier as seen by one request.
 
-    ``require_preprocessed`` filters a loaded record by its *actual*
-    pipeline (``None`` = accept either).  A non-preprocessing request
-    may still replay a record written under the preprocessing key if
-    that record's plan turned out trivial (identical direct sequence);
-    the reverse is never safe.  Token resumes pin the pipeline via the
-    checkpoint type (``composed``).
+    ``AnswerCache(store, fingerprint, cost_spec, width_bound,
+    applies=...)`` serves a fresh request, ``applies`` being its
+    requested preprocess mode (:func:`preprocess_applies_for`);
+    :meth:`for_checkpoint` serves a token resume.  ``composed`` pins the
+    actual pipeline a record must have been produced by (``None`` = the
+    record's plan decides).
     """
-    from .store import answers_key
 
-    def key(flag: bool) -> str:
-        return answers_key(fingerprint, cost_spec, width_bound, kernel, flag)
+    def __init__(
+        self,
+        store,
+        fingerprint: str,
+        cost_spec: str,
+        width_bound: int | None,
+        *,
+        applies: bool,
+        composed: bool | None = None,
+    ) -> None:
+        self._store = store
+        self.fingerprint = fingerprint
+        self.cost_spec = cost_spec
 
-    if composed is not None:
-        # Token resume: the checkpoint type fixes the actual pipeline.
-        if composed:
-            return ((key(True), True),)
-        return ((key(False), False), (key(True), False))
-    if applies:
-        return ((key(True), None),)
-    return ((key(False), False), (key(True), False))
+        def key(preprocess: bool) -> str:
+            return answers_key(fingerprint, cost_spec, width_bound, preprocess)
 
+        # ``(key, require_preprocessed)`` probes, in order; a miss
+        # publishes under the first.  A non-preprocessing request may
+        # replay a record written under the preprocessing key if that
+        # record's plan turned out trivial (the identical direct
+        # sequence); the reverse is never safe.
+        if applies:
+            self._probes = ((key(True), composed),)
+        else:
+            self._probes = ((key(False), False), (key(True), False))
 
-def load_prefix(
-    store,
-    probes: tuple[tuple[str, bool | None], ...],
-) -> tuple[str, AnswerPrefix | None]:
-    """Find the first acceptable record among the key probes.
+    @classmethod
+    def for_checkpoint(cls, store, checkpoint) -> "AnswerCache | None":
+        """The cache a token resume reads and extends.
 
-    Returns ``(key, record)``; when every probe misses, ``key`` is the
-    primary (first) probe key, which is where a later publish lands.
-    """
-    primary = probes[0][0]
-    for key, require in probes:
-        record = store.get("answers", key)
-        if record is None:
-            continue
-        if not isinstance(record, AnswerPrefix):
-            continue
-        if record.version != ANSWERS_VERSION:
-            continue
-        if require is not None and record.preprocessed != require:
-            continue
-        return key, record
-    return primary, None
+        The checkpoint type fixes the pipeline.  ``None`` when there is
+        no store, or the checkpoint carries no cost registry name.
+        """
+        if store is None or checkpoint.cost_spec is None:
+            return None
+        composed = isinstance(checkpoint, ComposedCheckpoint)
+        return cls(
+            store,
+            checkpoint.fingerprint,
+            checkpoint.cost_spec,
+            checkpoint.width_bound,
+            applies=composed,
+            composed=composed,
+        )
+
+    def _probe(self) -> tuple[str, AnswerPrefix | None]:
+        """``(key, record)`` of the first acceptable probe, else
+        ``(first probe key, None)``."""
+        for key, require in self._probes:
+            record = self._store.get("answers", key)
+            if (
+                isinstance(record, AnswerPrefix)
+                and record.version == ANSWERS_VERSION
+                and (require is None or record.preprocessed == require)
+            ):
+                return key, record
+        return self._probes[0][0], None
+
+    def load(self) -> AnswerPrefix | None:
+        """The stored record for this request, or ``None``."""
+        return self._probe()[1]
+
+    def replay(
+        self,
+        record: AnswerPrefix | None,
+        graph,
+        start: int,
+        limit: int | None,
+    ) -> AnswerPage | None:
+        """``limit`` answers (all if ``None``) from ``start``, rebuilt
+        from ``record``; ``None`` unless the record covers that page.
+
+        ``graph`` is the graph the rebuilt triangulations belong to, or
+        a zero-argument callable returning it, called only on a hit.
+        """
+        if record is None or not record.covers(start, limit):
+            return None
+        n = len(record.answers)
+        end = n if limit is None else min(start + limit, n)
+        if callable(graph):
+            graph = graph()
+        results = tuple(
+            RankedResult(
+                triangulation=Triangulation(graph, answer.bags, answer.cost),
+                rank=rank,
+                elapsed_seconds=0.0,
+                include=answer.include,
+                exclude=answer.exclude,
+            )
+            for rank, answer in enumerate(record.answers[start:end], start)
+        )
+        return AnswerPage(
+            results,
+            end,
+            record.checkpoints[end],
+            record.exhausted and (limit is None or start + limit >= n),
+            record.preprocessed,
+        )
+
+    def publish(
+        self,
+        start: int,
+        results,
+        checkpoint: bytes,
+        *,
+        exhausted: bool,
+        preprocessed: bool,
+    ) -> None:
+        """Merge a live run back into the record.
+
+        The run emitted ``results`` from absolute position ``start`` and
+        paused (or finished) at the serialized ``checkpoint``.  The
+        record is re-read here, not reused from :meth:`load`: another
+        writer may have stored a longer prefix while the run was live.
+        """
+        answers = tuple(
+            CachedAnswer(r.cost, r.triangulation.bags, r.include, r.exclude)
+            for r in results
+        )
+        key, record = self._probe()
+        if record is None and not answers:
+            return  # an empty fresh record stores nothing servable
+        merged = merge_prefix(
+            record,
+            fingerprint=self.fingerprint,
+            cost_spec=self.cost_spec,
+            preprocessed=preprocessed,
+            start=start,
+            answers=answers,
+            end_checkpoint=checkpoint,
+            exhausted=exhausted,
+        )
+        if merged is not None:
+            self._store.put("answers", key, merged)

@@ -12,7 +12,8 @@ WAL mode.  Each row is one artifact::
 by :func:`context_key` / :func:`prepared_key` / :func:`plan_key` /
 :func:`answers_key` from the graph's content fingerprint plus every
 input the artifact depends on (width bound, graph kernel, cost spec,
-duplicate-sensitivity, preprocess mode).  The
+duplicate-sensitivity, preprocess mode; the answers key has no kernel,
+since every kernel enumerates the same sequence).  The
 schema tag — :func:`default_schema_tag`, which folds in the cache format
 version and the checkpoint payload versions — rides both in the row and
 *inside* the payload, so a blob read by a build with different persisted
@@ -177,7 +178,6 @@ def answers_key(
     fingerprint: str,
     cost_spec: str,
     width_bound: int | None,
-    kernel: str,
     preprocess: bool,
 ) -> str:
     """Key of a cached :class:`~repro.cache.answers.AnswerPrefix`.
@@ -185,13 +185,14 @@ def answers_key(
     ``preprocess`` is the *requested* mode (resolved against whether the
     cost composes — see :func:`repro.cache.answers.preprocess_applies_for`),
     not the plan outcome, so it is computable before any plan exists.
-    The answers record version rides in the key: a layout change makes
-    old prefixes clean misses.
+    No kernel: every kernel enumerates the same sequence.  The answers
+    record version rides in the key: a layout change makes old prefixes
+    clean misses.
     """
     from .answers import ANSWERS_VERSION
 
     return (
-        f"{fingerprint}|cost={cost_spec}|wb={width_bound}|kernel={kernel}"
+        f"{fingerprint}|cost={cost_spec}|wb={width_bound}"
         f"|pp={int(preprocess)}|av={ANSWERS_VERSION}"
     )
 

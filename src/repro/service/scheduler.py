@@ -56,8 +56,14 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
-from ..api import Session, load_checkpoint
+from ..api import (
+    ComposedRankedStream,
+    Session,
+    graph_fingerprint,
+    load_checkpoint,
+)
 from ..api.session import _diverse_selection, _expand_decompositions
+from ..cache.answers import MAX_PREFIX, AnswerCache, preprocess_applies_for
 from ..graphs.kernels import (
     available_kernels,
     registered_kernels,
@@ -255,16 +261,17 @@ class _JobRunner:
             self._started + deadline if deadline is not None else None
         )
         # Answer-prefix write-back state (pausable enumerate/top streams
-        # only): the absolute rank the collection starts at, and the
-        # answers gathered so far (None = disabled: over the cap, or a
-        # non-pausable op).
+        # with a store only): the request's answers tier, the absolute
+        # rank the collection starts at, and the results gathered so far
+        # (None = disabled: over the cap, or nothing to publish to).
+        self._answers: AnswerCache | None = None
         self._publish_base = 0
-        self._publish_cap = 0
         self._collected: "list | None" = None
 
     # -- opening -------------------------------------------------------
     def _open(self) -> None:
         request = self._request
+        checkpoint = None
         if self._resume_payload is not None:
             # Internal re-dispatch after a worker crash: the payload is
             # a checkpoint this service minted and held in memory, never
@@ -306,12 +313,23 @@ class _JobRunner:
             self._iterator = self._diverse_iterator()
         else:  # decompositions
             self._iterator = self._decomposition_iterator()
-        if self._stream is not None and self._session.store is not None:
-            from ..cache.answers import max_prefix_answers
-
-            self._publish_base = self._stream.next_rank
-            self._publish_cap = max_prefix_answers()
-            self._collected = []
+        store = self._session.store
+        if self._stream is not None and store is not None:
+            if checkpoint is not None:
+                self._answers = AnswerCache.for_checkpoint(store, checkpoint)
+            else:
+                self._answers = AnswerCache(
+                    store,
+                    self._stream.fingerprint,
+                    request.cost,
+                    request.width_bound,
+                    applies=preprocess_applies_for(
+                        request.cost, request.preprocess
+                    ),
+                )
+            if self._answers is not None:
+                self._publish_base = self._stream.next_rank
+                self._collected = []
         self._opened = True
 
     def _diverse_iterator(self):
@@ -380,12 +398,10 @@ class _JobRunner:
         terminal checkpoint sits at the *stream's* position, not the
         truncated collection's.
         """
-        if self._collected is None or self._stream is None:
+        if self._collected is None:
             return
-        from ..cache.answers import cached_from_result
-
-        self._collected.append(cached_from_result(result))
-        if self._publish_base + len(self._collected) > self._publish_cap:
+        self._collected.append(result)
+        if self._publish_base + len(self._collected) > MAX_PREFIX:
             self._collected = None
 
     def _publish_prefix(self) -> None:
@@ -396,62 +412,19 @@ class _JobRunner:
         Best-effort: a cache failure must never break the job that
         already produced its frames.
         """
-        stream = self._stream
-        collected = self._collected
+        stream, collected = self._stream, self._collected
         if stream is None or collected is None:
             return
-        store = self._session.store
-        spec = stream.cost_spec
-        if store is None or spec is None:
+        if not collected and self._publish_base == 0:
             return
         try:
-            from ..cache.answers import (
-                candidate_keys,
-                load_prefix,
-                merge_prefix,
-                preprocess_applies_for,
-            )
-            from ..preprocess.recompose import ComposedRankedStream
-
-            if not collected and self._publish_base == 0:
-                return
-            checkpoint = stream.checkpoint()
-            composed = isinstance(stream, ComposedRankedStream)
-            if self._request.token is None and self._resume_payload is None:
-                applies = preprocess_applies_for(
-                    spec, self._request.preprocess
-                )
-                probes = candidate_keys(
-                    fingerprint=stream.fingerprint,
-                    cost_spec=spec,
-                    width_bound=checkpoint.width_bound,
-                    kernel=self._request.kernel,
-                    applies=applies,
-                )
-            else:
-                probes = candidate_keys(
-                    fingerprint=stream.fingerprint,
-                    cost_spec=spec,
-                    width_bound=checkpoint.width_bound,
-                    kernel=self._request.kernel,
-                    applies=None,
-                    composed=composed,
-                )
-            key, record = load_prefix(store, probes)
-            if record is None and not collected:
-                return
-            merged = merge_prefix(
-                record,
-                fingerprint=stream.fingerprint,
-                cost_spec=spec,
-                preprocessed=composed,
-                start=self._publish_base,
-                answers=tuple(collected),
-                end_checkpoint=checkpoint.to_bytes(),
+            self._answers.publish(
+                self._publish_base,
+                collected,
+                stream.checkpoint().to_bytes(),
                 exhausted=stream.exhausted,
+                preprocessed=isinstance(stream, ComposedRankedStream),
             )
-            if merged is not None:
-                store.put("answers", key, merged)
         except Exception:
             pass
 
@@ -1000,77 +973,50 @@ class EnumerationScheduler:
         """
         try:
             store = self._store()
-            if store is None or not isinstance(request.cost, str):
+            if store is None:
                 return None
-            from ..cache.answers import (
-                candidate_keys,
-                load_prefix,
-                preprocess_applies_for,
-                result_from_cached,
-            )
-
             started = time.monotonic()
             if request.token is not None:
                 payload = verify_token(self._token_key, request.token)
                 checkpoint = load_checkpoint(payload)
-                if checkpoint.cost_spec is None or checkpoint.exhausted:
+                if checkpoint.exhausted:
                     return None
-                from ..preprocess.recompose import ComposedCheckpoint
-
-                probes = candidate_keys(
-                    fingerprint=checkpoint.fingerprint,
-                    cost_spec=checkpoint.cost_spec,
-                    width_bound=checkpoint.width_bound,
-                    kernel=request.kernel,
-                    applies=None,
-                    composed=isinstance(checkpoint, ComposedCheckpoint),
-                )
-                start = checkpoint.next_rank
-                graph = checkpoint.restore_graph()
-            elif request.graph is not None:
-                from ..api.fingerprint import graph_fingerprint
-
-                graph = request.graph
-                probes = candidate_keys(
-                    fingerprint=graph_fingerprint(graph),
-                    cost_spec=request.cost,
-                    width_bound=request.width_bound,
-                    kernel=request.kernel,
+                answers = AnswerCache.for_checkpoint(store, checkpoint)
+                # Restored only on a hit.
+                graph, start = checkpoint.restore_graph, checkpoint.next_rank
+            else:
+                graph, start = request.graph, 0
+                answers = AnswerCache(
+                    store,
+                    graph_fingerprint(graph),
+                    request.cost,
+                    request.width_bound,
                     applies=preprocess_applies_for(
                         request.cost, request.preprocess
                     ),
                 )
-                start = 0
-            else:
+            if answers is None:
                 return None
-            _key, record = load_prefix(store, probes)
-            limit = request.result_limit
-            if record is None or not record.covers(start, limit):
+            page = answers.replay(
+                answers.load(), graph, start, request.result_limit
+            )
+            if page is None:
                 return None
-            served, end, ckpt_bytes, exhausted_here = record.page(start, limit)
-            frames = [
-                answer_frame(result_from_cached(answer, graph, start + index))
-                for index, answer in enumerate(served)
-            ]
-            if exhausted_here or ckpt_bytes is None:
-                token_fields = {"next_rank": end, "checkpoint": None}
-            else:
-                token_fields = {
-                    "next_rank": end,
-                    "checkpoint": encode_token(
-                        sign_token(self._token_key, ckpt_bytes)
-                    ),
-                }
+            frames = [answer_frame(result) for result in page.results]
+            token = None
+            if not page.exhausted:
+                token = encode_token(sign_token(self._token_key, page.checkpoint))
             frames.append(
                 {
                     "type": "stats",
-                    "emitted": len(served),
+                    "emitted": len(page.results),
                     "expansions": 0,
-                    "exhausted": exhausted_here,
+                    "exhausted": page.exhausted,
                     "elapsed_seconds": round(time.monotonic() - started, 6),
                     "engine": "cache",
-                    "preprocessed": record.preprocessed,
-                    **token_fields,
+                    "preprocessed": page.preprocessed,
+                    "next_rank": page.end,
+                    "checkpoint": token,
                 }
             )
             return frames

@@ -4,7 +4,9 @@ A cold session publishes the ranked answer prefix it enumerates; warm
 sessions replay it (``stats.engine == "cache"``) with results identical
 to live enumeration, extend it from the stored frontier when asked for
 a longer prefix, and learn interior checkpoints so previously-live page
-sizes become servable from disk.
+sizes become servable from disk.  A publish never shrinks a longer
+prefix another session stored meanwhile, and a record written under one
+kernel serves every kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session
+from repro.cache.answers import AnswerCache, preprocess_applies_for
 from repro.graphs.generators import connected_erdos_renyi
 
 
@@ -115,3 +118,63 @@ def test_prefix_respects_width_bound_keys(tmp_path):
         )
         # A different width bound is a different key: no replay.
         assert bounded.stats.engine != "cache"
+
+
+def test_publish_keeps_a_longer_prefix_stored_meanwhile(tmp_path, monkeypatch):
+    """Two sessions share one cache directory, and B's ``top(k=40)``
+    completes after A's ``top(k=5)`` probed the store but before A
+    publishes.  A's write-back must merge into B's longer record, not
+    overwrite it with its own 5 answers."""
+    graph = connected_erdos_renyi(12, 0.3, seed=5)
+    path = tmp_path / "c"
+    with Session(cache_dir=path) as a, Session(cache_dir=path) as b:
+        collect = a._collect_ranked
+
+        def collect_after_b(*args, **kwargs):
+            b.top(graph, "fill", k=40)
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(a, "_collect_ranked", collect_after_b)
+        assert a.top(graph, "fill", k=5).stats.engine != "cache"
+    with Session(cache_dir=path) as fresh:
+        replay = fresh.top(graph, "fill", k=40)
+    with Session() as plain:
+        reference = plain.top(graph, "fill", k=40)
+    assert replay.stats.engine == "cache"
+    assert _serialize(replay.results) == _serialize(reference.results)
+
+
+@pytest.mark.parametrize("preprocess", [True, False])
+def test_record_serves_every_kernel(tmp_path, graph, preprocess):
+    """The answers key has no kernel: a prefix a ``bitset`` session
+    wrote replays in a ``sets`` session, equal to a live ``sets`` run
+    down to the constraint pairs and the stored checkpoint's bytes."""
+    path = tmp_path / "c"
+    with Session(cache_dir=path, kernel="bitset", preprocess=preprocess) as bitset:
+        bitset.top(graph, "fill", k=8)
+    with Session(kernel="sets", preprocess=preprocess) as plain:
+        live = plain.top(graph, "fill", k=8)
+    with Session(cache_dir=path, kernel="sets", preprocess=preprocess) as sets:
+        replay = sets.top(graph, "fill", k=8)
+        answers = AnswerCache(
+            sets.store,
+            live.stats.fingerprint,
+            "fill",
+            None,
+            applies=preprocess_applies_for("fill", preprocess),
+        )
+        stored = answers.replay(answers.load(), graph, 0, 8).checkpoint
+    assert replay.stats.engine == "cache"
+    assert live.stats.engine != "cache"
+
+    def rows(response):
+        return [
+            (r.cost, r.triangulation.bags, r.include, r.exclude)
+            for r in response.results
+        ]
+
+    assert rows(replay) == rows(live)
+    # The bytes a server signs into its token are the live run's; the
+    # session hands back the same checkpoint decoded.
+    assert stored == live.checkpoint.to_bytes()
+    assert replay.checkpoint == live.checkpoint

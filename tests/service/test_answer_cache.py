@@ -5,16 +5,18 @@ served from disk without consuming an executor slot or a worker seat —
 on both execution backends — with answer bytes identical to live
 enumeration, and the serve must be observable (``answers_served``
 scheduler counter, ``engine == "cache"`` terminal frame, untouched
-worker sessions).
+worker sessions).  Both layers read and write one record: a prefix a
+``Session`` stored serves the server, and the reverse.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.graphs.generators import connected_erdos_renyi
 from repro.service import ServerThread, ServiceClient
-from repro.service.protocol import StatsFrame
+from repro.service.protocol import StatsFrame, serialize_answers
 
 K = 6
 
@@ -143,3 +145,45 @@ def test_cached_serve_returns_resumable_token(tmp_path, backend):
         rest = client.resume(token, k=K)
     got = list(warm.answer_lines) + list(rest.answer_lines)
     assert got == list(live.answer_lines)
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_session_written_prefix_serves_the_server(tmp_path, backend):
+    graph = connected_erdos_renyi(10, 0.35, seed=0)
+    cache_dir = tmp_path / "cache"
+    with Session(cache_dir=cache_dir) as session:
+        session.top(graph, "fill", k=K)
+    with ServerThread(max_workers=2, backend=backend) as handle:
+        client = ServiceClient(*handle.address, timeout=120.0)
+        reference = client.top(graph, "fill", k=K)
+
+    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+        client = ServiceClient(*handle.address, timeout=120.0)
+        served = client.top(graph, "fill", k=K)
+        stats = ServiceClient(*handle.address, timeout=60.0).service_stats()
+
+    assert served.answer_lines == reference.answer_lines
+    assert isinstance(served.terminal, StatsFrame)
+    assert served.terminal.engine == "cache"
+    assert stats.scheduler["answers_served"] >= 1
+    for row in stats.workers:
+        assert not row.get("sessions"), row
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_server_written_prefix_replays_in_a_session(tmp_path, backend):
+    graph = connected_erdos_renyi(10, 0.35, seed=0)
+    cache_dir = tmp_path / "cache"
+    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+        client = ServiceClient(*handle.address, timeout=120.0)
+        live = client.top(graph, "fill", k=K)
+    assert live.terminal.engine != "cache"
+
+    with Session(cache_dir=cache_dir) as session:
+        replay = session.top(graph, "fill", k=K)
+    with Session() as plain:
+        reference = plain.top(graph, "fill", k=K)
+
+    assert replay.stats.engine == "cache"
+    assert serialize_answers(replay.results) == serialize_answers(reference.results)
+    assert serialize_answers(replay.results) == list(live.answer_lines)

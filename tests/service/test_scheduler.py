@@ -230,7 +230,8 @@ class TestBudgetsDeadlinesCancellation:
         assert stats["checkpoint"] is not None
 
     def test_deadline_emits_terminal_deadline_frame_with_resume_token(self):
-        graph = connected_erdos_renyi(12, 0.3, seed=5)
+        # 4,000+ answers: seconds of enumeration, far past the deadline.
+        graph = connected_erdos_renyi(16, 0.3, seed=5)
 
         async def main():
             scheduler = EnumerationScheduler(slice_answers=1)

@@ -199,7 +199,8 @@ def client_address(client):
 
 class TestDeadlines:
     def test_deadline_frame_carries_resumable_token(self, client, server):
-        graph = connected_erdos_renyi(12, 0.3, seed=5)
+        # 4,000+ answers: seconds of enumeration, far past the deadline.
+        graph = connected_erdos_renyi(16, 0.3, seed=5)
         result = client.enumerate(graph, "fill", deadline=0.1)
         assert isinstance(result.terminal, DeadlineFrame)
         assert result.checkpoint is not None
