@@ -13,19 +13,55 @@ ONE_MORE_VERTEX theorem: every PMC ``Ω`` of ``G`` is of one of four forms,
    of ``G`` with ``a ∉ S``, ``C`` is **any** component of ``G \\ S``, and
    ``T`` is a minimal separator of ``G'``.
 
-Case 4 is deliberately wider than the form usually quoted (which takes
-only the component containing ``a``): the narrow family provably misses
-PMCs — see ``docs/algorithms.md`` §3 — while the wide one passes
-exhaustive cross-validation against the brute-force oracle.  Each
-candidate is verified with :func:`repro.pmc.predicate.is_pmc`, so the
-output is exactly ``PMC(G)`` whenever the candidate family is complete,
-and the oracle tests establish completeness.
+Case 4 is deliberately wider than the form usually quoted, which takes
+only the component containing ``a``.  The narrow family misses PMCs: in
+the 4-cycle ``0-1-2-3`` (BFS order 0, 1, 3, 2) the PMC ``{0, 1, 3}``
+arises only as ``S ∪ C`` for ``S = {1, 3}`` and the component ``{0}``,
+which does not hold ``a = 2``.  The brute-force cross-check on
+``cycle_graph(4)`` catches the narrow family.
 
-The mask-level enumerator, :func:`potential_maximal_clique_masks`, hands
-back more than the set: each PMC ``Ω`` comes with the ``(C, N(C))``
-components of ``G \\ Ω`` that its last PMC test computed.  Those are all
+The label-level :func:`one_more_vertex` runs every candidate through
+:func:`~repro.pmc.predicate.is_pmc` and stays the reference.  The
+mask-level :func:`one_more_vertex_masks` gives each candidate form the
+exact test its structure allows, over components it already holds, and
+hands back each PMC ``Ω`` with the ``(C, N(C))`` components of
+``G \\ Ω`` in ascending order of lowest member: all
 :class:`~repro.core.context.TriangulationContext` needs to compile the
-full blocks and the block DP's candidate lists.
+full blocks and the block DP's candidate lists, and all the next step
+needs.  The rules rest on the PMC test (no component of ``G \\ Ω`` is
+full, and every non-adjacent pair of ``Ω`` lies in some ``N(C)``) and on
+one fact: a minimal separator has at least two full components.
+
+* **``Ω'`` and ``Ω' ∪ {a}``, for ``Ω' ∈ PMC(G')``.**  The previous step
+  stored the components of ``G' \\ Ω'``.  In ``G`` they are the
+  components of ``G \\ (Ω' ∪ {a})``, with ``a`` added to the
+  neighbourhood of each one that touches ``N(a)``.  None becomes full
+  (none was full for ``Ω'``) and pairs inside ``Ω'`` stay covered, so
+  ``Ω' ∪ {a}`` is a PMC iff ``Ω' \\ N(a) ⊆ ⋃{N(C) : C touches N(a)}``.
+  In ``G \\ Ω'``, ``a`` merges with the components it touches into one
+  component ``M`` with ``N(M) = (N(a) ∩ Ω') ∪ ⋃ N(C)``; coverage only
+  grows and the other components keep their neighbourhoods, so ``Ω'``
+  is a PMC iff ``N(M) ≠ Ω'``.  Both tests compare ``N(M)`` with ``Ω'``,
+  so exactly one of the two is a PMC of ``G``.
+* **``S ∪ X`` with ``X ⊆ C``, ``C`` a component of ``G \\ S``.**  Cases
+  3 (``C ∋ a``, ``X = {a}``) and 4 (``X = C`` or ``T ∩ C``) both take
+  this shape.  The other components of ``G \\ S`` stay components of
+  ``G \\ (S ∪ X)`` with neighbourhoods inside ``S``, so none is full,
+  none sees ``X``, and another full component of ``S`` covers the pairs
+  inside ``S``.  What is new are the pieces ``D`` of ``C \\ X``, found
+  by one search inside ``C``: ``S ∪ X`` is a PMC iff no piece has
+  ``N(D) = S ∪ X`` and, for each ``x ∈ X``, the pieces that see ``x``
+  cover its non-neighbours in ``S ∪ X``.  For ``X = C`` there are no
+  pieces: every ``c ∈ C`` must be adjacent to all of
+  ``(S ∪ C) \\ {c}``.
+* **Candidates that cannot pass are never built.**  ``S ∪ {a}`` with
+  ``a ∈ S`` is ``S``, which has two full components.  Case 4 runs only
+  over full components: if ``c ∈ C`` and ``s ∈ S \\ N(C)``, a component
+  of ``G \\ Ω`` that sees ``c`` lies in ``C`` and cannot see ``s``.
+
+Only ``{a}`` alone still takes the generic test,
+:func:`~repro.pmc.predicate.pmc_components_mask`; the tests hold every
+rule above against it.
 
 The per-prefix minimal separator sets are derived *top-down* from a single
 Berry–Bordat–Cogis run on the full graph, using the vertex-removal lemma:
@@ -43,9 +79,9 @@ experiment harness uses to classify graphs as "PMC-intractable"
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from ..graphs.bitgraph import BitGraph, VertexIndexer
+from ..graphs.bitgraph import BitGraph, VertexIndexer, iter_bits
 from ..graphs.graph import Graph, Vertex
 from ..graphs.kernels import KernelSpec, resolve_kernel
 from ..separators.berry import (
@@ -200,52 +236,142 @@ def prefix_minimal_separator_masks(
 def one_more_vertex_masks(
     bigger: BitGraph,
     new_vertex: int,
-    pmcs_smaller: Iterable[int],
+    pmcs_smaller: dict[int, list[tuple[int, int]]],
     minseps_smaller: set[int],
     minseps_bigger: set[int],
     budget: int | None = None,
 ) -> dict[int, list[tuple[int, int]]]:
-    """Mask-level :func:`one_more_vertex` (identical candidate family).
+    """Mask-level :func:`one_more_vertex`: ``PMC(G)`` with components.
 
-    Returns each PMC of ``bigger`` with the ``(C, N(C))`` components of
-    ``bigger \\ Ω`` that its PMC test computed.  ``checked`` hashes
-    machine ints rather than frozensets, and the case-4 inner condition
-    ``inter ≠ ∅ and inter ⊄ S`` collapses to one ``inter & ~S`` test.
+    ``pmcs_smaller`` is the previous step's return value: each PMC
+    ``Ω'`` of ``G' = bigger − new_vertex`` with the ``(C, N(C))``
+    components of ``G' \\ Ω'``.  Returns each PMC ``Ω`` of ``bigger``
+    with the ``(C, N(C))`` components of ``bigger \\ Ω``, ascending by
+    lowest member index.  Each candidate is decided by its rule from the
+    module docstring, in the order of the full family (cases 0–4, each
+    over its inputs' iteration order) less the candidates that cannot
+    pass, so PMCs are found in the order a generic test of every
+    candidate finds them.
     """
     abit = 1 << new_vertex
+    near = bigger.adj[new_vertex]
     out: dict[int, list[tuple[int, int]]] = {}
     checked: set[int] = set()
     labels_of = bigger.indexer.labels_of
 
-    def consider(candidate: int) -> None:
-        if candidate in checked:
-            return
-        checked.add(candidate)
-        components = pmc_components_mask(bigger, candidate)
-        if components is not None:
-            out[candidate] = components
-            if budget is not None and len(out) > budget:
-                raise SeparatorLimitExceeded(
-                    f"more than {budget} potential maximal cliques",
-                    partial={labels_of(m) for m in out},
-                )
+    def found(candidate: int, components: list[tuple[int, int]]) -> None:
+        out[candidate] = components
+        if budget is not None and len(out) > budget:
+            raise SeparatorLimitExceeded(
+                f"more than {budget} potential maximal cliques",
+                partial={labels_of(m) for m in out},
+            )
 
-    consider(abit)
-    for om in pmcs_smaller:
-        consider(om)
-        consider(om | abit)
-    for s in minseps_bigger:
-        consider(s | abit)
-    for s in minseps_bigger:
-        if s & abit:
-            continue
-        for comp in bigger.components_without(s):
-            consider(s | comp)
+    def consider(
+        candidate: int, split: list[tuple[int, int]], comp: int, inner: int
+    ) -> None:
+        # candidate = S ∪ X for X = inner ⊆ C = comp, a component of G \ S.
+        checked.add(candidate)
+        components = _grown_components(bigger, candidate, split, comp, inner)
+        if components is not None:
+            found(candidate, components)
+
+    checked.add(abit)
+    components = pmc_components_mask(bigger, abit)
+    if components is not None:
+        found(abit, components)
+
+    # Cases 1 and 2: exactly one of Ω' and Ω' ∪ {a} is a PMC of G.
+    for om, comps in pmcs_smaller.items():
+        checked.add(om)
+        checked.add(om | abit)
+        # M: a with the components of G' \ Ω' it touches; nbh = N(M).
+        merged = abit
+        nbh = near & om
+        rest = []
+        for comp, n in comps:
+            if comp & near:
+                merged |= comp
+                nbh |= n
+            else:
+                rest.append((comp, n))
+        if nbh == om:
+            found(
+                om | abit,
+                [(c, n | abit) if c & near else (c, n) for c, n in comps],
+            )
+        else:
+            rest.append((merged, nbh))
+            rest.sort(key=_lowest_member)
+            found(om, rest)
+
+    full = bigger.full_mask
+    splits = [
+        (s, bigger.components_with_neighborhoods(full & ~s))
+        for s in minseps_bigger
+        if not s & abit
+    ]
+    # Case 3: S ∪ {a}, over the component of G \ S that holds a.
+    for s, split in splits:
+        candidate = s | abit
+        if candidate not in checked:
+            for comp, _n in split:
+                if comp & abit:
+                    consider(candidate, split, comp, abit)
+                    break
+    # Case 4: S ∪ C and S ∪ (T ∩ C), over the full components C of S.
+    for s, split in splits:
+        for comp, n in split:
+            if n != s:
+                continue
+            if s | comp not in checked:
+                consider(s | comp, split, comp, comp)
             for t in minseps_smaller:
-                inter = t & comp
-                if inter & ~s:
-                    consider(s | inter)
+                inner = t & comp
+                if inner and s | inner not in checked:
+                    consider(s | inner, split, comp, inner)
     return out
+
+
+def _lowest_member(component: tuple[int, int]) -> int:
+    return component[0] & -component[0]
+
+
+def _grown_components(
+    bigger: BitGraph,
+    candidate: int,
+    split: list[tuple[int, int]],
+    comp: int,
+    inner: int,
+) -> list[tuple[int, int]] | None:
+    """The components of ``G \\ (S ∪ X)`` if ``S ∪ X`` is a PMC, else ``None``.
+
+    ``split`` holds the ``(C, N(C))`` components of ``G \\ S`` for a
+    minimal separator ``S``; ``candidate = S ∪ X`` with ``X = inner``
+    inside ``comp``, one of them.  Only the pieces of ``comp \\ X`` are
+    searched, and only the vertices of ``X`` are checked for
+    completability (module docstring).
+    """
+    pieces = bigger.components_with_neighborhoods(comp & ~inner)
+    for _piece, n in pieces:
+        if n == candidate:
+            return None
+    adj = bigger.adj
+    for x in iter_bits(inner):
+        bit = 1 << x
+        need = candidate & ~(adj[x] | bit)
+        if not need:
+            continue
+        cover = 0
+        for _piece, n in pieces:
+            if n & bit:
+                cover |= n
+        if need & ~cover:
+            return None
+    components = [cn for cn in split if cn[0] != comp]
+    components += pieces
+    components.sort(key=_lowest_member)
+    return components
 
 
 def potential_maximal_clique_masks(
@@ -258,10 +384,9 @@ def potential_maximal_clique_masks(
     """Mask-level :func:`potential_maximal_cliques` over a bit kernel.
 
     Returns a dict from each PMC ``Ω`` to the ``(C, N(C))`` pairs of the
-    components of ``G \\ Ω``, ascending by lowest member index: the last
-    ONE_MORE_VERTEX step tests every candidate on ``G`` itself, and
-    :func:`~repro.pmc.predicate.pmc_components_mask` hands back the
-    components it found.  Its ``len`` is ``|PMC(G)|``.
+    components of ``G \\ Ω``, ascending by lowest member index: each
+    ONE_MORE_VERTEX step hands them on to the next, and the last step's
+    are those of ``G`` itself.  Its ``len`` is ``|PMC(G)|``.
     """
     import time
 

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+import repro
 from repro.graphs.generators import connected_erdos_renyi
 from repro.service import AnswerFrame, ServiceClient, ServiceRequest
 
@@ -77,6 +78,10 @@ def _survivors(pids: set[int], timeout: float = 10.0) -> set[int]:
 @pytest.fixture
 def serve_proc(tmp_path):
     cache_dir = tmp_path / "cache"
+    # The child imports the same ``repro`` as this process, installed or
+    # not: pyproject's pytest ``pythonpath`` does not reach subprocesses.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -95,6 +100,7 @@ def serve_proc(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        env=env,
     )
     try:
         yield proc, cache_dir
