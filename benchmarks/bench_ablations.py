@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from repro.core.context import TriangulationContext
-from repro.core.mintriang import min_triangulation_and_table
+from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
 from repro.core.ranked import ranked_triangulations
 from repro.costs.classic import FillInCost, WidthCost
 from repro.costs.constrained import ConstrainedCost
@@ -42,15 +42,11 @@ def test_constrained_dp_with_table_reuse(benchmark, smoke):
     cost = FillInCost()
     _, base_table = min_triangulation_and_table(ctx, cost)
     include, exclude = _sample_constraints(ctx)
-    constrained = ConstrainedCost(cost, include, exclude)
+    index = ctx.separator_index()
+    included, excluded = index.mask_of(include), index.mask_of(exclude)
 
     benchmark(
-        lambda: min_triangulation_and_table(
-            ctx,
-            constrained,
-            reusable_table=base_table,
-            constraint_separators=include | exclude,
-        )
+        lambda: constrained_min_bags(ctx, cost, base_table, included, excluded)
     )
 
 

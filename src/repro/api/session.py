@@ -1129,6 +1129,11 @@ class Session:
             entry, fp, cached = self._entry_for(
                 atom_graph, checkpoint.width_bound
             )
+            if fp != piece_checkpoint.fingerprint:
+                raise ValueError(
+                    "a piece checkpoint does not match its atom's graph; "
+                    "the token is corrupted"
+                )
             cached_flags.append(cached)
             init_seconds[0] += entry.context.init_seconds
             cost_obj = resolve_cost(spec, entry.context.graph)
@@ -1165,15 +1170,7 @@ class Session:
         if checkpoint.exhausted:
             stream = RankedStream.from_checkpoint(None, None, checkpoint)
             return stream, {"context_cached": False, "init_seconds": 0.0}
-        graph = checkpoint.restore_graph()
-        if graph_fingerprint(graph) != checkpoint.fingerprint:
-            raise ValueError(
-                "checkpoint fingerprint does not match its embedded graph; "
-                "the token is corrupted"
-            )
-        entry, fp, cached = self._entry_for(
-            graph, checkpoint.width_bound, fp=checkpoint.fingerprint
-        )
+        entry, fp, cached = self._entry_for_checkpoint(checkpoint)
         spec: str | None
         if cost is None:
             spec = checkpoint.cost_spec
@@ -1207,6 +1204,34 @@ class Session:
             "init_seconds": entry.context.init_seconds,
         }
         return stream, meta
+
+    def _entry_for_checkpoint(
+        self, checkpoint: StreamCheckpoint
+    ) -> tuple[_CacheEntry, str, bool]:
+        """The cache entry a direct checkpoint resumes on.
+
+        A warm entry for the token's ``(fingerprint, width bound)`` whose
+        graph encodes to the token's graph section is looked up again
+        under its own graph: the encoding is canonical, so equal bytes are
+        the same graph, and nothing is rebuilt or re-hashed.  Otherwise (a
+        cold resume) the graph is restored from the token and must hash
+        to its fingerprint.
+        """
+        fp = checkpoint.fingerprint
+        with self._lock:
+            entry = self._contexts.get((fp, checkpoint.width_bound))
+        # Compared outside the lock: the first checkpoint or resume on a
+        # context encodes its graph section.
+        if entry is not None and entry.context.token_graph() == checkpoint.graph:
+            graph = entry.context.graph
+        else:
+            graph = checkpoint.restore_graph()
+            if graph_fingerprint(graph) != fp:
+                raise ValueError(
+                    "checkpoint fingerprint does not match its embedded graph; "
+                    "the token is corrupted"
+                )
+        return self._entry_for(graph, checkpoint.width_bound, fp=fp)
 
     def resume(
         self,

@@ -27,6 +27,15 @@ members of ``MinSep(G)`` that lie inside one bag of ``H``, so
 ``MinSep(H)`` is the OR of the bags' masks, and its bits ascend in the
 pivot order ``S_1..S_k`` (``vertex_set_sort_key`` over the separators).
 
+The frontier is integers from end to end.  A heap entry is ``(value,
+order, bags, I, X)``: ``bags`` is a mask over
+:meth:`~repro.core.context.TriangulationContext.root_pmc_order` (every
+bag of a minimal triangulation within the width bound is a PMC of the
+context), and ``I``/``X`` are masks over the separator index, so a child
+is ``I | accumulated`` and ``X | bit``, and :meth:`RankedStream.checkpoint`
+copies ints.  A popped entry's masks become the context's own PMC and
+separator objects once per pop, for the :class:`RankedResult`.
+
 Children are expanded *eagerly* when their parent is emitted, so that
 after ``next()`` returns the result of rank ``r`` the frontier is exactly
 the state "``r+1`` answers pending" — the invariant that makes
@@ -47,17 +56,17 @@ from ..core.context import TriangulationContext
 from ..core.mintriang import Triangulation, min_triangulation_and_table
 from ..core.ranked import RankedResult
 from ..engine import strategy
-from ..graphs.graph import Vertex
-from .checkpoint import FrontierEntry, StreamCheckpoint
-from .fingerprint import canonical_edges, canonical_vertices
+from .checkpoint import FrontierEntry, StreamCheckpoint, TokenGraph
 
-Separator = frozenset[Vertex]
-
-#: Heap entry layout: ``(value, order, bags, include, exclude)``.  The
-#: FIFO ``order`` is unique, so comparisons never reach the frozensets.
+#: Heap entry layout: ``(value, order, bags, include, exclude)``, the
+#: last three masks (see the module docstring).  The FIFO ``order`` is
+#: unique, so comparisons never reach the masks.
 _HeapEntry = tuple
 
 __all__ = ["RankedStream"]
+
+#: The graph of a checkpoint taken without a context (the empty graph).
+_EMPTY_GRAPH = TokenGraph((), ())
 
 #: ``(first, base_table)`` as produced by ``min_triangulation_and_table``;
 #: sessions cache this per (context, cost spec) so repeated requests and
@@ -139,7 +148,7 @@ class RankedStream(Iterator[RankedResult]):
             return cls._exhausted(
                 context=context, cost_spec=cost_spec, fingerprint=fingerprint
             )
-        heap = [(first.cost, 0, first.bags, frozenset(), frozenset())]
+        heap = [(first.cost, 0, context.bag_mask(first.bags), 0, 0)]
         return cls(
             context=context,
             cost=cost,
@@ -167,6 +176,12 @@ class RankedStream(Iterator[RankedResult]):
         counters) comes from the checkpoint; the unconstrained DP table —
         a deterministic function of (graph, cost) — is recomputed unless a
         cached ``prepared`` pair is supplied.
+
+        Raises
+        ------
+        ValueError
+            If a frontier mask names a PMC or separator ``context`` does
+            not have (a token for another graph or width bound).
         """
         started = time.perf_counter()
         if not checkpoint.frontier:
@@ -181,10 +196,25 @@ class RankedStream(Iterator[RankedResult]):
         if prepared is None:
             prepared = min_triangulation_and_table(context, cost)
         _first, base_table = prepared
-        heap = [
-            (e.value, e.order, e.bags, e.include, e.exclude)
-            for e in checkpoint.frontier
-        ]
+        if checkpoint.width_bound != context.width_bound:
+            raise ValueError(
+                f"checkpoint was taken under width bound {checkpoint.width_bound}, "
+                f"the context has {context.width_bound}"
+            )
+        heap = list(checkpoint.frontier)
+        pmcs = len(context.root_pmc_order())
+        separators = len(context.separator_masks)
+        for _value, _order, bags, include, exclude in heap:
+            if (
+                not bags
+                or bags >> pmcs
+                or (include | exclude) >> separators
+                or include & exclude
+            ):
+                raise ValueError(
+                    "checkpoint frontier does not fit this graph's PMCs "
+                    "and minimal separators; the token is corrupted"
+                )
         return cls(
             context=context,
             cost=cost,
@@ -226,38 +256,43 @@ class RankedStream(Iterator[RankedResult]):
     def __next__(self) -> RankedResult:
         if self._closed or not self._heap:
             raise StopIteration
-        value, _order, bags, include, exclude = heapq.heappop(self._heap)
+        value, _order, bag_mask, include, exclude = heapq.heappop(self._heap)
         context = self._context
         assert context is not None
-        current = Triangulation(context.graph, bags, value)
+        # The bags are the PMCs of bag_mask; MinSep(H) is the OR of their
+        # separator masks (see SeparatorIndex).
+        index = context.separator_index()
+        pmc_order = context.root_pmc_order()
+        pmc_masks = index.pmcs
+        bags = []
+        separators = 0
+        rest = bag_mask
+        while rest:
+            low = rest & -rest
+            bag = pmc_order[low.bit_length() - 1]
+            bags.append(bag)
+            separators |= pmc_masks[bag]
+            rest ^= low
         result = RankedResult(
-            triangulation=current,
+            triangulation=Triangulation(context.graph, frozenset(bags), value),
             rank=self._rank,
             elapsed_seconds=time.perf_counter() - self._started,
-            include=include,
-            exclude=exclude,
+            include=frozenset(index.members(include)),
+            exclude=frozenset(index.members(exclude)),
         )
         self._rank += 1
 
-        # MinSep(H) is the OR of the bags' masks (see SeparatorIndex);
-        # its bits ascend in pivot order, so the children are solved and
-        # pushed in pivot order, which fixes the emitted sequence.
-        index = context.separator_index()
-        pmc_masks = index.pmcs
-        separators = 0
-        for bag in bags:
-            separators |= pmc_masks[bag]
-        accumulated: list[Separator] = []
-        for pivot in index.members(separators):
-            if pivot in include:
-                continue
-            # A fresh object per pop, as the clique-tree pass made: pickle
-            # memoizes shared objects, so handing out the index's own
-            # separators would change the checkpoint token layout.
-            pivot = frozenset([*pivot])
-            child_include = include | frozenset(accumulated)
-            child_exclude = exclude | {pivot}
-            accumulated.append(pivot)
+        # The pivots MinSep(H) \ I ascend in pivot order, so the children
+        # are solved and pushed in pivot order, which fixes the emitted
+        # sequence.
+        pivots = separators & ~include
+        accumulated = 0
+        while pivots:
+            pivot = pivots & -pivots
+            pivots ^= pivot
+            child_include = include | accumulated
+            child_exclude = exclude | pivot
+            accumulated |= pivot
             # Through the module attribute, so a wrapper installed on
             # ``repro.engine.strategy.expand_job`` sees every child.
             outcome = strategy.expand_job(
@@ -267,10 +302,10 @@ class RankedStream(Iterator[RankedResult]):
             self._expansions += 1
             if outcome is None:
                 continue
-            child_bags, base_value = outcome
+            child_bags, child_value = outcome
             heapq.heappush(
                 self._heap,
-                (base_value, self._order, child_bags, child_include, child_exclude),
+                (child_value, self._order, child_bags, child_include, child_exclude),
             )
             self._order += 1
         return result
@@ -313,16 +348,15 @@ class RankedStream(Iterator[RankedResult]):
 
         The frontier is stored in sorted (pop) order — a canonical form;
         any heap layout of the same entries pops identically because the
-        ``(value, order)`` prefix is a total order.
+        ``(value, order)`` prefix is a total order.  The graph is the
+        context's shared :class:`~repro.api.checkpoint.TokenGraph`.
         """
-        if self._context is not None:
-            graph = self._context.graph
-            vertices = canonical_vertices(graph)
-            edges = canonical_edges(graph)
-            width_bound = self._context.width_bound
+        context = self._context
+        if context is not None:
+            graph = context.token_graph()
+            width_bound = context.width_bound
         else:
-            vertices = ()
-            edges = ()
+            graph = _EMPTY_GRAPH
             width_bound = None
         return StreamCheckpoint(
             fingerprint=self._fingerprint,
@@ -330,9 +364,8 @@ class RankedStream(Iterator[RankedResult]):
             width_bound=width_bound,
             next_rank=self._rank,
             next_order=self._order,
-            frontier=tuple(FrontierEntry(*e) for e in sorted(self._heap)),
-            vertices=vertices,
-            edges=edges,
+            frontier=tuple(map(FrontierEntry._make, sorted(self._heap))),
+            graph=graph,
         )
 
     def close(self) -> None:

@@ -19,8 +19,9 @@ Design notes
   :func:`repro.service.protocol.answer_frame`, which is a pure function
   of (cost, bags, rank) — so served bytes are identical to live
   enumeration by construction, without pinning pickle byte layouts.
-* ``checkpoints`` maps *answer positions* to serialized checkpoints
-  (``StreamCheckpoint``/``ComposedCheckpoint`` ``to_bytes()``).  A
+* ``checkpoints`` maps *answer positions* to checkpoint tokens
+  (``StreamCheckpoint``/``ComposedCheckpoint`` ``to_bytes()``, canonical
+  bytes, so a replayed page's checkpoint re-serializes to them).  A
   record always holds a checkpoint at ``len(answers)`` — including an
   empty-frontier one when the stream is exhausted — so every replay can
   hand back a resumable (or terminal) checkpoint, exactly like a live
@@ -43,7 +44,7 @@ from dataclasses import dataclass, replace
 
 from ..core.mintriang import Triangulation
 from ..core.ranked import RankedResult
-from ..preprocess.recompose import ComposedCheckpoint, composition_for
+from ..preprocess.recompose import composition_for
 from .store import answers_key
 
 __all__ = [
@@ -59,7 +60,8 @@ __all__ = [
 
 #: Version folded into the artifact key (and stored on the record):
 #: bump on any change to the record layout or replay semantics.
-ANSWERS_VERSION = 1
+#: v2: the stored checkpoints are binary tokens (were pickle payloads).
+ANSWERS_VERSION = 2
 
 #: Longest prefix a single record will grow to.  Beyond this, requests
 #: fall through to live enumeration (the frontier at the cap is still
@@ -265,12 +267,14 @@ class AnswerCache:
     def for_checkpoint(cls, store, checkpoint) -> "AnswerCache | None":
         """The cache a token resume reads and extends.
 
-        The checkpoint type fixes the pipeline.  ``None`` when there is
-        no store, or the checkpoint carries no cost registry name.
+        ``checkpoint`` is a checkpoint of either kind or a token's
+        :class:`~repro.api.checkpoint.TokenHeader`; its kind fixes the
+        pipeline.  ``None`` when there is no store, or the checkpoint
+        carries no cost registry name.
         """
         if store is None or checkpoint.cost_spec is None:
             return None
-        composed = isinstance(checkpoint, ComposedCheckpoint)
+        composed = checkpoint.composed
         return cls(
             store,
             checkpoint.fingerprint,

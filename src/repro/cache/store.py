@@ -112,7 +112,10 @@ DEFAULT_MAX_BYTES = 1 << 30
 #: ``Block``-keyed dict of bag lists).
 #: v4: the ``context`` carries its compiled candidate lists and its block
 #: and separator masks, and no longer its label-level block → PMC index.
-CACHE_FORMAT_VERSION = 4
+#: v5: the ``context`` has two lazy tables for checkpoint tokens (PMC
+#: positions, token graph), and the checkpoints inside ``answers``
+#: records are binary tokens.
+CACHE_FORMAT_VERSION = 5
 
 _MAGIC = b"REPROART\x01"
 _DIGEST_BYTES = 32

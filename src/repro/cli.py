@@ -394,7 +394,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         from .api.checkpoint import load_checkpoint
 
         with open(args.resume, "rb") as fh:
-            token = load_checkpoint(fh.read())
+            data = fh.read()
+        try:
+            token = load_checkpoint(data)
+        except ValueError as exc:
+            print(f"error: checkpoint {args.resume}: {exc}", file=sys.stderr)
+            return 2
         if graph_fingerprint(graph) != token.fingerprint:
             print(
                 f"error: checkpoint {args.resume} was taken on a different "
@@ -402,7 +407,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        stream = session.resume_stream(token)
+        try:
+            stream = session.resume_stream(token)
+        except ValueError as exc:
+            print(f"error: checkpoint {args.resume}: {exc}", file=sys.stderr)
+            return 2
     else:
         stream = session.stream(graph, args.cost, width_bound=args.width_bound)
     emitted = 0

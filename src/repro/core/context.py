@@ -137,6 +137,8 @@ class TriangulationContext:
     _blocks: list[Block] | None = field(default=None, repr=False)
     _block_subgraphs: dict[Block, Graph] = field(default_factory=dict, repr=False)
     _separator_index: "SeparatorIndex | None" = field(default=None, repr=False)
+    _pmc_positions: dict[PMC, int] | None = field(default=None, repr=False)
+    _token_graph: object | None = field(default=None, repr=False)
 
     @staticmethod
     def build(
@@ -270,6 +272,38 @@ class TriangulationContext:
         if index is None:
             index = self._separator_index = SeparatorIndex.build(self)
         return index
+
+    def bag_mask(self, bags: Iterable[PMC]) -> int:
+        """The mask of a bag set over :meth:`root_pmc_order`: bit ``i``
+        for its ``i``-th PMC.
+
+        Every bag of a minimal triangulation within the width bound is a
+        PMC of this context, so a bag set is one int: the ranked loop's
+        heap and checkpoint tokens hold bag sets this way.  The PMC
+        positions are indexed on first use.
+        """
+        positions = self._pmc_positions
+        if positions is None:
+            positions = self._pmc_positions = {
+                omega: i for i, omega in enumerate(self._pmc_order)
+            }
+        mask = 0
+        for bag in bags:
+            mask |= 1 << positions[bag]
+        return mask
+
+    def token_graph(self):
+        """The graph as checkpoint tokens carry it
+        (:class:`~repro.api.checkpoint.TokenGraph`), built at the first
+        checkpoint or resume, never by :meth:`build`.  Every checkpoint of
+        this context shares it, so its encoding is computed once, and a
+        warm resume compares a token's graph section against it."""
+        graph = self._token_graph
+        if graph is None:
+            from ..api.checkpoint import TokenGraph
+
+            graph = self._token_graph = TokenGraph.of(self.graph)
+        return graph
 
     def stats(self) -> dict[str, float]:
         """Summary counters for benchmark reports."""

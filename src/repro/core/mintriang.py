@@ -36,10 +36,13 @@ to a block when ``S ⊆ S ∪ C``; an applicable excluded ``S`` rejects
 when ``S ⊆ Ω`` or ``S`` lies inside one child block.  This is exact:
 each child's entry already enforces the constraints inside its own
 region, and a set is a clique of ``H_T`` exactly when it lies in one bag
-of ``T``.  Over a non-folding base the generic step calls
+of ``T``.  The ranked loop hands its constraints over as those masks
+(:func:`constrained_min_bags`), so its children build no label sets, and
+recomputes only the blocks they touch over the unconstrained table.
+Over a non-folding base the generic step calls
 :meth:`ConstrainedCost.evaluate`, and so does a run with a constraint
-outside ``MinSep(G)`` (only a library caller can pass one), which then
-recomputes every block.
+outside ``MinSep(G)`` (only a library caller can pass one, as a
+:class:`ConstrainedCost` to :func:`min_triangulation_and_table`).
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "min_triangulation",
     "min_triangulation_with_context",
     "min_triangulation_and_table",
+    "constrained_min_bags",
 ]
 
 
@@ -225,22 +229,13 @@ def _rebuild_bags(
 def min_triangulation_and_table(
     context: TriangulationContext,
     cost: BagCost,
-    reusable_table: _Table | None = None,
-    constraint_separators: "frozenset[frozenset[Vertex]] | None" = None,
 ) -> tuple[Triangulation | None, _Table]:
     """``MinTriang⟨κ⟩`` over a prebuilt context, exposing the DP table.
 
-    The table is a list parallel to ``context.block_masks``.
-    ``reusable_table`` / ``constraint_separators`` enable the ranked
-    enumerator's table-sharing optimization: a block is recomputed only
-    if some constraint separator fits inside it (its mask in the
-    context's :meth:`~TriangulationContext.separator_index` meets the
-    constraints' mask); every other block has the same optimum under
-    ``κ[I,X]`` as under ``κ``, recursively, and copies its entry.  The
-    reusable table must come from the same context and the same base
-    cost.  The triangulation is ``None`` when no feasible one exists
-    (only possible with a width bound or an unsatisfiable constrained
-    cost).
+    The table is a list parallel to ``context.block_masks``; the ranked
+    loop reuses it for its children through :func:`constrained_min_bags`.
+    The triangulation is ``None`` when no feasible one exists (only
+    possible with a width bound or an unsatisfiable constrained cost).
     """
     graph = context.graph
     if graph.num_vertices() == 0:
@@ -248,32 +243,87 @@ def min_triangulation_and_table(
         return empty, []
 
     fold, include, exclude = _fold_and_constraints(cost, graph)
-    per_block, root = context.candidates()
-    table = [_INFEASIBLE_ENTRY] * len(per_block)
-    positions: Sequence[int] = range(len(per_block))
-    reuse = reusable_table is not None and constraint_separators is not None
     included = excluded = 0
-    if include or exclude or reuse:
+    if include or exclude:
         index = context.separator_index()
-        masks = (
-            index.mask_of(include),
-            index.mask_of(exclude),
-            index.mask_of(constraint_separators or ()),
-        )
+        masks = index.mask_of(include), index.mask_of(exclude)
         if None in masks:
             # A constraint outside MinSep(G): the generic path (which
-            # ConstrainedCost.evaluate makes correct) over every block.
+            # ConstrainedCost.evaluate makes correct).
             fold = None
         else:
-            included, excluded, touched = masks
-            block_masks = index.blocks
-            block_checks, root_checks = index.candidates
-            if reuse:
-                table = list(reusable_table)
-                positions = [
-                    p for p, mask in enumerate(block_masks) if mask & touched
-                ]
+            included, excluded = masks
+    value, bags, table = _solve(context, cost, fold, included, excluded)
+    if bags is None:
+        return None, table
+    return Triangulation(graph, frozenset(bags), value), table
+
+
+def constrained_min_bags(
+    context: TriangulationContext,
+    cost: BagCost,
+    base_table: _Table,
+    include: int,
+    exclude: int,
+) -> tuple[float, list[PMC]] | None:
+    """``MinTriang⟨κ[I,X]⟩`` for one Lawler–Murty child, with ``I`` and
+    ``X`` as masks over the context's
+    :class:`~repro.core.context.SeparatorIndex`.
+
+    Recomputes the blocks the constraints touch over ``base_table``, the
+    unconstrained table of ``cost``.  A folding cost checks the masks
+    directly; any other is wrapped in a :class:`ConstrainedCost` over the
+    masks' separators, for the generic step.  Returns the value and bags
+    of the partition's representative, or ``None`` when the partition
+    holds no triangulation.
+    """
+    fold = declared_fold(cost, context.graph)
+    touched = include | exclude
+    if fold is None:
+        index = context.separator_index()
+        cost = ConstrainedCost(
+            cost, include=index.members(include), exclude=index.members(exclude)
+        )
+        include = exclude = 0
+    value, bags, _table = _solve(
+        context, cost, fold, include, exclude, (base_table, touched)
+    )
+    if bags is None or value >= INFEASIBLE:
+        return None
+    return value, bags
+
+
+def _solve(
+    context: TriangulationContext,
+    cost: BagCost,
+    fold: Fold | None,
+    included: int,
+    excluded: int,
+    reuse: tuple[_Table, int] | None = None,
+) -> tuple[float, list[PMC] | None, _Table]:
+    """The block DP: ``(value, bags, table)``, ``bags`` ``None`` when no
+    feasible triangulation exists.
+
+    ``included``/``excluded`` are the constraint masks the fold path
+    checks.  ``reuse`` is ``(table, touched)``: an unconstrained table of
+    the same context and base cost, of which only the blocks whose mask
+    meets the separator mask ``touched`` are recomputed.
+    """
+    per_block, root = context.candidates()
     constrained = included | excluded
+    if constrained or reuse is not None:
+        index = context.separator_index()
+        block_masks = index.blocks
+        block_checks, root_checks = index.candidates
+    if reuse is not None:
+        reusable_table, touched = reuse
+        table = list(reusable_table)
+        positions: Sequence[int] = [
+            p for p, mask in enumerate(block_masks) if mask & touched
+        ]
+    else:
+        table = [_INFEASIBLE_ENTRY] * len(per_block)
+        positions = range(len(per_block))
     # Only the generic step reads the label-level blocks.
     blocks = context.blocks if fold is None else None
 
@@ -293,11 +343,11 @@ def min_triangulation_and_table(
     # The root candidates follow root_pmc_order(): ties must resolve the
     # same way under every graph kernel and across resumed processes.
     checks = (root_checks, included, excluded) if constrained else None
-    value, state, winner = _best(root, table, fold, cost, graph, checks)
+    value, state, winner = _best(root, table, fold, cost, context.graph, checks)
     if winner < 0:
-        return None, table
+        return value, None, table
     bags = state if fold is None else _rebuild_bags(root[winner], per_block, table)
-    return Triangulation(graph, frozenset(bags), value), table
+    return value, bags, table
 
 
 def min_triangulation_with_context(

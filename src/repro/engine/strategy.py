@@ -11,13 +11,9 @@ attribute, so a wrapper installed here sees every child.
 
 from __future__ import annotations
 
-from ..costs.base import INFEASIBLE, Bag, BagCost
-from ..costs.constrained import ConstrainedCost
+from ..costs.base import BagCost
 from ..core.context import TriangulationContext
-from ..core.mintriang import min_triangulation_and_table
-from ..graphs.graph import Vertex
-
-Separator = frozenset[Vertex]
+from ..core.mintriang import constrained_min_bags
 
 __all__ = ["expand_job"]
 
@@ -26,25 +22,23 @@ def expand_job(
     context: TriangulationContext,
     cost: BagCost,
     base_table: list,
-    include: frozenset[Separator],
-    exclude: frozenset[Separator],
-) -> tuple[frozenset[Bag], float] | None:
+    include: int,
+    exclude: int,
+) -> tuple[int, float] | None:
     """Solve ``MinTriang⟨κ[I,X]⟩`` for one Lawler–Murty child partition.
 
-    The constrained DP reuses the unconstrained ``base_table`` for every
-    block no constraint separator touches.  Returns ``(bags, base_cost)``
-    of the partition's representative — or ``None`` when the partition
-    contains no triangulation (the constrained DP came back infeasible).
-    A feasible ``κ[I,X]`` value is the ``κ`` value, so the DP's own value
-    is the base cost.
+    ``include`` and ``exclude`` are masks over the context's
+    :class:`~repro.core.context.SeparatorIndex`.  The constrained DP
+    reuses the unconstrained ``base_table`` for every block no
+    constraint separator touches.  Returns ``(bags, base_cost)`` of the
+    partition's representative, its bags as a mask over
+    :meth:`~repro.core.context.TriangulationContext.root_pmc_order` — or
+    ``None`` when the partition contains no triangulation (the
+    constrained DP came back infeasible).  A feasible ``κ[I,X]`` value is
+    the ``κ`` value, so the DP's own value is the base cost.
     """
-    constrained = ConstrainedCost(cost, include=include, exclude=exclude)
-    candidate, _table = min_triangulation_and_table(
-        context,
-        constrained,
-        reusable_table=base_table,
-        constraint_separators=include | exclude,
-    )
-    if candidate is None or candidate.cost >= INFEASIBLE:
+    found = constrained_min_bags(context, cost, base_table, include, exclude)
+    if found is None:
         return None
-    return candidate.bags, candidate.cost
+    value, bags = found
+    return context.bag_mask(bags), value

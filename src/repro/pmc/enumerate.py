@@ -202,30 +202,38 @@ def one_more_vertex(
 # ---------------------------------------------------------------------------
 # Bitset (mask-level) kernel
 # ---------------------------------------------------------------------------
+def prefix_views(bitgraph: BitGraph, order: Sequence[int]) -> list[BitGraph]:
+    """The induced view of every prefix: ``views[i]`` is
+    ``G[order[:i + 1]]``.  Built once, for the prefix separators and the
+    ONE_MORE_VERTEX steps alike."""
+    views = []
+    prefix_mask = 0
+    for v in order:
+        prefix_mask |= 1 << v
+        views.append(bitgraph.induced(prefix_mask))
+    return views
+
+
 def prefix_minimal_separator_masks(
-    bitgraph: BitGraph,
+    views: Sequence[BitGraph],
     order: Sequence[int],
     full_separator_masks: set[int],
 ) -> list[set[int]]:
     """Mask-level :func:`prefix_minimal_separators`.
 
-    ``order`` holds vertex *indices*; prefix graphs are induced bitmask
-    views, and the vertex-removal candidate ``S \\ {a}`` is a single
-    ``& ~bit`` (covering both branches of the set-kernel candidate
-    construction at once).
+    ``order`` holds vertex *indices* and ``views`` the induced bitmask
+    view of each prefix (:func:`prefix_views`); the vertex-removal
+    candidate ``S \\ {a}`` is a single ``& ~bit`` (covering both branches
+    of the set-kernel candidate construction at once).
     """
     n = len(order)
     per_prefix: list[set[int]] = [set() for _ in range(n)]
     if n == 0:
         return per_prefix
     per_prefix[n - 1] = set(full_separator_masks)
-    prefix_mask = 0
-    for v in order:
-        prefix_mask |= 1 << v
     for i in range(n - 1, 0, -1):
         abit = 1 << order[i]
-        prefix_mask &= ~abit
-        smaller = bitgraph.induced(prefix_mask)
+        smaller = views[i - 1]
         candidates = {s & ~abit for s in per_prefix[i]}
         per_prefix[i - 1] = {
             s for s in candidates if is_minimal_separator_mask(smaller, s)
@@ -396,19 +404,15 @@ def potential_maximal_clique_masks(
         order = bitgraph.bfs_order()
     if separator_masks is None:
         separator_masks = minimal_separator_masks(bitgraph)
-    per_prefix = prefix_minimal_separator_masks(
-        bitgraph, order, separator_masks
-    )
+    views = prefix_views(bitgraph, order)
+    per_prefix = prefix_minimal_separator_masks(views, order, separator_masks)
 
-    prefix_mask = 1 << order[0]
     # A one-vertex graph's only PMC leaves no components.
-    pmcs: dict[int, list[tuple[int, int]]] = {prefix_mask: []}
+    pmcs: dict[int, list[tuple[int, int]]] = {1 << order[0]: []}
     for i in range(1, len(order)):
         a = order[i]
-        prefix_mask |= 1 << a
-        bigger = bitgraph.induced(prefix_mask)
         pmcs = one_more_vertex_masks(
-            bigger,
+            views[i],
             a,
             pmcs,
             per_prefix[i - 1],

@@ -29,16 +29,33 @@ The merged stream is pausable like the core one:
 :meth:`ComposedRankedStream.checkpoint` captures the product frontier
 plus one native checkpoint per atom stream, and
 :meth:`ComposedRankedStream.from_checkpoint` resumes the exact sequence.
+Its token uses the framing of :mod:`repro.api.checkpoint` (kind ``C``):
+the reduction steps, complete atoms, atoms and drained bags are vertex
+masks over the graph section's canonical vertex order, each atom
+stream's :class:`~repro.api.checkpoint.StreamCheckpoint` token is nested
+inside, and the product frontier and visited set are int vectors.
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 import time
 from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass
+from typing import ClassVar
 
+from ..api.checkpoint import (
+    COMPOSED_KIND,
+    StreamCheckpoint,
+    TokenGraph,
+    TokenHeader,
+    TokenReader,
+    TokenWriter,
+    decoding,
+    mask_labels,
+    open_token,
+    write_header,
+)
 from ..costs.base import Bag, BagCost
 from ..core.ranked import RankedResult
 from ..core.mintriang import Triangulation
@@ -225,7 +242,11 @@ class PreprocessPlan:
 # ----------------------------------------------------------------------
 # Checkpoint
 # ----------------------------------------------------------------------
-COMPOSED_CHECKPOINT_VERSION = 1
+#: v2: the binary token (v1 tokens were pickle payloads).
+COMPOSED_CHECKPOINT_VERSION = 2
+
+#: Reduction step kinds, by their code in a token.
+_STEP_KINDS = ("isolated", "pendant", "simplicial")
 
 
 @dataclass(frozen=True)
@@ -237,7 +258,7 @@ class PieceState:
     #: ``(value, bags)`` pairs — the product frontier indexes into this.
     drained: tuple[tuple[float, frozenset[Bag]], ...]
     #: Native checkpoint of the atom stream *after* draining ``drained``.
-    checkpoint: object  # repro.api.checkpoint.StreamCheckpoint
+    checkpoint: StreamCheckpoint
 
 
 @dataclass(frozen=True)
@@ -257,43 +278,156 @@ class ComposedCheckpoint:
     width_bound: int | None
     next_rank: int
     next_order: int
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[Vertex, Vertex], ...]
+    graph: TokenGraph
     steps: tuple[ReductionStep, ...]
     complete_atoms: tuple[Atom, ...]
     pieces: tuple[PieceState, ...]
     frontier: tuple[tuple[float, int, tuple[int, ...]], ...]
     visited: tuple[tuple[int, ...], ...]
     version: int = COMPOSED_CHECKPOINT_VERSION
+    #: Which checkpoint kind this is (the pipeline a resume takes).
+    composed: ClassVar[bool] = True
 
     @property
     def exhausted(self) -> bool:
         """Whether the stream had no further answers when checkpointed."""
         return not self.frontier
 
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The original graph's vertex labels in canonical order."""
+        return self.graph.vertices
+
+    @property
+    def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
+        """The original graph's edges in canonical order."""
+        return self.graph.edges
+
     def restore_graph(self) -> Graph:
         """Rebuild the checkpointed original graph."""
-        return Graph(vertices=self.vertices, edges=self.edges)
+        return self.graph.restore()
 
     def to_bytes(self) -> bytes:
-        """Serialize to an opaque token (pickle; trusted state only)."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        """Serialize to a binary token (see the module docstring)."""
+        writer = TokenWriter()
+        write_header(writer, COMPOSED_KIND, self)
+        position = {v: i for i, v in enumerate(self.graph.vertices)}
+
+        def mask(labels) -> int:
+            m = 0
+            for v in labels:
+                m |= 1 << position[v]
+            return m
+
+        writer.uint(len(self.steps))
+        for step in self.steps:
+            writer.uint(_STEP_KINDS.index(step.kind))
+            writer.uint(position[step.vertex])
+            writer.mask(mask(step.bag))
+        writer.uint(len(self.complete_atoms))
+        for atom in self.complete_atoms:
+            writer.mask(mask(atom))
+        writer.uint(len(self.pieces))
+        for piece in self.pieces:
+            writer.mask(mask(piece.atom))
+            writer.uint(len(piece.drained))
+            for value, bags in piece.drained:
+                writer.value(value)
+                writer.uint(len(bags))
+                for bag in sorted(map(mask, bags)):
+                    writer.mask(bag)
+            writer.blob(piece.checkpoint.to_bytes())
+        width = len(self.pieces)
+        writer.uint(len(self.frontier))
+        for value, order, vec in self.frontier:
+            writer.value(value)
+            writer.uint(order)
+            _write_vector(writer, vec, width)
+        writer.uint(len(self.visited))
+        for vec in self.visited:
+            _write_vector(writer, vec, width)
+        return writer.finish()
 
     @staticmethod
     def from_bytes(data: bytes) -> "ComposedCheckpoint":
-        """Deserialize a token produced by :meth:`to_bytes`."""
-        obj = pickle.loads(data)
-        if not isinstance(obj, ComposedCheckpoint):
-            raise ValueError(
-                f"checkpoint payload is {type(obj).__name__}, "
-                "expected ComposedCheckpoint"
+        """Decode a token produced by :meth:`to_bytes`.
+
+        Raises
+        ------
+        ValueError
+            If the token is malformed, corrupted, of the direct kind, or
+            of an unsupported version.
+        """
+        return ComposedCheckpoint._decode(*open_token(data, (COMPOSED_KIND,)))
+
+    @staticmethod
+    def _decode(header: TokenHeader, reader: TokenReader) -> "ComposedCheckpoint":
+        with decoding:
+            vertices = header.graph.vertices
+            steps = tuple(
+                ReductionStep(
+                    _STEP_KINDS[reader.uint()],
+                    vertices[reader.uint()],
+                    reader.vertex_set(vertices),
+                )
+                for _ in range(reader.uint())
             )
-        if obj.version != COMPOSED_CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported composed-checkpoint version {obj.version} "
-                f"(this build reads version {COMPOSED_CHECKPOINT_VERSION})"
+            complete = tuple(
+                reader.vertex_set(vertices) for _ in range(reader.uint())
             )
-        return obj
+            pieces = []
+            for _ in range(reader.uint()):
+                atom = reader.vertex_set(vertices)
+                drained = tuple(
+                    (reader.value(), _read_bags(reader, vertices))
+                    for _ in range(reader.uint())
+                )
+                inner = StreamCheckpoint.from_bytes(reader.blob())
+                pieces.append(PieceState(atom, drained, inner))
+            width = len(pieces)
+            frontier = tuple(
+                (reader.value(), reader.uint(), _read_vector(reader, width))
+                for _ in range(reader.uint())
+            )
+            visited = tuple(
+                _read_vector(reader, width) for _ in range(reader.uint())
+            )
+            reader.end()
+        if header.exhausted != (not frontier):
+            raise ValueError("checkpoint token's exhausted flag contradicts its frontier")
+        return ComposedCheckpoint(
+            fingerprint=header.fingerprint,
+            cost_spec=header.cost_spec,
+            width_bound=header.width_bound,
+            next_rank=header.next_rank,
+            next_order=header.next_order,
+            graph=header.graph,
+            steps=steps,
+            complete_atoms=complete,
+            pieces=tuple(pieces),
+            frontier=frontier,
+            visited=visited,
+            version=header.version,
+        )
+
+
+def _write_vector(writer: TokenWriter, vec: tuple[int, ...], width: int) -> None:
+    if len(vec) != width:
+        raise ValueError(f"index vector {vec} does not have {width} entries")
+    for v in vec:
+        writer.uint(v)
+
+
+def _read_vector(reader: TokenReader, width: int) -> tuple[int, ...]:
+    return tuple(reader.uint() for _ in range(width))
+
+
+def _read_bags(reader: TokenReader, vertices: tuple) -> frozenset[Bag]:
+    """A bag set written as ascending vertex masks."""
+    masks = [reader.mask() for _ in range(reader.uint())]
+    if any(a >= b for a, b in zip(masks, masks[1:])):
+        raise ValueError("bag masks are not in ascending order")
+    return frozenset(mask_labels(m, vertices) for m in masks)
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +520,8 @@ class ComposedRankedStream(Iterator[RankedResult]):
         self._order = next_order
         self._closed = False
         self._started = time.perf_counter() if started is None else started
+        # The graph as checkpoints carry it, built at the first one.
+        self._token_graph: TokenGraph | None = None
         # Forced-bag contribution, fixed across all combinations.
         constant = composition.identity()
         for bag in self._constant_bag_list():
@@ -506,12 +642,21 @@ class ComposedRankedStream(Iterator[RankedResult]):
         graph = checkpoint.restore_graph()
         pieces: list[_Piece] = []
         if checkpoint.frontier:
+            if any(
+                v >= len(state.drained)
+                for _value, _order, vec in checkpoint.frontier
+                for v, state in zip(vec, checkpoint.pieces)
+            ):
+                raise ValueError(
+                    "checkpoint frontier indexes past its drained answers; "
+                    "the token is corrupted"
+                )
             for state in checkpoint.pieces:
                 inner = resume_piece(
                     graph.subgraph(state.atom), state.checkpoint
                 )
                 pieces.append(_Piece(state.atom, inner, drained=state.drained))
-        return cls(
+        stream = cls(
             graph=graph,
             trace=ReductionTrace(steps=checkpoint.steps),
             complete_atoms=checkpoint.complete_atoms,
@@ -527,6 +672,8 @@ class ComposedRankedStream(Iterator[RankedResult]):
             next_order=checkpoint.next_order,
             started=started,
         )
+        stream._token_graph = checkpoint.graph
+        return stream
 
     # ------------------------------------------------------------------
     # Iteration
@@ -631,8 +778,8 @@ class ComposedRankedStream(Iterator[RankedResult]):
         ``(value, order)`` prefix is a total order, so any heap layout
         of the same entries resumes identically.
         """
-        from ..api.fingerprint import canonical_edges, canonical_vertices
-
+        if self._token_graph is None:
+            self._token_graph = TokenGraph.of(self._graph)
         piece_states = []
         for piece in self._pieces:
             piece_states.append(
@@ -648,8 +795,7 @@ class ComposedRankedStream(Iterator[RankedResult]):
             width_bound=self._width_bound,
             next_rank=self._rank,
             next_order=self._order,
-            vertices=canonical_vertices(self._graph),
-            edges=canonical_edges(self._graph),
+            graph=self._token_graph,
             steps=self._trace.steps,
             complete_atoms=self._complete_atoms,
             pieces=tuple(piece_states),

@@ -28,14 +28,15 @@ Vertex labels travel as JSON values with one extension: tuple labels
 tuples — a list is never a valid (hashable) vertex label, so the
 round trip is unambiguous.
 
-Resume tokens are the existing cross-process checkpoint byte strings
-(:mod:`repro.api.checkpoint`), base64-wrapped for the JSON transport.
-Checkpoints are pickle-based, so a server must never unpickle bytes it
-did not mint: every wire token is therefore **HMAC-signed** with the
-scheduler's token key (:func:`sign_token` / :func:`verify_token`), and
-a token that fails authentication is rejected in-band before any
-deserialization happens.  A structurally damaged token is a
-``bad-request``; a well-formed token whose HMAC tag does not verify
+Resume tokens are the binary cross-process checkpoint tokens of
+:mod:`repro.api.checkpoint`, base64-wrapped for the JSON transport.
+Their CRC detects damage, not forgery, so a server resumes only tokens
+it minted: every wire token is **HMAC-signed** with the scheduler's
+token key (:func:`sign_token` / :func:`verify_token`), and a token that
+fails authentication is rejected in-band before it is decoded.  A
+structurally damaged token (too short to carry a tag, or a signed
+payload the checkpoint codec refuses) is a ``bad-request``; a
+well-formed token whose HMAC tag does not verify
 raises :class:`TokenAuthError` and surfaces as the distinct error code
 ``token_key_mismatch`` — the signature of a key rotation or server
 restart, not of corruption — so clients know re-submitting the job (not
@@ -202,10 +203,9 @@ def verify_token(key: bytes, blob: bytes) -> bytes:
     Raises
     ------
     ProtocolError
-        If the blob is truncated (structural corruption) — the mandatory
-        gate before the (pickle-based) checkpoint payload may be
-        deserialized, since unpickling attacker-controlled bytes is code
-        execution.
+        If the blob is too short to carry a tag (structural corruption).
+        Only an authenticated payload reaches the checkpoint codec, so a
+        client cannot resume a frontier the server never minted.
     TokenAuthError
         If the tag does not verify: the token was signed under a
         different key (server restart / rotation) or tampered with —

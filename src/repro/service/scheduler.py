@@ -62,6 +62,7 @@ from ..api import (
     graph_fingerprint,
     load_checkpoint,
 )
+from ..api.checkpoint import read_header
 from ..api.session import _diverse_selection, _expand_decompositions
 from ..cache.answers import MAX_PREFIX, AnswerCache, preprocess_applies_for
 from ..graphs.kernels import (
@@ -287,9 +288,8 @@ class _JobRunner:
             self._source = stream
             self._iterator = stream
         elif request.token is not None:
-            # Authenticate BEFORE deserializing: checkpoints are pickle
-            # payloads, and unpickling unauthenticated network bytes
-            # would be remote code execution.
+            # Authenticate before decoding: only tokens this service
+            # minted (under its key) are resumed.
             payload = verify_token(self._token_key, request.token)
             try:
                 checkpoint = load_checkpoint(payload)
@@ -792,8 +792,8 @@ class EnumerationScheduler:
         catches up; server memory per job is O(bound), never O(answers).
     token_key:
         HMAC key signing every resume token this scheduler mints; only
-        tokens that verify under it are ever deserialized (checkpoints
-        are pickle payloads — authentication is the unpickling gate).
+        tokens that verify under it are ever decoded (the checkpoint
+        codec's CRC catches damage, the HMAC catches forgery).
         ``None`` (default) generates a random per-scheduler key, scoping
         tokens to this instance; pass a shared key to make tokens
         portable across a pool or a restart.
@@ -977,13 +977,15 @@ class EnumerationScheduler:
                 return None
             started = time.monotonic()
             if request.token is not None:
+                # The token's header picks the keys; the frontier is
+                # left to the job that resumes it on a miss.
                 payload = verify_token(self._token_key, request.token)
-                checkpoint = load_checkpoint(payload)
-                if checkpoint.exhausted:
+                header = read_header(payload)
+                if header.exhausted:
                     return None
-                answers = AnswerCache.for_checkpoint(store, checkpoint)
+                answers = AnswerCache.for_checkpoint(store, header)
                 # Restored only on a hit.
-                graph, start = checkpoint.restore_graph, checkpoint.next_rank
+                graph, start = header.restore_graph, header.next_rank
             else:
                 graph, start = request.graph, 0
                 answers = AnswerCache(
@@ -1133,7 +1135,7 @@ class EnumerationScheduler:
 
         The inspection/debugging counterpart of the resume path; raises
         :class:`~repro.service.protocol.ProtocolError` on a token from
-        another instance (or tampered bytes) before any unpickling.
+        another instance (or tampered bytes) before any decoding.
         """
         return load_checkpoint(verify_token(self._token_key, token))
 

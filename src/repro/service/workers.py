@@ -69,7 +69,7 @@ import threading
 import time
 import zlib
 
-from ..api import load_checkpoint
+from ..api.checkpoint import read_header
 from ..api.fingerprint import graph_fingerprint
 from .protocol import (
     ProtocolError,
@@ -610,15 +610,14 @@ class _RemoteRunner:
         request = self._job.request
         if request.graph is not None:
             return graph_fingerprint(request.graph)
-        # Token resume: authenticate before unpickling (same gate as the
-        # worker will apply), then read the checkpoint's fingerprint so
+        # Token resume: authenticate (same gate as the worker will
+        # apply), then read the fingerprint from the token's header so
         # the resumed job lands on the worker already warm for its graph.
         payload = verify_token(self._token_key, request.token)
         try:
-            checkpoint = load_checkpoint(payload)
-        except Exception as exc:
+            return read_header(payload).fingerprint
+        except ValueError as exc:
             raise ProtocolError(f"invalid resume token: {exc}") from None
-        return getattr(checkpoint, "fingerprint", None) or ""
 
     def _spec(self) -> dict:
         """The dispatch spec: the request plus resume/replay state."""

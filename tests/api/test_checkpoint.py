@@ -161,8 +161,7 @@ class TestSerializedTokens:
             next_rank=token.next_rank,
             next_order=token.next_order,
             frontier=token.frontier,
-            vertices=token.vertices,
-            edges=token.edges,
+            graph=token.graph,
             version=999,
         )
         with pytest.raises(ValueError, match="version"):

@@ -150,9 +150,8 @@ def test_format_2_prepared_table_reads_as_clean_miss(tmp_path, name):
     from repro.api.fingerprint import graph_fingerprint
     from repro.cache.store import CACHE_FORMAT_VERSION, context_key, prepared_key
     from repro.core.context import TriangulationContext
-    from repro.core.mintriang import min_triangulation_and_table
+    from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
     from repro.costs.classic import FillInCost
-    from repro.costs.constrained import ConstrainedCost
     from repro.graphs.generators import grid_graph, petersen_graph
 
     graph = {"petersen": petersen_graph, "grid-3x4": lambda: grid_graph(3, 4)}[name]()
@@ -166,11 +165,12 @@ def test_format_2_prepared_table_reads_as_clean_miss(tmp_path, name):
     separator = next(iter(first.minimal_separators))
     with pytest.raises((KeyError, TypeError)):
         # What reading it would do: the constrained DP cannot use it.
-        min_triangulation_and_table(
+        constrained_min_bags(
             context,
-            ConstrainedCost(FillInCost(), exclude=[separator]),
-            reusable_table=parent_table,
-            constraint_separators=frozenset([separator]),
+            FillInCost(),
+            parent_table,
+            0,
+            context.separator_index().mask_of([separator]),
         )
 
     current = default_schema_tag()
@@ -205,7 +205,7 @@ def test_format_2_prepared_table_reads_as_clean_miss(tmp_path, name):
 
 #: Field names of the persisted context under ``CACHE_FORMAT_VERSION``.
 PERSISTED_SHAPE = (
-    4,
+    5,
     (
         "graph",
         "separators",
@@ -221,6 +221,8 @@ PERSISTED_SHAPE = (
         "_blocks",
         "_block_subgraphs",
         "_separator_index",
+        "_pmc_positions",
+        "_token_graph",
     ),
     ("separators", "bits", "blocks", "pmcs", "candidates"),
 )

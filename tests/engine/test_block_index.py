@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.context import TriangulationContext
-from repro.core.mintriang import min_triangulation_and_table
+from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
 from repro.core.ranked import ranked_triangulations
 from repro.costs.classic import FillInCost
 from repro.costs.constrained import ConstrainedCost, satisfies_constraints
@@ -109,12 +109,19 @@ class TestSeparatorIndex:
         """Every pop's children exclude, one at a time, exactly the
         clique-tree pass's ``MinSep(H) \\ I`` in ``vertex_set_sort_key``
         order, each solved by a call of ``repro.engine.strategy.expand_job``
-        looked up through the module (where traced runs wrap it)."""
+        looked up through the module (where traced runs wrap it) with
+        ``[I, X]`` as separator-index masks."""
         recorded = []
         original = strategy.expand_job
 
         def recorder(context, cost, base_table, include, exclude):
-            recorded.append((include, exclude))
+            index = context.separator_index()
+            recorded.append(
+                (
+                    frozenset(index.members(include)),
+                    frozenset(index.members(exclude)),
+                )
+            )
             return original(context, cost, base_table, include, exclude)
 
         monkeypatch.setattr(strategy, "expand_job", recorder)
@@ -156,22 +163,22 @@ class TestConstrainedTableReuse:
                 (r.include, r.exclude)
                 for r in itertools.islice(ranked_triangulations(g, cost), 6)
             ]
+            index = ctx.separator_index()
             for include, exclude in partitions:
                 if not include and not exclude:
                     continue
-                constrained = ConstrainedCost(
-                    cost, include=include, exclude=exclude
-                )
-                reused, _ = min_triangulation_and_table(
+                reused = constrained_min_bags(
                     ctx,
-                    constrained,
-                    reusable_table=base_table,
-                    constraint_separators=include | exclude,
+                    cost,
+                    base_table,
+                    index.mask_of(include),
+                    index.mask_of(exclude),
                 )
-                fresh, _ = min_triangulation_and_table(ctx, constrained)
+                fresh, _ = min_triangulation_and_table(
+                    ctx, ConstrainedCost(cost, include=include, exclude=exclude)
+                )
                 assert (reused is None) == (fresh is None)
                 if reused is not None:
-                    assert reused.cost == fresh.cost
-                    assert satisfies_constraints(
-                        g, reused.bags, include, exclude
-                    )
+                    value, bags = reused
+                    assert value == fresh.cost
+                    assert satisfies_constraints(g, bags, include, exclude)

@@ -27,6 +27,7 @@ from repro.pmc.enumerate import (
     one_more_vertex_masks,
     potential_maximal_cliques,
     prefix_minimal_separator_masks,
+    prefix_views,
 )
 from repro.pmc.predicate import pmc_components_mask
 from repro.separators.berry import minimal_separator_masks
@@ -69,16 +70,14 @@ def reference_step(bigger, a, pmcs_smaller, minseps_smaller, minseps_bigger):
 def assert_every_step_matches(graph: Graph) -> None:
     bitgraph = BitGraph.from_graph(graph)
     order = bitgraph.bfs_order()
+    views = prefix_views(bitgraph, order)
     per_prefix = prefix_minimal_separator_masks(
-        bitgraph, order, minimal_separator_masks(bitgraph)
+        views, order, minimal_separator_masks(bitgraph)
     )
-    prefix = 1 << order[0]
-    pmcs = {prefix: []}
+    pmcs = {1 << order[0]: []}
     for i in range(1, len(order)):
         a = order[i]
-        prefix |= 1 << a
-        bigger = bitgraph.induced(prefix)
-        args = (bigger, a, pmcs, per_prefix[i - 1], per_prefix[i])
+        args = (views[i], a, pmcs, per_prefix[i - 1], per_prefix[i])
         expected = reference_step(*args)
         got = one_more_vertex_masks(*args)
         assert got == expected, (i, a)
@@ -138,3 +137,30 @@ def test_generic_pmc_test_runs_at_most_once_per_step(graph, monkeypatch):
     assert steps == graph.num_vertices() - 1
     assert tests <= steps
     assert found == potential_maximal_cliques(graph, kernel="sets")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [queen_graph(3, 5), grid_graph(4, 4), petersen_graph()],
+    ids=["queen-3x5", "grid-4x4", "petersen"],
+)
+def test_each_prefix_view_is_built_once(graph, monkeypatch):
+    """The prefix separators and the ONE_MORE_VERTEX steps share one
+    induced view per prefix (the steps above check each step's PMCs and
+    components against the wide family)."""
+    bitgraph = BitGraph.from_graph(graph)
+    built = []
+    induced = BitGraph.induced
+
+    def counted(self, mask):
+        built.append(mask)
+        return induced(self, mask)
+
+    monkeypatch.setattr(BitGraph, "induced", counted)
+    found = enumerate_mod.potential_maximal_clique_masks(bitgraph)
+    monkeypatch.undo()
+    assert len(built) == len(set(built)) == graph.num_vertices()
+    labels_of = bitgraph.indexer.labels_of
+    assert set(map(labels_of, found)) == potential_maximal_cliques(
+        graph, kernel="sets"
+    )

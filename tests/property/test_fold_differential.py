@@ -9,6 +9,9 @@ as the DP did before folds existed.  Both must return the same bags and
 the same float on every input: unconstrained and constrained runs, with
 and without the reused unconstrained table, under width bounds that leave
 blocks without a feasible candidate, and on infeasible constraint pairs.
+The reused-table runs go through :func:`constrained_min_bags`, the entry
+the ranked loop takes, with ``[I, X]`` as separator-index masks; over
+the generic path it wraps the cost in a :class:`ConstrainedCost`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.core.context import TriangulationContext
-from repro.core.mintriang import min_triangulation_and_table
+from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
 from repro.costs.base import BagCost, declared_fold
 from repro.costs.classic import FillInCost, SumExpBagCost
 from repro.costs.constrained import ConstrainedCost
@@ -52,14 +55,21 @@ def connected_graphs(draw, min_n=3, max_n=9):
     return Graph(vertices=range(n), edges=edges)
 
 
+def _solution(result):
+    """``(bags, repr(value))`` of a DP result, ``None`` when infeasible:
+    a :class:`Triangulation` or a ``(value, bags)`` pair from
+    :func:`constrained_min_bags`."""
+    if result is None:
+        return None
+    if isinstance(result, tuple):
+        value, bags = result
+        return frozenset(bags), repr(value)
+    return result.bags, repr(result.cost)
+
+
 def _same(folded, generic):
     """Same triangulation (bags) and the same float, or both infeasible."""
-    if generic is None:
-        assert folded is None
-        return
-    assert folded is not None
-    assert folded.bags == generic.bags
-    assert repr(folded.cost) == repr(generic.cost)
+    assert _solution(folded) == _solution(generic)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -100,25 +110,20 @@ def test_fold_matches_generic_path(kernel, cost_name, graph, data):
 
     full, _ = min_triangulation_and_table(context, constrained)
     _same(full, min_triangulation_and_table(context, oracle)[0])
-    reused, _ = min_triangulation_and_table(
-        context,
-        constrained,
-        reusable_table=table,
-        constraint_separators=include | exclude,
-    )
+    index = context.separator_index()
+    included, excluded = index.mask_of(include), index.mask_of(exclude)
+    reused = constrained_min_bags(context, cost, table, included, excluded)
     _same(
         reused,
-        min_triangulation_and_table(
-            context,
-            oracle,
-            reusable_table=oracle_table,
-            constraint_separators=include | exclude,
-        )[0],
+        constrained_min_bags(
+            context, BagsOnly(cost), oracle_table, included, excluded
+        ),
     )
     _same(reused, full)
     if reused is not None:
         # What expand_job reports: the DP's own value is the base cost.
-        assert reused.cost == cost.evaluate(graph, reused.bags)
+        value, bags = reused
+        assert value == cost.evaluate(graph, bags)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -129,17 +134,12 @@ def test_infeasible_constraints_agree(kernel, cost_name):
     context = TriangulationContext.build(graph, kernel=kernel)
     cost = make_cost(cost_name, graph)
     include = frozenset({frozenset({0, 3}), frozenset({1, 4})})
+    included = context.separator_index().mask_of(include)
     for base in (cost, BagsOnly(cost)):
         _first, table = min_triangulation_and_table(context, base)
         constrained = ConstrainedCost(base, include=include)
         assert min_triangulation_and_table(context, constrained)[0] is None
-        result, _ = min_triangulation_and_table(
-            context,
-            constrained,
-            reusable_table=table,
-            constraint_separators=include,
-        )
-        assert result is None
+        assert constrained_min_bags(context, base, table, included, 0) is None
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -148,14 +148,12 @@ def test_constraint_outside_minsep(kernel, cost_name):
     """Constraints a library caller may pass that are not members of
     ``MinSep(G)``: a non-adjacent pair that separates nothing and a bag of
     the optimum (a PMC is never a minimal separator).  The run takes the
-    generic path over every block, fresh or with a reused table."""
+    generic path over every block.  (The reused-table entry takes masks,
+    so it cannot name such a constraint.)"""
     graph = grid_graph(3, 3)
     context = TriangulationContext.build(graph, kernel=kernel)
     cost = make_cost(cost_name, graph)
-    first, table = min_triangulation_and_table(context, cost)
-    _oracle_first, oracle_table = min_triangulation_and_table(
-        context, BagsOnly(cost)
-    )
+    first, _table = min_triangulation_and_table(context, cost)
     corners = frozenset({(0, 0), (2, 2)})
     bag = min(first.bags, key=vertex_set_sort_key)
     separator = min(context.separators, key=vertex_set_sort_key)
@@ -170,21 +168,8 @@ def test_constraint_outside_minsep(kernel, cost_name):
     for include, exclude in pairs:
         constrained = ConstrainedCost(cost, include=include, exclude=exclude)
         oracle = BagsOnly(ConstrainedCost(cost, include=include, exclude=exclude))
-        touched = constrained.include | constrained.exclude
         full, _ = min_triangulation_and_table(context, constrained)
         _same(full, min_triangulation_and_table(context, oracle)[0])
-        reused, _ = min_triangulation_and_table(
-            context, constrained, reusable_table=table,
-            constraint_separators=touched,
-        )
-        _same(
-            reused,
-            min_triangulation_and_table(
-                context, oracle, reusable_table=oracle_table,
-                constraint_separators=touched,
-            )[0],
-        )
-        _same(reused, full)
 
 
 class HalfBagFill(FillInCost):

@@ -601,6 +601,56 @@ class TestTokenAuthentication:
         assert "authentication" in frames[-1]["message"]
 
 
+class TestTokenHeaderReads:
+    def test_wire_resume_decodes_its_frontier_once(self, tmp_path, monkeypatch):
+        """With an answers store, the scheduler's cache probe reads only
+        the token's header; on a miss, the job that resumes the token
+        decodes its frontier, once."""
+        import repro.api.checkpoint as checkpoint_mod
+        from repro.service.protocol import decode_token
+
+        graph = connected_erdos_renyi(10, 0.35, seed=2)
+        decodes = []
+        original = checkpoint_mod._read_frontier
+
+        def counting(reader):
+            decodes.append(reader.pos)
+            return original(reader)
+
+        monkeypatch.setattr(checkpoint_mod, "_read_frontier", counting)
+
+        async def main():
+            scheduler = EnumerationScheduler(
+                backend="inprocess", cache_dir=str(tmp_path)
+            )
+            first = await scheduler.submit(
+                ServiceRequest(
+                    op="top", graph=graph, cost="fill", k=3, preprocess=False
+                )
+            )
+            head = await first.drain()
+            decodes.clear()
+            resumed = await scheduler.submit(
+                ServiceRequest(
+                    op="enumerate",
+                    token=decode_token(head[-1]["checkpoint"]),
+                    k=3,
+                )
+            )
+            tail = await resumed.drain()
+            await scheduler.close()
+            return head, tail
+
+        head, tail = run(main())
+        assert tail[-1]["type"] == "stats"
+        assert tail[-1]["engine"] != "cache"  # a miss: the job resumed live
+        assert len(decodes) == 1
+        stream = Session(preprocess=False).stream(graph, "fill")
+        assert job_lines(head) + job_lines(tail) == serialize_answers(
+            itertools.islice(stream, 6)
+        )
+
+
 class TestDiverseExhaustionSemantics:
     def test_scan_cap_is_not_reported_as_exhaustion(self):
         graph = connected_erdos_renyi(12, 0.3, seed=5)  # 200+ answers

@@ -1,8 +1,8 @@
 """Resume-token keying across server restarts and key rotation.
 
-Resume tokens are HMAC-signed before the pickled checkpoint inside is
-ever deserialized, so the signing key decides whether a token survives
-a server restart.  These tests pin down the three regimes:
+Resume tokens are HMAC-signed, and the checkpoint inside is decoded
+only after the tag verifies, so the signing key decides whether a token
+survives a server restart.  These tests pin down the three regimes:
 
 * a shared secret (``REPRO_TOKEN_SECRET`` or ``token_key=``) makes a
   token minted by one server instance resume the *exact* answer

@@ -102,6 +102,24 @@ class TestCheckpointResume:
         assert main(["enumerate", str(other), "--resume", token]) == 2
         assert "different graph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_resume_refuses_an_unreadable_token(
+        self, gr_file, tmp_path, capsys, damage
+    ):
+        """A damaged token is an ``error:`` line and exit 2, like the
+        other refusals, never a traceback."""
+        token = tmp_path / "state.bin"
+        assert main(
+            ["enumerate", gr_file, "--top", "1", "--checkpoint", str(token)]
+        ) == 0
+        capsys.readouterr()
+        blob = token.read_bytes()
+        token.write_bytes(blob[: len(blob) // 2] if damage == "truncated" else b"garbage")
+        assert main(["enumerate", gr_file, "--resume", str(token)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_resume_with_diverse_rejected(self, gr_file, tmp_path, capsys):
         token = str(tmp_path / "state.bin")
         assert main(
