@@ -1,6 +1,7 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the library's own implementation choices.
 
-Not a paper table — these quantify our implementation decisions:
+Not a paper table — these time the alternatives each choice was made
+against:
 
 * sharing the unconstrained DP table across Lawler–Murty children
   (versus recomputing every block under every constraint set);
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 
+from repro.api import Session
 from repro.core.context import TriangulationContext
 from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
-from repro.core.ranked import ranked_triangulations
 from repro.costs.classic import FillInCost, WidthCost
 from repro.costs.constrained import ConstrainedCost
 from repro.graphs.generators import erdos_renyi
@@ -83,7 +84,7 @@ def test_ranked_ten_results(benchmark, smoke):
     k = 5 if smoke else 10
 
     def run():
-        stream = ranked_triangulations(graph, WidthCost(), context=ctx)
+        stream = Session().stream(graph, WidthCost(), context=ctx)
         return len(list(itertools.islice(stream, k)))
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) == k

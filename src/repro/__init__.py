@@ -18,8 +18,8 @@ Quick start (the session layer is the public entry point)::
     page = session.top(g, "fill", k=3)        # typed response + checkpoint
     more = session.resume(page.checkpoint)    # continues the exact sequence
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-reproduced evaluation.
+The README describes the system layer by layer, and
+``python -m repro experiments all`` reruns the reproduced evaluation.
 """
 
 from .graphs import Graph
@@ -45,13 +45,8 @@ from .core import (
     TreeDecomposition,
     TriangulationContext,
     clique_trees,
-    diverse_top_k,
     min_triangulation,
     minimum_fill_in,
-    ranked_tree_decompositions,
-    ranked_triangulations,
-    top_k_tree_decompositions,
-    top_k_triangulations,
     treewidth,
     triangulation_distance,
 )
@@ -62,7 +57,6 @@ from .api import (
     RankedStream,
     Session,
     StreamCheckpoint,
-    default_session,
     graph_fingerprint,
 )
 from .hypertree import (
@@ -99,7 +93,6 @@ __all__ = [
     "EnumerationStats",
     "RankedStream",
     "StreamCheckpoint",
-    "default_session",
     "graph_fingerprint",
     "TriangulationContext",
     "Triangulation",
@@ -107,14 +100,9 @@ __all__ = [
     "RankedResult",
     "RankedDecomposition",
     "min_triangulation",
-    "ranked_triangulations",
-    "top_k_triangulations",
-    "ranked_tree_decompositions",
-    "top_k_tree_decompositions",
     "clique_trees",
     "treewidth",
     "minimum_fill_in",
-    "diverse_top_k",
     "triangulation_distance",
     "GeneralizedHypertreeDecomposition",
     "ghd_from_tree_decomposition",

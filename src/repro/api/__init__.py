@@ -24,11 +24,6 @@ Quick start::
     for result in page.results:
         print(result.rank, result.cost)
     more = session.resume(page.checkpoint, k=5)   # ranks 5..9
-
-The legacy free functions (``ranked_triangulations``,
-``top_k_triangulations``, ``diverse_top_k``, ...) remain importable as
-thin deprecated wrappers over a process-wide default session
-(:func:`default_session`).
 """
 
 from __future__ import annotations
@@ -53,19 +48,4 @@ __all__ = [
     "FrontierEntry",
     "graph_fingerprint",
     "load_checkpoint",
-    "default_session",
 ]
-
-_DEFAULT_SESSION: Session | None = None
-
-
-def default_session() -> Session:
-    """The process-wide session behind the legacy free functions.
-
-    Created on first use with room for 16 cached contexts.  Long-running
-    services should prefer an explicitly managed :class:`Session`.
-    """
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session(max_contexts=16)
-    return _DEFAULT_SESSION

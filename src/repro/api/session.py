@@ -197,6 +197,9 @@ class Session:
             OrderedDict()
         )
         self._lock = threading.RLock()
+        # Keys being built, and the condition their waiters wait on.
+        self._building: set[tuple] = set()
+        self._built = threading.Condition(self._lock)
         self._hits = 0
         self._misses = 0
         self._builds = 0
@@ -237,30 +240,35 @@ class Session:
         prebuilt: TriangulationContext | None = None,
         fp: str | None = None,
     ) -> tuple[_CacheEntry, str, bool]:
-        """The cache entry of ``graph``; ``fp`` is its fingerprint when
-        the caller has already computed it."""
-        if prebuilt is not None:
-            width_bound = prebuilt.width_bound
+        """The cache entry of ``graph`` (``fp`` is its fingerprint, if the
+        caller has it); concurrent misses on it share one build."""
         fp = fp or graph_fingerprint(graph)
+        if prebuilt is not None:
+            key = (fp, prebuilt.width_bound)
+            with self._lock:
+                entry = self._recall(self._contexts, key)
+                if entry is not None and entry.context is prebuilt:
+                    self._hits += 1
+                    return entry, fp, True
+                if entry is None:
+                    self._misses += 1
+                entry = self._remember(self._contexts, key, _CacheEntry(prebuilt))
+                return entry, fp, False
         key = (fp, width_bound)
-        with self._lock:
-            entry = self._contexts.get(key)
+
+        def lookup():
+            entry = self._recall(self._contexts, key)
             if entry is not None:
-                self._contexts.move_to_end(key)
-                if prebuilt is not None and entry.context is not prebuilt:
-                    entry = _CacheEntry(prebuilt)
-                    self._contexts[key] = entry
-                    return entry, fp, False
                 self._hits += 1
                 return entry, fp, True
-            self._misses += 1
-        if prebuilt is not None:
-            context = prebuilt
-        else:
+            return None
+
+        def build():
+            with self._lock:
+                self._misses += 1
             context = self._stored_context(fp, width_bound)
             if context is None:
-                # Build outside the lock: initialization is the slow
-                # part.  Snapshot the graph first — the cache key is
+                # Snapshot the graph first — the cache key is
                 # content-based, so a caller mutating their graph object
                 # afterwards must not be able to poison the entry it was
                 # fingerprinted under.
@@ -270,18 +278,50 @@ class Session:
                 with self._lock:
                     self._builds += 1
                 self._publish_context(fp, context)
-        entry = _CacheEntry(context)
+            with self._lock:
+                # A context adopted meanwhile stays the incumbent.
+                entry = self._contexts.get(key) or self._remember(
+                    self._contexts, key, _CacheEntry(context)
+                )
+            return entry, fp, False
+
+        return self._single_flight(("context", key), lookup, build)
+
+    def _single_flight(self, key: tuple, lookup, build):
+        """``lookup()``'s hit, or else ``build()``'s result, with one build
+        per key at a time: the first thread to miss builds with no lock
+        held; the others wait for it and look again, so they are served
+        its result (or one of them builds in its place, if it raised)."""
         with self._lock:
-            existing = self._contexts.get(key)
-            if existing is not None and prebuilt is None:
-                # Lost a benign build race; serve the incumbent.
-                self._contexts.move_to_end(key)
-                return existing, fp, True
-            self._contexts[key] = entry
-            self._contexts.move_to_end(key)
-            while len(self._contexts) > self._max_contexts:
-                self._contexts.popitem(last=False)
-        return entry, fp, False
+            found = lookup()
+            while found is None and key in self._building:
+                self._built.wait()
+                found = lookup()
+            if found is not None:
+                return found
+            self._building.add(key)
+        try:
+            return build()
+        finally:
+            with self._lock:
+                self._building.discard(key)
+                self._built.notify_all()
+
+    @staticmethod
+    def _recall(cache: OrderedDict, key):
+        """``cache[key]`` marked most recent, or ``None`` (lock held)."""
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+        return value
+
+    def _remember(self, cache: OrderedDict, key, value):
+        """Store ``value`` as newest; evict the oldest past ``max_contexts``."""
+        cache[key] = value
+        cache.move_to_end(key)
+        while len(cache) > self._max_contexts:
+            cache.popitem(last=False)
+        return value
 
     def _stored_context(
         self, fp: str, width_bound: int | None
@@ -322,42 +362,39 @@ class Session:
     ) -> tuple | None:
         """Cached ``(first, unconstrained table)`` for a registry cost.
 
-        Lock-protected for concurrent callers (the service scheduler
-        opens streams from several executor threads at once): the slow
-        DP runs outside the lock, and when two threads race on the same
-        spec the first insert wins, so every stream sees one canonical
-        table.  With a disk store attached (and a fingerprint to key
-        by), a memory miss consults the store before running the DP and
-        publishes the pair it computed.
+        The service scheduler opens streams from several executor threads
+        at once: threads that miss on one spec together share one DP run,
+        which holds no lock, so every stream sees one canonical table.
+        With a disk store attached (and a fingerprint to key by), a memory
+        miss consults the store before running the DP and publishes the
+        pair it computed.
         """
         if spec is None:
             return None
-        with self._lock:
-            pair = entry.prepared.get(spec)
-        if pair is not None:
-            return pair
-        key = None
-        computed = None
-        if self._store is not None and fingerprint is not None:
-            from ..cache.store import prepared_key
 
-            key = prepared_key(
-                fingerprint,
-                spec,
-                entry.context.width_bound,
-                entry.context.kernel,
-            )
-            obj = self._store.get("prepared", key)
-            if isinstance(obj, tuple) and len(obj) == 2:
-                computed = obj
-        loaded = computed is not None
-        if computed is None:
-            computed = min_triangulation_and_table(entry.context, cost)
-        with self._lock:
-            pair = entry.prepared.setdefault(spec, computed)
-        if key is not None and not loaded and pair is computed:
-            self._store.put("prepared", key, computed)
-        return pair
+        def build():
+            key = pair = None
+            if self._store is not None and fingerprint is not None:
+                from ..cache.store import prepared_key
+
+                key = prepared_key(
+                    fingerprint,
+                    spec,
+                    entry.context.width_bound,
+                    entry.context.kernel,
+                )
+                pair = self._store.get("prepared", key)
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                pair = min_triangulation_and_table(entry.context, cost)
+                if key is not None:
+                    self._store.put("prepared", key, pair)
+            with self._lock:
+                entry.prepared[spec] = pair
+            return pair
+
+        return self._single_flight(
+            ("prepared", entry, spec), lambda: entry.prepared.get(spec), build
+        )
 
     @property
     def kernel(self) -> "KernelSpec":
@@ -452,24 +489,20 @@ class Session:
         self, graph: Graph, fp: str, duplicate_sensitive: bool
     ) -> PreprocessPlan:
         key = (fp, duplicate_sensitive)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                return plan
-        # Build outside the lock; losing a race just wastes one build.
-        plan = self._stored_plan(fp, duplicate_sensitive)
-        if plan is None:
-            plan = PreprocessPlan.build(
-                graph, duplicate_sensitive=duplicate_sensitive
-            )
-            self._publish_plan(fp, duplicate_sensitive, plan)
-        with self._lock:
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self._max_contexts:
-                self._plans.popitem(last=False)
-        return plan
+
+        def build():
+            plan = self._stored_plan(fp, duplicate_sensitive)
+            if plan is None:
+                plan = PreprocessPlan.build(
+                    graph, duplicate_sensitive=duplicate_sensitive
+                )
+                self._publish_plan(fp, duplicate_sensitive, plan)
+            with self._lock:
+                return self._remember(self._plans, key, plan)
+
+        return self._single_flight(
+            ("plan", key), lambda: self._recall(self._plans, key), build
+        )
 
     def _stored_plan(
         self, fp: str, duplicate_sensitive: bool

@@ -36,8 +36,7 @@ separators seen so far (incremental polynomial), and no work happens
 before the first result.
 
 What we deliberately do **not** reproduce: CKK's succinct data structures
-for the beyond-poly-MS regime — neither competitor is benchmarked there
-(see DESIGN.md, substitution table).
+for the beyond-poly-MS regime — neither competitor is benchmarked there.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each driver returns structured rows, prints nothing by itself, and is
 invoked both by the pytest benchmarks (scaled-down defaults) and by
 ``python -m repro.bench.experiments`` for a full report run.  Time budgets
 are per-graph wall-clock seconds; the paper's 30-minute/48-core study maps
-onto seconds-scale budgets here (see DESIGN.md §4).
+onto seconds-scale budgets here, so the evaluation reruns on one machine
+(each caller sets its own; ``benchmarks/conftest.py`` has the defaults).
 """
 
 from __future__ import annotations
@@ -266,8 +267,8 @@ def table2(
     participate; each is run with RankedTriang optimizing width, then
     fill, then with CKK (whose single unordered run serves both cost
     columns); runs where CKK exhausts the space within the budget are
-    still included (our scale makes full enumeration common — the paper
-    excluded those rows; EXPERIMENTS.md discusses the delta).
+    still included, because at this scale full enumeration is common
+    (the paper, at its scale, excluded those rows).
     """
     rows: list[dict] = []
     session = Session(max_contexts=4)  # both cost runs share one build

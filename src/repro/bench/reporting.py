@@ -2,7 +2,7 @@
 
 Each experiment driver produces rows (lists of dicts); these helpers
 render the fixed-width tables printed by the benchmarks and persist
-machine-readable copies under ``results/`` for EXPERIMENTS.md.
+them under ``results/``, each table beside a machine-readable JSON copy.
 """
 
 from __future__ import annotations

@@ -2,21 +2,17 @@
 
 from .context import TriangulationContext
 from .mintriang import Triangulation, min_triangulation, min_triangulation_with_context
-from .ranked import RankedResult, ranked_triangulations, top_k_triangulations
+from .ranked import RankedResult
 from .decomposition import TreeDecomposition
 from .spanning import clique_trees, count_clique_trees, maximum_spanning_trees
-from .proper import (
-    RankedDecomposition,
-    ranked_tree_decompositions,
-    top_k_tree_decompositions,
-)
+from .proper import RankedDecomposition
 from .exact import (
     minimum_fill_in,
     treewidth,
     weighted_minimum_fill_in,
     weighted_treewidth,
 )
-from .diversity import diverse_top_k, max_min_dispersion_k, triangulation_distance
+from .diversity import max_min_dispersion_k, triangulation_distance
 
 __all__ = [
     "TriangulationContext",
@@ -24,20 +20,15 @@ __all__ = [
     "min_triangulation",
     "min_triangulation_with_context",
     "RankedResult",
-    "ranked_triangulations",
-    "top_k_triangulations",
     "TreeDecomposition",
     "clique_trees",
     "count_clique_trees",
     "maximum_spanning_trees",
     "RankedDecomposition",
-    "ranked_tree_decompositions",
-    "top_k_tree_decompositions",
     "treewidth",
     "minimum_fill_in",
     "weighted_treewidth",
     "weighted_minimum_fill_in",
-    "diverse_top_k",
     "max_min_dispersion_k",
     "triangulation_distance",
 ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from ..api.session import Session
 from ..costs.hypergraph import Hypergraph, HypertreeWidthCost, minimum_edge_cover_size
 from ..core.context import TriangulationContext
 from ..core.decomposition import TreeDecomposition
@@ -158,13 +159,13 @@ def ranked_ghds(
     Streams the ranked proper tree decompositions of the primal graph
     under the ``ghw`` cost and covers each bag on the fly; by default one
     clique tree per triangulation (bag-equivalent clique trees have equal
-    ``ghw``).
+    ``ghw``).  The stream runs on a session of its own, closed with the
+    generator; pass ``context`` to reuse an initialization across calls.
     """
-    from ..api import default_session
-
     primal = hypergraph.primal_graph()
     cost = HypertreeWidthCost(hypergraph)
-    for ranked in default_session().decomposition_stream(
-        primal, cost, context=context, per_triangulation=per_triangulation
-    ):
-        yield ghd_from_tree_decomposition(hypergraph, ranked.decomposition)
+    with Session(max_contexts=1) as session:
+        for ranked in session.decomposition_stream(
+            primal, cost, context=context, per_triangulation=per_triangulation
+        ):
+            yield ghd_from_tree_decomposition(hypergraph, ranked.decomposition)

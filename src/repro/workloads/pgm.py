@@ -5,7 +5,7 @@ Challenge: Alchemy, CSP, DBN, Grids, Image Alignment, Object Detection,
 Pedigree, Promedas, Protein-Protein, Protein Folding, Segmentation.  The
 challenge archives are not redistributable here, so each family is
 reproduced by a *structured generator* that matches the documented
-topology of the original models (see DESIGN.md's substitution table).
+topology of the original models.
 Sizes are tuned so the family lands in the same tractability band the
 paper's Figure 5 reports: e.g. Object Detection instances are small and
 easy, Promedas is separator-tractable but PMC-heavy, Alchemy / Pedigree /

@@ -226,17 +226,21 @@ class TestExhaustedCheckpoints:
         assert token.next_rank == 2
 
 
-class TestLegacyEquivalence:
-    def test_wrappers_match_session_streams(self):
-        """The deprecated free functions are views over the session API."""
-        from repro.core.ranked import ranked_triangulations, top_k_triangulations
-
-        session = Session()
+class TestCostObjectEquivalence:
+    def test_registry_name_matches_cost_object(self):
+        """A registry name and its cost object serve one ranked sequence,
+        whether a request gets a fresh session (context and DP table
+        rebuilt) or shares one (context reused; a name also reuses its
+        unconstrained DP table, from the second pass on).  Preprocessing
+        applies to names only, so it is off on those sessions; on a
+        default session the names take the composed pipeline (both of
+        these graphs decompose) and still serve the same sequences."""
+        shared = Session(preprocess=False)
         for g in connected_random_graphs(7, 0.45, 2, seed_base=7300):
-            via_session = signature(session.stream(g, "width"))
-            via_legacy = signature(ranked_triangulations(g, WidthCost()))
-            assert via_legacy == via_session
-            top = top_k_triangulations(g, WidthCost(), 3)
-            assert [frozenset(t.bags) for t in top] == [
-                s[2] for s in via_session[:3]
-            ]
+            for spec, cost in (("width", WidthCost()), ("fill", FillInCost())):
+                reference = signature(Session(preprocess=False).stream(g, spec))
+                for session in (Session(preprocess=False), shared, shared, Session()):
+                    assert signature(session.stream(g, cost)) == reference
+                    assert signature(session.stream(g, spec)) == reference
+                    top = session.top(g, cost, k=3)
+                    assert signature(top.results) == reference[:3]

@@ -272,15 +272,18 @@ class TestRankedResponses:
 
 
 class TestDiverseMode:
-    def test_matches_legacy_greedy(self):
-        from repro.core.diversity import diverse_top_k
-
+    def test_registry_name_matches_cost_object(self):
+        """``"fill"`` and ``FillInCost()`` keep the same diverse page, on a
+        fresh session and on the session that served the name."""
         g = cycle_graph(7)
-        session = Session()
-        response = session.diverse(g, "fill", k=6, min_distance=4)
-        legacy = diverse_top_k(g, FillInCost(), 6, min_distance=4)
-        assert [t.bags for t in response.results] == [t.bags for t in legacy]
-        assert response.stats.mode == "diverse"
+        shared = Session()
+        by_name = shared.diverse(g, "fill", k=6, min_distance=4)
+        for session in (Session(), shared):
+            by_object = session.diverse(g, FillInCost(), k=6, min_distance=4)
+            assert [t.bags for t in by_object.results] == [
+                t.bags for t in by_name.results
+            ]
+        assert by_name.stats.mode == "diverse"
 
     def test_width_bound_threads_through(self):
         session = Session()
@@ -307,17 +310,20 @@ class TestDiverseMode:
 
 
 class TestDecompositionsMode:
-    def test_matches_legacy(self):
-        from repro.core.proper import top_k_tree_decompositions
-
+    def test_registry_name_matches_cost_object(self):
+        """``"width"`` and ``WidthCost()`` rank the same decompositions, on
+        a fresh session and on the session that served the name."""
         g = paper_example_graph()
-        session = Session()
-        response = session.decompositions(g, "width", k=6)
-        legacy = top_k_tree_decompositions(g, WidthCost(), 6)
-        assert [r.decomposition.bag_set() for r in response.results] == [
-            r.decomposition.bag_set() for r in legacy
-        ]
-        assert [r.rank for r in response.results] == list(range(len(legacy)))
+        shared = Session()
+        by_name = shared.decompositions(g, "width", k=6)
+        for session in (Session(), shared):
+            by_object = session.decompositions(g, WidthCost(), k=6)
+            assert [r.decomposition.bag_set() for r in by_name.results] == [
+                r.decomposition.bag_set() for r in by_object.results
+            ]
+        assert [r.rank for r in by_name.results] == list(
+            range(len(by_object.results))
+        )
 
     def test_per_triangulation_cap(self):
         session = Session()

@@ -7,6 +7,7 @@ import os
 import pytest
 from hypothesis import settings
 
+from repro.api import Session
 from repro.graphs.graph import Graph
 from repro.graphs.generators import (
     complete_graph,
@@ -75,6 +76,13 @@ def connected_random_graphs(n: int, p: float, count: int, seed_base: int = 0):
         if g.num_vertices() and g.is_connected():
             out.append(g)
     return out
+
+
+@pytest.fixture
+def session():
+    """A fresh :class:`~repro.api.Session`, closed after the test."""
+    with Session() as fresh:
+        yield fresh
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ import pytest
 from repro.api import Session
 from repro.core.context import TriangulationContext
 from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
-from repro.core.ranked import ranked_triangulations
 from repro.costs.classic import FillInCost
 from repro.costs.constrained import ConstrainedCost, satisfies_constraints
 from repro.engine import strategy
@@ -161,7 +160,7 @@ class TestConstrainedTableReuse:
             # (include, exclude) pair it would solve for the first pops.
             partitions = [
                 (r.include, r.exclude)
-                for r in itertools.islice(ranked_triangulations(g, cost), 6)
+                for r in itertools.islice(Session().stream(g, cost), 6)
             ]
             index = ctx.separator_index()
             for include, exclude in partitions:

@@ -2,9 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Session
 from repro.baselines.brute import minimal_triangulations_via_mis
 from repro.baselines.ckk import ckk_enumeration
-from repro.core.ranked import ranked_triangulations
 from repro.costs.classic import FillInCost, WidthCost
 from repro.graphs.graph import Graph
 from repro.pmc.enumerate import potential_maximal_cliques
@@ -44,7 +44,7 @@ def test_ranked_complete_sorted_duplicate_free(g):
     expected = {fill_key(g, h) for h in minimal_triangulations_via_mis(g)}
     seen = []
     costs = []
-    for r in ranked_triangulations(g, FillInCost()):
+    for r in Session().stream(g, FillInCost()):
         seen.append(fill_key(g, r.triangulation.chordal_graph))
         costs.append(r.cost)
         assert is_minimal_triangulation(g, r.triangulation.chordal_graph)
@@ -65,13 +65,14 @@ def test_ckk_complete_duplicate_free(g):
 @settings(max_examples=15, deadline=None)
 @given(connected_graphs(max_n=7), st.integers(1, 4))
 def test_bounded_enumeration_is_filtered_enumeration(g, bound):
+    session = Session()
     full = {
         fill_key(g, r.triangulation.chordal_graph)
-        for r in ranked_triangulations(g, WidthCost())
+        for r in session.stream(g, WidthCost())
         if r.triangulation.width <= bound
     }
     bounded = {
         fill_key(g, r.triangulation.chordal_graph)
-        for r in ranked_triangulations(g, WidthCost(), width_bound=bound)
+        for r in session.stream(g, WidthCost(), width_bound=bound)
     }
     assert bounded == full

@@ -15,8 +15,6 @@ from repro import (
     WidthCost,
     ckk_enumeration,
     minimum_fill_in,
-    ranked_tree_decompositions,
-    ranked_triangulations,
     treewidth,
 )
 from repro.baselines.brute import minimal_triangulations_via_mis
@@ -31,28 +29,28 @@ class TestTpchPipeline:
     """The paper: 'computing all minimal triangulations [of TPC-H] is a
     matter of a few seconds' — we assert exact three-way parity."""
 
-    def test_full_parity_on_all_queries(self):
+    def test_full_parity_on_all_queries(self, session):
         for name, graph in tpch_instances():
             if graph.num_vertices() < 2 or not graph.is_connected():
                 continue
             oracle = {fill_key(graph, h) for h in minimal_triangulations_via_mis(graph)}
             ranked = {
                 fill_key(graph, r.triangulation.chordal_graph)
-                for r in ranked_triangulations(graph, FillInCost())
+                for r in session.stream(graph, FillInCost())
             }
             ckk = {
                 fill_key(graph, r.triangulation) for r in ckk_enumeration(graph)
             }
             assert ranked == oracle == ckk, name
 
-    def test_decompositions_usable_downstream(self):
+    def test_decompositions_usable_downstream(self, session):
         # For every query: the best decomposition is valid, proper, and of
         # width bounded by the query size.
         for name, graph in tpch_instances():
             if graph.num_vertices() < 2 or not graph.is_connected():
                 continue
             best = next(
-                iter(ranked_tree_decompositions(graph, WidthCost()))
+                iter(session.decomposition_stream(graph, WidthCost()))
             )
             assert best.decomposition.is_valid(graph), name
             assert best.decomposition.is_proper(graph), name
@@ -81,22 +79,22 @@ class TestControlFlowPipeline:
 
 
 class TestSharedContextConsistency:
-    def test_three_costs_one_context(self):
+    def test_three_costs_one_context(self, session):
         graph = control_flow_graph(15, seed=2)
         ctx = TriangulationContext.build(graph)
         by_width = list(
             itertools.islice(
-                ranked_triangulations(graph, WidthCost(), context=ctx), 8
+                session.stream(graph, WidthCost(), context=ctx), 8
             )
         )
         by_fill = list(
             itertools.islice(
-                ranked_triangulations(graph, FillInCost(), context=ctx), 8
+                session.stream(graph, FillInCost(), context=ctx), 8
             )
         )
         by_lex = list(
             itertools.islice(
-                ranked_triangulations(graph, LexWidthFillCost(graph), context=ctx), 8
+                session.stream(graph, LexWidthFillCost(graph), context=ctx), 8
             )
         )
         # All produce genuinely minimal triangulations of the same graph.
@@ -119,7 +117,7 @@ class TestSharedContextConsistency:
 class TestPaperExampleGolden:
     """Every number the paper states about its running example."""
 
-    def test_figure1_and_section2(self, paper_graph):
+    def test_figure1_and_section2(self, session, paper_graph):
         # Example 2.4: exactly these three minimal separators.
         from repro import minimal_separators
 
@@ -129,7 +127,7 @@ class TestPaperExampleGolden:
             frozenset({"v"}),
         }
         # Figure 1(b): exactly two minimal triangulations, H1 and H2.
-        results = list(ranked_triangulations(paper_graph, WidthCost()))
+        results = list(session.stream(paper_graph, WidthCost()))
         assert len(results) == 2
         h2, h1 = results[0].triangulation, results[1].triangulation
         # T2 (clique tree of H2) has bags {u,v,wi} and {v,v'}.

@@ -23,7 +23,7 @@ class TestPublicSurface:
                 ("v", "v'"),
             ]
         )
-        results = list(repro.ranked_triangulations(g, repro.WidthCost()))
+        results = list(repro.Session().stream(g, repro.WidthCost()))
         assert [(r.rank, r.triangulation.width, r.triangulation.fill_in()) for r in results] == [
             (0, 2, 1),
             (1, 3, 3),
