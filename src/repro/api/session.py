@@ -31,15 +31,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import replace
-from itertools import islice
 
-from ..cache.answers import AnswerCache, AnswerPage, preprocess_applies_for
+from ..cache.answers import AnswerCache, preprocess_applies_for
 from ..core.context import TriangulationContext
-from ..core.diversity import _fill_set
 from ..core.mintriang import min_triangulation_and_table
-from ..core.proper import RankedDecomposition
-from ..core.spanning import clique_trees
 from ..costs.registry import resolve_cost
 from ..graphs.graph import Graph
 from ..graphs.kernels import KernelSpec
@@ -51,64 +46,12 @@ from ..preprocess.recompose import (
 )
 from .checkpoint import StreamCheckpoint, load_checkpoint
 from .fingerprint import graph_fingerprint
+from .job import Job, _diverse_selection, _expand_decompositions
 from .request import EnumerationRequest
 from .response import EnumerationResponse, EnumerationStats
 from .stream import RankedStream
 
 __all__ = ["Session"]
-
-
-def _diverse_selection(
-    stream,
-    k: int,
-    min_distance: int,
-    scan_limit: int | None = None,
-    should_stop=None,
-):
-    """Greedy quality/diversity selection over a ranked stream.
-
-    Scans (at most ``scan_limit``, default ``25 * k``) results in ranked
-    order and yields the triangulations that are >= ``min_distance``
-    fill edges away from every previously kept one, stopping after
-    ``k`` keeps.  The one selection rule — including the scan-window
-    default — behind :meth:`Session.diverse` and the service
-    scheduler's sliceable diverse jobs; both surfaces stay identical by
-    construction.  ``should_stop`` (if given) is polled once per scanned
-    result so callers can impose time budgets.
-    """
-    if scan_limit is None:
-        scan_limit = 25 * k
-    kept_fills: list[frozenset] = []
-    for result in islice(stream, scan_limit):
-        fill = _fill_set(result.triangulation)
-        if all(
-            len(fill ^ other) >= min_distance for other in kept_fills
-        ):
-            kept_fills.append(fill)
-            yield result.triangulation
-            if len(kept_fills) >= k:
-                return
-        if should_stop is not None and should_stop():
-            return
-
-
-def _expand_decompositions(stream, per_triangulation: int | None):
-    """Proposition 6.1: expand a ranked triangulation stream into its
-    clique trees, preserving cost order (the one shared implementation
-    behind ``decomposition_stream`` and ``decompositions``)."""
-    rank = 0
-    for result in stream:
-        trees = clique_trees(result.triangulation.chordal_graph)
-        if per_triangulation is not None:
-            trees = islice(trees, per_triangulation)
-        for td in trees:
-            yield RankedDecomposition(
-                decomposition=td,
-                cost=result.cost,
-                triangulation=result.triangulation,
-                rank=rank,
-            )
-            rank += 1
 
 
 class _CacheEntry:
@@ -561,9 +504,9 @@ class Session:
         composition (per-atom values must combine exactly) and no
         caller-supplied prebuilt context.  The same rule
         (:func:`~repro.cache.answers.preprocess_applies_for`) picks the
-        keys of the request's :class:`~repro.cache.answers.AnswerCache`;
-        the service scheduler, which probes before any session exists,
-        calls it directly.
+        keys of the request's :class:`~repro.cache.answers.AnswerCache`
+        (:meth:`~repro.cache.answers.AnswerCache.for_request`), which the
+        service scheduler also probes before any session exists.
         """
         effective = self._preprocess if preprocess is None else preprocess
         return (
@@ -702,335 +645,190 @@ class Session:
     # ------------------------------------------------------------------
     # Typed request execution
     # ------------------------------------------------------------------
+    def job(
+        self,
+        request=None,
+        *,
+        graph: Graph | None = None,
+        fingerprint: str | None = None,
+        checkpoint: "StreamCheckpoint | ComposedCheckpoint | bytes | None" = None,
+        cost: "str | object | None" = None,
+        context: TriangulationContext | None = None,
+        emitted: int = 0,
+        should_stop=None,
+    ) -> Job:
+        """Open one request's :class:`~repro.api.job.Job`.
+
+        ``request`` is an :class:`~repro.api.request.EnumerationRequest`
+        or a service request (both name their fields alike); ``None``
+        means a plain ranked continuation of ``checkpoint``.  With a
+        ``checkpoint`` the job reopens it (``cost`` as in
+        :meth:`resume`), and ``emitted`` counts the answers delivered
+        before it; otherwise it opens the request on ``graph`` (default:
+        the request's own; ``fingerprint`` is its hash, if the caller
+        has it) or on a prebuilt ``context``.  A fresh request for zero
+        answers opens nothing.  ``should_stop`` is polled once per
+        scanned candidate in diverse mode.
+        """
+        started = time.perf_counter()
+        mode = "ranked" if request is None else request.mode
+        if checkpoint is not None:
+            if isinstance(checkpoint, (bytes, bytearray)):
+                checkpoint = load_checkpoint(bytes(checkpoint))
+            stream, meta = self._reopen(checkpoint, cost=cost)
+            answers = AnswerCache.for_checkpoint(self._store, checkpoint)
+        else:
+            if graph is None:
+                graph = request.graph
+            if isinstance(graph, str):
+                from ..graphs.io import read_graph
+
+                graph = read_graph(graph)
+            fingerprint = fingerprint or graph_fingerprint(graph)
+            if mode == "diverse" and request.k is None:
+                raise ValueError("diverse mode requires k")
+            if request.result_limit == 0:
+                return Job(
+                    mode, None, None,
+                    meta={"context_cached": False, "init_seconds": 0.0},
+                    answers=None, kernel=self._kernel, fingerprint=fingerprint,
+                    cost_spec=request.cost if isinstance(request.cost, str) else None,
+                    started=started,
+                )
+            stream, meta = self._open(
+                graph,
+                request.cost,
+                width_bound=request.width_bound,
+                context=context,
+                preprocess=request.preprocess,
+                fp=fingerprint,
+            )
+            answers = None
+            if context is None and mode == "ranked":
+                answers = AnswerCache.for_request(
+                    self._store, fingerprint, request.cost,
+                    request.width_bound, self._preprocess_flag(request),
+                )
+        if mode == "diverse":
+            results = _diverse_selection(
+                stream, request.result_limit, request.min_distance,
+                request.scan_limit, should_stop=should_stop,
+            )
+        elif mode == "decompositions":
+            results = _expand_decompositions(stream, request.per_triangulation)
+        else:
+            results = stream
+        return Job(
+            mode, stream, results, meta=meta, answers=answers,
+            kernel=self._kernel, fingerprint=stream.fingerprint,
+            cost_spec=stream.cost_spec, started=started, emitted=emitted,
+        )
+
+    def _preprocess_flag(self, request) -> bool:
+        """The request's preprocess flag, the session default filled in."""
+        if request.preprocess is None:
+            return self._preprocess
+        return request.preprocess
+
     def execute(
         self,
         request: EnumerationRequest,
         *,
         context: TriangulationContext | None = None,
     ) -> EnumerationResponse:
-        """Serve one :class:`~repro.api.request.EnumerationRequest`."""
+        """Serve one :class:`~repro.api.request.EnumerationRequest`.
+
+        With a disk store attached, a ranked request first replays the
+        longest head of its page the answers tier holds; a live job runs
+        the rest from the head's stored frontier and writes the longer
+        prefix back.
+        """
         started = time.perf_counter()
         graph = request.resolve_graph()
-        if request.mode == "ranked":
-            return self._execute_ranked(request, graph, started, context)
-        if request.mode == "diverse":
-            return self._execute_diverse(request, graph, started, context)
-        return self._execute_decompositions(request, graph, started, context)
-
-    def _empty_response(
-        self,
-        request: EnumerationRequest,
-        graph: Graph,
-        started: float,
-    ) -> EnumerationResponse:
-        """A zero-answer response that never touches the context cache."""
-        stats = EnumerationStats(
-            fingerprint=graph_fingerprint(graph),
-            mode=request.mode,
-            cost_spec=request.cost_spec,
-            emitted=0,
-            expansions=0,
-            init_seconds=0.0,
-            context_cached=False,
-            elapsed_seconds=time.perf_counter() - started,
-            engine="none",
-            exhausted=False,
-            timed_out=False,
-            kernel=self._kernel,
-        )
-        return EnumerationResponse(results=(), stats=stats, checkpoint=None)
-
-    def _execute_ranked(
-        self,
-        request: EnumerationRequest,
-        graph: Graph,
-        started: float,
-        context: TriangulationContext | None,
-    ) -> EnumerationResponse:
-        limit = request.result_limit
-        if limit == 0:
-            return self._empty_response(request, graph, started)
-        if (
-            self._store is not None
-            and context is None
-            and isinstance(request.cost, str)
-            and graph.num_vertices() > 0
-        ):
-            return self._ranked_with_answers(request, graph, started, limit)
-        stream, meta = self._open(
-            graph,
-            request.cost,
-            width_bound=request.width_bound,
-            context=context,
-            preprocess=request.preprocess,
-        )
-        return self._collect_ranked(
-            stream, meta, limit, request.time_budget, started
-        )
-
-    # ------------------------------------------------------------------
-    # The "answers" artifact kind: ranked prefixes served from disk
-    # ------------------------------------------------------------------
-    def _ranked_with_answers(
-        self,
-        request: EnumerationRequest,
-        graph: Graph,
-        started: float,
-        limit: int | None,
-    ) -> EnumerationResponse:
-        """Ranked execution through the answer-prefix cache.
-
-        Covered request → replay from disk.  Longer request over a
-        non-exhausted record → resume from the stored frontier at the
-        prefix tip, enumerate only the missing tail, write the longer
-        prefix back.  Miss → live run, then publish the prefix.
-        """
         fp = graph_fingerprint(graph)
-        answers = AnswerCache(
-            self._store,
-            fp,
-            request.cost,
-            request.width_bound,
-            applies=self._preprocess_applies(
-                request.cost, None, request.preprocess
-            ),
-        )
-        record = answers.load()
-        page = answers.replay(record, graph, 0, limit)
-        if page is not None:
-            return self._replayed(answers, page, started)
-        n = len(record.answers) if record is not None else 0
-        if n > 0 and (limit is None or limit > n):
-            # Not covered, so the record is not exhausted; a head page
-            # exists exactly when a checkpoint is stored at its tip.
-            head = answers.replay(record, graph, 0, n)
-            tip = load_checkpoint(head.checkpoint) if head is not None else None
-            if tip is not None and not tip.exhausted:
-                stream, meta = self._reopen(tip)
-                remaining = None if limit is None else limit - n
-                tail = self._collect_ranked(
-                    stream, meta, remaining, request.time_budget, started
-                )
-                self._write_back(answers, n, tail)
-                return EnumerationResponse(
-                    results=head.results + tail.results,
-                    stats=replace(tail.stats, emitted=n + tail.stats.emitted),
-                    checkpoint=tail.checkpoint,
-                )
-        stream, meta = self._open(
-            graph,
-            request.cost,
-            width_bound=request.width_bound,
-            context=None,
-            preprocess=request.preprocess,
-            fp=fp,
-        )
-        response = self._collect_ranked(
-            stream, meta, limit, request.time_budget, started
-        )
-        self._write_back(answers, 0, response)
-        return response
-
-    def _replayed(
-        self, answers: AnswerCache, page: AnswerPage, started: float
-    ) -> EnumerationResponse:
-        """The response of a page served from the answers tier: results
-        identical to a live run's, with ``elapsed_seconds`` 0.0 and
-        ``engine="cache"`` marking the path."""
-        stats = EnumerationStats(
-            fingerprint=answers.fingerprint,
-            mode="ranked",
-            cost_spec=answers.cost_spec,
-            emitted=len(page.results),
-            expansions=0,
-            init_seconds=0.0,
-            context_cached=False,
-            elapsed_seconds=time.perf_counter() - started,
-            engine="cache",
-            exhausted=page.exhausted,
-            timed_out=False,
-            preprocessed=page.preprocessed,
-            kernel=self._kernel,
-        )
-        return EnumerationResponse(
-            results=page.results,
-            stats=stats,
-            checkpoint=load_checkpoint(page.checkpoint),
+        answers = None
+        if request.mode == "ranked" and context is None:
+            answers = AnswerCache.for_request(
+                self._store, fp, request.cost, request.width_bound,
+                self._preprocess_flag(request),
+            )
+        return self._serve(
+            request, answers, graph, 0, request.result_limit,
+            request.time_budget, started,
+            graph=graph, fingerprint=fp, context=context,
         )
 
-    @staticmethod
-    def _write_back(
-        answers: AnswerCache, start: int, response: EnumerationResponse
-    ) -> None:
-        """Publish a live collect that started at position ``start``."""
-        answers.publish(
-            start,
-            response.results,
-            response.checkpoint.to_bytes(),
-            exhausted=response.stats.exhausted,
-            preprocessed=response.stats.preprocessed,
-        )
-
-    def _collect_ranked(
+    def _serve(
         self,
-        stream: RankedStream,
-        meta: dict,
+        request,
+        answers: AnswerCache | None,
+        head_graph,
+        start: int,
         limit: int | None,
         time_budget: float | None,
         started: float,
+        **job_kwargs,
     ) -> EnumerationResponse:
-        results = []
-        timed_out = False
-        try:
-            while limit is None or len(results) < limit:
-                try:
-                    results.append(next(stream))
-                except StopIteration:
-                    break
-                if (
-                    time_budget is not None
-                    and time.perf_counter() - started > time_budget
-                ):
-                    timed_out = True
-                    break
-            checkpoint = stream.checkpoint()
-            stats = EnumerationStats(
-                fingerprint=stream.fingerprint,
-                mode="ranked",
-                cost_spec=stream.cost_spec,
-                emitted=len(results),
-                expansions=stream.expansions,
-                init_seconds=meta["init_seconds"],
-                context_cached=meta["context_cached"],
-                elapsed_seconds=time.perf_counter() - started,
-                engine=stream.engine_name,
-                exhausted=stream.exhausted,
-                timed_out=timed_out,
-                preprocessed=isinstance(stream, ComposedRankedStream),
-                kernel=self._kernel,
+        """One page from position ``start``: the head ``answers`` can
+        replay (over ``head_graph``, a graph or a callable returning
+        one), then a live :class:`~repro.api.job.Job` (opened with
+        ``job_kwargs``, or on the head's end) until ``limit`` answers or
+        the time budget, polled after each answer."""
+        head = None
+        if answers is not None:
+            head = answers.replay(answers.load(), head_graph, start, limit)
+        if head is not None:
+            if head.serves(limit):
+                stats = EnumerationStats(
+                    fingerprint=answers.fingerprint,
+                    mode="ranked",
+                    cost_spec=answers.cost_spec,
+                    emitted=len(head.results),
+                    expansions=0,
+                    init_seconds=0.0,
+                    context_cached=False,
+                    elapsed_seconds=time.perf_counter() - started,
+                    engine="cache",
+                    exhausted=head.exhausted,
+                    preprocessed=head.preprocessed,
+                    kernel=self._kernel,
+                )
+                return EnumerationResponse(
+                    head.results, stats, load_checkpoint(head.checkpoint)
+                )
+            job_kwargs.update(
+                checkpoint=head.checkpoint, emitted=len(head.results)
             )
-        finally:
-            stream.close()
-        return EnumerationResponse(
-            results=tuple(results), stats=stats, checkpoint=checkpoint
-        )
-
-    def _execute_diverse(
-        self,
-        request: EnumerationRequest,
-        graph: Graph,
-        started: float,
-        context: TriangulationContext | None,
-    ) -> EnumerationResponse:
-        if request.k is None:
-            raise ValueError("diverse mode requires k")
-        limit = request.result_limit
-        if limit == 0:
-            return self._empty_response(request, graph, started)
-        assert limit is not None
-        stream, meta = self._open(
-            graph,
-            request.cost,
-            width_bound=request.width_bound,
-            context=context,
-            preprocess=request.preprocess,
-        )
-        kept = []
+        results = list(head.results) if head is not None else []
         timed_out = False
 
         def over_budget() -> bool:
             nonlocal timed_out
             if (
-                request.time_budget is not None
-                and time.perf_counter() - started > request.time_budget
+                time_budget is not None
+                and time.perf_counter() - started > time_budget
             ):
                 timed_out = True
             return timed_out
 
+        job = self.job(request, should_stop=over_budget, **job_kwargs)
         try:
-            kept = list(
-                _diverse_selection(
-                    stream,
-                    limit,
-                    request.min_distance,
-                    request.scan_limit,
-                    should_stop=over_budget,
-                )
-            )
-            stats = EnumerationStats(
-                fingerprint=stream.fingerprint,
-                mode="diverse",
-                cost_spec=stream.cost_spec,
-                emitted=len(kept),
-                expansions=stream.expansions,
-                init_seconds=meta["init_seconds"],
-                context_cached=meta["context_cached"],
-                elapsed_seconds=time.perf_counter() - started,
-                engine=stream.engine_name,
-                exhausted=stream.exhausted,
-                timed_out=timed_out,
-                preprocessed=isinstance(stream, ComposedRankedStream),
-                kernel=self._kernel,
-            )
-        finally:
-            stream.close()
-        return EnumerationResponse(
-            results=tuple(kept), stats=stats, checkpoint=None
-        )
-
-    def _execute_decompositions(
-        self,
-        request: EnumerationRequest,
-        graph: Graph,
-        started: float,
-        context: TriangulationContext | None,
-    ) -> EnumerationResponse:
-        limit = request.result_limit
-        if limit == 0:
-            return self._empty_response(request, graph, started)
-        stream, meta = self._open(
-            graph,
-            request.cost,
-            width_bound=request.width_bound,
-            context=context,
-            preprocess=request.preprocess,
-        )
-        results: list[RankedDecomposition] = []
-        timed_out = False
-        truncated = False
-        try:
-            for ranked in _expand_decompositions(
-                stream, request.per_triangulation
-            ):
-                results.append(ranked)
-                if limit is not None and len(results) >= limit:
-                    truncated = True
+            drained = False
+            while limit is None or job.emitted < limit:
+                try:
+                    results.append(next(job))
+                except StopIteration:
+                    drained = True
                     break
-                if (
-                    request.time_budget is not None
-                    and time.perf_counter() - started > request.time_budget
-                ):
-                    timed_out = True
+                if over_budget():
                     break
-            stats = EnumerationStats(
-                fingerprint=stream.fingerprint,
-                mode="decompositions",
-                cost_spec=stream.cost_spec,
-                emitted=len(results),
-                expansions=stream.expansions,
-                init_seconds=meta["init_seconds"],
-                context_cached=meta["context_cached"],
-                elapsed_seconds=time.perf_counter() - started,
-                engine=stream.engine_name,
-                exhausted=stream.exhausted and not truncated and not timed_out,
-                timed_out=timed_out,
-                preprocessed=isinstance(stream, ComposedRankedStream),
-                kernel=self._kernel,
-            )
+            stats = job.stats(drained=drained, timed_out=timed_out)
+            checkpoint = job.checkpoint()
+            job.publish()
         finally:
-            stream.close()
+            job.close()
         return EnumerationResponse(
-            results=tuple(results), stats=stats, checkpoint=None
+            results=tuple(results), stats=stats, checkpoint=checkpoint
         )
 
     # ------------------------------------------------------------------
@@ -1280,28 +1078,21 @@ class Session:
         results is bit-identical to one uninterrupted run; the response
         carries the next checkpoint, so pagination chains indefinitely.
 
-        With a disk store attached, a checkpoint whose position is
-        already covered by a cached answer prefix replays the cached
-        frames (skipping the delivered ones) instead of re-running the
-        enumeration; live continuations publish their stretch back.
+        With a disk store attached, the longest head of the page that a
+        cached answer prefix holds replays from disk; a live job runs the
+        rest from the head's stored frontier (or from the checkpoint) and
+        publishes its stretch back.
         """
         started = time.perf_counter()
         if isinstance(checkpoint, (bytes, bytearray)):
             checkpoint = load_checkpoint(bytes(checkpoint))
-        answers = AnswerCache.for_checkpoint(self._store, checkpoint)
-        # A cost mismatch skips the replay: the live path raises it.
-        if (
-            answers is not None
-            and not checkpoint.exhausted
-            and not (isinstance(cost, str) and cost != checkpoint.cost_spec)
+        answers = None
+        # A cost mismatch skips the replay: the live job raises it.
+        if not checkpoint.exhausted and not (
+            isinstance(cost, str) and cost != checkpoint.cost_spec
         ):
-            page = answers.replay(
-                answers.load(), checkpoint.restore_graph, checkpoint.next_rank, k
-            )
-            if page is not None:
-                return self._replayed(answers, page, started)
-        stream, meta = self._reopen(checkpoint, cost=cost)
-        response = self._collect_ranked(stream, meta, k, time_budget, started)
-        if answers is not None:
-            self._write_back(answers, checkpoint.next_rank, response)
-        return response
+            answers = AnswerCache.for_checkpoint(self._store, checkpoint)
+        return self._serve(
+            None, answers, checkpoint.restore_graph, checkpoint.next_rank,
+            k, time_budget, started, checkpoint=checkpoint, cost=cost,
+        )

@@ -9,7 +9,9 @@ the first ``k`` answers plus the frontier checkpoint *at* position
 from the stored frontier instead of re-running the Lawler–Murty loop
 from rank 0.  :class:`AnswerCache` is the one path to the kind: the
 session layer and the service scheduler both probe, replay and publish
-through it.
+through it, and :meth:`AnswerCache.replay` is the one page decision —
+the longest head of a page the record can serve, after which a live job
+runs the rest from the head's stored frontier.
 
 Design notes
 ------------
@@ -140,15 +142,20 @@ class AnswerPrefix:
 
 @dataclass(frozen=True)
 class AnswerPage:
-    """A replayed page: results (absolute ranks, 0.0 timings), the
+    """A replayed page head: results (absolute ranks, 0.0 timings), the
     position after them, the serialized frontier there, whether the
-    page ends the sequence and whether its pipeline was composed."""
+    head ends the sequence and whether its pipeline was composed."""
 
     results: tuple[RankedResult, ...]
     end: int
     checkpoint: bytes
     exhausted: bool
     preprocessed: bool
+
+    def serves(self, limit: int | None) -> bool:
+        """Whether this head is the whole page of ``limit`` answers (all
+        if ``None``), rather than a stretch a live job must continue."""
+        return self.exhausted or (limit is not None and len(self.results) >= limit)
 
 
 def merge_prefix(
@@ -228,12 +235,11 @@ def preprocess_applies_for(cost_spec: str, preprocess: bool | None) -> bool:
 class AnswerCache:
     """The answers tier as seen by one request.
 
-    ``AnswerCache(store, fingerprint, cost_spec, width_bound,
-    applies=...)`` serves a fresh request, ``applies`` being its
-    requested preprocess mode (:func:`preprocess_applies_for`);
-    :meth:`for_checkpoint` serves a token resume.  ``composed`` pins the
-    actual pipeline a record must have been produced by (``None`` = the
-    record's plan decides).
+    :meth:`for_request` serves a fresh request and
+    :meth:`for_checkpoint` a token resume.  ``applies`` is the requested
+    preprocess mode (:func:`preprocess_applies_for`) and ``composed``
+    pins the actual pipeline a record must have been produced by
+    (``None`` = the record's plan decides).
     """
 
     def __init__(
@@ -262,6 +268,31 @@ class AnswerCache:
             self._probes = ((key(True), composed),)
         else:
             self._probes = ((key(False), False), (key(True), False))
+
+    @classmethod
+    def for_request(
+        cls,
+        store,
+        fingerprint: str,
+        cost,
+        width_bound: int | None,
+        preprocess: bool | None,
+    ) -> "AnswerCache | None":
+        """The cache a fresh request reads and extends.
+
+        ``preprocess`` is the request's effective flag (``None`` = on).
+        ``None`` when there is no store, or the cost is not a registry
+        name.
+        """
+        if store is None or not isinstance(cost, str):
+            return None
+        return cls(
+            store,
+            fingerprint,
+            cost,
+            width_bound,
+            applies=preprocess_applies_for(cost, preprocess),
+        )
 
     @classmethod
     def for_checkpoint(cls, store, checkpoint) -> "AnswerCache | None":
@@ -308,16 +339,28 @@ class AnswerCache:
         start: int,
         limit: int | None,
     ) -> AnswerPage | None:
-        """``limit`` answers (all if ``None``) from ``start``, rebuilt
-        from ``record``; ``None`` unless the record covers that page.
+        """The longest head of the page of ``limit`` answers (all if
+        ``None``) from ``start`` that ``record`` can serve, rebuilt; or
+        ``None``.
 
-        ``graph`` is the graph the rebuilt triangulations belong to, or
-        a zero-argument callable returning it, called only on a hit.
+        A record that covers the page serves all of it.  Otherwise the
+        head ends at the last stored checkpoint inside the page, so the
+        rest can run live from there (:meth:`AnswerPage.serves` tells
+        the two apart).  ``graph`` is the graph the rebuilt
+        triangulations belong to, or a zero-argument callable returning
+        it, called only on a hit.
         """
-        if record is None or not record.covers(start, limit):
+        if record is None:
             return None
         n = len(record.answers)
         end = n if limit is None else min(start + limit, n)
+        if not record.covers(start, limit):
+            end = max(
+                (p for p in record.checkpoints if start < p <= end),
+                default=None,
+            )
+            if end is None:
+                return None
         if callable(graph):
             graph = graph()
         results = tuple(
@@ -334,7 +377,7 @@ class AnswerCache:
             results,
             end,
             record.checkpoints[end],
-            record.exhausted and (limit is None or start + limit >= n),
+            record.exhausted and end == n,
             record.preprocessed,
         )
 

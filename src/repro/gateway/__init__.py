@@ -2,14 +2,14 @@
 
 A thin asyncio gateway over the same
 :class:`~repro.service.scheduler.EnumerationScheduler` the NDJSON TCP
-server drives: REST-ish job submission with typed per-operation
-handlers, answers streamed over SSE or chunked NDJSON (byte-identical
-to the TCP frames), plus ``/metrics`` (Prometheus text) and ``/health``
-(a worker-seat round trip).  Stdlib only — no web framework.
+server drives: REST-ish job submission held to the TCP request
+contract (:func:`repro.service.protocol.parse_request`), answers
+streamed over SSE or chunked NDJSON (byte-identical to the TCP frames),
+plus ``/metrics`` (Prometheus text) and ``/health`` (a worker-seat round
+trip).  Stdlib only — no web framework.
 """
 
 from .client import GatewayClient, GatewayError, GatewayStream
-from .handlers import HANDLERS, HandlerError
 from .metrics import render_metrics
 from .server import GatewayServer, GatewayThread
 
@@ -19,7 +19,5 @@ __all__ = [
     "GatewayStream",
     "GatewayServer",
     "GatewayThread",
-    "HANDLERS",
-    "HandlerError",
     "render_metrics",
 ]

@@ -222,7 +222,8 @@ class GatewayClient:
         """POST one job; returns the live stream (caller iterates).
 
         Raises :class:`GatewayError` for pre-stream rejections (no
-        chunked body): malformed JSON, handler refusals, shutdown.
+        chunked body): malformed JSON, request-contract refusals,
+        shutdown.
         """
         payload = json.dumps(body).encode("utf-8")
         headers = {

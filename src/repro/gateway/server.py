@@ -3,9 +3,10 @@
 Routes
 ------
 ``POST /v1/jobs``
-    Submit one job (JSON body routed through the typed handler
-    registry; a body with ``token`` resumes a checkpoint).  Answers
-    stream back as Server-Sent Events when the client sends
+    Submit one job (a JSON object held to the TCP request frame's one
+    contract, :func:`repro.service.protocol.parse_request`; a body with
+    ``token`` resumes a checkpoint).  Answers stream back as
+    Server-Sent Events when the client sends
     ``Accept: text/event-stream``, otherwise as chunked NDJSON whose
     bytes are *identical* to the TCP transport's frames.  The HTTP
     status line is deferred until the first frame: a job that dies on
@@ -42,14 +43,18 @@ import asyncio
 import json
 import threading
 
-from ..service.protocol import TERMINAL_TYPES, encode_frame
+from ..service.protocol import (
+    TERMINAL_TYPES,
+    ProtocolError,
+    encode_frame,
+    parse_request,
+)
 from ..service.scheduler import (
     DEFAULT_SLICE_ANSWERS,
     EnumerationScheduler,
     ScheduledJob,
 )
 from . import metrics as metrics_mod
-from .handlers import HandlerError, build_request
 from .http import (
     BadRequest,
     HttpRequest,
@@ -310,9 +315,16 @@ class GatewayServer:
                 _json_body({"error": f"request body is not JSON: {exc}"}),
             )
             return
+        if not isinstance(body, dict):
+            await send_response(
+                writer,
+                400,
+                _json_body({"error": "request body must be a JSON object"}),
+            )
+            return
         try:
-            service_request = build_request(body)
-        except HandlerError as exc:
+            service_request = parse_request({"type": "request", **body})
+        except ProtocolError as exc:
             await send_response(writer, 400, _json_body({"error": str(exc)}))
             return
         try:

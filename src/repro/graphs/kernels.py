@@ -121,7 +121,7 @@ def available_kernels() -> tuple[str, ...]:
     """Names of the registered kernels, in registration order.
 
     This is the single source of truth for what a kernel name may be:
-    the wire protocol, the gateway handlers, and the CLI ``--kernel``
+    the wire protocol (both doors), and the CLI ``--kernel``
     choices all validate against it (plus the ``"auto"`` alias).
     """
     return tuple(_REGISTRY)

@@ -77,6 +77,7 @@ __all__ = [
     "ErrorFrame",
     "TERMINAL_TYPES",
     "OPS",
+    "OP_FIELDS",
     "encode_frame",
     "decode_frame",
     "typed_frame",
@@ -91,10 +92,27 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-#: Valid job kinds a request frame may carry.  ``stats`` is the
-#: observability kind: no graph, no token, one terminal
-#: ``service-stats`` frame describing the scheduler and its workers.
-OPS = ("enumerate", "top", "diverse", "decompositions", "stats")
+#: The fields shared by every enumeration job kind.
+_JOB_FIELDS = (
+    "graph", "cost", "kernel", "preprocess", "width_bound", "deadline",
+    "k", "answer_budget",
+)
+
+#: The one request contract, held by both doors: the fields each job
+#: kind reads.  A request frame may carry these plus ``type``, ``v`` and
+#: ``op``, and nothing else.  ``stats`` is the observability kind: no
+#: graph, no token, one terminal ``service-stats`` frame describing the
+#: scheduler and its workers.
+OP_FIELDS = {
+    "enumerate": _JOB_FIELDS + ("token",),
+    "top": _JOB_FIELDS + ("token",),
+    "diverse": _JOB_FIELDS + ("min_distance", "scan_limit"),
+    "decompositions": _JOB_FIELDS + ("per_triangulation",),
+    "stats": (),
+}
+
+#: Valid job kinds a request frame may carry.
+OPS = tuple(OP_FIELDS)
 
 #: Frame types that end a response stream.
 TERMINAL_TYPES = frozenset(
@@ -425,10 +443,8 @@ class ServiceRequest:
             raise ProtocolError(f"op {self.op!r} cannot resume from a token")
         if not isinstance(self.cost, str):
             raise ProtocolError("cost must be a registry name string")
-        if self.op == "top" and self.k is None:
-            raise ProtocolError("op 'top' requires k")
-        if self.op == "diverse" and self.k is None:
-            raise ProtocolError("op 'diverse' requires k")
+        if self.op in ("top", "diverse") and self.k is None:
+            raise ProtocolError(f"op {self.op!r} requires field(s) k")
         if self.k is not None and self.k < 0:
             raise ProtocolError(f"k must be >= 0, got {self.k}")
         if self.deadline is not None and self.deadline <= 0:
@@ -448,30 +464,26 @@ class ServiceRequest:
         limits = [x for x in (self.k, self.answer_budget) if x is not None]
         return min(limits) if limits else None
 
+    @property
+    def mode(self) -> str:
+        """The job's :class:`~repro.api.request.EnumerationRequest` mode
+        (``enumerate`` and ``top`` are ``ranked``)."""
+        return "ranked" if self.op in ("enumerate", "top") else self.op
+
     def to_frame(self) -> dict:
-        """The request as its wire frame (inverse of :func:`parse_request`)."""
+        """The request as its wire frame (inverse of :func:`parse_request`),
+        carrying only the fields its op reads."""
+        values = {
+            "graph": graph_to_wire(self.graph) if self.graph is not None else None,
+            "token": encode_token(self.token) if self.token is not None else None,
+            "kernel": self.kernel if self.kernel != "bitset" else None,
+            "min_distance": self.min_distance if self.min_distance != 1 else None,
+        }
         frame: dict = {"type": "request", "v": PROTOCOL_VERSION, "op": self.op}
-        if self.graph is not None:
-            frame["graph"] = graph_to_wire(self.graph)
-        if self.token is not None:
-            frame["token"] = encode_token(self.token)
-        frame["cost"] = self.cost
-        for key in (
-            "k",
-            "width_bound",
-            "preprocess",
-            "scan_limit",
-            "per_triangulation",
-            "deadline",
-            "answer_budget",
-        ):
-            value = getattr(self, key)
+        for key in OP_FIELDS[self.op]:
+            value = values[key] if key in values else getattr(self, key)
             if value is not None:
                 frame[key] = value
-        if self.kernel != "bitset":
-            frame["kernel"] = self.kernel
-        if self.min_distance != 1:
-            frame["min_distance"] = self.min_distance
         return frame
 
 
@@ -485,14 +497,18 @@ def _check_field(frame: dict, key: str, types, what: str):
 def parse_request(frame: dict) -> ServiceRequest:
     """Validate and type one ``request`` frame.
 
+    The one request contract of both doors: the TCP server parses its
+    opening frame here, and the HTTP gateway a submitted body.
+
     Raises
     ------
     ProtocolError
-        On any structural violation — unknown frame type, missing or
-        ill-typed fields, both/neither of graph and token, bad labels.
-        Semantic failures (unknown cost names, disconnected graphs, ...)
-        are intentionally left to job start, where they surface as
-        in-band ``error`` frames.
+        On any structural violation — unknown frame type or op, a field
+        the op does not read (:data:`OP_FIELDS`), missing or ill-typed
+        fields, both/neither of graph and token, bad labels.  Semantic
+        failures (unknown cost names, disconnected graphs, ...) are
+        intentionally left to job start, where they surface as in-band
+        ``error`` frames.
     """
     frame_type = frame.get("type")
     if frame_type != "request":
@@ -508,6 +524,17 @@ def parse_request(frame: dict) -> ServiceRequest:
     op = frame.get("op")
     if not isinstance(op, str):
         raise ProtocolError("request needs a string 'op' field")
+    fields = OP_FIELDS.get(op)
+    if fields is None:
+        raise ProtocolError(
+            f"unknown op {op!r}; expected one of {', '.join(OPS)}"
+        )
+    unknown = sorted(set(frame) - set(fields) - {"type", "v", "op"})
+    if unknown:
+        raise ProtocolError(
+            f"op {op!r} does not accept field(s) {', '.join(unknown)}; "
+            f"accepted: {', '.join(fields) or 'none'}"
+        )
     graph = None
     if frame.get("graph") is not None:
         graph = graph_from_wire(frame["graph"])

@@ -56,15 +56,10 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
-from ..api import (
-    ComposedRankedStream,
-    Session,
-    graph_fingerprint,
-    load_checkpoint,
-)
+from ..api import Session, graph_fingerprint, load_checkpoint
 from ..api.checkpoint import read_header
-from ..api.session import _diverse_selection, _expand_decompositions
-from ..cache.answers import MAX_PREFIX, AnswerCache, preprocess_applies_for
+from ..api.job import Job
+from ..cache.answers import AnswerCache, AnswerPage
 from ..graphs.kernels import (
     available_kernels,
     registered_kernels,
@@ -211,11 +206,12 @@ class ScheduledJob:
 
 
 class _JobRunner:
-    """The synchronous half of one job: owns the stream, runs in slices.
+    """The synchronous half of one scheduled job: slices its
+    :class:`~repro.api.job.Job`.
 
     Never touched by more than one executor thread at a time (the
     scheduler serializes a job's slices), so it needs no locking of its
-    own.  All blocking work — opening the stream (context build) and
+    own.  All blocking work — opening the job (context build) and
     pulling answers — happens inside :meth:`slice_`, on an executor
     thread, never on the event loop.
     """
@@ -236,18 +232,15 @@ class _JobRunner:
         self._request = request
         self._cancel = cancel
         self._token_key = token_key
-        self._stream = None  # the pausable RankedStream, when op allows
-        self._source = None  # the ranked stream powering ANY op (stats)
-        self._iterator = None
-        self._opened = False
-        # Crash re-dispatch state (multi-process backend only): a trusted
-        # internal checkpoint to resume from, the answers already
-        # delivered before the crash (the counters continue there so
-        # k/answer-budget accounting survives re-dispatch), and — for
-        # ops without a pausable stream — how many deterministic answers
-        # to replay silently before streaming fresh ones.
+        self._job: Job | None = None
+        # Where the job starts: a trusted checkpoint this service holds
+        # (crash re-dispatch, or the end of a head replayed from the
+        # answers tier) with the answers delivered before it — so k and
+        # answer-budget accounting continue there — or, for ops without
+        # a checkpoint, how many deterministic answers to replay
+        # silently before streaming fresh ones.
         self._resume_payload = resume_payload
-        self._emitted = base_emitted
+        self._base_emitted = base_emitted
         self._skip = skip_answers
         # Deadlines (and elapsed reporting) are measured on
         # time.monotonic(): an NTP step or VM clock correction must not
@@ -261,33 +254,22 @@ class _JobRunner:
         self._deadline_at = (
             self._started + deadline if deadline is not None else None
         )
-        # Answer-prefix write-back state (pausable enumerate/top streams
-        # with a store only): the request's answers tier, the absolute
-        # rank the collection starts at, and the results gathered so far
-        # (None = disabled: over the cap, or nothing to publish to).
-        self._answers: AnswerCache | None = None
-        self._publish_base = 0
-        self._collected: "list | None" = None
 
-    # -- opening -------------------------------------------------------
-    def _open(self) -> None:
+    def _open(self) -> Job:
         request = self._request
-        checkpoint = None
         if self._resume_payload is not None:
-            # Internal re-dispatch after a worker crash: the payload is
-            # a checkpoint this service minted and held in memory, never
-            # wire input, so it loads without the HMAC gate.
+            # The payload is a checkpoint this service minted or stored
+            # itself, never wire input, so it loads without the HMAC gate.
             try:
                 checkpoint = load_checkpoint(self._resume_payload)
             except Exception as exc:  # server fault, not the client's
                 raise RuntimeError(
-                    f"internal re-dispatch checkpoint failed to load: {exc}"
+                    f"internal resume checkpoint failed to load: {exc}"
                 ) from exc
-            stream = self._session.resume_stream(checkpoint)
-            self._stream = stream
-            self._source = stream
-            self._iterator = stream
-        elif request.token is not None:
+            return self._session.job(
+                request, checkpoint=checkpoint, emitted=self._base_emitted
+            )
+        if request.token is not None:
             # Authenticate before decoding: only tokens this service
             # minted (under its key) are resumed.
             payload = verify_token(self._token_key, request.token)
@@ -295,186 +277,57 @@ class _JobRunner:
                 checkpoint = load_checkpoint(payload)
             except Exception as exc:
                 raise ProtocolError(f"invalid resume token: {exc}") from None
-            stream = self._session.resume_stream(checkpoint)
-            self._stream = stream
-            self._source = stream
-            self._iterator = stream
-        elif request.op in ("enumerate", "top"):
-            stream = self._session.stream(
-                request.graph,
-                request.cost,
-                width_bound=request.width_bound,
-                preprocess=request.preprocess,
-            )
-            self._stream = stream
-            self._source = stream
-            self._iterator = stream
-        elif request.op == "diverse":
-            self._iterator = self._diverse_iterator()
-        else:  # decompositions
-            self._iterator = self._decomposition_iterator()
-        store = self._session.store
-        if self._stream is not None and store is not None:
-            if checkpoint is not None:
-                self._answers = AnswerCache.for_checkpoint(store, checkpoint)
-            else:
-                self._answers = AnswerCache(
-                    store,
-                    self._stream.fingerprint,
-                    request.cost,
-                    request.width_bound,
-                    applies=preprocess_applies_for(
-                        request.cost, request.preprocess
-                    ),
-                )
-            if self._answers is not None:
-                self._publish_base = self._stream.next_rank
-                self._collected = []
-        self._opened = True
+            return self._session.job(request, checkpoint=checkpoint)
+        # should_stop is polled once per *scanned* diverse candidate, so
+        # a cancel/deadline lands mid-scan instead of after up to
+        # scan_limit expansions.
+        return self._session.job(request, should_stop=self._interruption)
 
-    def _diverse_iterator(self):
-        """Session's greedy diverse selection, sliceable answer by answer.
+    def _interruption(self) -> str | None:
+        """The terminal an interruption calls for now, if any."""
+        if self._cancel.is_set():
+            return "cancelled"
+        if self._deadline_at is not None and time.monotonic() > self._deadline_at:
+            return "deadline"
+        return None
 
-        Delegates to :func:`repro.api.session._diverse_selection` — the
-        single implementation behind :meth:`Session.diverse` — wrapped
-        as a generator so the scheduler can pause it between answers.
-        """
-        request = self._request
-        limit = request.result_limit  # min(k, answer_budget), like Session
-        assert limit is not None
-        stream = self._session.stream(
-            request.graph,
-            request.cost,
-            width_bound=request.width_bound,
-            preprocess=request.preprocess,
-        )
-        self._source = stream
-        try:
-            # should_stop is polled once per *scanned* candidate, so a
-            # cancel/deadline lands mid-scan instead of after up to
-            # scan_limit expansions; slice_'s StopIteration handler then
-            # re-checks which terminal frame the early exit deserves.
-            yield from _diverse_selection(
-                stream,
-                limit,
-                request.min_distance,
-                request.scan_limit,
-                should_stop=self._interrupted,
-            )
-        finally:
-            stream.close()
-
-    def _decomposition_iterator(self):
-        """Proposition 6.1 expansion, with the source stream retained
-        so the terminal stats can report its true exhaustion state."""
-        request = self._request
-        stream = self._session.stream(
-            request.graph,
-            request.cost,
-            width_bound=request.width_bound,
-            preprocess=request.preprocess,
-        )
-        self._source = stream
-        try:
-            yield from _expand_decompositions(
-                stream, request.per_triangulation
-            )
-        finally:
-            stream.close()
-
-    def _interrupted(self) -> bool:
-        """Whether cancellation or the deadline should stop work now."""
-        return self._cancel.is_set() or (
-            self._deadline_at is not None
-            and time.monotonic() > self._deadline_at
-        )
-
-    # -- answer-prefix write-back --------------------------------------
-    def _collect_answer(self, result) -> None:
-        """Accumulate one emitted answer for the prefix write-back.
-
-        Disabled (for the rest of the job) once the prefix would exceed
-        the cap: a partial stretch cannot be published, because the
-        terminal checkpoint sits at the *stream's* position, not the
-        truncated collection's.
-        """
-        if self._collected is None:
-            return
-        self._collected.append(result)
-        if self._publish_base + len(self._collected) > MAX_PREFIX:
-            self._collected = None
-
-    def _publish_prefix(self) -> None:
-        """Fold this job's enumerated stretch into the answers record.
-
-        Called at every terminal that leaves the stream in a
-        checkpoint-consistent state (stats, cancelled, deadline).
-        Best-effort: a cache failure must never break the job that
-        already produced its frames.
-        """
-        stream, collected = self._stream, self._collected
-        if stream is None or collected is None:
-            return
-        if not collected and self._publish_base == 0:
-            return
-        try:
-            self._answers.publish(
-                self._publish_base,
-                collected,
-                stream.checkpoint().to_bytes(),
-                exhausted=stream.exhausted,
-                preprocessed=isinstance(stream, ComposedRankedStream),
-            )
-        except Exception:
-            pass
-
-    # -- checkpoints ---------------------------------------------------
+    # -- terminal frames -----------------------------------------------
     def _token_fields(self) -> dict:
-        """``checkpoint``/``next_rank`` fields for a pausable stream.
+        """``checkpoint``/``next_rank`` fields of a ranked job.
 
-        A drained stream gets no token (there is nothing to resume;
-        the README protocol table promises exactly this), matching the
-        non-pausable ops.
+        A drained stream gets no token (there is nothing to resume; the
+        README protocol table promises exactly this), and neither does a
+        job still replaying after a crash: a token minted there would
+        sit *before* answers the client already received.
         """
-        if self._stream is None:
+        job = self._job
+        stream = job.stream
+        if job.mode != "ranked" or stream is None or self._skip:
             return {"next_rank": None, "checkpoint": None}
-        if self._stream.exhausted:
-            return {"next_rank": self._stream.next_rank, "checkpoint": None}
-        token = sign_token(self._token_key, self._stream.checkpoint().to_bytes())
-        return {
-            "next_rank": self._stream.next_rank,
-            "checkpoint": encode_token(token),
-        }
+        if stream.exhausted:
+            return {"next_rank": stream.next_rank, "checkpoint": None}
+        token = sign_token(self._token_key, job.checkpoint().to_bytes())
+        return {"next_rank": stream.next_rank, "checkpoint": encode_token(token)}
 
-    def _stats_frame(self, drained: bool) -> dict:
-        """The terminal ``stats`` frame.
-
-        All measurements come from the *source* ranked stream (the one
-        powering the op, whatever the op), mirroring what the in-process
-        ``Session`` reports for the same request: ``exhausted`` is the
-        source frontier's state — for decompositions additionally
-        requiring the expansion itself to have drained — never a guess
-        from the answer cap.
-        """
-        source = self._source
-        if source is None:
-            exhausted = drained
-        elif self._request.op == "decompositions":
-            exhausted = source.exhausted and drained
-        else:
-            exhausted = source.exhausted
-        frame = {
-            "type": "stats",
-            "emitted": self._emitted,
-            "expansions": source.expansions if source is not None else 0,
-            "exhausted": exhausted,
-            "elapsed_seconds": round(time.monotonic() - self._started, 6),
-            "engine": source.engine_name if source is not None else "none",
-            "preprocessed": (
-                source is not None and source.engine_name == "composed"
-            ),
-        }
+    def _finish(self, kind: str, *, drained: bool = False) -> dict:
+        """The job's one terminal frame (``stats``, ``cancelled`` or
+        ``deadline``); publishes the live stretch and closes the job."""
+        job = self._job
+        # Answers the client holds: those pulled, plus any a crash
+        # replay has yet to reach.
+        frame = {"type": kind, "emitted": job.emitted + self._skip}
+        if kind == "stats":
+            stats = job.stats(drained=drained)
+            frame.update(
+                expansions=stats.expansions,
+                exhausted=stats.exhausted,
+                elapsed_seconds=round(time.monotonic() - self._started, 6),
+                engine=stats.engine,
+                preprocessed=stats.preprocessed,
+            )
         frame.update(self._token_fields())
+        job.publish()
+        self.close()
         return frame
 
     # -- the slice -----------------------------------------------------
@@ -484,93 +337,49 @@ class _JobRunner:
         Streams up to ``max_answers`` further answers, honoring — in
         priority order, checked between answers — cancellation, the
         deadline, and the answer cap.  When it reports finished, the
-        last frame is the job's single terminal frame and the stream is
+        last frame is the job's single terminal frame and the job is
         closed.
         """
         frames: list[dict] = []
         try:
-            if not self._opened:
+            if self._job is None:
                 # Failures while opening — unknown costs, disconnected
                 # graphs, bad tokens — are the client's fault; anything
                 # thrown later, mid-enumeration, is a server fault and
                 # must not masquerade as one.
                 try:
-                    self._open()
+                    self._job = self._open()
                 except ProtocolError:
                     raise
                 except (ValueError, KeyError) as exc:
                     raise ProtocolError(str(exc)) from exc
-            while self._skip > 0:
-                # Crash replay for ops without a pausable stream: the
-                # enumeration is deterministic, so re-running it and
-                # discarding the answers the client already has restores
-                # the exact position.  An interruption mid-replay gets no
-                # resume token — a token minted here would sit *before*
-                # answers the client already received and replay them.
-                if self._interrupted():
-                    kind = "cancelled" if self._cancel.is_set() else "deadline"
-                    frames.append({"type": kind, "emitted": self._emitted,
-                                   "next_rank": None, "checkpoint": None})
-                    self.close()
-                    return frames, True
-                try:
-                    next(self._iterator)
-                except StopIteration:
-                    frames.append(self._stats_frame(drained=True))
-                    self.close()
-                    return frames, True
-                self._skip -= 1
+            job = self._job
             limit = self._request.result_limit
-            for _ in range(max_answers):
-                if self._cancel.is_set():
-                    frames.append({"type": "cancelled", "emitted": self._emitted,
-                                   **self._token_fields()})
-                    self._publish_prefix()
-                    self.close()
-                    return frames, True
-                if (
-                    self._deadline_at is not None
-                    and time.monotonic() > self._deadline_at
-                ):
-                    frames.append({"type": "deadline", "emitted": self._emitted,
-                                   **self._token_fields()})
-                    self._publish_prefix()
-                    self.close()
-                    return frames, True
-                if limit is not None and self._emitted >= limit:
-                    frames.append(self._stats_frame(drained=False))
-                    self._publish_prefix()
-                    self.close()
+            while len(frames) < max_answers:
+                kind = self._interruption()
+                if kind is None and limit is not None and job.emitted >= limit:
+                    kind = "stats"
+                if kind is not None:
+                    frames.append(self._finish(kind))
                     return frames, True
                 try:
-                    result = next(self._iterator)
+                    result = next(job)
                 except StopIteration:
                     # An early exit forced by should_stop mid-scan must
                     # surface as the interruption it was, not as normal
                     # completion.
-                    if self._cancel.is_set():
-                        frames.append({"type": "cancelled",
-                                       "emitted": self._emitted,
-                                       **self._token_fields()})
-                    elif (
-                        self._deadline_at is not None
-                        and time.monotonic() > self._deadline_at
-                    ):
-                        frames.append({"type": "deadline",
-                                       "emitted": self._emitted,
-                                       **self._token_fields()})
-                    else:
-                        frames.append(self._stats_frame(drained=True))
-                    self._publish_prefix()
-                    self.close()
+                    kind = self._interruption() or "stats"
+                    frames.append(self._finish(kind, drained=True))
                     return frames, True
-                if self._request.op == "diverse":
-                    frame = answer_frame(result, rank=self._emitted)
-                else:
-                    frame = answer_frame(result)
-                self._collect_answer(result)
-                self._emitted += 1
-                frames.append(frame)
+                if self._skip:
+                    # Crash replay for ops without a checkpoint: the
+                    # enumeration is deterministic, so re-running it and
+                    # discarding the answers the client already has
+                    # restores the exact position.
+                    self._skip -= 1
+                    continue
+                rank = job.emitted - 1 if job.mode == "diverse" else None
+                frames.append(answer_frame(result, rank=rank))
             return frames, False
         except Exception:
             self.close()
@@ -580,27 +389,22 @@ class _JobRunner:
         """``(checkpoint bytes, answers delivered)`` for crash re-dispatch.
 
         Captured by the worker backend after every unfinished slice (the
-        protocol's *checkpoint frame*): pausable streams serialize their
-        frontier, so a re-dispatched job resumes exactly where the last
-        acknowledged slice ended; non-pausable ops return ``None`` and
-        are re-dispatched as a deterministic replay that skips the
-        delivered prefix.
+        protocol's *checkpoint frame*): ranked jobs serialize their
+        frontier — even when already exhausted, since resuming it yields
+        the terminal stats frame, which re-running the job from scratch
+        must not do — so a re-dispatched job resumes exactly where the
+        last acknowledged slice ended; other ops return ``None`` and are
+        re-dispatched as a deterministic replay that skips the delivered
+        prefix.
         """
-        if self._stream is not None:
-            # Serialized even when already exhausted: resuming an
-            # exhausted frontier yields the terminal stats frame, which
-            # is exactly what re-running the job from scratch must not do.
-            return self._stream.checkpoint().to_bytes(), self._emitted
-        return None, self._emitted
+        checkpoint = self._job.checkpoint()
+        payload = checkpoint.to_bytes() if checkpoint is not None else None
+        return payload, self._job.emitted
 
     def close(self) -> None:
-        """Release the stream (idempotent)."""
-        iterator, self._iterator = self._iterator, None
-        self._stream = None
-        if iterator is not None:
-            close = getattr(iterator, "close", None)
-            if close is not None:
-                close()
+        """Release the job (idempotent)."""
+        if self._job is not None:
+            self._job.close()
 
 
 class ExecutionBackend(ABC):
@@ -618,8 +422,15 @@ class ExecutionBackend(ABC):
     name = "abstract"
 
     @abstractmethod
-    def create_runner(self, job: "ScheduledJob"):
-        """A fresh runner for one admitted job (cheap; no blocking work)."""
+    def create_runner(
+        self, job: "ScheduledJob", resume: "tuple[bytes, int] | None" = None
+    ):
+        """A fresh runner for one admitted job (cheap; no blocking work).
+
+        ``resume`` is ``(checkpoint bytes, answers delivered)`` when the
+        job continues after a head replayed from the answers tier: the
+        runner starts there, as a crash re-dispatch does.
+        """
 
     def worker_stats(self) -> list[dict]:
         """Per-worker introspection rows for the ``stats`` job kind."""
@@ -650,16 +461,9 @@ class InProcessBackend(ExecutionBackend):
 
     name = "inprocess"
 
-    def __init__(
-        self,
-        token_key: bytes,
-        session_factory: Callable[[str], Session] | None = None,
-        cache_dir: "str | None" = None,
-    ) -> None:
+    def __init__(self, token_key: bytes, cache_dir: "str | None" = None) -> None:
         self._token_key = token_key
-        self._session_factory = session_factory or (
-            lambda kernel: Session(kernel=kernel, cache_dir=cache_dir)
-        )
+        self._cache_dir = cache_dir
         self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
 
@@ -673,16 +477,21 @@ class InProcessBackend(ExecutionBackend):
         with self._lock:
             session = self._sessions.get(name)
             if session is None:
-                session = self._session_factory(name)
+                session = Session(kernel=name, cache_dir=self._cache_dir)
                 self._sessions[name] = session
             return session
 
-    def create_runner(self, job: "ScheduledJob") -> _JobRunner:
+    def create_runner(
+        self, job: "ScheduledJob", resume: "tuple[bytes, int] | None" = None
+    ) -> _JobRunner:
+        payload, emitted = resume or (None, 0)
         return _JobRunner(
             self.session(job.request.kernel),
             job.request,
             job._cancel,
             self._token_key,
+            resume_payload=payload,
+            base_emitted=emitted,
         )
 
     def worker_stats(self) -> list[dict]:
@@ -797,12 +606,6 @@ class EnumerationScheduler:
         ``None`` (default) generates a random per-scheduler key, scoping
         tokens to this instance; pass a shared key to make tokens
         portable across a pool or a restart.
-    session_factory:
-        Builds the shared :class:`~repro.api.Session` for a kernel name;
-        one session is created lazily per kernel and reused by every job
-        requesting that kernel.  Defaults to ``Session(kernel=...)``.
-        In-process backend only (worker processes build their own
-        sessions).
     backend:
         Where slices execute: ``"inprocess"`` (default; the reference
         backend and differential oracle), ``"process"`` (long-lived
@@ -835,7 +638,6 @@ class EnumerationScheduler:
         slice_answers: int = DEFAULT_SLICE_ANSWERS,
         max_pending_frames: int = 64,
         token_key: bytes | None = None,
-        session_factory: Callable[[str], Session] | None = None,
         backend: "str | ExecutionBackend | None" = None,
         worker_processes: int | None = None,
         cache_dir: "str | None" = None,
@@ -859,7 +661,7 @@ class EnumerationScheduler:
         self._token_key = resolve_token_key(token_key)
         self._cache_dir = cache_dir
         self._backend = self._make_backend(
-            backend, worker_processes or max_workers, session_factory
+            backend, worker_processes or max_workers
         )
         # One slot per concurrently running slice; with worker processes
         # the slot count covers the whole pool so no worker idles for
@@ -894,14 +696,11 @@ class EnumerationScheduler:
         self,
         backend: "str | ExecutionBackend | None",
         worker_processes: int,
-        session_factory: Callable[[str], Session] | None,
     ) -> ExecutionBackend:
         if isinstance(backend, ExecutionBackend):
             return backend
-        if backend is None or backend in ("inprocess", "in-process", "thread"):
-            return InProcessBackend(
-                self._token_key, session_factory, cache_dir=self._cache_dir
-            )
+        if backend is None or backend == "inprocess":
+            return InProcessBackend(self._token_key, cache_dir=self._cache_dir)
         if backend == "process":
             from .workers import ProcessWorkerBackend
 
@@ -962,14 +761,18 @@ class EnumerationScheduler:
                 self._store_init = True
         return self._store_obj
 
-    def _serve_from_answers(self, request: ServiceRequest) -> "list[dict] | None":
-        """All frames of a prefix-covered job, straight from disk.
+    def _replay_head(
+        self, request: ServiceRequest
+    ) -> tuple[list[dict], AnswerPage] | None:
+        """A ranked job's page head from the answers tier, as frames.
 
-        Returns ``None`` whenever the job cannot be fully satisfied from
-        the cached answer prefix — for any reason at all, including
-        errors: the live path re-raises token/validation failures with
-        their proper error frames, so this probe never converts one into
-        a silent miss of a different shape.  Runs on an executor thread.
+        Returns ``(frames, head)`` — the head's answer frames, followed
+        by the terminal ``stats`` frame when the head serves the whole
+        page — or ``None`` whenever the tier has no head for the job,
+        for any reason at all, including errors: the live path re-raises
+        token/validation failures with their proper error frames, so
+        this probe never converts one into a silent miss of a different
+        shape.  Runs on an executor thread.
         """
         try:
             store = self._store()
@@ -988,42 +791,58 @@ class EnumerationScheduler:
                 graph, start = header.restore_graph, header.next_rank
             else:
                 graph, start = request.graph, 0
-                answers = AnswerCache(
+                answers = AnswerCache.for_request(
                     store,
                     graph_fingerprint(graph),
                     request.cost,
                     request.width_bound,
-                    applies=preprocess_applies_for(
-                        request.cost, request.preprocess
-                    ),
+                    request.preprocess,
                 )
             if answers is None:
                 return None
-            page = answers.replay(
+            head = answers.replay(
                 answers.load(), graph, start, request.result_limit
             )
-            if page is None:
+            if head is None:
                 return None
-            frames = [answer_frame(result) for result in page.results]
-            token = None
-            if not page.exhausted:
-                token = encode_token(sign_token(self._token_key, page.checkpoint))
-            frames.append(
-                {
-                    "type": "stats",
-                    "emitted": len(page.results),
-                    "expansions": 0,
-                    "exhausted": page.exhausted,
-                    "elapsed_seconds": round(time.monotonic() - started, 6),
-                    "engine": "cache",
-                    "preprocessed": page.preprocessed,
-                    "next_rank": page.end,
-                    "checkpoint": token,
-                }
-            )
-            return frames
+            frames = [answer_frame(result) for result in head.results]
+            if head.serves(request.result_limit):
+                token = None
+                if not head.exhausted:
+                    token = encode_token(
+                        sign_token(self._token_key, head.checkpoint)
+                    )
+                frames.append(
+                    {
+                        "type": "stats",
+                        "emitted": len(head.results),
+                        "expansions": 0,
+                        "exhausted": head.exhausted,
+                        "elapsed_seconds": round(time.monotonic() - started, 6),
+                        "engine": "cache",
+                        "preprocessed": head.preprocessed,
+                        "next_rank": head.end,
+                        "checkpoint": token,
+                    }
+                )
+            return frames, head
         except Exception:
             return None
+
+    async def _deliver(self, job: ScheduledJob, frames: list[dict]) -> str | None:
+        """Queue ``frames`` on the job; the terminal frame's type, if any.
+
+        Blocks when the consumer is behind (bounded queue): a slow
+        client costs buffer space and its own latency, nothing else.
+        """
+        terminal = None
+        for frame in frames:
+            if frame["type"] == "answer":
+                job.emitted += 1
+            else:
+                terminal = frame["type"]
+            await job.frames.put(frame)
+        return terminal
 
     async def _run(self, job: ScheduledJob) -> None:
         job.status = "running"
@@ -1034,24 +853,25 @@ class EnumerationScheduler:
         runner = None
         terminal = "error"
         try:
-            if job.request.op in ("enumerate", "top"):
-                # Prefix-covered jobs are answered from disk without
-                # consuming a slice slot or touching the backend — no
-                # worker seat, no executor-slot wait.  (The probe itself
-                # runs on the executor's spare thread, like stats.)
-                frames = await loop.run_in_executor(
-                    self._executor, self._serve_from_answers, job.request
+            resume = None
+            if job.request.mode == "ranked":
+                # The answers tier serves the page's head without a slice
+                # slot or the backend (the probe runs on the executor's
+                # spare thread, like stats).  A head that is the whole
+                # page ends the job there — no worker seat, no slot wait;
+                # otherwise the live rest starts at the head's end.
+                replayed = await loop.run_in_executor(
+                    self._executor, self._replay_head, job.request
                 )
-                if frames:
-                    self._answers_served += 1
-                    for frame in frames:
-                        if frame["type"] == "answer":
-                            job.emitted += 1
-                        else:
-                            terminal = frame["type"]
-                        await job.frames.put(frame)
-                    return
-            runner = self._backend.create_runner(job)
+                if replayed is not None:
+                    frames, head = replayed
+                    served = await self._deliver(job, frames)
+                    if served is not None:
+                        terminal = served
+                        self._answers_served += 1
+                        return
+                    resume = (head.checkpoint, len(head.results))
+            runner = self._backend.create_runner(job, resume=resume)
             while True:
                 async with self._slot():
                     started = time.perf_counter()
@@ -1059,15 +879,8 @@ class EnumerationScheduler:
                         self._executor, runner.slice_, self._slice_answers
                     )
                     self._slice_hist.observe(time.perf_counter() - started)
-                for frame in frames:
-                    if frame["type"] == "answer":
-                        job.emitted += 1
-                    else:
-                        terminal = frame["type"]
-                    # Blocks when the consumer is behind (bounded queue):
-                    # the slot is already released, so a slow client
-                    # costs buffer space and its own latency, nothing else.
-                    await job.frames.put(frame)
+                # The slot is already released while frames queue.
+                terminal = await self._deliver(job, frames) or terminal
                 if finished:
                     break
                 # Explicit fairness point: even if the semaphore has free

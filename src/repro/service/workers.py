@@ -385,24 +385,22 @@ class WorkerPool:
     """Spawns and routes over the long-lived worker processes.
 
     Routing (:meth:`route`) is consistent-choice-with-spill: the
-    fingerprint's preferred worker wins unless it is ``spill_threshold``
-    jobs busier than the least-loaded seat.  A dead seat is respawned in
-    place with a bumped generation; jobs pinned to the old process each
-    notice the broken pipe on their next slice and re-dispatch
-    themselves.
+    fingerprint's preferred worker wins unless it is
+    :data:`DEFAULT_SPILL_THRESHOLD` jobs busier than the least-loaded
+    seat.  A dead seat is respawned in place with a bumped generation;
+    jobs pinned to the old process each notice the broken pipe on their
+    next slice and re-dispatch themselves.
     """
 
     def __init__(
         self,
         workers: int,
         token_key: bytes,
-        spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
         cache_dir: "str | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._token_key = token_key
-        self._spill = spill_threshold
         self._cache_dir = cache_dir
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
@@ -445,7 +443,7 @@ class WorkerPool:
                 self._workers, key=lambda w: (w.active_jobs, w.index)
             )
             chosen = preferred
-            if preferred.active_jobs - least.active_jobs >= self._spill:
+            if preferred.active_jobs - least.active_jobs >= DEFAULT_SPILL_THRESHOLD:
                 chosen = least
             chosen.active_jobs += 1
             return chosen
@@ -565,7 +563,8 @@ class _RemoteRunner:
     pipe round trip to the worker holding the job's stream.  Keeps the
     last acknowledged ``(checkpoint, emitted)`` pair so a worker crash
     re-dispatches the job — to a freshly routed worker — continuing
-    exactly where the last delivered answer batch ended.
+    exactly where the last delivered answer batch ended.  A job that
+    continues after a replayed head starts from that pair (``resume``).
     """
 
     def __init__(
@@ -573,15 +572,13 @@ class _RemoteRunner:
         pool: WorkerPool,
         job: ScheduledJob,
         token_key: bytes,
-        max_redispatch: int,
+        resume: "tuple[bytes, int] | None" = None,
     ) -> None:
         self._pool = pool
         self._job = job
         self._token_key = token_key
-        self._max_redispatch = max_redispatch
         self._handle: WorkerHandle | None = None
-        self._checkpoint: bytes | None = None
-        self._emitted = 0
+        self._checkpoint, self._emitted = resume or (None, 0)
         self._finished = False
         self._crashes = 0
         self._fingerprint: str | None = None
@@ -624,24 +621,15 @@ class _RemoteRunner:
         remaining = None
         if self._deadline_at is not None:
             remaining = max(self._deadline_at - time.monotonic(), 1e-6)
-        if self._checkpoint is not None:
-            # Pausable stream: resume the serialized frontier, counters
-            # continuing at the answers already delivered.
-            return {
-                "request": self._job.request,
-                "resume_payload": self._checkpoint,
-                "base_emitted": self._emitted,
-                "skip_answers": 0,
-                "deadline_override": remaining,
-                "cancelled": self._job.cancelled,
-            }
-        # No checkpoint (first dispatch, or a non-pausable op):
-        # deterministic replay, skipping what the client already has.
         return {
             "request": self._job.request,
-            "resume_payload": None,
+            # A ranked job resumes its serialized frontier, counters
+            # continuing at the answers already delivered; without a
+            # checkpoint (first dispatch, or another op) the job replays
+            # deterministically, skipping what the client already has.
+            "resume_payload": self._checkpoint,
             "base_emitted": self._emitted,
-            "skip_answers": self._emitted,
+            "skip_answers": 0 if self._checkpoint is not None else self._emitted,
             "deadline_override": remaining,
             "cancelled": self._job.cancelled,
         }
@@ -670,7 +658,7 @@ class _RemoteRunner:
                 self._pool.report_crash(handle)
                 self._handle = None
                 self._crashes += 1
-                if self._crashes > self._max_redispatch:
+                if self._crashes > DEFAULT_MAX_REDISPATCH:
                     self._finished = True
                     raise RuntimeError(
                         f"worker process crashed {self._crashes} times "
@@ -727,11 +715,6 @@ class ProcessWorkerBackend(ExecutionBackend):
     token_key:
         The scheduler's token-signing key; workers mint resume tokens
         under it so pause/resume is backend-transparent.
-    spill_threshold:
-        Load difference at which affinity yields to the least-loaded
-        worker.
-    max_redispatch:
-        Worker crashes tolerated per job before it errors out.
     cache_dir:
         Persistent artifact-store directory shared by every seat's
         sessions (:mod:`repro.cache`); ``None`` defers to the
@@ -745,25 +728,17 @@ class ProcessWorkerBackend(ExecutionBackend):
         self,
         workers: int | None = None,
         token_key: bytes | None = None,
-        spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
-        max_redispatch: int = DEFAULT_MAX_REDISPATCH,
         cache_dir: "str | None" = None,
     ) -> None:
         if workers is None:
             workers = max(os.cpu_count() or 1, 2)
         self._token_key = resolve_token_key(token_key)
-        self._max_redispatch = max_redispatch
-        self.pool = WorkerPool(
-            workers,
-            self._token_key,
-            spill_threshold=spill_threshold,
-            cache_dir=cache_dir,
-        )
+        self.pool = WorkerPool(workers, self._token_key, cache_dir=cache_dir)
 
-    def create_runner(self, job: ScheduledJob) -> _RemoteRunner:
-        return _RemoteRunner(
-            self.pool, job, self._token_key, self._max_redispatch
-        )
+    def create_runner(
+        self, job: ScheduledJob, resume: "tuple[bytes, int] | None" = None
+    ) -> _RemoteRunner:
+        return _RemoteRunner(self.pool, job, self._token_key, resume)
 
     def worker_stats(self) -> list[dict]:
         return self.pool.worker_stats()

@@ -12,7 +12,6 @@ from repro.baselines.ckk import ckk_enumeration
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
-    paper_example_graph,
     path_graph,
 )
 from repro.graphs.graph import Graph

@@ -10,7 +10,7 @@ from repro.bench.experiments import (
     ranked_run,
     table2,
 )
-from repro.graphs.generators import cycle_graph, paper_example_graph
+from repro.graphs.generators import cycle_graph
 
 
 class TestRunners:

@@ -1,7 +1,5 @@
 """Tests for the time-budgeted experiment harness."""
 
-import time
-
 from repro.bench.harness import (
     MS_TERMINATED,
     NOT_TERMINATED,

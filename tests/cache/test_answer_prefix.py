@@ -3,8 +3,8 @@
 A cold session publishes the ranked answer prefix it enumerates; warm
 sessions replay it (``stats.engine == "cache"``) with results identical
 to live enumeration, extend it from the stored frontier when asked for
-a longer prefix, and learn interior checkpoints so previously-live page
-sizes become servable from disk.  A publish never shrinks a longer
+a longer prefix (a token resume included), and learn interior
+checkpoints so previously-live page sizes become servable from disk.  A publish never shrinks a longer
 prefix another session stored meanwhile, and a record written under one
 kernel serves every kernel.
 """
@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, load_checkpoint
 from repro.cache.answers import AnswerCache, preprocess_applies_for
 from repro.graphs.generators import connected_erdos_renyi
+from repro.graphs.graph import Graph
 
 
 @pytest.fixture
@@ -128,13 +129,13 @@ def test_publish_keeps_a_longer_prefix_stored_meanwhile(tmp_path, monkeypatch):
     graph = connected_erdos_renyi(12, 0.3, seed=5)
     path = tmp_path / "c"
     with Session(cache_dir=path) as a, Session(cache_dir=path) as b:
-        collect = a._collect_ranked
+        open_job = a.job
 
-        def collect_after_b(*args, **kwargs):
+        def job_after_b(*args, **kwargs):
             b.top(graph, "fill", k=40)
-            return collect(*args, **kwargs)
+            return open_job(*args, **kwargs)
 
-        monkeypatch.setattr(a, "_collect_ranked", collect_after_b)
+        monkeypatch.setattr(a, "job", job_after_b)
         assert a.top(graph, "fill", k=5).stats.engine != "cache"
     with Session(cache_dir=path) as fresh:
         replay = fresh.top(graph, "fill", k=40)
@@ -178,3 +179,47 @@ def test_record_serves_every_kernel(tmp_path, graph, preprocess):
     # session hands back the same checkpoint decoded.
     assert stored == live.checkpoint.to_bytes()
     assert replay.checkpoint == live.checkpoint
+
+
+def test_resume_inside_a_stored_prefix_extends_it(tmp_path):
+    """A token inside a stored, non-exhausted prefix, asking past its
+    end: the stored stretch replays, only the rest runs live from the
+    record's frontier, and the longer prefix is written back."""
+    graph = connected_erdos_renyi(12, 0.3, seed=5)
+    path = tmp_path / "c"
+    with Session(cache_dir=path) as warm:
+        warm.top(graph, "fill", k=20)
+        token = warm.top(graph, "fill", k=4).checkpoint.to_bytes()
+    with Session() as plain:
+        reference = plain.resume(token, k=30)
+    with Session(cache_dir=path) as session:
+        resumed = session.resume(token, k=30)
+        record = AnswerCache.for_checkpoint(
+            session.store, load_checkpoint(token)
+        ).load()
+    assert _serialize(resumed.results) == _serialize(reference.results)
+    assert resumed.stats.emitted == reference.stats.emitted == 30
+    assert resumed.stats.expansions < reference.stats.expansions
+    assert resumed.checkpoint.next_rank == reference.checkpoint.next_rank == 34
+    assert len(record.answers) == 34
+
+
+def test_write_back_failure_never_fails_the_request(tmp_path):
+    """Labels a token cannot encode: with a store the request still
+    returns the store-less answers, and no answers record is stored."""
+    a, b, c, d = (frozenset({i}) for i in range(4))
+    cycle = Graph(edges=[(a, b), (b, c), (c, d), (d, a)])
+    with Session() as plain:
+        reference = plain.top(cycle, "fill", k=3)
+    with Session(cache_dir=tmp_path / "c") as session:
+        page = session.top(cycle, "fill", k=3)
+        answers = AnswerCache.for_request(
+            session.store, page.stats.fingerprint, "fill", None, None
+        )
+        assert answers.load() is None
+
+    def rows(response):
+        return [(r.cost, r.triangulation.bags) for r in response.results]
+
+    assert len(reference.results) == 2
+    assert rows(page) == rows(reference)

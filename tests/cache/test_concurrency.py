@@ -11,8 +11,6 @@ from __future__ import annotations
 import multiprocessing
 import sqlite3
 
-import pytest
-
 from repro.cache import ArtifactStore
 from repro.cache.store import decode_payload
 

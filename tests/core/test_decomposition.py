@@ -4,10 +4,8 @@ import pytest
 
 from repro.core.decomposition import TreeDecomposition
 from repro.graphs.generators import (
-    complete_graph,
     cycle_graph,
     erdos_renyi,
-    paper_example_graph,
     path_graph,
 )
 from repro.graphs.graph import Graph

@@ -14,9 +14,7 @@ from repro.graphs.chordal import fill_in, maximal_cliques_chordal, treewidth_cho
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
-    erdos_renyi,
     grid_graph,
-    paper_example_graph,
     path_graph,
     tree_graph,
 )

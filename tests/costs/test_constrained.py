@@ -10,7 +10,7 @@ from repro.costs.constrained import (
     is_clique_after_saturation,
     satisfies_constraints,
 )
-from repro.graphs.generators import cycle_graph, paper_example_graph
+from repro.graphs.generators import cycle_graph
 
 
 class TestCliqueAfterSaturation:

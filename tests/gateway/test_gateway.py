@@ -1,4 +1,4 @@
-"""Gateway endpoints, typed-handler validation, and failure paths.
+"""Gateway endpoints, request validation on both doors, and failure paths.
 
 Each test drives a real :class:`~repro.gateway.GatewayThread` over the
 blocking :class:`~repro.gateway.GatewayClient` — the exact deployment
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import base64
 import itertools
+import json
 import os
 import signal
 import time
@@ -21,7 +22,24 @@ from repro.graphs.generators import (
     connected_erdos_renyi,
     paper_example_graph,
 )
-from repro.service.protocol import graph_to_wire, serialize_answers
+from repro.service.client import ServiceClient
+from repro.service.protocol import (
+    ErrorFrame,
+    ProtocolError,
+    ServiceRequest,
+    encode_frame,
+    graph_to_wire,
+    parse_request,
+    serialize_answers,
+)
+
+BACKENDS = [
+    name.strip()
+    for name in os.environ.get(
+        "REPRO_SERVICE_BACKENDS", "inprocess,process"
+    ).split(",")
+    if name.strip()
+]
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +254,129 @@ class TestValidationFailures:
         stream = client.submit({"op": "enumerate", "token": stub}).collect()
         assert stream.status == 400
         assert stream.terminal["code"] == "bad-request"
+
+
+@pytest.fixture(scope="module")
+def doors():
+    """The gateway and the TCP server over one scheduler."""
+    with GatewayThread(tcp=True, max_workers=2) as handle:
+        yield handle
+
+
+def _tcp_refusal(handle, body) -> str:
+    client = ServiceClient(*handle.tcp_address, timeout=60.0)
+    with client.send_raw(encode_frame({"type": "request", **body})) as stream:
+        for _frame in stream:
+            pass
+    terminal = stream.terminal
+    assert isinstance(terminal, ErrorFrame), terminal
+    assert terminal.code == "bad-request"
+    return terminal.message
+
+
+def _http_refusal(handle, body) -> str:
+    client = GatewayClient(*handle.address, timeout=60.0)
+    with pytest.raises(GatewayError) as excinfo:
+        client.submit(body)
+    assert excinfo.value.status == 400
+    return json.loads(excinfo.value.payload)["error"]
+
+
+_WIRE_GRAPH = graph_to_wire(paper_example_graph())
+
+
+class TestOneRequestContract:
+    """TCP and HTTP accept and refuse the same requests, in the same
+    words: both doors hold a request to ``parse_request``."""
+
+    @pytest.mark.parametrize("door", [_tcp_refusal, _http_refusal],
+                             ids=["tcp", "http"])
+    @pytest.mark.parametrize(
+        "body, fragment",
+        [
+            pytest.param({"op": "frobnicate"}, "unknown op 'frobnicate'",
+                         id="unknown-op"),
+            pytest.param(
+                {"op": "top", "graph": _WIRE_GRAPH, "k": 3, "bogus_field": 1},
+                "op 'top' does not accept field(s) bogus_field",
+                id="unknown-field",
+            ),
+            pytest.param(
+                {"op": "diverse", "graph": _WIRE_GRAPH, "k": 3,
+                 "per_triangulation": 2},
+                "op 'diverse' does not accept field(s) per_triangulation",
+                id="field-of-another-op",
+            ),
+            pytest.param({"op": "top", "graph": _WIRE_GRAPH},
+                         "op 'top' requires field(s) k", id="top-without-k"),
+            pytest.param(
+                {"op": "top", "graph": _WIRE_GRAPH, "k": 3,
+                 "kernel": "quantum"},
+                "unknown graph kernel 'quantum'",
+                id="bad-kernel",
+            ),
+        ],
+    )
+    def test_both_doors_refuse_alike(self, doors, door, body, fragment):
+        with pytest.raises(ProtocolError) as contract:
+            parse_request({"type": "request", **body})
+        message = door(doors, body)
+        assert fragment in message
+        assert message == str(contract.value)
+
+    def test_answer_budget_is_accepted_on_every_job_kind(self, doors):
+        client = GatewayClient(*doors.address, timeout=60.0)
+        for op in ("diverse", "decompositions"):
+            stream = client.submit(
+                {"op": op, "graph": _WIRE_GRAPH, "cost": "fill", "k": 3,
+                 "answer_budget": 1}
+            ).collect()
+            assert stream.status == 200
+            assert len(stream.answer_lines) == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_zero_answer_top_opens_nothing_on_either_door(backend):
+    """A fresh k=0 ``top`` builds no context on either door: its
+    terminal reads engine ``none`` with no token.  A k=0 resume still
+    hands its token back."""
+    graph = connected_erdos_renyi(10, 0.35, seed=0)
+    options = {"worker_processes": 2} if backend == "process" else {}
+    with GatewayThread(
+        tcp=True, backend=backend, max_workers=2, **options
+    ) as handle:
+        tcp = ServiceClient(*handle.tcp_address, timeout=120.0)
+        over_tcp = tcp.collect(
+            ServiceRequest(op="top", graph=graph, cost="fill", k=0)
+        )
+        over_http = GatewayClient(*handle.address, timeout=120.0).submit(
+            {"op": "top", "graph": graph_to_wire(graph), "cost": "fill",
+             "k": 0}
+        ).collect()
+        stats = tcp.service_stats()
+        token = tcp.top(graph, "fill", k=2).checkpoint
+        resumed = tcp.resume(token, k=0)
+
+    assert over_tcp.answers == ()
+    assert over_tcp.terminal.emitted == 0
+    assert over_tcp.terminal.engine == "none"
+    assert over_tcp.terminal.next_rank is None
+    assert over_tcp.terminal.checkpoint is None
+    assert over_http.status == 200
+    assert over_http.answer_lines == []
+    assert over_http.terminal["type"] == "stats"
+    assert over_http.terminal["emitted"] == 0
+    assert over_http.terminal["engine"] == "none"
+    assert over_http.terminal["checkpoint"] is None
+    builds = [
+        session["cache"]["builds"]
+        for row in stats.workers
+        for session in (row.get("sessions") or {}).values()
+    ]
+    assert sum(builds) == 0
+    assert resumed.terminal.emitted == 0
+    assert resumed.terminal.next_rank == 2
+    assert resumed.checkpoint is not None
 
 
 class TestJobRegistryAndCancel:

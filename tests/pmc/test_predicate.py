@@ -4,7 +4,6 @@ from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     erdos_renyi,
-    paper_example_graph,
     path_graph,
 )
 from repro.graphs.graph import Graph

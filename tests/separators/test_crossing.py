@@ -1,6 +1,6 @@
 """Tests for the crossing/parallel relation and SeparatorFamily."""
 
-from repro.graphs.generators import cycle_graph, erdos_renyi, paper_example_graph
+from repro.graphs.generators import cycle_graph, erdos_renyi
 from repro.separators.berry import minimal_separators
 from repro.separators.crossing import SeparatorFamily, are_parallel, crosses
 

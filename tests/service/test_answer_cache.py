@@ -5,7 +5,8 @@ served from disk without consuming an executor slot or a worker seat —
 on both execution backends — with answer bytes identical to live
 enumeration, and the serve must be observable (``answers_served``
 scheduler counter, ``engine == "cache"`` terminal frame, untouched
-worker sessions).  Both layers read and write one record: a prefix a
+worker sessions).  A longer request replays the stored head and runs
+only its rest live.  Both layers read and write one record: a prefix a
 ``Session`` stored serves the server, and the reverse.
 """
 
@@ -90,6 +91,31 @@ def test_extension_write_back_then_pure_hit(tmp_path, backend):
     assert isinstance(repeat.terminal, StatsFrame)
     assert repeat.terminal.engine == "cache"
     assert stats.scheduler["answers_served"] >= 1
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_partly_covered_page_runs_only_its_rest_live(tmp_path, backend):
+    """k'=2K over a stored k=K prefix replays the stored head and runs
+    only the rest live, from the record's frontier: a cache-less
+    server's bytes for fewer expansions than a cold k'=2K run."""
+    graph = connected_erdos_renyi(10, 0.35, seed=0)
+    with ServerThread(**server_kwargs(backend, tmp_path / "cold")) as handle:
+        client = ServiceClient(*handle.address, timeout=120.0)
+        cold = client.top(graph, "fill", k=2 * K)
+
+    cache_dir = tmp_path / "cache"
+    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+        ServiceClient(*handle.address, timeout=120.0).top(graph, "fill", k=K)
+    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+        client = ServiceClient(*handle.address, timeout=120.0)
+        extended = client.top(graph, "fill", k=2 * K)
+
+    assert extended.answer_lines == cold.answer_lines
+    assert isinstance(extended.terminal, StatsFrame)
+    assert extended.terminal.engine != "cache"
+    assert extended.terminal.emitted == cold.terminal.emitted
+    assert extended.terminal.exhausted == cold.terminal.exhausted
+    assert extended.terminal.expansions < cold.terminal.expansions
 
 
 @pytest.mark.parametrize("backend", ["inprocess", "process"])

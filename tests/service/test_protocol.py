@@ -116,9 +116,17 @@ class TestServiceRequest:
             k=5,
             deadline=1.5,
             kernel="sets",
-            min_distance=2,
         )
         assert parse_request(request.to_frame()) == request
+        diverse = ServiceRequest(
+            op="diverse",
+            graph=grid_graph(2, 2),
+            k=3,
+            min_distance=2,
+            scan_limit=40,
+            answer_budget=2,
+        )
+        assert parse_request(diverse.to_frame()) == diverse
 
     def test_token_frame_round_trip(self):
         request = ServiceRequest(op="enumerate", token=b"opaque", k=3)

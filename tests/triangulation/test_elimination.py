@@ -10,7 +10,6 @@ from repro.graphs.generators import (
 from repro.triangulation.elimination import (
     elimination_game,
     min_degree_order,
-    min_fill_order,
     triangulate_min_degree,
     triangulate_min_fill,
 )

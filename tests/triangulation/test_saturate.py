@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graphs.generators import cycle_graph, erdos_renyi, paper_example_graph
+from repro.graphs.generators import cycle_graph, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.separators.berry import minimal_separators
 from repro.separators.crossing import SeparatorFamily
