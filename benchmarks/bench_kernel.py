@@ -1,10 +1,8 @@
-"""Graph-kernel study: registered kernels vs the label-level oracle.
+"""Graph-kernel study: the ``bitset`` kernel vs the label-level oracle.
 
 For each workload instance (one per family of the paper's evaluation:
 G(n,p) random graphs, PGM grids, and a PACE-style instance) the driver
-measures, under every registered kernel
-(:func:`repro.graphs.kernels.available_kernels` — ``sets`` and
-``bitset``, plus any kernel registered before the run),
+measures, under both kernels (``sets`` first, then ``bitset``),
 
 * ``init`` — the minimal-separator + PMC enumeration time (lines 1–2 of
   ``MinTriang``, the shared initialization the ISSUE calls the hot
@@ -12,9 +10,9 @@ measures, under every registered kernel
 * ``ranked`` — the time to stream the top ``k`` answers of
   ``RankedTriang⟨fill⟩`` over a prebuilt context,
 
-then reports the per-phase speedup of each kernel over ``kernel="sets"``.
+then reports the per-phase speedup of ``bitset`` over ``kernel="sets"``.
 The enumerated structures and the emitted ranked sequences are asserted
-identical across kernels — this benchmark is also a coarse differential
+identical across the two kernels — this benchmark is also a coarse differential
 test on real workload sizes.
 
 Rows land in ``results/kernel.json`` / ``results/kernel.txt`` (the table
@@ -34,7 +32,6 @@ import time
 
 from repro.api import Session
 from repro.bench.reporting import format_table, save_report
-from repro.graphs.kernels import available_kernels
 from repro.graphs.generators import (
     connected_erdos_renyi,
     grid_graph,
@@ -92,9 +89,8 @@ def test_kernel_speedup_report(benchmark, smoke):
     min_speedup = float(os.environ.get("REPRO_BENCH_MIN_KERNEL_SPEEDUP", "1.5"))
     repeats = 1 if smoke else int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "3"))
     instances = _instances(smoke)
-    # Registration order: the oracle baseline first, then bitset and
-    # any kernel registered before the run.
-    kernels = available_kernels()
+    # The oracle baseline first, then bitset.
+    kernels = ("sets", "bitset")
 
     def run():
         rows = []

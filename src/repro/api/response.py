@@ -62,9 +62,8 @@ class EnumerationStats:
         produced it (``init_seconds`` then sums over the atom
         initializations).
     kernel:
-        The resolved graph-kernel name the serving session builds
-        contexts with (never ``"auto"``; empty only for stats objects
-        minted by pre-registry code paths).
+        The graph kernel the serving session builds contexts with,
+        ``"bitset"`` or ``"sets"``.
     """
 
     fingerprint: str

@@ -37,7 +37,7 @@ from ..core.context import TriangulationContext
 from ..core.mintriang import min_triangulation_and_table
 from ..costs.registry import resolve_cost
 from ..graphs.graph import Graph
-from ..graphs.kernels import KernelSpec
+from ..graphs.kernels import validate_kernel
 from ..preprocess.recompose import (
     ComposedCheckpoint,
     ComposedRankedStream,
@@ -74,14 +74,10 @@ class Session:
         LRU capacity of the context cache (per ``(fingerprint,
         width_bound)`` key).
     kernel:
-        Graph kernel used when this session builds a context: a
-        registered kernel name, a :class:`~repro.graphs.kernels
-        .KernelSpec`, or the default ``"auto"`` (an alias of
-        ``"bitset"``, the mask-level kernel).  ``"auto"`` is resolved
-        here at construction, so cache keys and reported stats always
-        carry a concrete kernel name.  All kernels serve bit-identical
-        enumeration sequences — see the README "Performance" section for
-        how to choose or register one.
+        Graph kernel used when this session builds a context:
+        ``"bitset"`` (default, the mask-level kernel) or ``"sets"`` (the
+        label-level reference).  Both serve bit-identical enumeration
+        sequences — see the README "Performance" section.
     preprocess:
         Default for requests that do not say: ``True`` (default) routes
         eligible requests through the preprocessing pipeline — safe
@@ -112,18 +108,15 @@ class Session:
     def __init__(
         self,
         max_contexts: int = 8,
-        kernel: "str | KernelSpec" = "auto",
+        kernel: str = "bitset",
         preprocess: bool = True,
         cache_dir: "str | None" = None,
         store: "object | None" = None,
     ) -> None:
-        from ..graphs.kernels import resolve_kernel
-
         if max_contexts < 1:
             raise ValueError(f"max_contexts must be >= 1, got {max_contexts}")
         self._max_contexts = max_contexts
-        self._kernel_spec = resolve_kernel(kernel)
-        self._kernel = self._kernel_spec.name
+        self._kernel = validate_kernel(kernel)
         self._preprocess = bool(preprocess)
         if store is not None:
             self._store = store
@@ -340,15 +333,8 @@ class Session:
         )
 
     @property
-    def kernel(self) -> "KernelSpec":
-        """The resolved :class:`~repro.graphs.kernels.KernelSpec` this
-        session builds contexts with (``"auto"`` never survives
-        construction, so this is always a concrete registered spec)."""
-        return self._kernel_spec
-
-    @property
     def kernel_name(self) -> str:
-        """The resolved kernel's registry name (what cache keys carry)."""
+        """The kernel this session builds contexts with (what cache keys carry)."""
         return self._kernel
 
     @property
@@ -956,15 +942,8 @@ class Session:
         cached_flags: list[bool] = []
         init_seconds = [0.0]
 
-        def resume_piece(atom_graph: Graph, piece_checkpoint):
-            entry, fp, cached = self._entry_for(
-                atom_graph, checkpoint.width_bound
-            )
-            if fp != piece_checkpoint.fingerprint:
-                raise ValueError(
-                    "a piece checkpoint does not match its atom's graph; "
-                    "the token is corrupted"
-                )
+        def resume_piece(piece_checkpoint: StreamCheckpoint):
+            entry, fp, cached = self._entry_for_checkpoint(piece_checkpoint)
             cached_flags.append(cached)
             init_seconds[0] += entry.context.init_seconds
             cost_obj = resolve_cost(spec, entry.context.graph)
@@ -981,6 +960,7 @@ class Session:
             resolve_cost(spec, graph),
             composition,
             resume_piece=resume_piece,
+            graph=graph,
         )
         meta = {
             "context_cached": bool(cached_flags) and all(cached_flags),

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..graphs.graph import Graph
-from ..graphs.kernels import KernelSpec
 from ..preprocess.recompose import ComposedRankedStream
 
 __all__ = ["WarmReport", "warm_graphs"]
@@ -53,7 +52,7 @@ def warm_graphs(
     costs=("width", "fill"),
     cache_dir=None,
     store=None,
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "bitset",
     width_bound: int | None = None,
     top: int | None = None,
     announce=None,

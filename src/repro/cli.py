@@ -44,21 +44,15 @@ def _positive_int(raw: str) -> int:
 
 
 def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--kernel`` flag of every context-building subcommand.
-
-    Choices come from the kernel registry, so a kernel registered before
-    argument parsing (e.g. in a sitecustomize or plugin) is immediately
-    selectable.  The default ``auto`` is an alias of ``bitset``; the
-    output is identical under every choice.
-    """
-    from .graphs.kernels import AUTO_KERNEL, available_kernels
+    """The shared ``--kernel`` flag of every context-building subcommand."""
+    from .graphs.kernels import KERNELS
 
     parser.add_argument(
         "--kernel",
-        default=AUTO_KERNEL,
-        choices=(AUTO_KERNEL, *available_kernels()),
-        help="graph kernel for the enumeration hot path (default: auto = "
-        "bitset); the output is identical under every kernel",
+        default=KERNELS[0],
+        choices=KERNELS,
+        help="graph kernel for the enumeration hot path (default: "
+        f"{KERNELS[0]}); the output is identical under both kernels",
     )
 
 
@@ -666,12 +660,6 @@ def _cmd_submit_stats(args: argparse.Namespace) -> int:
         f"backend: {frame.backend}  jobs: {sched['admitted']} admitted, "
         f"{sched['completed']} completed, {sched['active']} active"
     )
-    kernels = getattr(frame, "kernels", None) or {}
-    if kernels:
-        print(
-            f"kernels: {', '.join(kernels.get('available', ()))} "
-            f"(auto -> {kernels.get('auto')})"
-        )
     for row in frame.workers:
         line = (
             f"worker {row['worker']}: pid={row['pid']} "

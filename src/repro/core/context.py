@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from ..graphs.bitgraph import BitGraph, VertexIndexer, iter_bits
-from ..graphs.kernels import KernelSpec, resolve_kernel
+from ..graphs.kernels import validate_kernel
 from ..graphs.graph import Graph, Vertex
 from ..graphs.ordering import vertex_sort_key
 from ..separators.berry import minimal_separator_masks, minimal_separators
@@ -117,10 +117,8 @@ class TriangulationContext:
         Wall-clock time of the initialization, the candidate compile
         included (reported as ``init`` in Table 2).
     kernel:
-        Which graph kernel enumerated ``MinSep(G)`` and ``PMC(G)`` —
-        always a concrete registered name (``"auto"`` is resolved by
-        :meth:`build` before anything is keyed on it).  Every kernel
-        feeds the same mask compile.
+        Which graph kernel enumerated ``MinSep(G)`` and ``PMC(G)``,
+        ``"bitset"`` or ``"sets"``.  Both feed the same mask compile.
     """
 
     graph: Graph
@@ -146,7 +144,7 @@ class TriangulationContext:
         width_bound: int | None = None,
         separator_limit: int | None = None,
         pmc_limit: int | None = None,
-        kernel: str | KernelSpec = "auto",
+        kernel: str = "bitset",
     ) -> "TriangulationContext":
         """Run the initialization step for ``graph``.
 
@@ -165,20 +163,16 @@ class TriangulationContext:
             :class:`~repro.separators.berry.SeparatorLimitExceeded`.  This
             is how the experiment harness detects poly-MS violations.
         kernel:
-            A registered kernel name or :class:`KernelSpec` (see
-            :mod:`repro.graphs.kernels`).  The default ``"auto"`` is an
-            alias of ``"bitset"``, resolved **here**, so the stored
-            :attr:`kernel` — and everything keyed on it, cache keys most
-            of all — is always a concrete name.  Mask-level kernels
-            enumerate minimal separators and PMCs over dense adjacency
-            bitmasks, and the PMC enumerator hands back each PMC's
-            components.  ``"sets"`` keeps the label-level enumerators
-            (the differential-testing reference for that layer) and
-            finds each PMC's components with one search.  Both feed the
-            same compile, so all kernels produce identical contexts.
+            ``"bitset"`` (default) enumerates minimal separators and
+            PMCs over dense adjacency bitmasks, and the PMC enumerator
+            hands back each PMC's components.  ``"sets"`` keeps the
+            label-level enumerators (the differential-testing reference
+            for that layer) and finds each PMC's components with one
+            search.  Both feed the same compile, so both kernels produce
+            identical contexts.
         """
         started = time.perf_counter()
-        spec = resolve_kernel(kernel)
+        validate_kernel(kernel)
         if graph.num_vertices() and not graph.is_connected():
             raise ValueError(
                 "TriangulationContext requires a connected graph; "
@@ -186,8 +180,8 @@ class TriangulationContext:
             )
 
         indexer = VertexIndexer(graph.vertices)
-        if spec.uses_masks:
-            bitgraph = spec.build_graph(graph, indexer)
+        if kernel == "bitset":
+            bitgraph = BitGraph.from_graph(graph, indexer)
             separator_masks = minimal_separator_masks(
                 bitgraph, limit=separator_limit
             )
@@ -196,10 +190,10 @@ class TriangulationContext:
             )
         else:
             separators = minimal_separators(
-                graph, limit=separator_limit, kernel=spec
+                graph, limit=separator_limit, kernel="sets"
             )
             pmcs = potential_maximal_cliques(
-                graph, separators=separators, budget=pmc_limit, kernel=spec
+                graph, separators=separators, budget=pmc_limit, kernel="sets"
             )
             bitgraph = BitGraph.from_graph(graph, indexer)
             separator_masks = set(map(indexer.mask_of, separators))
@@ -210,7 +204,7 @@ class TriangulationContext:
                 for omega in map(indexer.mask_of, pmcs)
             }
         context = _compile(
-            graph, bitgraph, separator_masks, found, width_bound, spec.name
+            graph, bitgraph, separator_masks, found, width_bound, kernel
         )
         context.init_seconds = time.perf_counter() - started
         return context

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import KernelSpec
+from ..graphs.kernels import validate_kernel
 from ..costs.base import Bag, BagCost, Fold, INFEASIBLE, declared_fold
 from ..costs.constrained import ConstrainedCost
 from ..triangulation.saturate import saturate_bags
@@ -367,7 +367,7 @@ def min_triangulation(
     cost: BagCost,
     context: TriangulationContext | None = None,
     width_bound: int | None = None,
-    kernel: "str | KernelSpec" = "auto",
+    kernel: str = "bitset",
 ) -> Triangulation | None:
     """Minimum-``κ`` minimal triangulation of ``graph``.
 
@@ -391,9 +391,10 @@ def min_triangulation(
         Restrict to triangulations of width ≤ bound (``MinTriangB``).
     kernel:
         Graph kernel for the context initialization when none is passed
-        in: a registered name, a spec, or ``"auto"`` (default) — see
+        in: ``"bitset"`` (default) or ``"sets"`` — see
         :meth:`TriangulationContext.build`.
     """
+    validate_kernel(kernel)
     if context is not None:
         return min_triangulation_with_context(context, cost)
     if graph.num_vertices() == 0 or graph.is_connected():

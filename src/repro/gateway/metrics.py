@@ -130,21 +130,6 @@ def render_metrics(snapshot: dict, service: dict | None = None) -> str:
         [(backend_label, 1)],
     )
 
-    # Kernel registry, modelled on backend_info: one series per
-    # registered kernel, with the kernel "auto" names carried as a label
-    # on each series.
-    from ..service.scheduler import kernel_registry_stats
-
-    kernels = kernel_registry_stats()
-    page.metric(
-        "kernel_info", "gauge",
-        "Registered graph kernels (value is always 1); the 'auto' "
-        "label names the kernel the auto alias stands for.",
-        [
-            ({"kernel": name, "auto": kernels["auto"]}, 1)
-            for name in sorted(kernels["registered"])
-        ],
-    )
     if "workers" in telemetry:
         page.metric(
             "worker_processes", "gauge",

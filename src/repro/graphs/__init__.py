@@ -2,15 +2,7 @@
 
 from .graph import Graph, Vertex, Edge
 from .bitgraph import BitGraph, VertexIndexer, iter_bits
-from .kernels import (
-    KernelSpec,
-    available_kernels,
-    register_kernel,
-    registered_kernels,
-    resolve_kernel,
-    unregister_kernel,
-    validate_kernel,
-)
+from .kernels import KERNELS, validate_kernel
 from .chordal import (
     maximum_cardinality_search,
     is_perfect_elimination_order,
@@ -38,12 +30,7 @@ __all__ = [
     "BitGraph",
     "VertexIndexer",
     "iter_bits",
-    "KernelSpec",
-    "available_kernels",
-    "register_kernel",
-    "registered_kernels",
-    "resolve_kernel",
-    "unregister_kernel",
+    "KERNELS",
     "validate_kernel",
     "maximum_cardinality_search",
     "is_perfect_elimination_order",

@@ -34,25 +34,7 @@ from collections.abc import Hashable, Iterable, Iterator
 
 from .graph import Graph, Vertex
 
-__all__ = ["VertexIndexer", "BitGraph", "iter_bits", "KERNELS", "validate_kernel"]
-
-#: Deprecated alias of the original built-in kernel names.  The source
-#: of truth is now the registry in :mod:`repro.graphs.kernels`
-#: (``available_kernels()``), which third-party kernels extend.
-KERNELS = ("bitset", "sets")
-
-
-def validate_kernel(kernel) -> str:
-    """Resolve a kernel name/spec to a concrete kernel name.
-
-    Deprecated shim over :func:`repro.graphs.kernels.validate_kernel`
-    (kept because historical call sites import it from here).  Note the
-    registry semantics: ``"auto"`` is an alias of ``"bitset"``, so the
-    returned name is always concrete.
-    """
-    from .kernels import validate_kernel as _validate
-
-    return _validate(kernel)
+__all__ = ["VertexIndexer", "BitGraph", "iter_bits"]
 
 
 def iter_bits(mask: int) -> Iterator[int]:

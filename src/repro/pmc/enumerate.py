@@ -83,7 +83,7 @@ from collections.abc import Sequence
 
 from ..graphs.bitgraph import BitGraph, VertexIndexer, iter_bits
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import KernelSpec, resolve_kernel
+from ..graphs.kernels import validate_kernel
 from ..separators.berry import (
     SeparatorLimitExceeded,
     is_minimal_separator,
@@ -110,22 +110,20 @@ def prefix_minimal_separators(
     graph: Graph,
     order: Sequence[Vertex],
     full_separators: set[Separator] | None = None,
-    kernel: str | KernelSpec = "sets",
+    kernel: str = "sets",
 ) -> list[set[Separator]]:
     """``MinSep(G_i)`` for every prefix ``G_i = G[order[:i]]``, ``i = 1..n``.
 
     Derived top-down from ``MinSep(G)`` via the vertex-removal lemma (see
     module docstring).  ``full_separators`` may be passed when already
     computed; otherwise BBC runs once on ``graph`` under ``kernel``
-    (resolved through the registry; the default stays the label-level
-    oracle because this function is the reference pipeline — callers on
-    a fast kernel pass the separators in, or pass their kernel here).
+    (the default stays the label-level ``"sets"`` oracle because this
+    function is the reference pipeline — callers on the bitset kernel
+    pass the separators in, or pass ``"bitset"`` here).
     """
     n = len(order)
     if full_separators is None:
-        full_separators = minimal_separators(
-            graph, kernel=resolve_kernel(kernel)
-        )
+        full_separators = minimal_separators(graph, kernel=kernel)
     per_prefix: list[set[Separator]] = [set() for _ in range(n)]
     if n == 0:
         return per_prefix
@@ -434,7 +432,7 @@ def potential_maximal_cliques(
     budget: int | None = None,
     order: Sequence[Vertex] | None = None,
     deadline: float | None = None,
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "bitset",
 ) -> set[PMC]:
     """All potential maximal cliques ``PMC(G)``.
 
@@ -455,21 +453,19 @@ def potential_maximal_cliques(
         (raises :class:`SeparatorLimitExceeded` when exceeded) — the PMC
         half of the Figure 5 tractability gate.
     kernel:
-        A registered kernel name or spec (see
-        :mod:`repro.graphs.kernels`).  Mask-level kernels run the whole
-        pipeline — prefix minimal separators, ONE_MORE_VERTEX, the PMC
-        predicate — over dense bitmasks and convert the result once at
-        the end; ``"sets"`` is the original label-level path.  Identical
-        output under every kernel.
+        ``"bitset"`` (default) runs the whole pipeline — prefix minimal
+        separators, ONE_MORE_VERTEX, the PMC predicate — over dense
+        bitmasks and converts the result once at the end; ``"sets"`` is
+        the original label-level path.  Identical output under both.
     """
     import time
 
+    validate_kernel(kernel)
     if graph.num_vertices() == 0:
         return set()
-    spec = resolve_kernel(kernel)
-    if spec.uses_masks:
+    if kernel == "bitset":
         indexer = VertexIndexer(graph.vertices)
-        bitgraph = spec.build_graph(graph, indexer)
+        bitgraph = BitGraph.from_graph(graph, indexer)
         masks = potential_maximal_clique_masks(
             bitgraph,
             separator_masks=(
@@ -487,12 +483,8 @@ def potential_maximal_cliques(
     if order is None:
         order = graph.bfs_order()
     if separators is None:
-        # This branch only runs for label-level kernels, so the resolved
-        # spec (not a hardcoded name) keeps the reference path honest:
-        # a faster registered kernel can never be silently pinned to an
-        # interpreted one, nor vice versa.
-        separators = minimal_separators(graph, kernel=spec)
-    per_prefix = prefix_minimal_separators(graph, order, separators, kernel=spec)
+        separators = minimal_separators(graph, kernel="sets")
+    per_prefix = prefix_minimal_separators(graph, order, separators, kernel="sets")
 
     prefix_vertices: list[Vertex] = [order[0]]
     pmcs: set[PMC] = {frozenset(prefix_vertices)}

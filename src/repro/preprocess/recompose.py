@@ -471,7 +471,7 @@ class _Piece:
 #: Opens a fresh ranked stream over one atom subgraph (rank 0).
 PieceOpener = Callable[[Graph], object]
 #: Reopens a ranked stream over one atom subgraph from its checkpoint.
-PieceResumer = Callable[[Graph, object], object]
+PieceResumer = Callable[[object], object]
 
 
 class ComposedRankedStream(Iterator[RankedResult]):
@@ -630,16 +630,18 @@ class ComposedRankedStream(Iterator[RankedResult]):
         composition: CostComposition,
         *,
         resume_piece: PieceResumer,
+        graph: Graph,
     ) -> "ComposedRankedStream":
         """Resume the exact sequence a prior composed stream paused.
 
-        ``resume_piece`` receives each variable atom's subgraph and its
-        native checkpoint and returns the resumed per-atom stream.  An
-        exhausted token short-circuits: no atom stream (and hence no
-        atom context) is ever touched just to emit nothing.
+        ``graph`` is the checkpoint's restored graph.  ``resume_piece``
+        receives each variable atom's native checkpoint, once its graph
+        section is known to be the atom's subgraph, and returns the
+        resumed per-atom stream.  An exhausted token short-circuits: no
+        atom stream (and hence no atom context) is ever touched just to
+        emit nothing.
         """
         started = time.perf_counter()
-        graph = checkpoint.restore_graph()
         pieces: list[_Piece] = []
         if checkpoint.frontier:
             if any(
@@ -652,10 +654,18 @@ class ComposedRankedStream(Iterator[RankedResult]):
                     "the token is corrupted"
                 )
             for state in checkpoint.pieces:
-                inner = resume_piece(
-                    graph.subgraph(state.atom), state.checkpoint
+                piece = state.checkpoint
+                if (
+                    piece.width_bound != checkpoint.width_bound
+                    or piece.graph != TokenGraph.of(graph.subgraph(state.atom))
+                ):
+                    raise ValueError(
+                        "a piece checkpoint does not match its atom's graph; "
+                        "the token is corrupted"
+                    )
+                pieces.append(
+                    _Piece(state.atom, resume_piece(piece), drained=state.drained)
                 )
-                pieces.append(_Piece(state.atom, inner, drained=state.drained))
         stream = cls(
             graph=graph,
             trace=ReductionTrace(steps=checkpoint.steps),

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 
 from ..graphs.bitgraph import BitGraph, iter_bits
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import KernelSpec, resolve_kernel
+from ..graphs.kernels import validate_kernel
 
 Separator = frozenset[Vertex]
 
@@ -98,21 +98,20 @@ def _close_separators(graph: Graph, removed: set[Vertex]) -> Iterator[Separator]
 
 
 def iter_minimal_separators(
-    graph: Graph, kernel: str | KernelSpec = "auto"
+    graph: Graph, kernel: str = "bitset"
 ) -> Iterator[Separator]:
     """Yield every minimal separator of ``graph`` exactly once (BBC).
 
     The graph need not be connected: separators are found per component
     (the empty set is never yielded).  Yields in no particular order.
-    ``kernel`` selects the execution substrate (a registered kernel name
-    or spec; see :mod:`repro.graphs.kernels`): mask-level kernels run
-    the loop over dense bitmasks and convert each separator to a label
-    frozenset on emission; ``"sets"`` is the original label-level path.
-    All kernels emit exactly the same set of separators.
+    ``kernel`` selects the execution substrate: ``"bitset"`` (default)
+    runs the loop over dense bitmasks and converts each separator to a
+    label frozenset on emission; ``"sets"`` is the original label-level
+    path.  Both kernels emit exactly the same set of separators.
     """
-    spec = resolve_kernel(kernel)
-    if spec.uses_masks and graph.num_vertices():
-        bitgraph = spec.build_graph(graph)
+    validate_kernel(kernel)
+    if kernel == "bitset" and graph.num_vertices():
+        bitgraph = BitGraph.from_graph(graph)
         labels_of = bitgraph.indexer.labels_of
         for mask in iter_minimal_separator_masks(bitgraph):
             yield labels_of(mask)
@@ -235,7 +234,7 @@ def minimal_separators(
     graph: Graph,
     limit: int | None = None,
     deadline: float | None = None,
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "bitset",
 ) -> set[Separator]:
     """All minimal separators of ``graph`` (``MinSep(G)``).
 
@@ -244,11 +243,9 @@ def minimal_separators(
     graph:
         Input graph.
     kernel:
-        A registered kernel name or spec; the ``"auto"`` default is
-        ``"bitset"``.  Mask-level kernels enumerate over
-        dense bitmasks and convert to label frozensets once per
-        separator; ``"sets"`` is the original label-level path.
-        Identical output under every kernel.
+        ``"bitset"`` (default) enumerates over dense bitmasks and
+        converts to label frozensets once per separator; ``"sets"`` is
+        the original label-level path.  Identical output under both.
     limit:
         If given, raise :class:`SeparatorLimitExceeded` as soon as more than
         ``limit`` separators have been produced.  This implements the

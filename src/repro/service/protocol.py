@@ -59,7 +59,7 @@ import secrets
 from dataclasses import dataclass, field
 
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import resolve_kernel
+from ..graphs.kernels import validate_kernel
 from ..graphs.ordering import vertex_set_sort_key, vertex_sort_key
 
 __all__ = [
@@ -410,9 +410,7 @@ class ServiceRequest:
     cost: str = "width"
     k: int | None = None
     width_bound: int | None = None
-    #: Accepts any registered kernel name (or ``"auto"``); normalized to
-    #: the resolved concrete name in ``__post_init__``, so schedulers,
-    #: worker session pools, and cache keys never see ``"auto"``.
+    #: ``"bitset"`` or ``"sets"`` (:data:`repro.graphs.kernels.KERNELS`).
     kernel: str = "bitset"
     preprocess: bool | None = None
     min_distance: int = 1
@@ -426,14 +424,10 @@ class ServiceRequest:
             raise ProtocolError(
                 f"unknown op {self.op!r}; expected one of {', '.join(OPS)}"
             )
-        # Registry-driven kernel validation: any registered kernel (or a
-        # spec, or "auto") is accepted the moment it is registered; the
-        # stored value is always the concrete name.
         try:
-            resolved = resolve_kernel(self.kernel).name
+            validate_kernel(self.kernel)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
-        object.__setattr__(self, "kernel", resolved)
         if self.op == "stats":
             if self.graph is not None or self.token is not None:
                 raise ProtocolError("op 'stats' takes neither graph nor token")
@@ -553,8 +547,7 @@ def parse_request(frame: dict) -> ServiceRequest:
     kernel = frame.get("kernel", "bitset")
     if not isinstance(kernel, str):
         raise ProtocolError(f"kernel must be a string, got {kernel!r}")
-    # Registry membership (including "auto" resolution) is enforced by
-    # ServiceRequest.__post_init__ below.
+    # The name itself is checked by ServiceRequest.__post_init__ below.
     preprocess = _check_field(frame, "preprocess", bool, "a boolean")
     deadline = _check_field(frame, "deadline", (int, float), "a number")
     min_distance = _check_field(frame, "min_distance", int, "an integer")
@@ -627,10 +620,6 @@ class ServiceStatsFrame:
     backend: str
     workers: tuple
     cache: dict = field(default_factory=dict)
-    #: Kernel-registry view: ``{"available": [...], "auto": name,
-    #: "registered": {name: {description}}}`` (empty when talking to an
-    #: older server).
-    kernels: dict = field(default_factory=dict)
     raw: bytes = field(compare=False, repr=False, default=b"")
 
 
@@ -719,7 +708,6 @@ def typed_frame(frame: dict, raw: bytes = b""):
                 backend=frame["backend"],
                 workers=tuple(frame["workers"]),
                 cache=frame.get("cache") or {},
-                kernels=frame.get("kernels") or {},
                 raw=raw,
             )
         if frame_type == "deadline":

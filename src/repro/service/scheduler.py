@@ -60,11 +60,6 @@ from ..api import Session, graph_fingerprint, load_checkpoint
 from ..api.checkpoint import read_header
 from ..api.job import Job
 from ..cache.answers import AnswerCache, AnswerPage
-from ..graphs.kernels import (
-    available_kernels,
-    registered_kernels,
-    resolve_kernel,
-)
 from .protocol import (
     ProtocolError,
     ServiceRequest,
@@ -150,9 +145,21 @@ class ScheduledJob:
         self.frames: asyncio.Queue[dict] = asyncio.Queue(maxsize=max_pending)
         self.status = "pending"  # -> running -> <terminal frame type>
         self.emitted = 0
+        #: The request graph's content fingerprint, once hashed.
+        self.fingerprint: str | None = None
         self._cancel = threading.Event()
         self._cancel_callbacks: list[Callable[[], None]] = []
         self._task: asyncio.Task | None = None
+
+    def graph_fingerprint(self) -> str:
+        """The request graph's fingerprint, hashed on the first call only.
+
+        Hashing walks the whole graph: call this on an executor thread,
+        never on the event loop.
+        """
+        if self.fingerprint is None:
+            self.fingerprint = graph_fingerprint(self.request.graph)
+        return self.fingerprint
 
     @property
     def cancelled(self) -> bool:
@@ -227,9 +234,12 @@ class _JobRunner:
         base_emitted: int = 0,
         skip_answers: int = 0,
         deadline_override: float | None = None,
+        fingerprint: str | None,
     ) -> None:
         self._session = session
         self._request = request
+        # The request graph's hash, if the scheduler already took it.
+        self._fingerprint = fingerprint
         self._cancel = cancel
         self._token_key = token_key
         self._job: Job | None = None
@@ -281,7 +291,9 @@ class _JobRunner:
         # should_stop is polled once per *scanned* diverse candidate, so
         # a cancel/deadline lands mid-scan instead of after up to
         # scan_limit expansions.
-        return self._session.job(request, should_stop=self._interruption)
+        return self._session.job(
+            request, fingerprint=self._fingerprint, should_stop=self._interruption
+        )
 
     def _interruption(self) -> str | None:
         """The terminal an interruption calls for now, if any."""
@@ -467,18 +479,13 @@ class InProcessBackend(ExecutionBackend):
         self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
 
-    def session(self, kernel: str = "auto") -> Session:
-        """The shared session serving jobs of ``kernel`` (built lazily).
-
-        The pool is keyed by *resolved* kernel name, so ``"auto"`` and
-        the concrete kernel it resolves to share one session.
-        """
-        name = resolve_kernel(kernel).name
+    def session(self, kernel: str = "bitset") -> Session:
+        """The shared session serving jobs of ``kernel`` (built lazily)."""
         with self._lock:
-            session = self._sessions.get(name)
+            session = self._sessions.get(kernel)
             if session is None:
-                session = Session(kernel=name, cache_dir=self._cache_dir)
-                self._sessions[name] = session
+                session = Session(kernel=kernel, cache_dir=self._cache_dir)
+                self._sessions[kernel] = session
             return session
 
     def create_runner(
@@ -492,6 +499,7 @@ class InProcessBackend(ExecutionBackend):
             self._token_key,
             resume_payload=payload,
             base_emitted=emitted,
+            fingerprint=job.fingerprint,
         )
 
     def worker_stats(self) -> list[dict]:
@@ -519,23 +527,6 @@ class InProcessBackend(ExecutionBackend):
             self._sessions.clear()
         for session in sessions:
             session.close()
-
-
-def kernel_registry_stats() -> dict:
-    """The kernel registry as an observability payload.
-
-    Served under ``"kernels"`` in the ``stats`` op and echoed by the
-    gateway's ``/metrics`` as ``repro_kernel_info``: which kernels this
-    server knows and what the ``"auto"`` alias names.
-    """
-    return {
-        "available": list(available_kernels()),
-        "auto": resolve_kernel("auto").name,
-        "registered": {
-            spec.name: {"description": spec.description}
-            for spec in registered_kernels()
-        },
-    }
 
 
 def aggregate_disk_cache(workers: list[dict], extra: "tuple | list" = ()) -> dict:
@@ -719,7 +710,7 @@ class EnumerationScheduler:
         """The execution backend serving this scheduler's slices."""
         return self._backend
 
-    def session(self, kernel: str = "auto") -> Session:
+    def session(self, kernel: str = "bitset") -> Session:
         """The shared in-process session for ``kernel``.
 
         Only meaningful for the in-process backend (worker processes
@@ -762,7 +753,7 @@ class EnumerationScheduler:
         return self._store_obj
 
     def _replay_head(
-        self, request: ServiceRequest
+        self, job: ScheduledJob
     ) -> tuple[list[dict], AnswerPage] | None:
         """A ranked job's page head from the answers tier, as frames.
 
@@ -774,6 +765,7 @@ class EnumerationScheduler:
         this probe never converts one into a silent miss of a different
         shape.  Runs on an executor thread.
         """
+        request = job.request
         try:
             store = self._store()
             if store is None:
@@ -793,7 +785,7 @@ class EnumerationScheduler:
                 graph, start = request.graph, 0
                 answers = AnswerCache.for_request(
                     store,
-                    graph_fingerprint(graph),
+                    job.graph_fingerprint(),
                     request.cost,
                     request.width_bound,
                     request.preprocess,
@@ -861,7 +853,7 @@ class EnumerationScheduler:
                 # page ends the job there — no worker seat, no slot wait;
                 # otherwise the live rest starts at the head's end.
                 replayed = await loop.run_in_executor(
-                    self._executor, self._replay_head, job.request
+                    self._executor, self._replay_head, job
                 )
                 if replayed is not None:
                     frames, head = replayed
@@ -1026,7 +1018,6 @@ class EnumerationScheduler:
             "backend": self._backend.name,
             "workers": workers,
             "cache": aggregate_disk_cache(workers, extra=extra),
-            "kernels": kernel_registry_stats(),
         }
 
     async def close(self) -> None:

@@ -23,8 +23,9 @@ length-prefixed and pickled by :class:`multiprocessing.connection
 parent -> worker           meaning
 ========================  ============================================
 ``(seq, "slice", job_id,   run one slice; ``spec`` (first dispatch or
-max_answers, spec)``       crash re-dispatch only) carries the request
-                           plus resume/replay state
+max_answers, spec)``       crash re-dispatch only) carries the request,
+                           its graph's fingerprint and resume/replay
+                           state
 ``(None, "cancel", id)``   cooperative cancel — handled by the worker's
                            *reader thread* while the slice runs, so it
                            lands at the next answer boundary
@@ -70,7 +71,6 @@ import time
 import zlib
 
 from ..api.checkpoint import read_header
-from ..api.fingerprint import graph_fingerprint
 from .protocol import (
     ProtocolError,
     TokenAuthError,
@@ -261,6 +261,7 @@ def _worker_loop(
                         base_emitted=spec["base_emitted"],
                         skip_answers=spec["skip_answers"],
                         deadline_override=spec["deadline_override"],
+                        fingerprint=spec["fingerprint"],
                     )
                     runners[job_id] = runner
                 frames, finished = runner.slice_(max_answers)
@@ -606,7 +607,7 @@ class _RemoteRunner:
     def _routing_fingerprint(self) -> str:
         request = self._job.request
         if request.graph is not None:
-            return graph_fingerprint(request.graph)
+            return self._job.graph_fingerprint()
         # Token resume: authenticate (same gate as the worker will
         # apply), then read the fingerprint from the token's header so
         # the resumed job lands on the worker already warm for its graph.
@@ -632,6 +633,8 @@ class _RemoteRunner:
             "skip_answers": 0 if self._checkpoint is not None else self._emitted,
             "deadline_override": remaining,
             "cancelled": self._job.cancelled,
+            # A fresh job's graph hash, taken once in this process.
+            "fingerprint": self._job.fingerprint,
         }
 
     # -- the slice -----------------------------------------------------

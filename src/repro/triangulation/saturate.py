@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from ..graphs.bitgraph import BitGraph
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import KernelSpec, resolve_kernel
+from ..graphs.kernels import validate_kernel
 from ..graphs.cliquetree import minimal_separators_chordal
 
 Separator = frozenset[Vertex]
@@ -30,10 +31,8 @@ __all__ = [
 ]
 
 
-def _saturate_masked(
-    graph: Graph, groups: Iterable[Iterable[Vertex]], spec: KernelSpec
-) -> Graph:
-    """Saturate every vertex group of ``groups`` via a mask-level kernel.
+def _saturate_masked(graph: Graph, groups: Iterable[Iterable[Vertex]]) -> Graph:
+    """Saturate every vertex group of ``groups`` via the bitset kernel.
 
     One pass encodes the graph as adjacency bitmasks, each group becomes
     a single mask OR per member (instead of ``O(|U|^2)`` set inserts),
@@ -46,7 +45,7 @@ def _saturate_masked(
         :meth:`Graph.saturate`, so both kernels reject typo'd labels the
         same way instead of the indexer leaking a :class:`KeyError`.
     """
-    bitgraph = spec.build_graph(graph)
+    bitgraph = BitGraph.from_graph(graph)
     mask_of = bitgraph.indexer.mask_of
     for group in groups:
         try:
@@ -62,19 +61,18 @@ def _saturate_masked(
 def saturate_separators(
     graph: Graph,
     separators: Iterable[Separator],
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "bitset",
 ) -> Graph:
     """``G`` with every separator in ``separators`` saturated into a clique.
 
     When ``separators`` is a maximal pairwise-parallel set of minimal
     separators the result is a minimal triangulation (Theorem 2.5(1)).
-    Mask-level kernels (any registered spec with a builder; the
-    ``"auto"`` default is ``"bitset"``) saturate word-parallel over
-    adjacency bitmasks; ``"sets"`` mutates a :class:`Graph` copy directly.
+    ``"bitset"`` (default) saturates word-parallel over adjacency
+    bitmasks; ``"sets"`` mutates a :class:`Graph` copy directly.
     """
-    spec = resolve_kernel(kernel)
-    if spec.uses_masks and graph.num_vertices():
-        return _saturate_masked(graph, separators, spec)
+    validate_kernel(kernel)
+    if kernel == "bitset" and graph.num_vertices():
+        return _saturate_masked(graph, separators)
     out = graph.copy()
     for s in separators:
         out.saturate(s)
@@ -84,16 +82,16 @@ def saturate_separators(
 def saturate_bags(
     graph: Graph,
     bags: Iterable[Iterable[Vertex]],
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "bitset",
 ) -> Graph:
     """``H_T``: the graph obtained from ``G`` by saturating every bag.
 
     This is the graph the constraint semantics of Section 6.1 are defined
     on (``κ[I,X]`` checks clique-ness of constraint separators in ``H_T``).
     """
-    spec = resolve_kernel(kernel)
-    if spec.uses_masks and graph.num_vertices():
-        return _saturate_masked(graph, bags, spec)
+    validate_kernel(kernel)
+    if kernel == "bitset" and graph.num_vertices():
+        return _saturate_masked(graph, bags)
     out = graph.copy()
     for bag in bags:
         out.saturate(bag)

@@ -133,6 +133,40 @@ class TestResumeAnywhere:
         assert signature(warm) == signature(cold)
         assert signature(head) + signature(warm) == uninterrupted(graph, kind=kind)
 
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_composed_resume_restores_and_hashes_once(self, monkeypatch, warm):
+        """A composed token restores its graph once and hashes it once.
+        Warm, each piece's graph section matches its cached atom
+        context's bytes, so no piece is restored or hashed; cold, each
+        piece restores and hashes its own atom graph."""
+        import repro.api.session as session_mod
+
+        session = Session(preprocess=True)
+        stream = session.stream(COMPOSED_GRAPH, "fill")
+        head = list(itertools.islice(stream, 2))
+        blob = stream.checkpoint().to_bytes()
+        stream.close()
+        if not warm:
+            session = Session(preprocess=True)
+        hashed, restored = [], []
+        fingerprint, restore = session_mod.graph_fingerprint, TokenGraph.restore
+        monkeypatch.setattr(
+            session_mod, "graph_fingerprint",
+            lambda graph: hashed.append(len(graph)) or fingerprint(graph),
+        )
+        monkeypatch.setattr(
+            TokenGraph, "restore",
+            lambda graph: restored.append(len(graph.vertices)) or restore(graph),
+        )
+        resumed = session.resume_stream(blob)
+        outer = [len(COMPOSED_GRAPH)]
+        pieces = [] if warm else [5, 7]
+        assert sorted(hashed) == sorted(outer + pieces)
+        assert sorted(restored) == sorted(outer + pieces)
+        assert signature(head) + signature(resumed) == uninterrupted(
+            COMPOSED_GRAPH, kind="composed"
+        )
+
     def test_concurrent_warm_resumes_count_one_hit_each(self):
         """Many threads resume one token on a shared warm session: each
         compares the token's graph with the context's (built lazily by
@@ -227,6 +261,39 @@ def _wrong_graph(blob: bytes) -> bytes:
     return dataclasses.replace(checkpoint, graph=other).to_bytes()
 
 
+def _cycle_through(atom_graph: Graph) -> Graph:
+    """Another graph on the atom's labels: a cycle through them."""
+    atom = sorted(atom_graph.vertices)
+    return Graph(vertices=atom, edges=zip(atom, atom[1:] + atom[:1]))
+
+
+def _relabelled_with_floats(atom_graph: Graph) -> Graph:
+    """The atom's graph with every label ``v`` as ``float(v)``: equal as
+    Python sets of labels and edges, a different labelled graph."""
+    return Graph(
+        vertices=map(float, atom_graph.vertices),
+        edges=((float(u), float(v)) for u, v in atom_graph.edges()),
+    )
+
+
+def _piece_of_another_graph(blob: bytes, forge) -> bytes:
+    """The composed token with its first piece swapped for a token of
+    ``forge(atom subgraph)``, whose fingerprint and frontier are that
+    graph's own."""
+    checkpoint = load_checkpoint(blob)
+    state = checkpoint.pieces[0]
+    other = forge(COMPOSED_GRAPH.subgraph(state.atom))
+    assert TokenGraph.of(other) != TokenGraph.of(
+        COMPOSED_GRAPH.subgraph(state.atom)
+    )
+    stream = Session(preprocess=False).stream(other, "fill")
+    next(stream)
+    forged = dataclasses.replace(state, checkpoint=stream.checkpoint())
+    return dataclasses.replace(
+        checkpoint, pieces=(forged,) + checkpoint.pieces[1:]
+    ).to_bytes()
+
+
 def _old_format() -> bytes:
     """A pickle payload, the shape version-1 tokens had."""
     return pickle.dumps({"fingerprint": "0" * 64}, protocol=5)
@@ -283,6 +350,20 @@ class TestTypedRefusals:
             session.context(GRAPH)
         with pytest.raises(ValueError, match="corrupted"):
             session.resume_stream(_wrong_graph(blob))
+
+    @pytest.mark.parametrize(
+        "forge", [_cycle_through, _relabelled_with_floats]
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_piece_of_another_graph_is_refused(self, warm, forge):
+        session = Session(preprocess=True)
+        _head, blob = paused(COMPOSED_GRAPH, "composed")
+        if warm:
+            session.resume_stream(blob).close()
+        with pytest.raises(
+            ValueError, match="a piece checkpoint does not match its atom's graph"
+        ):
+            session.resume_stream(_piece_of_another_graph(blob, forge))
 
     @pytest.mark.parametrize("field", ["bags", "include", "exclude"])
     def test_frontier_masks_are_range_checked(self, field):

@@ -130,23 +130,6 @@ def test_golden_top20(name, kernel, mode):
         )
 
 
-@pytest.mark.parametrize("name", ["paper-example", "grid-4x4"])
-def test_auto_matches_golden_without_numpy(name):
-    """The library default: ``kernel="auto"`` is ``bitset``, needs no
-    numpy, and reproduces the golden sequences byte-for-byte."""
-    from repro.graphs.kernels import resolve_kernel
-
-    assert resolve_kernel("auto").name == "bitset"
-    golden = load_golden()
-    _factory, decoder = GRAPHS[name]
-    for cost in COST_SPECS:
-        expected = _decode(golden[name][cost]["direct"], decoder)
-        assert _observed(name, cost, "auto", "direct") == expected, (
-            f"{name}/{cost}: auto->bitset diverged from the golden "
-            "sequence"
-        )
-
-
 def test_golden_corpus_shape():
     golden = load_golden()
     assert set(golden) == set(GRAPHS)

@@ -107,6 +107,7 @@ class TestObservabilityEndpoints:
         assert "repro_disk_cache_enabled 1" in page
         assert "repro_disk_cache_hits_total" in page
         assert "repro_disk_cache_misses_total" in page
+        assert "repro_kernel" not in page
 
     def test_metrics_expose_answers_cache_counters(self, client):
         """The answers artifact kind reports per-kind disk counters and
@@ -182,6 +183,7 @@ class TestSubmission:
         stream = client.submit({"op": "stats"}).collect()
         assert stream.terminal["type"] == "service-stats"
         assert stream.terminal["backend"] == "inprocess"
+        assert "kernels" not in stream.terminal
 
 
 class TestValidationFailures:
@@ -314,6 +316,11 @@ class TestOneRequestContract:
                  "kernel": "quantum"},
                 "unknown graph kernel 'quantum'",
                 id="bad-kernel",
+            ),
+            pytest.param(
+                {"op": "top", "graph": _WIRE_GRAPH, "k": 3, "kernel": "auto"},
+                "unknown graph kernel 'auto'; expected one of bitset, sets",
+                id="auto-alias",
             ),
         ],
     )

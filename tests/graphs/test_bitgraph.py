@@ -8,7 +8,7 @@ lives in ``tests/property/test_kernel_equivalence.py``).
 
 import pytest
 
-from repro.graphs.bitgraph import BitGraph, VertexIndexer, iter_bits, validate_kernel
+from repro.graphs.bitgraph import BitGraph, VertexIndexer, iter_bits
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -76,15 +76,6 @@ class TestVertexIndexer:
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b101001)) == [0, 3, 5]
-
-
-def test_validate_kernel():
-    assert validate_kernel("bitset") == "bitset"
-    assert validate_kernel("sets") == "sets"
-    # "auto" is an alias: it resolves to a concrete name, never itself.
-    assert validate_kernel("auto") == "bitset"
-    with pytest.raises(ValueError):
-        validate_kernel("quantum")
 
 
 class TestBitGraphEncoding:

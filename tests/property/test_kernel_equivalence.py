@@ -1,20 +1,16 @@
-"""Differential tests: every fast kernel is *exact* w.r.t. the set kernel.
+"""Differential tests: the ``bitset`` kernel is *exact* w.r.t. ``sets``.
 
 The whole point of ranked enumeration is a bit-for-bit ordered output
-stream, so a mask-level kernel (``bitset``, or anything third-party
-code registers) is only admissible if it is observationally
-identical to the label-level reference.  These tests generate random
-graphs (Hypothesis plus a fixed corpus — well over 200 cases per run)
-and assert, for every registered kernel other than ``sets``,
+stream, so the mask-level kernel is only admissible if it is
+observationally identical to the label-level reference.  These tests
+generate random graphs (Hypothesis plus a fixed corpus — well over 200
+cases per run) and assert
 
 * identical minimal-separator sets,
 * identical potential-maximal-clique sets,
 * identical crossing-relation answers, and
 * **identical ordered ranked-enumeration prefixes** — same costs, same
   bag sets, same sequence positions, under two different cost specs.
-
-The parametrization is registry-driven: any extra kernel registered
-before collection is swept automatically.
 """
 
 import pytest
@@ -22,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.core.context import TriangulationContext
+from repro.graphs.bitgraph import BitGraph
 from repro.graphs.graph import Graph
-from repro.graphs.kernels import available_kernels, resolve_kernel
 from repro.pmc.enumerate import potential_maximal_cliques
 from repro.separators.berry import minimal_separators
 from repro.separators.crossing import SeparatorFamily
@@ -31,9 +27,8 @@ from repro.separators.crossing import SeparatorFamily
 from ..conftest import connected_random_graphs
 
 
-#: Every registered non-oracle kernel.
-FAST_KERNELS = [name for name in available_kernels() if name != "sets"]
-fast_kernels = pytest.mark.parametrize("kernel", FAST_KERNELS)
+#: The kernel checked against the ``sets`` reference.
+fast_kernels = pytest.mark.parametrize("kernel", ["bitset"])
 
 
 @st.composite
@@ -77,10 +72,9 @@ def test_pmc_sets_identical(kernel, g):
 @settings(max_examples=40, deadline=None)
 @given(g=small_graphs(max_n=10))
 def test_crossing_relation_identical(kernel, g):
-    spec = resolve_kernel(kernel)
     seps = sorted(minimal_separators(g), key=sorted)
     plain = SeparatorFamily(g, seps)
-    masked = SeparatorFamily(g, seps, bitgraph=spec.build_graph(g))
+    masked = SeparatorFamily(g, seps, bitgraph=BitGraph.from_graph(g))
     for i, s in enumerate(seps):
         for t in seps[i + 1 :]:
             assert plain.crosses(s, t) == masked.crosses(s, t)

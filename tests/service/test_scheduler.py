@@ -651,6 +651,46 @@ class TestTokenHeaderReads:
         )
 
 
+class TestOneHashPerRequest:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_request_graph_is_hashed_once(self, tmp_path, monkeypatch, cached):
+        """The answers probe and the job share one hash of a fresh
+        request's graph (the atoms preprocessing splits off are other
+        graphs, hashed once each)."""
+        import repro.api.session as session_mod
+        import repro.service.scheduler as scheduler_mod
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        graph = connected_erdos_renyi(10, 0.35, seed=0)
+        hashed = []
+        original = session_mod.graph_fingerprint
+
+        def counting(g):
+            hashed.append(len(g))
+            return original(g)
+
+        monkeypatch.setattr(session_mod, "graph_fingerprint", counting)
+        monkeypatch.setattr(scheduler_mod, "graph_fingerprint", counting)
+
+        async def main():
+            scheduler = EnumerationScheduler(
+                backend="inprocess",
+                cache_dir=str(tmp_path) if cached else None,
+            )
+            job = await scheduler.submit(
+                ServiceRequest(op="top", graph=graph, cost="fill", k=3)
+            )
+            frames = await job.drain()
+            await scheduler.close()
+            return frames
+
+        frames = run(main())
+        assert frames[-1]["type"] == "stats"
+        assert frames[-1]["engine"] != "cache"
+        assert hashed.count(len(graph)) == 1
+        assert job_lines(frames) == serial_lines(graph, "fill", 3)
+
+
 class TestDiverseExhaustionSemantics:
     def test_scan_cap_is_not_reported_as_exhaustion(self):
         graph = connected_erdos_renyi(12, 0.3, seed=5)  # 200+ answers

@@ -172,6 +172,85 @@ def test_service_stats_reports_warm_sessions(backend):
         assert warm.scheduler["completed"] >= 2
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_process_backend_hashes_the_request_graph_once(
+    tmp_path, monkeypatch, cached
+):
+    """The parent hashes a fresh request's graph once (the answers probe
+    and the routing share it), and the dispatch spec carries the value
+    to the worker, whose job hashes the graph no more."""
+    import asyncio
+    import multiprocessing
+    import threading
+
+    import repro.api.session as session_mod
+    import repro.service.scheduler as scheduler_mod
+    from repro.service.protocol import encode_frame
+    from repro.service.scheduler import EnumerationScheduler
+    from repro.service.workers import WorkerHandle, _worker_main
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    graph = connected_erdos_renyi(10, 0.35, seed=0)
+    hashed = []
+    original = scheduler_mod.graph_fingerprint
+
+    def counting(g):
+        hashed.append(len(g))
+        return original(g)
+
+    specs = []
+    round_trip = WorkerHandle.round_trip
+
+    def spying(handle, kind, *rest):
+        if kind == "slice" and rest[2] is not None:
+            specs.append(rest[2])
+        return round_trip(handle, kind, *rest)
+
+    monkeypatch.setattr(scheduler_mod, "graph_fingerprint", counting)
+    monkeypatch.setattr(session_mod, "graph_fingerprint", counting)
+    monkeypatch.setattr(WorkerHandle, "round_trip", spying)
+    request = ServiceRequest(op="top", graph=graph, cost="fill", k=3)
+
+    async def main():
+        scheduler = EnumerationScheduler(
+            backend="process",
+            worker_processes=1,
+            cache_dir=str(tmp_path) if cached else None,
+        )
+        try:
+            job = await scheduler.submit(request)
+            return await job.drain()
+        finally:
+            await scheduler.close()
+
+    frames = asyncio.run(main())
+    assert frames[-1]["type"] == "stats"
+    assert hashed == [len(graph)]
+    assert [spec["fingerprint"] for spec in specs] == [original(graph)]
+
+    # The worker side, driven in a thread over a pipe so its hashes are
+    # counted here: the spec's fingerprint spares the job its own hash.
+    hashed.clear()
+    parent, child = multiprocessing.Pipe()
+    worker = threading.Thread(
+        target=_worker_main, args=(child, new_token_key(), 0), daemon=True
+    )
+    worker.start()
+    try:
+        parent.send((1, "slice", 1, 3, specs[0]))
+        _seq, reply = parent.recv()
+    finally:
+        parent.send((None, "shutdown"))
+        worker.join(timeout=60)
+        parent.close()
+    assert reply[0] == "frames"
+    answers = [f for f in reply[2] if f["type"] == "answer"]
+    assert [encode_frame(f) for f in answers] == [
+        encode_frame(f) for f in frames if f["type"] == "answer"
+    ]
+    assert len(graph) not in hashed
+
+
 def test_worker_stats_rows_survive_a_busy_worker():
     """A probe that cannot get the dispatch lock degrades to a
     parent-side row flagged ``busy`` instead of blocking the stats job

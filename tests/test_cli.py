@@ -67,6 +67,16 @@ class TestEnumerate:
         with pytest.raises(SystemExit):
             main(["enumerate", gr_file, "--cost", "bogus"])
 
+    def test_kernel_offers_bitset_and_sets_only(self, gr_file, capsys):
+        assert main(["enumerate", gr_file, "--top", "2", "--kernel", "sets"]) == 0
+        sets_out = capsys.readouterr().out
+        assert main(["enumerate", gr_file, "--top", "2"]) == 0
+        assert capsys.readouterr().out == sets_out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["enumerate", gr_file, "--kernel", "auto"])
+        assert excinfo.value.code == 2
+        assert "choose from 'bitset', 'sets'" in capsys.readouterr().err
+
 
 class TestCheckpointResume:
     def test_resume_continues_the_sequence(self, gr_file, tmp_path, capsys):
