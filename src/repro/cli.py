@@ -502,13 +502,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve(
         host=args.host,
         port=args.port,
-        max_workers=workers,
+        http_port=args.http,
+        workers=workers,
         slice_answers=args.slice_answers,
         token_key=token_key,
         backend=args.backend,
-        worker_processes=workers if args.backend == "process" else None,
         cache_dir=args.cache_dir,
-        http_port=args.http,
     )
     return 0
 

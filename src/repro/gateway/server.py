@@ -1,4 +1,10 @@
-"""The asyncio HTTP gateway over the enumeration scheduler.
+"""The asyncio HTTP gateway: the second door over the enumeration scheduler.
+
+:class:`GatewayServer` is a :class:`~repro.service.server.Door`, like
+the TCP door: it streams the jobs of a scheduler its host built and
+closes (``repro serve --http``, :class:`~repro.service.ServerThread`),
+and keeps only its HTTP framing, its refusals and its disconnect
+watcher.
 
 Routes
 ------
@@ -41,19 +47,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 
-from ..service.protocol import (
-    TERMINAL_TYPES,
-    ProtocolError,
-    encode_frame,
-    parse_request,
-)
-from ..service.scheduler import (
-    DEFAULT_SLICE_ANSWERS,
-    EnumerationScheduler,
-    ScheduledJob,
-)
+from ..service.protocol import ProtocolError, encode_frame, parse_request
+from ..service.scheduler import EnumerationScheduler, ScheduledJob
+from ..service.server import Door
 from . import metrics as metrics_mod
 from .http import (
     BadRequest,
@@ -63,7 +60,7 @@ from .http import (
     send_response,
 )
 
-__all__ = ["GatewayServer", "GatewayThread"]
+__all__ = ["GatewayServer"]
 
 #: In-band error code → HTTP status, applied only before the first
 #: answer byte is on the wire.
@@ -82,101 +79,37 @@ def _json_body(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
-class GatewayServer:
-    """HTTP front-end sharing a scheduler with (or owning) the service.
+class GatewayServer(Door):
+    """The HTTP door over a scheduler it neither builds nor closes.
 
-    Pass ``scheduler=`` to ride on an existing scheduler (``repro serve
-    --http`` does: TCP and HTTP clients then share sessions, caches and
-    worker seats); otherwise one is built from the remaining kwargs and
-    owned — :meth:`stop` only closes a scheduler it built.
+    ``repro serve --http`` runs it beside the TCP door on one scheduler,
+    so HTTP and TCP clients share sessions, caches and worker seats.
     """
+
+    label = "repro http gateway"
 
     def __init__(
         self,
-        *,
-        scheduler: EnumerationScheduler | None = None,
+        scheduler: EnumerationScheduler,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_workers: int = 2,
-        slice_answers: int = DEFAULT_SLICE_ANSWERS,
-        max_pending_frames: int = 64,
-        token_key: bytes | None = None,
-        backend: str | None = None,
-        worker_processes: int | None = None,
-        cache_dir: str | None = None,
     ) -> None:
-        self._owns_scheduler = scheduler is None
-        self.scheduler = scheduler or EnumerationScheduler(
-            max_workers=max_workers,
-            slice_answers=slice_answers,
-            max_pending_frames=max_pending_frames,
-            token_key=token_key,
-            backend=backend,
-            worker_processes=worker_processes,
-            cache_dir=cache_dir,
-        )
-        self._host = host
-        self._port = port
-        self._server: asyncio.base_events.Server | None = None
-        self.address: tuple[str, int] | None = None
+        super().__init__(scheduler, host, port)
         #: Live streaming jobs by scheduler id (the /v1/jobs registry).
         self._live: dict[int, ScheduledJob] = {}
 
-    # -- lifecycle -----------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
-        )
-        self.address = self._server.sockets[0].getsockname()[:2]
-        return self.address
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() before serve_forever()"
-        await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        """Stop accepting; close the scheduler only if this owns it."""
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        if self._owns_scheduler:
-            await self.scheduler.close()
-        else:
-            # A shared scheduler is the service's to close; just cancel
-            # the jobs this gateway is streaming so handlers wind down.
-            for job in list(self._live.values()):
-                self.scheduler.cancel(job)
-        if server is not None:
-            try:
-                await asyncio.wait_for(server.wait_closed(), timeout=5.0)
-            except asyncio.TimeoutError:
-                pass
-
-    # -- connection handling -------------------------------------------
-    async def _handle_connection(
+    async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            try:
-                request = await read_request(reader)
-            except BadRequest as exc:
-                await send_response(
-                    writer,
-                    exc.status,
-                    _json_body({"error": str(exc)}),
-                )
-                return
-            if request is None:
-                return
+            request = await read_request(reader)
+        except BadRequest as exc:
+            await send_response(
+                writer, exc.status, _json_body({"error": str(exc)})
+            )
+            return
+        if request is not None:
             await self._dispatch(request, reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass  # client went away mid-response
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     async def _dispatch(
         self,
@@ -337,50 +270,29 @@ class GatewayServer:
         response = StreamingResponse(
             writer, SSE_CONTENT_TYPE if sse else NDJSON_CONTENT_TYPE
         )
-        self._live[job.id] = job
-        watcher = asyncio.create_task(self._watch_disconnect(reader, job))
-        try:
-            await self._stream_job(job, response, sse)
-        finally:
-            watcher.cancel()
-            self._live.pop(job.id, None)
 
-    async def _stream_job(
-        self, job: ScheduledJob, response: StreamingResponse, sse: bool
-    ) -> None:
-        first = True
-        while True:
-            frame = await job.next_frame()
-            if first:
-                first = False
-                if frame["type"] == "error":
-                    response.commit(
-                        ERROR_STATUS.get(frame.get("code"), 500)
-                    )
+        async def send(frame: dict) -> None:
+            if frame["type"] == "error":
+                # Picks the status only while none is committed, i.e.
+                # when the error is the first frame.
+                response.commit(ERROR_STATUS.get(frame.get("code"), 500))
             line = encode_frame(frame)
             if sse:
                 # data bytes + "\n" == the NDJSON frame, by construction.
-                payload = (
+                line = (
                     b"event: " + frame["type"].encode("ascii")
                     + b"\ndata: " + line[:-1] + b"\n\n"
                 )
-            else:
-                payload = line
-            try:
-                await response.write(payload)
-            except (ConnectionError, OSError):
-                # Mid-stream disconnect: release the slot cooperatively,
-                # exactly like the TCP transport.
-                self.scheduler.cancel(job)
-                if frame["type"] not in TERMINAL_TYPES:
-                    await job.drain()
-                return
-            if frame["type"] in TERMINAL_TYPES:
-                break
+            await response.write(line)
+
+        self._live[job.id] = job
+        watcher = asyncio.create_task(self._watch_disconnect(reader, job))
         try:
-            await response.finish()
-        except (ConnectionError, OSError):
-            pass
+            if await self.stream(job, send):
+                await response.finish()
+        finally:
+            watcher.cancel()
+            self._live.pop(job.id, None)
 
     async def _watch_disconnect(
         self, reader: asyncio.StreamReader, job: ScheduledJob
@@ -394,90 +306,3 @@ class GatewayServer:
             if not chunk:
                 self.scheduler.cancel(job)
                 return
-
-
-class GatewayThread:
-    """A gateway (plus optionally the TCP service) on a daemon thread.
-
-    The blocking harness for tests and benchmarks::
-
-        with GatewayThread(backend="process", tcp=True) as handle:
-            http = GatewayClient(*handle.address)
-            tcp = ServiceClient(*handle.tcp_address)
-
-    With ``tcp=True`` both servers share one scheduler on one loop —
-    the deployment shape of ``repro serve --http`` — so the SSE/NDJSON
-    differential runs against genuinely shared sessions and workers.
-    """
-
-    def __init__(self, *, tcp: bool = False, **kwargs: object) -> None:
-        self._kwargs = kwargs
-        self._tcp = tcp
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self.address: tuple[str, int] | None = None
-        self.tcp_address: tuple[str, int] | None = None
-        self.gateway: GatewayServer | None = None
-
-    def start(self) -> "GatewayThread":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-gateway",
-            daemon=True,
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    async def _main(self) -> None:
-        from ..service.server import EnumerationServer
-
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        gateway = GatewayServer(**self._kwargs)
-        tcp_server = None
-        try:
-            self.address = await gateway.start()
-            if self._tcp:
-                tcp_server = EnumerationServer(scheduler=gateway.scheduler)
-                self.tcp_address = await tcp_server.start()
-            self.gateway = gateway
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            # ``gateway.stop`` closes the shared scheduler (it built
-            # it); the TCP server's stop is then a no-op close on an
-            # already-wound-down scheduler, kept for its listener.
-            await gateway.stop()
-            if tcp_server is not None:
-                await tcp_server.stop()
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-
-    def scheduler_stats(self) -> dict[str, int]:
-        assert self.gateway is not None
-        return self.gateway.scheduler.stats()
-
-    def __enter__(self) -> "GatewayThread":
-        return self.start()
-
-    def __exit__(self, *_exc: object) -> None:
-        self.stop()

@@ -16,9 +16,12 @@ turned into a wire protocol.
   (``backend="process"``): long-lived worker processes owning warm
   kernel-keyed sessions, graph-fingerprint affinity routing, and crash
   re-dispatch from the last acknowledged slice checkpoint;
-* :mod:`~repro.service.server` — the asyncio server
-  (:class:`EnumerationServer`), plus the blocking
-  :class:`ServerThread` / :func:`serve` wrappers;
+* :mod:`~repro.service.server` — the TCP door
+  (:class:`EnumerationServer`) and the one host of both doors (TCP and
+  the HTTP gateway, :mod:`repro.gateway`): it builds the scheduler,
+  starts the doors and closes the scheduler once, in the foreground
+  (:func:`serve`, ``repro serve``) or on a daemon thread
+  (:class:`ServerThread`);
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the typed
   blocking client used by the tests, the throughput benchmark, and
   ``repro submit``.

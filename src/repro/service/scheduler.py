@@ -77,6 +77,7 @@ __all__ = [
     "ExecutionBackend",
     "InProcessBackend",
     "ScheduledJob",
+    "SessionPool",
     "DEFAULT_SLICE_ANSWERS",
     "aggregate_disk_cache",
 ]
@@ -347,10 +348,10 @@ class _JobRunner:
         """Run one slice; returns ``(frames, finished)``.
 
         Streams up to ``max_answers`` further answers, honoring — in
-        priority order, checked between answers — cancellation, the
-        deadline, and the answer cap.  When it reports finished, the
-        last frame is the job's single terminal frame and the job is
-        closed.
+        priority order, checked on entry and after each answer —
+        cancellation, the deadline, and the answer cap.  When it reports
+        finished, the last frame is the job's single terminal frame and
+        the job is closed.
         """
         frames: list[dict] = []
         try:
@@ -367,13 +368,17 @@ class _JobRunner:
                     raise ProtocolError(str(exc)) from exc
             job = self._job
             limit = self._request.result_limit
-            while len(frames) < max_answers:
+            while True:
+                # Checked on entry and after every answer, so the slice
+                # that streams the last answer also ends the job.
                 kind = self._interruption()
                 if kind is None and limit is not None and job.emitted >= limit:
                     kind = "stats"
                 if kind is not None:
                     frames.append(self._finish(kind))
                     return frames, True
+                if len(frames) >= max_answers:
+                    return frames, False
                 try:
                     result = next(job)
                 except StopIteration:
@@ -392,7 +397,6 @@ class _JobRunner:
                     continue
                 rank = job.emitted - 1 if job.mode == "diverse" else None
                 frames.append(answer_frame(result, rank=rank))
-            return frames, False
         except Exception:
             self.close()
             raise
@@ -462,6 +466,52 @@ class ExecutionBackend(ABC):
         """Release worker resources (processes, sessions)."""
 
 
+class SessionPool:
+    """One shared :class:`~repro.api.Session` per kernel, built on first use.
+
+    Both backends serve jobs from one: the in-process backend from its
+    executor threads, every worker process from its own.  The sessions
+    share one ``cache_dir``, so a context build or DP fill in any of
+    them warms the rest (and the next server pointed at the directory).
+    """
+
+    def __init__(self, cache_dir: "str | None" = None) -> None:
+        self._cache_dir = cache_dir
+        self._sessions: dict[str, Session] = {}
+        self._lock = threading.Lock()
+
+    def get(self, kernel: str) -> Session:
+        """The session serving jobs of ``kernel``."""
+        with self._lock:
+            session = self._sessions.get(kernel)
+            if session is None:
+                session = self._sessions[kernel] = Session(
+                    kernel=kernel, cache_dir=self._cache_dir
+                )
+            return session
+
+    def stats(self) -> dict[str, dict]:
+        """``{kernel: {"cache", "warm"}}``, the rows
+        :func:`aggregate_disk_cache` folds."""
+        with self._lock:
+            sessions = dict(self._sessions)
+        return {
+            kernel: {
+                "cache": session.cache_info(),
+                "warm": session.warm_fingerprints(),
+            }
+            for kernel, session in sessions.items()
+        }
+
+    def close(self) -> None:
+        """Close every session (and the store handle each owns)."""
+        with self._lock:
+            sessions = list(self._sessions.values())
+            self._sessions.clear()
+        for session in sessions:
+            session.close()
+
+
 class InProcessBackend(ExecutionBackend):
     """Slices run on the scheduler's executor threads (the GIL-bound
     reference backend, kept as the differential oracle).
@@ -475,25 +525,14 @@ class InProcessBackend(ExecutionBackend):
 
     def __init__(self, token_key: bytes, cache_dir: "str | None" = None) -> None:
         self._token_key = token_key
-        self._cache_dir = cache_dir
-        self._sessions: dict[str, Session] = {}
-        self._lock = threading.Lock()
-
-    def session(self, kernel: str = "bitset") -> Session:
-        """The shared session serving jobs of ``kernel`` (built lazily)."""
-        with self._lock:
-            session = self._sessions.get(kernel)
-            if session is None:
-                session = Session(kernel=kernel, cache_dir=self._cache_dir)
-                self._sessions[kernel] = session
-            return session
+        self.sessions = SessionPool(cache_dir)
 
     def create_runner(
         self, job: "ScheduledJob", resume: "tuple[bytes, int] | None" = None
     ) -> _JobRunner:
         payload, emitted = resume or (None, 0)
         return _JobRunner(
-            self.session(job.request.kernel),
+            self.sessions.get(job.request.kernel),
             job.request,
             job._cancel,
             self._token_key,
@@ -503,30 +542,18 @@ class InProcessBackend(ExecutionBackend):
         )
 
     def worker_stats(self) -> list[dict]:
-        with self._lock:
-            kernels = dict(self._sessions)
         return [
             {
                 "worker": 0,
                 "pid": os.getpid(),
                 "alive": True,
                 "active_jobs": None,  # jobs are not pinned in-process
-                "sessions": {
-                    kernel: {
-                        "cache": session.cache_info(),
-                        "warm": session.warm_fingerprints(),
-                    }
-                    for kernel, session in kernels.items()
-                },
+                "sessions": self.sessions.stats(),
             }
         ]
 
     def close(self) -> None:
-        with self._lock:
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
-        for session in sessions:
-            session.close()
+        self.sessions.close()
 
 
 def aggregate_disk_cache(workers: list[dict], extra: "tuple | list" = ()) -> dict:
@@ -578,9 +605,10 @@ class EnumerationScheduler:
 
     Parameters
     ----------
-    max_workers:
-        Executor threads == concurrently running slices.  Everything
-        else — any number of admitted jobs — waits its turn on the slot
+    workers:
+        Slices that run at once: executor threads on the in-process
+        backend, worker processes on the process backend.  Every other
+        admitted job — any number of them — waits its turn on the slot
         semaphore.
     slice_answers:
         Answers per slice before a job yields its slot.  Smaller values
@@ -599,15 +627,9 @@ class EnumerationScheduler:
         portable across a pool or a restart.
     backend:
         Where slices execute: ``"inprocess"`` (default; the reference
-        backend and differential oracle), ``"process"`` (long-lived
+        backend and differential oracle) or ``"process"`` (long-lived
         worker processes with session affinity,
-        :class:`~repro.service.workers.ProcessWorkerBackend`), or a
-        ready :class:`ExecutionBackend` instance.
-    worker_processes:
-        Size of the worker-process pool for ``backend="process"``
-        (default: ``max_workers``).  The slot semaphore is widened to
-        cover every worker, so the pool is never starved by the slice
-        cap.
+        :class:`~repro.service.workers.ProcessWorkerBackend`).
     cache_dir:
         Directory of the persistent artifact store every backend
         session attaches to (:mod:`repro.cache`): the in-process
@@ -625,25 +647,20 @@ class EnumerationScheduler:
     def __init__(
         self,
         *,
-        max_workers: int = 2,
+        workers: int = 2,
         slice_answers: int = DEFAULT_SLICE_ANSWERS,
         max_pending_frames: int = 64,
         token_key: bytes | None = None,
-        backend: "str | ExecutionBackend | None" = None,
-        worker_processes: int | None = None,
+        backend: str = "inprocess",
         cache_dir: "str | None" = None,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if slice_answers < 1:
             raise ValueError(f"slice_answers must be >= 1, got {slice_answers}")
         if max_pending_frames < 1:
             raise ValueError(
                 f"max_pending_frames must be >= 1, got {max_pending_frames}"
-            )
-        if worker_processes is not None and worker_processes < 1:
-            raise ValueError(
-                f"worker_processes must be >= 1, got {worker_processes}"
             )
         self._slice_answers = slice_answers
         self._max_pending = max_pending_frames
@@ -651,21 +668,25 @@ class EnumerationScheduler:
         # else random (tokens then die with this instance).
         self._token_key = resolve_token_key(token_key)
         self._cache_dir = cache_dir
-        self._backend = self._make_backend(
-            backend, worker_processes or max_workers
-        )
-        # One slot per concurrently running slice; with worker processes
-        # the slot count covers the whole pool so no worker idles for
-        # lack of a dispatching thread (+1 thread keeps the cheap
-        # ``stats`` job kind responsive under full load).
-        slots = max_workers
-        if isinstance(backend, str) and backend != "inprocess":
-            slots = max(max_workers, worker_processes or max_workers)
+        if backend == "inprocess":
+            self._backend = InProcessBackend(self._token_key, cache_dir)
+        elif backend == "process":
+            from .workers import ProcessWorkerBackend
+
+            self._backend = ProcessWorkerBackend(
+                workers, self._token_key, cache_dir
+            )
+        else:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected 'inprocess' or 'process'"
+            )
+        # One slot per running slice (+1 thread keeps the cheap ``stats``
+        # job kind responsive under full load).
         self._executor = ThreadPoolExecutor(
-            max_workers=slots + 1, thread_name_prefix="repro-service"
+            max_workers=workers + 1, thread_name_prefix="repro-service"
         )
-        self._slots = asyncio.Semaphore(slots)
-        self._slots_total = slots
+        self._slots = asyncio.Semaphore(workers)
+        self._slots_total = workers
         self._ids = itertools.count(1)
         self._jobs: dict[int, ScheduledJob] = {}
         self._admitted = 0
@@ -682,27 +703,6 @@ class EnumerationScheduler:
         self._store_obj = None
         self._store_init = False
         self._closed = False
-
-    def _make_backend(
-        self,
-        backend: "str | ExecutionBackend | None",
-        worker_processes: int,
-    ) -> ExecutionBackend:
-        if isinstance(backend, ExecutionBackend):
-            return backend
-        if backend is None or backend == "inprocess":
-            return InProcessBackend(self._token_key, cache_dir=self._cache_dir)
-        if backend == "process":
-            from .workers import ProcessWorkerBackend
-
-            return ProcessWorkerBackend(
-                workers=worker_processes,
-                token_key=self._token_key,
-                cache_dir=self._cache_dir,
-            )
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'inprocess' or 'process'"
-        )
 
     # -- sessions ------------------------------------------------------
     @property
@@ -721,7 +721,7 @@ class EnumerationScheduler:
                 "session() is an in-process-backend accessor; use the "
                 "'stats' job kind to inspect worker sessions"
             )
-        return self._backend.session(kernel)
+        return self._backend.sessions.get(kernel)
 
     # -- lifecycle -----------------------------------------------------
     async def submit(self, request: ServiceRequest) -> ScheduledJob:

@@ -1,4 +1,4 @@
-"""The asyncio TCP server of the enumeration service.
+"""The TCP door of the enumeration service, and the one host of both doors.
 
 One connection carries one job: the client sends a single ``request``
 frame, the server streams ``answer`` frames as the scheduler produces
@@ -16,9 +16,12 @@ request frame with ``token`` instead of ``graph``), continuing the
 exact ranked sequence — the cross-process checkpoint machinery is the
 reconnection story.
 
-Use :class:`EnumerationServer` inside an existing event loop, or
-:class:`ServerThread` / :func:`serve` for the blocking entry points
-(tests, benchmarks, and ``repro serve``).
+Both doors — :class:`EnumerationServer` here and the HTTP
+:class:`~repro.gateway.server.GatewayServer` — are a :class:`Door`: a
+listener over a scheduler it neither builds nor closes.  One host
+routine builds the scheduler, starts the doors and tears them down;
+:func:`serve` (``repro serve``) runs it in the foreground and
+:class:`ServerThread` on a daemon thread (tests, host applications).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import threading
+from collections.abc import Awaitable, Callable
 
 from .protocol import (
     ProtocolError,
@@ -34,126 +38,109 @@ from .protocol import (
     encode_frame,
     parse_request,
 )
-from .scheduler import DEFAULT_SLICE_ANSWERS, EnumerationScheduler, ScheduledJob
+from .scheduler import EnumerationScheduler, ScheduledJob
 
 __all__ = ["EnumerationServer", "ServerThread", "serve"]
 
+#: Upper bound on one incoming TCP frame line (asyncio's stream limit,
+#: read when the door starts): far above any realistic request graph.  A
+#: longer frame is answered with an in-band ``error`` frame, not a
+#: dropped connection.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-class EnumerationServer:
-    """Streams scheduler frames over NDJSON TCP connections.
+#: Seconds the host waits for connection handlers once the scheduler is
+#: closed: a stalled client socket must not wedge shutdown.
+HANDLER_GRACE_SECONDS = 5.0
 
-    Parameters
-    ----------
-    scheduler:
-        The :class:`~repro.service.scheduler.EnumerationScheduler` to
-        admit jobs into; built from ``max_workers`` / ``slice_answers``
-        when not given.
-    host, port:
-        Bind address; port ``0`` picks a free port (see
-        :attr:`address` after :meth:`start`).
-    max_frame_bytes:
-        Upper bound on one incoming frame line (asyncio's stream limit;
-        default 16 MiB — far above any realistic request graph).  A
-        frame beyond it is answered with an in-band ``error`` frame,
-        not a dropped connection.
-    backend, worker_processes:
-        Passed to the built scheduler: ``backend="process"`` runs
-        slices on ``worker_processes`` long-lived worker processes with
-        session affinity (:mod:`repro.service.workers`); the default
-        stays in-process.
-    cache_dir:
-        Passed to the built scheduler: the persistent artifact-store
-        directory (:mod:`repro.cache`) shared by every backend session,
-        so warm state survives server restarts.  ``None`` defers to
-        ``REPRO_CACHE_DIR``.
+
+class Door:
+    """A listener streaming one scheduler's jobs to its connections.
+
+    ``host``/``port`` is the bind address (port ``0`` picks a free one,
+    read back from :attr:`address` after :meth:`start`).  The door never
+    builds or closes the scheduler; the host does both.  A subclass
+    supplies ``_serve(reader, writer)`` for one connection: its framing,
+    its refusals and its disconnect watcher.
     """
+
+    #: The name the host announces the door under.
+    label: str
 
     def __init__(
         self,
-        *,
-        scheduler: EnumerationScheduler | None = None,
+        scheduler: EnumerationScheduler,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_workers: int = 2,
-        slice_answers: int = DEFAULT_SLICE_ANSWERS,
-        max_pending_frames: int = 64,
-        max_frame_bytes: int = 16 * 1024 * 1024,
-        token_key: bytes | None = None,
-        backend: str | None = None,
-        worker_processes: int | None = None,
-        cache_dir: str | None = None,
     ) -> None:
-        self.scheduler = scheduler or EnumerationScheduler(
-            max_workers=max_workers,
-            slice_answers=slice_answers,
-            max_pending_frames=max_pending_frames,
-            token_key=token_key,
-            backend=backend,
-            worker_processes=worker_processes,
-            cache_dir=cache_dir,
-        )
+        self.scheduler = scheduler
         self._host = host
         self._port = port
-        self._max_frame_bytes = max_frame_bytes
         self._server: asyncio.base_events.Server | None = None
         self.address: tuple[str, int] | None = None
 
-    # -- lifecycle -----------------------------------------------------
-    async def start(self) -> tuple[str, int]:
+    async def start(self, **stream_options: object) -> tuple[str, int]:
         """Bind and start accepting; returns the actual ``(host, port)``."""
         self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._port,
-            limit=self._max_frame_bytes,
+            self._handle_connection, self._host, self._port, **stream_options
         )
-        sock = self._server.sockets[0]
-        self.address = sock.getsockname()[:2]
+        self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
-    async def serve_forever(self) -> None:
-        """Run until cancelled (call :meth:`start` first)."""
-        assert self._server is not None, "call start() before serve_forever()"
-        await self._server.serve_forever()
+    def close(self) -> None:
+        """Stop accepting; open connections keep running."""
+        if self._server is not None:
+            self._server.close()
 
-    async def stop(self) -> None:
-        """Stop accepting, cancel live jobs, and wind the scheduler down.
+    async def wait_closed(self) -> None:
+        """Wait for the connection handlers (all of them on Python >= 3.12.1)."""
+        if self._server is not None:
+            await self._server.wait_closed()
 
-        Order matters: jobs are cancelled *before* waiting on the
-        connection handlers, because on Python >= 3.12.1
-        ``Server.wait_closed`` blocks until every handler returns — and
-        a handler streaming a long job only returns once the scheduler
-        cancels it and the terminal ``cancelled`` frame goes out.
-        """
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()  # stop accepting; live handlers keep running
-        await self.scheduler.close()
-        if server is not None:
-            try:
-                # Handlers are now delivering their terminal frames; give
-                # them a bounded window (a stalled client socket must not
-                # wedge shutdown — its task dies with the event loop).
-                await asyncio.wait_for(server.wait_closed(), timeout=5.0)
-            except asyncio.TimeoutError:
-                pass
-
-    # -- one connection ------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            await self._serve_connection(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; the job (if any) was cancelled below
+            await self._serve(reader, writer)
+        except (OSError, asyncio.IncompleteReadError):
+            pass  # the client went away; its job (if any) was cancelled
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except OSError:
                 pass
 
-    async def _serve_connection(
+    async def stream(
+        self, job: ScheduledJob, send: Callable[[dict], Awaitable[None]]
+    ) -> bool:
+        """Send ``job``'s frames through the terminal one.
+
+        ``send`` raises ``OSError`` once the client is gone; the job is
+        then cancelled and drained, so its slot frees cooperatively.
+        Returns whether every frame went out.
+        """
+        while True:
+            frame = await job.next_frame()
+            try:
+                await send(frame)
+            except OSError:
+                self.scheduler.cancel(job)
+                if frame["type"] not in TERMINAL_TYPES:
+                    await job.drain()
+                return False
+            if frame["type"] in TERMINAL_TYPES:
+                return True
+
+
+class EnumerationServer(Door):
+    """The NDJSON TCP door: one request frame in, the job's frames out."""
+
+    label = "repro service"
+
+    async def start(self) -> tuple[str, int]:
+        return await super().start(limit=MAX_FRAME_BYTES)
+
+    async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
@@ -161,16 +148,11 @@ class EnumerationServer:
         except ValueError:
             # Opening frame exceeded the stream limit: still an in-band
             # protocol violation, answered as one.
-            await self._send(
+            await self._refuse(
                 writer,
-                {
-                    "type": "error",
-                    "code": "bad-request",
-                    "message": (
-                        "request frame exceeds the server's "
-                        f"{self._max_frame_bytes}-byte frame limit"
-                    ),
-                },
+                "bad-request",
+                f"request frame exceeds the server's {MAX_FRAME_BYTES}"
+                "-byte frame limit",
             )
             return
         if not line:
@@ -179,35 +161,17 @@ class EnumerationServer:
             request = parse_request(decode_frame(line))
         except ProtocolError as exc:
             # In-band error; this connection ends, the server lives on.
-            await self._send(
-                writer,
-                {"type": "error", "code": "bad-request", "message": str(exc)},
-            )
+            await self._refuse(writer, "bad-request", str(exc))
             return
         try:
             job = await self.scheduler.submit(request)
         except RuntimeError as exc:
             # Raced with shutdown: still an in-band answer, not a dead socket.
-            await self._send(
-                writer,
-                {"type": "error", "code": "shutting-down", "message": str(exc)},
-            )
+            await self._refuse(writer, "shutting-down", str(exc))
             return
         watcher = asyncio.create_task(self._watch_client(reader, job))
         try:
-            while True:
-                frame = await job.next_frame()
-                try:
-                    await self._send(writer, frame)
-                except (ConnectionError, OSError):
-                    # Mid-stream disconnect: release the slot cooperatively
-                    # and let the job wind down through its terminal frame.
-                    self.scheduler.cancel(job)
-                    if frame["type"] not in TERMINAL_TYPES:
-                        await job.drain()
-                    break
-                if frame["type"] in TERMINAL_TYPES:
-                    break
+            await self.stream(job, lambda frame: self._send(writer, frame))
         finally:
             watcher.cancel()
 
@@ -218,10 +182,8 @@ class EnumerationServer:
         while True:
             try:
                 line = await reader.readline()
-            except ValueError:
-                # Oversized garbage mid-stream: treat as a lost client.
-                line = b""
-            except (ConnectionError, OSError):
+            except (ValueError, OSError):
+                # Oversized garbage mid-stream, or a reset: a lost client.
                 line = b""
             if not line:  # EOF: the client disconnected mid-stream
                 self.scheduler.cancel(job)
@@ -234,40 +196,104 @@ class EnumerationServer:
                 self.scheduler.cancel(job)
                 return
 
+    @classmethod
+    async def _refuse(
+        cls, writer: asyncio.StreamWriter, code: str, message: str
+    ) -> None:
+        await cls._send(
+            writer, {"type": "error", "code": code, "message": message}
+        )
+
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, frame: dict) -> None:
         writer.write(encode_frame(frame))
         await writer.drain()
 
 
+def _announce(line: str) -> None:
+    # Flushed: ``repro serve`` is read through pipes, which buffer.
+    print(line, flush=True)
+
+
+async def _host(
+    stop: asyncio.Event,
+    *,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    http_port: int | None = None,
+    announce: Callable[[str], None] = _announce,
+    listening: Callable[[EnumerationScheduler, list], None] | None = None,
+    **scheduler_options: object,
+) -> None:
+    """Serve one scheduler through the TCP door (and the HTTP door when
+    ``http_port`` is given) until ``stop`` is set.
+
+    Teardown has one order: stop both listeners, close the scheduler
+    once — which cancels live jobs, so their handlers deliver a
+    ``cancelled`` frame with a token, then joins worker seats and
+    closes sessions and the store — and last give the handlers a bounded
+    window to finish.  Jobs must be cancelled *before* that wait,
+    because on Python >= 3.12.1 ``Server.wait_closed`` blocks until
+    every handler returns.
+    """
+    scheduler = EnumerationScheduler(**scheduler_options)
+    doors: list[Door] = [EnumerationServer(scheduler, host, port)]
+    if http_port is not None:
+        from ..gateway.server import GatewayServer
+
+        doors.append(GatewayServer(scheduler, host, http_port))
+    try:
+        for door in doors:
+            bound_host, bound_port = await door.start()
+            announce(f"{door.label} listening on {bound_host}:{bound_port}")
+        if listening is not None:
+            listening(scheduler, [door.address for door in doors])
+        await stop.wait()
+    finally:
+        announce("repro service shutting down")
+        for door in doors:
+            door.close()
+        await scheduler.close()
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*(door.wait_closed() for door in doors)),
+                timeout=HANDLER_GRACE_SECONDS,
+            )
+        except asyncio.TimeoutError:
+            pass  # stalled handlers die with the event loop
+
+
 class ServerThread:
-    """A server running on its own event loop in a daemon thread.
+    """Both doors over one scheduler, on a daemon thread's event loop.
 
-    The blocking deployment shape used by the tests, the throughput
-    benchmark, and any host application that is not itself async::
+    The blocking harness for tests and for host applications that are
+    not themselves async; keyword arguments go to the
+    :class:`~repro.service.scheduler.EnumerationScheduler`::
 
-        with ServerThread(max_workers=4) as handle:
-            client = ServiceClient(*handle.address)
-            ...
+        with ServerThread(backend="process", workers=2) as handle:
+            tcp = ServiceClient(*handle.address)
+            http = GatewayClient(*handle.http_address)
 
-    ``address`` is available as soon as the context manager (or
-    :meth:`start`) returns.
+    Both doors listen on free ports of ``127.0.0.1``; ``address`` (TCP),
+    ``http_address`` and ``scheduler`` are set once :meth:`start` (or
+    the context manager) returns.
     """
 
-    def __init__(self, **server_kwargs: object) -> None:
-        self._server_kwargs = server_kwargs
+    def __init__(self, **scheduler_options: object) -> None:
+        self._options = scheduler_options
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
         self.address: tuple[str, int] | None = None
-        self.server: EnumerationServer | None = None
+        self.http_address: tuple[str, int] | None = None
+        self.scheduler: EnumerationScheduler | None = None
 
     def start(self) -> "ServerThread":
         self._thread = threading.Thread(
             target=lambda: asyncio.run(self._main()),
-            name="repro-service-server",
+            name="repro-service",
             daemon=True,
         )
         self._thread.start()
@@ -276,25 +302,31 @@ class ServerThread:
             raise self._startup_error
         return self
 
+    def _listening(self, scheduler: EnumerationScheduler, addresses) -> None:
+        self.scheduler = scheduler
+        self.address, self.http_address = addresses
+        self._ready.set()
+
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = EnumerationServer(**self._server_kwargs)
         try:
-            self.address = await server.start()
-            self.server = server
+            await _host(
+                self._stop,
+                http_port=0,
+                announce=lambda _line: None,
+                listening=self._listening,
+                **self._options,
+            )
         except BaseException as exc:
+            if self._ready.is_set():
+                raise
             self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            await self._stop.wait()
         finally:
-            await server.stop()
+            self._ready.set()
 
     def stop(self) -> None:
-        """Shut the server down and join its thread.  Idempotent."""
+        """Shut both doors and the scheduler down; join the thread.  Idempotent."""
         if self._loop is not None and self._stop is not None:
             try:
                 self._loop.call_soon_threadsafe(self._stop.set)
@@ -303,11 +335,6 @@ class ServerThread:
         if self._thread is not None:
             self._thread.join(timeout=30)
             self._thread = None
-
-    def scheduler_stats(self) -> dict[str, int]:
-        """The live scheduler counters (thread-safe reads of plain ints)."""
-        assert self.server is not None
-        return self.server.scheduler.stats()
 
     def __enter__(self) -> "ServerThread":
         return self.start()
@@ -320,93 +347,44 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    max_workers: int = 2,
-    slice_answers: int = DEFAULT_SLICE_ANSWERS,
-    token_key: bytes | None = None,
-    backend: str | None = None,
-    worker_processes: int | None = None,
-    cache_dir: str | None = None,
     http_port: int | None = None,
-    on_bound=None,
-    on_http_bound=None,
-    stop: "threading.Event | None" = None,
-    announce=print,
+    **scheduler_options: object,
 ) -> None:
-    """Run a server in the foreground until interrupted (``repro serve``).
+    """Run the service in the foreground until SIGINT or SIGTERM (``repro serve``).
 
-    ``on_bound`` (if given) receives the actual ``(host, port)`` once
-    listening; setting the optional ``stop`` event from another thread
-    shuts the server down cleanly — the hooks that let tests drive this
-    exact entry point.
+    The TCP door binds ``host:port``, the HTTP door ``host:http_port``
+    when that is given; keyword arguments go to the
+    :class:`~repro.service.scheduler.EnumerationScheduler`.
 
-    SIGINT/SIGTERM are turned into an *orderly* stop via
+    The signals are turned into an *orderly* stop via
     ``loop.add_signal_handler`` rather than left to propagate as
-    :class:`KeyboardInterrupt`: the exception path interrupts
-    ``server.stop()`` mid-teardown at an arbitrary await point, which
-    can exit before the worker seats are joined and the shared artifact
-    store is closed (orphaned children, hot sqlite WAL).  With the
-    handler, a signal merely sets the stop flag and the one teardown
-    path runs to completion: cancel jobs → join worker processes →
-    close backend sessions (checkpointing the store's WAL).
+    :class:`KeyboardInterrupt`: the exception path interrupts teardown
+    at an arbitrary await point, which can exit before the worker seats
+    are joined and the shared artifact store is closed (orphaned
+    children, hot sqlite WAL).  With the handler, a signal — a second
+    one too — merely sets the stop event and the one teardown runs to
+    completion.
     """
 
     async def main() -> None:
-        server = EnumerationServer(
-            host=host,
-            port=port,
-            max_workers=max_workers,
-            slice_answers=slice_answers,
-            token_key=token_key,
-            backend=backend,
-            worker_processes=worker_processes,
-            cache_dir=cache_dir,
-        )
         loop = asyncio.get_running_loop()
-        interrupted = asyncio.Event()
+        stop = asyncio.Event()
         hooked: list[signal.Signals] = []
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
-                loop.add_signal_handler(signum, interrupted.set)
+                loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError, ValueError):
                 continue  # non-main thread or platform without support
             hooked.append(signum)
-        gateway = None
-        if http_port is not None:
-            from ..gateway.server import GatewayServer
-
-            # Shares the scheduler: HTTP and TCP clients hit the same
-            # sessions, worker seats, and artifact store.
-            gateway = GatewayServer(
-                scheduler=server.scheduler, host=host, port=http_port
-            )
-        bound_host, bound_port = await server.start()
-        announce(f"repro service listening on {bound_host}:{bound_port}")
-        if on_bound is not None:
-            on_bound((bound_host, bound_port))
-        if gateway is not None:
-            http_host, http_bound = await gateway.start()
-            announce(
-                f"repro http gateway listening on {http_host}:{http_bound}"
-            )
-            if on_http_bound is not None:
-                on_http_bound((http_host, http_bound))
         try:
-            if stop is None:
-                await interrupted.wait()
-            else:
-                while not stop.is_set() and not interrupted.is_set():
-                    await asyncio.sleep(0.05)
-        except asyncio.CancelledError:
-            pass
+            await _host(
+                stop,
+                host=host,
+                port=port,
+                http_port=http_port,
+                **scheduler_options,
+            )
         finally:
-            # From here on a *second* signal still just sets the event:
-            # teardown stays uninterruptible until the handlers unhook.
-            announce("repro service shutting down")
-            if gateway is not None:
-                # Stops the HTTP listener and cancels its streams; the
-                # shared scheduler closes below, once, with the server.
-                await gateway.stop()
-            await server.stop()
             for signum in hooked:
                 loop.remove_signal_handler(signum)
 

@@ -71,13 +71,8 @@ import time
 import zlib
 
 from ..api.checkpoint import read_header
-from .protocol import (
-    ProtocolError,
-    TokenAuthError,
-    resolve_token_key,
-    verify_token,
-)
-from .scheduler import ExecutionBackend, ScheduledJob, _JobRunner
+from .protocol import ProtocolError, TokenAuthError, verify_token
+from .scheduler import ExecutionBackend, ScheduledJob, SessionPool, _JobRunner
 
 __all__ = ["ProcessWorkerBackend", "WorkerPool"]
 
@@ -106,8 +101,6 @@ def _worker_main(
     """
     import queue
     import signal
-
-    from ..api import Session
 
     # A foreground ``repro serve`` shares its process group with the
     # terminal, so Ctrl-C delivers SIGINT here too — mid-slice, possibly
@@ -152,19 +145,8 @@ def _worker_main(
         target=reader, name=f"repro-worker-{index}-reader", daemon=True
     ).start()
 
-    sessions: dict[str, Session] = {}
+    sessions = SessionPool(cache_dir)
     runners: dict[int, _JobRunner] = {}
-
-    def session_for(kernel: str) -> Session:
-        session = sessions.get(kernel)
-        if session is None:
-            # Every seat points at the same cache_dir, so one worker's
-            # context build or DP fill warms the whole pool (and the
-            # next server pointed at the directory).
-            session = sessions[kernel] = Session(
-                kernel=kernel, cache_dir=cache_dir
-            )
-        return session
 
     def drop(job_id: int) -> None:
         runner = runners.pop(job_id, None)
@@ -177,7 +159,7 @@ def _worker_main(
     try:
         _worker_loop(
             conn, token_key, work, state_lock, cancel_events, pre_cancelled,
-            sessions, runners, session_for, drop,
+            sessions, runners, drop,
         )
     finally:
         # Orderly seat teardown even when the loop dies on a pipe error:
@@ -187,9 +169,7 @@ def _worker_main(
         for runner in list(runners.values()):
             runner.close()
         runners.clear()
-        for session in sessions.values():
-            session.close()
-        sessions.clear()
+        sessions.close()
         conn.close()
 
 
@@ -202,7 +182,6 @@ def _worker_loop(
     pre_cancelled,
     sessions,
     runners,
-    session_for,
     drop,
 ) -> None:
     """The worker's message loop (split out so teardown wraps it)."""
@@ -222,13 +201,7 @@ def _worker_loop(
                         {
                             "pid": os.getpid(),
                             "pinned_jobs": len(runners),
-                            "sessions": {
-                                kernel: {
-                                    "cache": session.cache_info(),
-                                    "warm": session.warm_fingerprints(),
-                                }
-                                for kernel, session in sessions.items()
-                            },
+                            "sessions": sessions.stats(),
                         },
                     ),
                 )
@@ -253,7 +226,7 @@ def _worker_loop(
                             event.set()
                         cancel_events[job_id] = event
                     runner = _JobRunner(
-                        session_for(request.kernel),
+                        sessions.get(request.kernel),
                         request,
                         event,
                         token_key,
@@ -713,8 +686,7 @@ class ProcessWorkerBackend(ExecutionBackend):
     Parameters
     ----------
     workers:
-        Pool size (default: ``os.cpu_count()``, floor 2).  Long-lived —
-        spawned here, reaped by :meth:`close`.
+        Pool size.  Long-lived — spawned here, reaped by :meth:`close`.
     token_key:
         The scheduler's token-signing key; workers mint resume tokens
         under it so pause/resume is backend-transparent.
@@ -728,15 +700,10 @@ class ProcessWorkerBackend(ExecutionBackend):
     name = "process"
 
     def __init__(
-        self,
-        workers: int | None = None,
-        token_key: bytes | None = None,
-        cache_dir: "str | None" = None,
+        self, workers: int, token_key: bytes, cache_dir: "str | None" = None
     ) -> None:
-        if workers is None:
-            workers = max(os.cpu_count() or 1, 2)
-        self._token_key = resolve_token_key(token_key)
-        self.pool = WorkerPool(workers, self._token_key, cache_dir=cache_dir)
+        self._token_key = token_key
+        self.pool = WorkerPool(workers, token_key, cache_dir=cache_dir)
 
     def create_runner(
         self, job: ScheduledJob, resume: "tuple[bytes, int] | None" = None

@@ -412,31 +412,20 @@ KEY = b"k" * 32
 
 
 @pytest.fixture(scope="module")
-def tcp_door():
+def doors():
+    """Both doors of one in-process server."""
     from repro.service import ServerThread
 
-    with ServerThread(
-        max_workers=2, slice_answers=2, backend="inprocess", token_key=KEY
-    ) as handle:
+    with ServerThread(slice_answers=2, token_key=KEY) as handle:
         yield handle
 
 
-@pytest.fixture(scope="module")
-def http_door():
-    from repro.gateway import GatewayThread
-
-    with GatewayThread(
-        max_workers=2, slice_answers=2, backend="inprocess", token_key=KEY
-    ) as handle:
-        yield handle
-
-
-def _tcp_resume(door, payload: bytes, k: int):
+def _tcp_resume(doors, payload: bytes, k: int):
     """``(answer lines, terminal frame)`` of a TCP resume job."""
     from repro.service import AnswerFrame, ServiceClient, ServiceRequest
     from repro.service.protocol import sign_token
 
-    client = ServiceClient(*door.address, timeout=60.0)
+    client = ServiceClient(*doors.address, timeout=60.0)
     request = ServiceRequest(op="enumerate", token=sign_token(KEY, payload), k=k)
     lines = []
     with client.open(request) as stream:
@@ -446,12 +435,12 @@ def _tcp_resume(door, payload: bytes, k: int):
     return lines, stream.terminal
 
 
-def _http_resume(door, payload: bytes, k: int):
+def _http_resume(doors, payload: bytes, k: int):
     """``(status, answer lines, terminal frame dict)`` over HTTP."""
     from repro.gateway import GatewayClient
     from repro.service.protocol import sign_token
 
-    client = GatewayClient(*door.address, timeout=60.0)
+    client = GatewayClient(*doors.http_address, timeout=60.0)
     token = base64.b64encode(sign_token(KEY, payload)).decode("ascii")
     stream = client.submit({"op": "enumerate", "token": token, "k": k}).collect()
     return stream.status, list(stream.answer_lines), stream.terminal
@@ -466,20 +455,20 @@ def _serial(graph, kind, start, stop):
 class TestServerDoors:
     @pytest.mark.parametrize("kind", KINDS)
     def test_resume_through_both_doors_without_pickle(
-        self, kind, tcp_door, http_door, no_pickle
+        self, kind, doors, no_pickle
     ):
         graph = COMPOSED_GRAPH if kind == "composed" else GRAPH
         _head, blob = paused(graph, kind, k=2)
-        lines, terminal = _tcp_resume(tcp_door, blob, 3)
+        lines, terminal = _tcp_resume(doors, blob, 3)
         assert isinstance(terminal, StatsFrame)
         assert lines == _serial(graph, kind, 2, 5)
-        status, lines, terminal = _http_resume(http_door, blob, 3)
+        status, lines, terminal = _http_resume(doors, blob, 3)
         assert status == 200 and terminal["type"] == "stats"
         assert lines == _serial(graph, kind, 2, 5)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_fuzzed_tokens_get_bad_request_at_both_doors(
-        self, kind, tcp_door, http_door
+        self, kind, doors
     ):
         graph = COMPOSED_GRAPH if kind == "composed" else GRAPH
         _head, blob = paused(graph, kind)
@@ -489,10 +478,10 @@ class TestServerDoors:
         if kind == "direct":
             fuzzed.append(_wrong_graph(blob))
         for payload in fuzzed:
-            lines, terminal = _tcp_resume(tcp_door, payload, 3)
+            lines, terminal = _tcp_resume(doors, payload, 3)
             assert isinstance(terminal, ErrorFrame), payload
             assert terminal.code == "bad-request"
             assert lines == []
-            status, lines, terminal = _http_resume(http_door, payload, 3)
+            status, lines, terminal = _http_resume(doors, payload, 3)
             assert status == 400 and terminal["code"] == "bad-request"
             assert lines == []

@@ -26,12 +26,7 @@ K = 6
 def _run_once(cache_dir, backend):
     """One server lifetime: submit every workload, return raw answer
     lines per workload plus the aggregated disk-cache stats."""
-    with ServerThread(
-        max_workers=2,
-        backend=backend,
-        worker_processes=2,
-        cache_dir=str(cache_dir),
-    ) as handle:
+    with ServerThread(backend=backend, cache_dir=str(cache_dir)) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         lines = {}
         for name, factory, cost in WORKLOADS:
@@ -65,6 +60,6 @@ def test_cache_survives_server_restart(tmp_path, backend):
 
 
 def test_cacheless_server_reports_disabled():
-    with ServerThread(max_workers=1) as handle:
+    with ServerThread(workers=1) as handle:
         stats = ServiceClient(*handle.address, timeout=60.0).service_stats()
     assert stats.cache.get("enabled") is False

@@ -29,6 +29,29 @@ settings.register_profile("ci", deadline=None, derandomize=True, print_blob=True
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
+#: The execution backends the serving tests run under: both by default;
+#: CI runs one per leg through ``REPRO_SERVICE_BACKENDS`` (comma-separated).
+SERVICE_BACKENDS = tuple(
+    name.strip()
+    for name in os.environ.get(
+        "REPRO_SERVICE_BACKENDS", "inprocess,process"
+    ).split(",")
+    if name.strip()
+)
+
+#: Skips a test of the process backend alone when the run excludes it.
+needs_process_backend = pytest.mark.skipif(
+    "process" not in SERVICE_BACKENDS,
+    reason="process backend excluded by REPRO_SERVICE_BACKENDS",
+)
+
+
+@pytest.fixture(scope="module", params=SERVICE_BACKENDS)
+def backend(request) -> str:
+    """Each execution backend of ``SERVICE_BACKENDS`` in turn."""
+    return request.param
+
+
 def fill_key(graph: Graph, triangulation: Graph) -> frozenset:
     """Canonical identity of a triangulation: its fill edge set."""
     return frozenset(

@@ -13,27 +13,17 @@ four independent paths and require byte identity:
 from __future__ import annotations
 
 import itertools
-import os
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro.api import Session
-from repro.gateway import GatewayClient, GatewayThread
+from repro.gateway import GatewayClient
 from repro.graphs.generators import (
     connected_erdos_renyi,
     paper_example_graph,
 )
+from repro.service import ServerThread
 from repro.service.client import ServiceClient, ServiceRequest
 from repro.service.protocol import graph_to_wire, serialize_answers
-
-BACKENDS = [
-    name.strip()
-    for name in os.environ.get(
-        "REPRO_SERVICE_BACKENDS", "inprocess,process"
-    ).split(",")
-    if name.strip()
-]
 
 WORKLOADS = [
     {"op": "top", "graph": connected_erdos_renyi(9, 0.4, seed=1),
@@ -80,26 +70,22 @@ def gateway_lines(address, spec, *, sse):
     return stream.answer_lines
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestTransportByteIdentity:
     def test_mixed_concurrent_batch_is_identical_on_every_path(
         self, backend, tmp_path
     ):
-        kwargs = {"backend": backend, "max_workers": 2, "slice_answers": 2}
-        if backend == "process":
-            kwargs["worker_processes"] = 2
-        with GatewayThread(tcp=True, **kwargs) as handle:
+        with ServerThread(backend=backend, slice_answers=2) as handle:
             def one(spec):
                 return {
                     "serial": serial_reference(spec),
-                    "tcp": tcp_lines(handle.tcp_address, spec),
+                    "tcp": tcp_lines(handle.address, spec),
                     "ndjson": gateway_lines(
-                        handle.address, spec, sse=False
+                        handle.http_address, spec, sse=False
                     ),
-                    "sse": gateway_lines(handle.address, spec, sse=True),
+                    "sse": gateway_lines(handle.http_address, spec, sse=True),
                 }
 
-            # All workloads in flight at once across both servers, so
+            # All workloads in flight at once across both doors, so
             # slices interleave across the shared scheduler.
             with ThreadPoolExecutor(max_workers=len(WORKLOADS)) as pool:
                 outcomes = list(pool.map(one, WORKLOADS))
@@ -115,12 +101,9 @@ class TestTransportByteIdentity:
         # TCP resumes over HTTP and vice versa, byte-for-byte.
         import base64
 
-        kwargs = {"backend": backend, "max_workers": 2, "slice_answers": 2}
-        if backend == "process":
-            kwargs["worker_processes"] = 2
         graph = connected_erdos_renyi(10, 0.35, seed=2)
-        with GatewayThread(tcp=True, **kwargs) as handle:
-            client = ServiceClient(*handle.tcp_address, timeout=120.0)
+        with ServerThread(backend=backend, slice_answers=2) as handle:
+            client = ServiceClient(*handle.address, timeout=120.0)
             request = ServiceRequest(
                 op="top", graph=graph, cost="fill", k=4
             )
@@ -129,7 +112,7 @@ class TestTransportByteIdentity:
             token = result.checkpoint
             assert token is not None
 
-            http = GatewayClient(*handle.address, timeout=120.0)
+            http = GatewayClient(*handle.http_address, timeout=120.0)
             rest = http.submit({
                 "op": "top",
                 "token": base64.b64encode(token).decode("ascii"),

@@ -1,8 +1,9 @@
 """Gateway endpoints, request validation on both doors, and failure paths.
 
-Each test drives a real :class:`~repro.gateway.GatewayThread` over the
-blocking :class:`~repro.gateway.GatewayClient` — the exact deployment
-shape of ``repro serve --http``.
+Each test drives a real :class:`~repro.service.ServerThread` (both doors
+over one scheduler) with the blocking
+:class:`~repro.gateway.GatewayClient` — the exact deployment shape of
+``repro serve --http``.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import time
 import pytest
 
 from repro.api import Session
-from repro.gateway import GatewayClient, GatewayError, GatewayThread
+from repro.gateway import GatewayClient, GatewayError
 from repro.graphs.generators import (
     connected_erdos_renyi,
     paper_example_graph,
 )
+from repro.service import ServerThread
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     ErrorFrame,
@@ -32,28 +34,19 @@ from repro.service.protocol import (
     parse_request,
     serialize_answers,
 )
-
-BACKENDS = [
-    name.strip()
-    for name in os.environ.get(
-        "REPRO_SERVICE_BACKENDS", "inprocess,process"
-    ).split(",")
-    if name.strip()
-]
+from tests.conftest import needs_process_backend
 
 
 @pytest.fixture(scope="module")
 def gateway(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("gateway-cache")
-    with GatewayThread(
-        max_workers=2, slice_answers=2, cache_dir=str(cache_dir)
-    ) as handle:
+    with ServerThread(slice_answers=2, cache_dir=str(cache_dir)) as handle:
         yield handle
 
 
 @pytest.fixture()
 def client(gateway):
-    return GatewayClient(*gateway.address, timeout=60.0)
+    return GatewayClient(*gateway.http_address, timeout=60.0)
 
 
 def serial_lines(graph, cost, k):
@@ -69,11 +62,11 @@ def serial_lines(graph, cost, k):
 def wait_for_idle(gateway, timeout=10.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if gateway.scheduler_stats()["active"] == 0:
+        if gateway.scheduler.stats()["active"] == 0:
             return
         time.sleep(0.02)
     raise AssertionError(
-        f"scheduler still busy after {timeout}s: {gateway.scheduler_stats()}"
+        f"scheduler still busy after {timeout}s: {gateway.scheduler.stats()}"
     )
 
 
@@ -190,7 +183,7 @@ class TestValidationFailures:
     def test_malformed_json_body_is_400(self, client, gateway):
         from repro.gateway.client import _Connection
 
-        conn = _Connection(*gateway.address, 30.0)
+        conn = _Connection(*gateway.http_address, 30.0)
         try:
             conn.send_request(
                 "POST", "/v1/jobs", b'{"op": "top", "k": ',
@@ -258,15 +251,8 @@ class TestValidationFailures:
         assert stream.terminal["code"] == "bad-request"
 
 
-@pytest.fixture(scope="module")
-def doors():
-    """The gateway and the TCP server over one scheduler."""
-    with GatewayThread(tcp=True, max_workers=2) as handle:
-        yield handle
-
-
 def _tcp_refusal(handle, body) -> str:
-    client = ServiceClient(*handle.tcp_address, timeout=60.0)
+    client = ServiceClient(*handle.address, timeout=60.0)
     with client.send_raw(encode_frame({"type": "request", **body})) as stream:
         for _frame in stream:
             pass
@@ -277,7 +263,7 @@ def _tcp_refusal(handle, body) -> str:
 
 
 def _http_refusal(handle, body) -> str:
-    client = GatewayClient(*handle.address, timeout=60.0)
+    client = GatewayClient(*handle.http_address, timeout=60.0)
     with pytest.raises(GatewayError) as excinfo:
         client.submit(body)
     assert excinfo.value.status == 400
@@ -324,15 +310,14 @@ class TestOneRequestContract:
             ),
         ],
     )
-    def test_both_doors_refuse_alike(self, doors, door, body, fragment):
+    def test_both_doors_refuse_alike(self, gateway, door, body, fragment):
         with pytest.raises(ProtocolError) as contract:
             parse_request({"type": "request", **body})
-        message = door(doors, body)
+        message = door(gateway, body)
         assert fragment in message
         assert message == str(contract.value)
 
-    def test_answer_budget_is_accepted_on_every_job_kind(self, doors):
-        client = GatewayClient(*doors.address, timeout=60.0)
+    def test_answer_budget_is_accepted_on_every_job_kind(self, client):
         for op in ("diverse", "decompositions"):
             stream = client.submit(
                 {"op": op, "graph": _WIRE_GRAPH, "cost": "fill", "k": 3,
@@ -342,21 +327,17 @@ class TestOneRequestContract:
             assert len(stream.answer_lines) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_zero_answer_top_opens_nothing_on_either_door(backend):
     """A fresh k=0 ``top`` builds no context on either door: its
     terminal reads engine ``none`` with no token.  A k=0 resume still
     hands its token back."""
     graph = connected_erdos_renyi(10, 0.35, seed=0)
-    options = {"worker_processes": 2} if backend == "process" else {}
-    with GatewayThread(
-        tcp=True, backend=backend, max_workers=2, **options
-    ) as handle:
-        tcp = ServiceClient(*handle.tcp_address, timeout=120.0)
+    with ServerThread(backend=backend) as handle:
+        tcp = ServiceClient(*handle.address, timeout=120.0)
         over_tcp = tcp.collect(
             ServiceRequest(op="top", graph=graph, cost="fill", k=0)
         )
-        over_http = GatewayClient(*handle.address, timeout=120.0).submit(
+        over_http = GatewayClient(*handle.http_address, timeout=120.0).submit(
             {"op": "top", "graph": graph_to_wire(graph), "cost": "fill",
              "k": 0}
         ).collect()
@@ -460,21 +441,15 @@ class TestJobRegistryAndCancel:
         )
 
 
-@pytest.mark.skipif(
-    "process" not in os.environ.get(
-        "REPRO_SERVICE_BACKENDS", "inprocess,process"
-    ),
-    reason="process backend excluded by REPRO_SERVICE_BACKENDS",
-)
+@needs_process_backend
 class TestAnswersCacheMetricsProcessBackend:
     def test_answers_counters_over_worker_pool(self, tmp_path):
         """Worker-side write-back feeds the same per-kind counters the
         gateway exposes; the repeat serve never reaches a worker."""
-        with GatewayThread(
-            backend="process", worker_processes=2, max_workers=2,
-            cache_dir=str(tmp_path / "cache"),
+        with ServerThread(
+            backend="process", cache_dir=str(tmp_path / "cache")
         ) as handle:
-            client = GatewayClient(*handle.address, timeout=120.0)
+            client = GatewayClient(*handle.http_address, timeout=120.0)
             graph = connected_erdos_renyi(10, 0.35, seed=7)
             body = {"op": "top", "graph": graph_to_wire(graph),
                     "cost": "fill", "k": 3}
@@ -493,19 +468,11 @@ class TestAnswersCacheMetricsProcessBackend:
             raise AssertionError("no answers_served series on /metrics")
 
 
-@pytest.mark.skipif(
-    "process" not in os.environ.get(
-        "REPRO_SERVICE_BACKENDS", "inprocess,process"
-    ),
-    reason="process backend excluded by REPRO_SERVICE_BACKENDS",
-)
+@needs_process_backend
 class TestMetricsUnderWorkerCrash:
     def test_metrics_stay_live_and_count_the_respawn(self):
-        with GatewayThread(
-            backend="process", worker_processes=2, max_workers=2,
-            slice_answers=2,
-        ) as handle:
-            client = GatewayClient(*handle.address, timeout=120.0)
+        with ServerThread(backend="process", slice_answers=2) as handle:
+            client = GatewayClient(*handle.http_address, timeout=120.0)
             stats = client.submit({"op": "stats"}).collect()
             pids = [row["pid"] for row in stats.terminal["workers"]]
             assert len(pids) == 2

@@ -29,29 +29,22 @@ def _isolated_cache_env(monkeypatch):
     monkeypatch.delenv("REPRO_TOKEN_SECRET", raising=False)
 
 
-def server_kwargs(backend, cache_dir, **extra):
-    kwargs = {
-        "max_workers": 2,
-        "backend": backend,
-        "cache_dir": str(cache_dir),
-        **extra,
-    }
-    if backend == "process":
-        kwargs["worker_processes"] = 2
-    return kwargs
+def server(backend, cache_dir=None, **options):
+    if cache_dir is not None:
+        options["cache_dir"] = str(cache_dir)
+    return ServerThread(backend=backend, **options)
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_repeat_top_serves_without_worker_seat(tmp_path, backend):
     graph = connected_erdos_renyi(10, 0.35, seed=0)
     cache_dir = tmp_path / "cache"
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         live = client.top(graph, "fill", k=K)
     assert isinstance(live.terminal, StatsFrame)
     assert live.terminal.engine != "cache"
 
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         warm = client.top(graph, "fill", k=K)
         stats = ServiceClient(*handle.address, timeout=60.0).service_stats()
@@ -67,20 +60,19 @@ def test_repeat_top_serves_without_worker_seat(tmp_path, backend):
         assert not row.get("sessions"), row
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_extension_write_back_then_pure_hit(tmp_path, backend):
     """k'=2K after a warmed k=K: live bytes match a cache-less server,
     and the extended prefix then serves the repeat entirely from disk."""
     graph = connected_erdos_renyi(10, 0.35, seed=0)
-    with ServerThread(max_workers=2, backend=backend) as handle:
+    with server(backend) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         reference = client.top(graph, "fill", k=2 * K)
 
     cache_dir = tmp_path / "cache"
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         client.top(graph, "fill", k=K)
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         extended = client.top(graph, "fill", k=2 * K)
         repeat = client.top(graph, "fill", k=2 * K)
@@ -93,20 +85,19 @@ def test_extension_write_back_then_pure_hit(tmp_path, backend):
     assert stats.scheduler["answers_served"] >= 1
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_partly_covered_page_runs_only_its_rest_live(tmp_path, backend):
     """k'=2K over a stored k=K prefix replays the stored head and runs
     only the rest live, from the record's frontier: a cache-less
     server's bytes for fewer expansions than a cold k'=2K run."""
     graph = connected_erdos_renyi(10, 0.35, seed=0)
-    with ServerThread(**server_kwargs(backend, tmp_path / "cold")) as handle:
+    with server(backend, tmp_path / "cold") as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         cold = client.top(graph, "fill", k=2 * K)
 
     cache_dir = tmp_path / "cache"
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         ServiceClient(*handle.address, timeout=120.0).top(graph, "fill", k=K)
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         extended = client.top(graph, "fill", k=2 * K)
 
@@ -118,25 +109,20 @@ def test_partly_covered_page_runs_only_its_rest_live(tmp_path, backend):
     assert extended.terminal.expansions < cold.terminal.expansions
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_token_resume_serves_from_disk(tmp_path, backend):
     """A resume token whose page is covered by the cached prefix replays
     from disk on a fresh server sharing the signing key."""
     graph = connected_erdos_renyi(10, 0.35, seed=2)
     key = b"answer-cache-suite"
     cache_dir = tmp_path / "cache"
-    with ServerThread(
-        token_key=key, **server_kwargs(backend, cache_dir)
-    ) as handle:
+    with server(backend, cache_dir, token_key=key) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         page = client.top(graph, "fill", k=4)
         token = page.checkpoint
         first_rest = client.resume(token, k=4)
     assert token is not None
 
-    with ServerThread(
-        token_key=key, **server_kwargs(backend, cache_dir)
-    ) as handle:
+    with server(backend, cache_dir, token_key=key) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         rest = client.resume(token, k=4)
         stats = ServiceClient(*handle.address, timeout=60.0).service_stats()
@@ -150,19 +136,18 @@ def test_token_resume_serves_from_disk(tmp_path, backend):
         assert not row.get("sessions"), row
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_cached_serve_returns_resumable_token(tmp_path, backend):
     """The checkpoint on a cache-served terminal frame is a live token:
     resuming it continues the exact sequence."""
     graph = connected_erdos_renyi(10, 0.35, seed=0)
     cache_dir = tmp_path / "cache"
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         # k=K first so the record keeps an interior checkpoint at K,
         # making the later k=K page servable from disk.
         client.top(graph, "fill", k=K)
         live = client.top(graph, "fill", k=2 * K)
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         warm = client.top(graph, "fill", k=K)
         assert warm.terminal.engine == "cache"
@@ -173,17 +158,16 @@ def test_cached_serve_returns_resumable_token(tmp_path, backend):
     assert got == list(live.answer_lines)
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_session_written_prefix_serves_the_server(tmp_path, backend):
     graph = connected_erdos_renyi(10, 0.35, seed=0)
     cache_dir = tmp_path / "cache"
     with Session(cache_dir=cache_dir) as session:
         session.top(graph, "fill", k=K)
-    with ServerThread(max_workers=2, backend=backend) as handle:
+    with server(backend) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         reference = client.top(graph, "fill", k=K)
 
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         served = client.top(graph, "fill", k=K)
         stats = ServiceClient(*handle.address, timeout=60.0).service_stats()
@@ -196,11 +180,10 @@ def test_session_written_prefix_serves_the_server(tmp_path, backend):
         assert not row.get("sessions"), row
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_server_written_prefix_replays_in_a_session(tmp_path, backend):
     graph = connected_erdos_renyi(10, 0.35, seed=0)
     cache_dir = tmp_path / "cache"
-    with ServerThread(**server_kwargs(backend, cache_dir)) as handle:
+    with server(backend, cache_dir) as handle:
         client = ServiceClient(*handle.address, timeout=120.0)
         live = client.top(graph, "fill", k=K)
     assert live.terminal.engine != "cache"

@@ -18,6 +18,7 @@ import pytest
 from repro.graphs.generators import connected_erdos_renyi
 from repro.service.protocol import ServiceRequest
 from repro.service.scheduler import EnumerationScheduler
+from tests.conftest import needs_process_backend
 
 
 def run(coro):
@@ -37,10 +38,9 @@ def _submit_and_drain(backend):
     graph = connected_erdos_renyi(10, 0.35, seed=0)
 
     async def main():
-        kwargs = {"slice_answers": 2, "backend": backend}
-        if backend == "process":
-            kwargs["worker_processes"] = 1
-        scheduler = EnumerationScheduler(**kwargs)
+        scheduler = EnumerationScheduler(
+            backend=backend, workers=1, slice_answers=2
+        )
         try:
             job = await scheduler.submit(
                 ServiceRequest(
@@ -58,7 +58,6 @@ def _submit_and_drain(backend):
     return run(main())
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_deadline_ignores_wall_clock_steps(leaping_wall_clock, backend):
     frames = _submit_and_drain(backend)
     terminal = frames[-1]
@@ -69,6 +68,7 @@ def test_deadline_ignores_wall_clock_steps(leaping_wall_clock, backend):
     assert len([f for f in frames if f.get("type") == "answer"]) == 6
 
 
+@needs_process_backend
 def test_remote_runner_reply_window_is_monotonic(leaping_wall_clock):
     """The parent-side slice spec hands the worker its remaining budget;
     computed against wall time it would collapse to the 1e-6 floor after

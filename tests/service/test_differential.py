@@ -43,6 +43,7 @@ from repro.service import (
     ServiceRequest,
     serialize_answers,
 )
+from tests.conftest import needs_process_backend
 
 #: (name, graph factory, cost, kernel) — ten mixed workloads, at least
 #: eight of which run concurrently in the main differential test.  The
@@ -75,34 +76,11 @@ def serial_lines(graph, cost, k, kernel):
     return serialize_answers(results)
 
 
-#: Both execution backends must pass the identical differential suite:
-#: "inprocess" is the GIL-bound oracle, "process" the worker-pool tier.
-#: CI narrows the run to one backend per matrix leg via
-#: ``REPRO_SERVICE_BACKENDS`` (comma-separated).
-BACKENDS = [
-    tok.strip()
-    for tok in os.environ.get(
-        "REPRO_SERVICE_BACKENDS", "inprocess,process"
-    ).split(",")
-    if tok.strip()
-]
-
-needs_process_backend = pytest.mark.skipif(
-    "process" not in BACKENDS,
-    reason="worker-crash recovery exists only on the process backend",
-)
-
-
-@pytest.fixture(scope="module", params=BACKENDS)
-def server(request):
+@pytest.fixture(scope="module")
+def server(backend):
     # Two worker slots, small slices: with 8+ admitted jobs this forces
     # heavy interleaving — the adversarial regime for sequence mixing.
-    with ServerThread(
-        max_workers=2,
-        slice_answers=2,
-        backend=request.param,
-        worker_processes=2,
-    ) as handle:
+    with ServerThread(backend=backend, workers=2, slice_answers=2) as handle:
         yield handle
 
 
@@ -141,7 +119,6 @@ def test_concurrent_clients_bit_identical_to_serial(server):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_pause_resume_concatenation_bit_identical(backend):
     """Mid-stream in-band cancel, then resume on a NEW connection: the
     concatenated answer bytes equal one uninterrupted serial run.
@@ -157,11 +134,7 @@ def test_pause_resume_concatenation_bit_identical(backend):
         (lambda: ring_of_cycles(2, 5), "fill", "bitset", 2),  # 25 answers
     ]
     with ServerThread(
-        max_workers=1,
-        slice_answers=1,
-        max_pending_frames=2,
-        backend=backend,
-        worker_processes=1,
+        backend=backend, workers=1, slice_answers=1, max_pending_frames=2
     ) as handle:
         for factory, cost, kernel, pause_after in cases:
             graph = factory()
@@ -219,10 +192,10 @@ def test_hard_disconnect_then_resume_from_held_token(server):
 
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:
-        if server.scheduler_stats()["active"] == 0:
+        if server.scheduler.stats()["active"] == 0:
             break
         time.sleep(0.02)
-    assert server.scheduler_stats()["active"] == 0
+    assert server.scheduler.stats()["active"] == 0
 
 
 def test_concurrent_pause_resume_storm(server):
@@ -266,11 +239,7 @@ def _crash_server():
     lands while the job is mid-stream, and the respawned seat must pick
     the job back up from its last acknowledged checkpoint."""
     return ServerThread(
-        max_workers=1,
-        slice_answers=1,
-        max_pending_frames=2,
-        backend="process",
-        worker_processes=1,
+        backend="process", workers=1, slice_answers=1, max_pending_frames=2
     )
 
 
@@ -335,7 +304,7 @@ def test_worker_crash_replay_only_op_bit_identical():
         )
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
-            if handle.scheduler_stats()["active"] == 0:
+            if handle.scheduler.stats()["active"] == 0:
                 break
             time.sleep(0.02)
-        assert handle.scheduler_stats()["active"] == 0
+        assert handle.scheduler.stats()["active"] == 0

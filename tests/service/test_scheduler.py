@@ -53,7 +53,7 @@ class TestBasicServing:
         graph = connected_erdos_renyi(10, 0.35, seed=0)
 
         async def main():
-            scheduler = EnumerationScheduler(max_workers=2)
+            scheduler = EnumerationScheduler(workers=2)
             job = await scheduler.submit(
                 ServiceRequest(op="top", graph=graph, cost="fill", k=8)
             )
@@ -106,7 +106,7 @@ class TestBasicServing:
         graph = connected_erdos_renyi(10, 0.35, seed=1)
 
         async def main():
-            scheduler = EnumerationScheduler(max_workers=2)
+            scheduler = EnumerationScheduler(workers=2)
             jobs = [
                 await scheduler.submit(
                     ServiceRequest(op="top", graph=graph, cost="fill", k=4)
@@ -156,7 +156,7 @@ class TestFairness:
         cheap = paper_example_graph()
 
         async def main():
-            scheduler = EnumerationScheduler(max_workers=1, slice_answers=1)
+            scheduler = EnumerationScheduler(workers=1, slice_answers=1)
             order: list[str] = []
 
             async def consume(tag, job):
@@ -191,7 +191,7 @@ class TestFairness:
         ]
 
         async def main():
-            scheduler = EnumerationScheduler(max_workers=3, slice_answers=2)
+            scheduler = EnumerationScheduler(workers=3, slice_answers=2)
             jobs = [
                 await scheduler.submit(
                     ServiceRequest(op="top", graph=g, cost=c, k=6)
@@ -264,7 +264,7 @@ class TestBudgetsDeadlinesCancellation:
         graph = connected_erdos_renyi(12, 0.3, seed=6)
 
         async def main():
-            scheduler = EnumerationScheduler(max_workers=1, slice_answers=1)
+            scheduler = EnumerationScheduler(workers=1, slice_answers=1)
             job = await scheduler.submit(
                 ServiceRequest(op="enumerate", graph=graph, cost="fill")
             )
@@ -380,7 +380,7 @@ class TestErrorPaths:
 
     def test_validation_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            EnumerationScheduler(max_workers=0)
+            EnumerationScheduler(workers=0)
         with pytest.raises(ValueError):
             EnumerationScheduler(slice_answers=0)
 
@@ -406,7 +406,7 @@ class TestBackpressure:
 
         async def main():
             scheduler = EnumerationScheduler(
-                max_workers=1, slice_answers=1, max_pending_frames=3
+                workers=1, slice_answers=1, max_pending_frames=3
             )
             job = await scheduler.submit(
                 ServiceRequest(op="enumerate", graph=graph, cost="fill")
@@ -445,7 +445,7 @@ class TestBackpressure:
 
         async def main():
             scheduler = EnumerationScheduler(
-                max_workers=1, slice_answers=1, max_pending_frames=2
+                workers=1, slice_answers=1, max_pending_frames=2
             )
             job = await scheduler.submit(
                 ServiceRequest(op="enumerate", graph=graph, cost="fill")
@@ -764,3 +764,48 @@ class TestDiverseInterruption:
 
         frames = run(main())
         assert frames[-1]["type"] == "cancelled"
+
+
+class TestSliceEnd:
+    def test_the_slice_that_streams_the_kth_answer_ends_the_job(
+        self, backend, monkeypatch
+    ):
+        """A job whose k is a multiple of the slice size ends in the slice
+        that streams its k-th answer, not one slice later; its answer
+        bytes and terminal fields (but elapsed time) match a run whose
+        slice size does not divide k."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        graph = connected_erdos_renyi(10, 0.35, seed=0)
+
+        async def main(slice_answers):
+            scheduler = EnumerationScheduler(
+                backend=backend,
+                workers=1,
+                slice_answers=slice_answers,
+                token_key=b"slice-end",
+            )
+            runs = []
+            try:
+                for k in (4, 8):
+                    before = scheduler.metrics_snapshot()["slice_seconds"]
+                    job = await scheduler.submit(
+                        ServiceRequest(op="top", graph=graph, cost="fill", k=k)
+                    )
+                    frames = await job.drain()
+                    after = scheduler.metrics_snapshot()["slice_seconds"]
+                    terminal = dict(frames[-1])
+                    del terminal["elapsed_seconds"]
+                    runs.append(
+                        (after["count"] - before["count"], job_lines(frames), terminal)
+                    )
+            finally:
+                await scheduler.close()
+            return runs
+
+        aligned, offset = run(main(4)), run(main(3))
+        assert [slices for slices, _, _ in aligned] == [1, 2]
+        assert [slices for slices, _, _ in offset] == [2, 3]
+        assert [run[1:] for run in aligned] == [run[1:] for run in offset]
+        assert aligned[1][1] == serial_lines(graph, "fill", 8)
+        assert aligned[1][2]["type"] == "stats"
+        assert aligned[1][2]["checkpoint"] is not None

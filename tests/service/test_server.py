@@ -9,11 +9,20 @@ the exact deployment shape of ``repro serve`` / ``repro submit``.
 from __future__ import annotations
 
 import itertools
+import os
+import queue
+import signal
+import socket
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
+import repro
 from repro.api import Session
+from repro.gateway import GatewayClient
 from repro.graphs.generators import (
     connected_erdos_renyi,
     grid_graph,
@@ -35,7 +44,7 @@ from repro.service import (
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(max_workers=2, slice_answers=2) as handle:
+    with ServerThread(slice_answers=2) as handle:
         yield handle
 
 
@@ -58,11 +67,11 @@ def wait_for_idle(server, timeout=10.0):
     """Block until the scheduler has wound down every admitted job."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if server.scheduler_stats()["active"] == 0:
-            return server.scheduler_stats()
+        if server.scheduler.stats()["active"] == 0:
+            return server.scheduler.stats()
         time.sleep(0.02)
     raise AssertionError(
-        f"scheduler still busy after {timeout}s: {server.scheduler_stats()}"
+        f"scheduler still busy after {timeout}s: {server.scheduler.stats()}"
     )
 
 
@@ -184,8 +193,6 @@ class TestFailurePaths:
         assert got == serial_lines(graph, "fill", len(answers) + 3)
 
     def test_immediate_disconnect_without_request(self, client, server):
-        import socket
-
         sock = socket.create_connection(client_address(client), timeout=5)
         sock.close()
         result = client.top(paper_example_graph(), "fill", k=1)
@@ -220,8 +227,6 @@ class TestDeadlines:
 
 class TestConcurrentClients:
     def test_parallel_clients_each_get_exact_sequences(self, client, server):
-        import threading
-
         cases = [
             (connected_erdos_renyi(10, 0.35, seed=0), "fill"),
             (connected_erdos_renyi(10, 0.35, seed=100), "width"),
@@ -253,49 +258,68 @@ class TestConcurrentClients:
 
 
 class TestForegroundServe:
-    def test_serve_entry_point_binds_and_serves(self):
-        """The ``repro serve`` entry point, driven via its test hooks."""
-        import threading
-
-        from repro.service.server import serve
-
-        bound: list[tuple[str, int]] = []
-        ready = threading.Event()
-        stop = threading.Event()
-        messages: list[str] = []
-
-        def on_bound(address):
-            bound.append(address)
-            ready.set()
-
-        thread = threading.Thread(
-            target=lambda: serve(
-                port=0, on_bound=on_bound, stop=stop,
-                announce=messages.append,
-            ),
-            daemon=True,
+    @pytest.mark.skipif(
+        sys.platform == "win32", reason="stops the server with SIGTERM"
+    )
+    def test_serve_entry_point_binds_and_serves(self, tmp_path):
+        """``repro serve`` announces both doors on a pipe (no
+        PYTHONUNBUFFERED), serves them, and exits 0 on SIGTERM."""
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--http", "0", "--backend", "inprocess",
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
         )
-        thread.start()
-        assert ready.wait(timeout=10)
+        lines: queue.Queue = queue.Queue()
+
+        def read() -> None:
+            for line in proc.stdout:
+                lines.put(line)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
         try:
-            client = ServiceClient(*bound[0], timeout=30.0)
+            tcp, http = (lines.get(timeout=30) for _ in range(2))
+            assert tcp.startswith("repro service listening on "), tcp
+            assert http.startswith("repro http gateway listening on "), http
+            tcp_port, http_port = (
+                int(line.rsplit(":", 1)[1]) for line in (tcp, http)
+            )
+            client = ServiceClient("127.0.0.1", tcp_port, timeout=30.0)
             result = client.top(paper_example_graph(), "fill", k=2)
             assert isinstance(result.terminal, StatsFrame)
-            assert messages and "listening" in messages[0]
+            health = GatewayClient("127.0.0.1", http_port, timeout=30.0).health()
+            assert health.status == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            assert "shutting down" in lines.get(timeout=10)
         finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+            reader.join(timeout=10)
+            proc.stdout.close()
 
 
 class TestFrameLimits:
-    def test_oversized_request_gets_in_band_error(self):
-        with ServerThread(max_workers=1, max_frame_bytes=4096) as handle:
+    def test_oversized_request_gets_in_band_error(self, monkeypatch):
+        import repro.service.server as server_mod
+
+        monkeypatch.setattr(server_mod, "MAX_FRAME_BYTES", 4096)
+        with ServerThread(workers=1) as handle:
             client = ServiceClient(*handle.address, timeout=30.0)
             big = b'{"type":"request","op":"top","pad":"' + b"x" * 8192 + b'"}\n'
             frames = list(client.send_raw(big))
             assert isinstance(frames[0], ErrorFrame)
-            assert "frame limit" in frames[0].message
+            assert "4096-byte frame limit" in frames[0].message
             # The server survives and serves the next request normally.
             result = client.top(paper_example_graph(), "fill", k=2)
             assert isinstance(result.terminal, StatsFrame)
@@ -331,10 +355,8 @@ class TestDecompositionTrees:
 
 class TestShutdownWithLiveClient:
     def test_stopping_server_delivers_cancelled_frame_to_live_stream(self):
-        import threading
-
         graph = connected_erdos_renyi(12, 0.3, seed=5)
-        handle = ServerThread(max_workers=1, slice_answers=1).start()
+        handle = ServerThread(workers=1, slice_answers=1).start()
         try:
             client = ServiceClient(*handle.address, timeout=30.0)
             stream = client.open(
@@ -358,11 +380,42 @@ class TestShutdownWithLiveClient:
 
 class TestShutdownRace:
     def test_submit_after_scheduler_close_gets_in_band_error(self):
-        with ServerThread(max_workers=1) as handle:
+        with ServerThread(workers=1) as handle:
             client = ServiceClient(*handle.address, timeout=30.0)
             # Force the shutdown race: the listener still accepts, but the
             # scheduler refuses admissions.
-            handle.server.scheduler._closed = True
+            handle.scheduler._closed = True
             with pytest.raises(ServiceError) as excinfo:
                 client.top(paper_example_graph(), "fill", k=1)
             assert excinfo.value.frame.code == "shutting-down"
+
+
+class TestOneHost:
+    def test_stop_closes_the_scheduler_once_and_every_door(self, backend):
+        """The host owns the scheduler: stopping a ServerThread closes it
+        exactly once, both listeners refuse connections afterwards, and
+        no worker seat outlives it."""
+        handle = ServerThread(backend=backend, workers=1).start()
+        scheduler = handle.scheduler
+        close = scheduler.close
+        closes = []
+
+        async def counting_close():
+            closes.append(threading.get_ident())
+            await close()
+
+        scheduler.close = counting_close
+        client = ServiceClient(*handle.address, timeout=60.0)
+        assert isinstance(
+            client.top(paper_example_graph(), "fill", k=2).terminal, StatsFrame
+        )
+        seats = []
+        if backend == "process":
+            seats = [worker.process for worker in scheduler.backend.pool._workers]
+        handle.stop()
+
+        assert len(closes) == 1
+        for address in (handle.address, handle.http_address):
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5).close()
+        assert not [seat.pid for seat in seats if seat.is_alive()]

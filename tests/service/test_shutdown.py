@@ -1,7 +1,8 @@
 """SIGINT shutdown ordering of a foreground ``repro serve``.
 
-A real ``repro serve --backend process`` subprocess is interrupted while
-a slice is in flight.  The teardown contract under audit:
+A real ``repro serve --backend process --http 0`` subprocess (both
+doors) is interrupted while a slice is in flight.  The teardown
+contract under audit:
 
 * the signal triggers the *orderly* stop path (cancel jobs → join every
   worker seat → close backend sessions), not an exception unwinding
@@ -25,6 +26,7 @@ import time
 import pytest
 
 import repro
+from repro.gateway import GatewayClient
 from repro.graphs.generators import connected_erdos_renyi
 from repro.service import AnswerFrame, ServiceClient, ServiceRequest
 
@@ -94,6 +96,8 @@ def serve_proc(tmp_path):
             "process",
             "--workers",
             "2",
+            "--http",
+            "0",
             "--cache-dir",
             str(cache_dir),
         ],
@@ -113,8 +117,9 @@ def serve_proc(tmp_path):
 
 
 def _bound_port(proc) -> int:
+    """The port of the next door ``repro serve`` announces."""
     line = proc.stdout.readline()
-    assert "listening on" in line, f"unexpected first line: {line!r}"
+    assert "listening on" in line, f"unexpected line: {line!r}"
     return int(line.rsplit(":", 1)[1])
 
 
@@ -170,11 +175,13 @@ def test_sigint_mid_slice_reaps_workers_and_cools_the_wal(serve_proc):
 def test_sigterm_is_an_orderly_stop_too(serve_proc):
     proc, cache_dir = serve_proc
     port = _bound_port(proc)
+    http_port = _bound_port(proc)
     client = ServiceClient("127.0.0.1", port, timeout=60.0)
     result = client.top(
         connected_erdos_renyi(10, 0.35, seed=0), "fill", k=3
     )
     assert len(result.answers) == 3
+    assert GatewayClient("127.0.0.1", http_port, timeout=60.0).health().status == 200
     children = _children_of(proc.pid)
     proc.send_signal(signal.SIGTERM)
     assert proc.wait(timeout=60) == 0

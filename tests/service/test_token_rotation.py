@@ -19,7 +19,6 @@ re-verifies tokens inside the worker children with the same key).
 from __future__ import annotations
 
 import itertools
-import os
 
 import pytest
 
@@ -33,25 +32,8 @@ from repro.service import (
 )
 from repro.service.protocol import ENV_TOKEN_SECRET, resolve_token_key
 
-BACKENDS = [
-    tok.strip()
-    for tok in os.environ.get(
-        "REPRO_SERVICE_BACKENDS", "inprocess,process"
-    ).split(",")
-    if tok.strip()
-]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
-def server_kwargs(backend):
-    kwargs = {"max_workers": 2, "slice_answers": 2, "backend": backend}
-    if backend == "process":
-        kwargs["worker_processes"] = 2
-    return kwargs
+def server(backend, **options):
+    return ServerThread(backend=backend, slice_answers=2, **options)
 
 
 def serial_lines(graph, cost, k):
@@ -84,7 +66,7 @@ class TestRestartWithSharedSecret:
     ):
         monkeypatch.setenv(ENV_TOKEN_SECRET, "rotation-suite-secret")
         graph = connected_erdos_renyi(10, 0.35, seed=2)
-        with ServerThread(**server_kwargs(backend)) as first:
+        with server(backend) as first:
             client = ServiceClient(*first.address, timeout=60.0)
             page = client.top(graph, "fill", k=4)
             token = page.checkpoint
@@ -92,7 +74,7 @@ class TestRestartWithSharedSecret:
         # A brand-new server process-equivalent: fresh scheduler, fresh
         # backend, same environment secret.  The token must continue the
         # exact global answer sequence, byte for byte.
-        with ServerThread(**server_kwargs(backend)) as second:
+        with server(backend) as second:
             client = ServiceClient(*second.address, timeout=60.0)
             rest = client.resume(token, k=4)
         got = list(page.answer_lines) + list(rest.answer_lines)
@@ -103,10 +85,10 @@ class TestRestartWithSharedSecret:
         monkeypatch.delenv(ENV_TOKEN_SECRET, raising=False)
         graph = connected_erdos_renyi(10, 0.35, seed=0)
         key = b"shared-file-secret"
-        with ServerThread(token_key=key, **server_kwargs(backend)) as first:
+        with server(backend, token_key=key) as first:
             client = ServiceClient(*first.address, timeout=60.0)
             token = client.top(graph, "fill", k=3).checkpoint
-        with ServerThread(token_key=key, **server_kwargs(backend)) as second:
+        with server(backend, token_key=key) as second:
             client = ServiceClient(*second.address, timeout=60.0)
             rest = client.resume(token, k=3)
         assert [a.rank for a in rest.answers] == [3, 4, 5]
@@ -118,14 +100,10 @@ class TestKeyRotation:
     ):
         monkeypatch.delenv(ENV_TOKEN_SECRET, raising=False)
         graph = connected_erdos_renyi(10, 0.35, seed=0)
-        with ServerThread(
-            token_key=b"key-alpha", **server_kwargs(backend)
-        ) as first:
+        with server(backend, token_key=b"key-alpha") as first:
             client = ServiceClient(*first.address, timeout=60.0)
             token = client.top(graph, "fill", k=3).checkpoint
-        with ServerThread(
-            token_key=b"key-beta", **server_kwargs(backend)
-        ) as second:
+        with server(backend, token_key=b"key-beta") as second:
             client = ServiceClient(*second.address, timeout=60.0)
             with pytest.raises(ServiceError) as excinfo:
                 client.resume(token, k=3)
@@ -136,10 +114,10 @@ class TestKeyRotation:
     ):
         monkeypatch.delenv(ENV_TOKEN_SECRET, raising=False)
         graph = connected_erdos_renyi(10, 0.35, seed=2)
-        with ServerThread(**server_kwargs(backend)) as first:
+        with server(backend) as first:
             client = ServiceClient(*first.address, timeout=60.0)
             token = client.top(graph, "fill", k=3).checkpoint
-        with ServerThread(**server_kwargs(backend)) as second:
+        with server(backend) as second:
             client = ServiceClient(*second.address, timeout=60.0)
             with pytest.raises(ServiceError) as excinfo:
                 client.resume(token, k=3)
@@ -147,7 +125,7 @@ class TestKeyRotation:
 
     def test_truncated_token_stays_bad_request(self, backend, monkeypatch):
         monkeypatch.delenv(ENV_TOKEN_SECRET, raising=False)
-        with ServerThread(**server_kwargs(backend)) as handle:
+        with server(backend) as handle:
             client = ServiceClient(*handle.address, timeout=60.0)
             with pytest.raises(ServiceError) as excinfo:
                 client.resume(b"ABC", k=3)  # shorter than the HMAC tag

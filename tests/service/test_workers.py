@@ -130,12 +130,9 @@ def test_stats_request_validation():
         ServiceRequest(op="stats", graph=paper_example_graph())
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_service_stats_reports_warm_sessions(backend):
     graph = paper_example_graph()
-    with ServerThread(
-        max_workers=2, backend=backend, worker_processes=2
-    ) as handle:
+    with ServerThread(backend=backend, workers=2) as handle:
         client = ServiceClient(*handle.address, timeout=60.0)
         cold = client.service_stats()
         assert isinstance(cold, ServiceStatsFrame)
@@ -214,7 +211,7 @@ def test_process_backend_hashes_the_request_graph_once(
     async def main():
         scheduler = EnumerationScheduler(
             backend="process",
-            worker_processes=1,
+            workers=1,
             cache_dir=str(tmp_path) if cached else None,
         )
         try:

@@ -204,7 +204,7 @@ class TestServeSubmit:
     def service(self):
         from repro.service import ServerThread
 
-        with ServerThread(max_workers=2) as handle:
+        with ServerThread() as handle:
             yield handle.address
 
     def test_submit_streams_answers(self, service, gr_file, capsys):
