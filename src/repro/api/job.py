@@ -116,6 +116,10 @@ class Job:
         # checkpoint sits at the stream's position, not the stretch's).
         self._base = stream.next_rank if stream is not None else 0
         self._collected: list | None = [] if answers is not None else None
+        # The checkpoint at the current position and its bytes, built
+        # at the first ask and dropped by the next answer.
+        self._checkpoint = None
+        self._token: bytes | None = None
 
     def __iter__(self) -> "Job":
         return self
@@ -123,6 +127,7 @@ class Job:
     def __next__(self):
         if self._results is None:
             raise StopIteration
+        self._checkpoint = self._token = None
         result = next(self._results)
         self.emitted += 1
         if self._collected is not None:
@@ -132,10 +137,25 @@ class Job:
         return result
 
     def checkpoint(self):
-        """The stream's frontier, in ranked mode; ``None`` otherwise."""
+        """The stream's frontier, in ranked mode; ``None`` otherwise.
+
+        Built once per position: until the next answer, every call
+        returns the same checkpoint.
+        """
         if self.mode != "ranked" or self.stream is None:
             return None
-        return self.stream.checkpoint()
+        if self._checkpoint is None:
+            self._checkpoint = self.stream.checkpoint()
+        return self._checkpoint
+
+    def token(self) -> bytes | None:
+        """:meth:`checkpoint` encoded, once per position, so a resume
+        token and the answers tier's end checkpoint share one encoding."""
+        if self._token is None:
+            checkpoint = self.checkpoint()
+            if checkpoint is not None:
+                self._token = checkpoint.to_bytes()
+        return self._token
 
     def stats(
         self, *, drained: bool = False, timed_out: bool = False
@@ -179,7 +199,7 @@ class Job:
             self._answers.publish(
                 self._base,
                 collected,
-                stream.checkpoint().to_bytes(),
+                self.token(),
                 exhausted=stream.exhausted,
                 preprocessed=isinstance(stream, ComposedRankedStream),
             )

@@ -36,13 +36,20 @@ is ``I | accumulated`` and ``X | bit``, and :meth:`RankedStream.checkpoint`
 copies ints.  A popped entry's masks become the context's own PMC and
 separator objects once per pop, for the :class:`RankedResult`.
 
-Children are expanded *eagerly* when their parent is emitted, so that
-after ``next()`` returns the result of rank ``r`` the frontier is exactly
-the state "``r+1`` answers pending" — the invariant that makes
-:meth:`RankedStream.checkpoint` correct at every point.  The ``k`` child
-optimizations of one pop run in process, one after the other in pivot
-order, each a call of :func:`repro.engine.strategy.expand_job` against
-the unconstrained DP table the stream holds.
+A pop emits its answer at once, as ``RankedTriang`` prints ``H`` before
+it splits the partition: ``next()`` parks the popped entry's
+``(MinSep(H), I, X)`` and returns.  The parked children are solved and
+pushed by :meth:`RankedStream._settle`, which runs at the start of the
+next ``next()`` and before every reader of the frontier or the work
+count (:meth:`~RankedStream.checkpoint`, :attr:`~RankedStream.exhausted`,
+:attr:`~RankedStream.expansions`).  Pushes and pops happen in the same
+sequence either way, so answers, checkpoints and stats are those of a
+stream that solves every child before it returns; only the moment the
+child DPs run moves, and a stream nobody reads after its last answer
+never solves that answer's children.  The ``k`` child optimizations of
+one pop run in process, one after the other in pivot order, each a call
+of :func:`repro.engine.strategy.expand_job` against the unconstrained DP
+table the stream holds.
 """
 
 from __future__ import annotations
@@ -112,6 +119,9 @@ class RankedStream(Iterator[RankedResult]):
         self.engine_name = "none" if base_table is None else "serial"
         self._expansions = 0
         self._closed = False
+        # The last answer's ``(MinSep(H), I, X)`` masks while its
+        # children are still unsolved (see _settle), else None.
+        self._pending: tuple[int, int, int] | None = None
         # The delay clock: covers the unconstrained DP when this stream
         # ran it (the constructors start the clock before preparing), so
         # rank-0 delay keeps the paper's "init included" accounting.
@@ -254,7 +264,10 @@ class RankedStream(Iterator[RankedResult]):
         return self
 
     def __next__(self) -> RankedResult:
-        if self._closed or not self._heap:
+        if self._closed:
+            raise StopIteration
+        self._settle()
+        if not self._heap:
             raise StopIteration
         value, _order, bag_mask, include, exclude = heapq.heappop(self._heap)
         context = self._context
@@ -281,7 +294,16 @@ class RankedStream(Iterator[RankedResult]):
             exclude=frozenset(index.members(exclude)),
         )
         self._rank += 1
+        self._pending = (separators, include, exclude)
+        return result
 
+    def _settle(self) -> None:
+        """Solve and push the last answer's children, if still pending."""
+        if self._pending is None:
+            return
+        separators, include, exclude = self._pending
+        self._pending = None
+        context = self._context
         # The pivots MinSep(H) \ I ascend in pivot order, so the children
         # are solved and pushed in pivot order, which fixes the emitted
         # sequence.
@@ -308,7 +330,6 @@ class RankedStream(Iterator[RankedResult]):
                 (child_value, self._order, child_bags, child_include, child_exclude),
             )
             self._order += 1
-        return result
 
     # ------------------------------------------------------------------
     # State
@@ -335,12 +356,17 @@ class RankedStream(Iterator[RankedResult]):
 
     @property
     def expansions(self) -> int:
-        """Constrained ``MinTriang⟨κ[I,X]⟩`` runs executed so far."""
+        """Constrained ``MinTriang⟨κ[I,X]⟩`` runs executed so far,
+        counting the last answer's children: reading it may run their
+        DPs (see :meth:`_settle`)."""
+        self._settle()
         return self._expansions
 
     @property
     def exhausted(self) -> bool:
-        """Whether the enumeration space is fully emitted."""
+        """Whether the enumeration space is fully emitted.  Reading it
+        may run the last answer's child DPs (see :meth:`_settle`)."""
+        self._settle()
         return not self._heap
 
     def checkpoint(self) -> StreamCheckpoint:
@@ -350,7 +376,11 @@ class RankedStream(Iterator[RankedResult]):
         any heap layout of the same entries pops identically because the
         ``(value, order)`` prefix is a total order.  The graph is the
         context's shared :class:`~repro.api.checkpoint.TokenGraph`.
+        The last answer's children are solved first (see
+        :meth:`_settle`), so a checkpoint never depends on when it is
+        taken between two answers.
         """
+        self._settle()
         context = self._context
         if context is not None:
             graph = context.token_graph()
@@ -370,7 +400,8 @@ class RankedStream(Iterator[RankedResult]):
 
     def close(self) -> None:
         """End iteration: later ``next()`` calls raise ``StopIteration``.
-        Idempotent; :meth:`checkpoint` still works after it."""
+        Idempotent; :meth:`checkpoint` and the stats still work after it,
+        solving the last answer's children if they are pending."""
         self._closed = True
 
     def __enter__(self) -> "RankedStream":

@@ -463,10 +463,6 @@ class _Piece:
     def expansions(self) -> int:
         return self.stream.expansions if self.stream is not None else 0
 
-    def close(self) -> None:
-        if self.stream is not None:
-            self.stream.close()
-
 
 #: Opens a fresh ranked stream over one atom subgraph (rank 0).
 PieceOpener = Callable[[Graph], object]
@@ -519,6 +515,9 @@ class ComposedRankedStream(Iterator[RankedResult]):
         self._base_rank = next_rank
         self._order = next_order
         self._closed = False
+        # The last answer's index vector while its successors are still
+        # unpushed (see _settle), else None.
+        self._pending: tuple[int, ...] | None = None
         self._started = time.perf_counter() if started is None else started
         # The graph as checkpoints carry it, built at the first one.
         self._token_graph: TokenGraph | None = None
@@ -590,12 +589,11 @@ class ComposedRankedStream(Iterator[RankedResult]):
             next_order=1,
             started=started,
         )
+        # An infeasible atom leaves the frontier empty: no answers at all.
         if all(p.result_at(0) is not None for p in pieces):
             heapq.heappush(
                 stream._heap, (stream._combined_value(vec0), 0, vec0)
             )
-        else:
-            stream.close()  # some atom is infeasible: no answers at all
         return stream
 
     @classmethod
@@ -603,7 +601,7 @@ class ComposedRankedStream(Iterator[RankedResult]):
         cls, plan, cost, composition, cost_spec, fingerprint, width_bound,
         started,
     ) -> "ComposedRankedStream":
-        stream = cls(
+        return cls(
             graph=plan.graph,
             trace=plan.trace,
             complete_atoms=plan.complete_atoms,
@@ -619,8 +617,6 @@ class ComposedRankedStream(Iterator[RankedResult]):
             next_order=0,
             started=started,
         )
-        stream.close()
-        return stream
 
     @classmethod
     def from_checkpoint(
@@ -698,8 +694,10 @@ class ComposedRankedStream(Iterator[RankedResult]):
         return self
 
     def __next__(self) -> RankedResult:
-        if self._closed or not self._heap:
-            self.close()
+        if self._closed:
+            raise StopIteration
+        self._settle()
+        if not self._heap:
             raise StopIteration
         value, _order, vec = heapq.heappop(self._heap)
         bags: set[Bag] = set()
@@ -723,10 +721,21 @@ class ComposedRankedStream(Iterator[RankedResult]):
             exclude=frozenset(),
         )
         self._rank += 1
+        self._pending = vec
+        return result
 
-        # Eager successor expansion (one coordinate advanced), keeping
-        # the invariant that the frontier always holds every pending
-        # combination — which is what makes checkpoint() correct here.
+    def _settle(self) -> None:
+        """Push the last answer's successors (one coordinate advanced),
+        if still pending, drawing each atom's next answer as needed.
+
+        Every reader of the frontier or the work count settles first, so
+        it sees every pending combination, as if the successors had been
+        pushed before the answer was returned.
+        """
+        vec = self._pending
+        if vec is None:
+            return
+        self._pending = None
         for i in range(len(vec)):
             succ = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
             if succ in self._visited:
@@ -739,9 +748,6 @@ class ComposedRankedStream(Iterator[RankedResult]):
                 self._heap, (self._combined_value(succ), self._order, succ)
             )
             self._order += 1
-        if not self._heap:
-            self.close()
-        return result
 
     # ------------------------------------------------------------------
     # State (RankedStream-compatible surface)
@@ -768,12 +774,17 @@ class ComposedRankedStream(Iterator[RankedResult]):
 
     @property
     def expansions(self) -> int:
-        """Constrained DP runs executed across all atom streams."""
+        """Constrained DP runs executed across all atom streams.  Reading
+        it may run pending child DPs, here and in the atom streams."""
+        self._settle()
         return sum(p.expansions for p in self._pieces)
 
     @property
     def exhausted(self) -> bool:
-        """Whether the enumeration space is fully emitted."""
+        """Whether the enumeration space is fully emitted.  Reading it
+        may draw atom answers, and so run child DPs, for the last
+        answer's successors."""
+        self._settle()
         return not self._heap
 
     @property
@@ -786,8 +797,11 @@ class ComposedRankedStream(Iterator[RankedResult]):
 
         Stored in sorted (pop) order like the core checkpoint: the
         ``(value, order)`` prefix is a total order, so any heap layout
-        of the same entries resumes identically.
+        of the same entries resumes identically.  The last answer's
+        successors are pushed first (see :meth:`_settle`), and each atom
+        stream settles its own checkpoint likewise.
         """
+        self._settle()
         if self._token_graph is None:
             self._token_graph = TokenGraph.of(self._graph)
         piece_states = []
@@ -814,10 +828,14 @@ class ComposedRankedStream(Iterator[RankedResult]):
         )
 
     def close(self) -> None:
-        """End iteration and close every atom stream.  Idempotent."""
+        """End iteration: later ``next()`` calls raise ``StopIteration``.
+
+        Idempotent.  The atom streams stay open: a checkpoint or a stats
+        read after ``close()`` may still draw their answers to settle the
+        last answer's successors, and must see what it would have seen
+        before ``close()``.
+        """
         self._closed = True
-        for piece in self._pieces:
-            piece.close()
 
     def __enter__(self) -> "ComposedRankedStream":
         return self

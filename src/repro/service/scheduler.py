@@ -319,7 +319,7 @@ class _JobRunner:
             return {"next_rank": None, "checkpoint": None}
         if stream.exhausted:
             return {"next_rank": stream.next_rank, "checkpoint": None}
-        token = sign_token(self._token_key, job.checkpoint().to_bytes())
+        token = sign_token(self._token_key, job.token())
         return {"next_rank": stream.next_rank, "checkpoint": encode_token(token)}
 
     def _finish(self, kind: str, *, drained: bool = False) -> dict:
@@ -413,9 +413,7 @@ class _JobRunner:
         re-dispatched as a deterministic replay that skips the delivered
         prefix.
         """
-        checkpoint = self._job.checkpoint()
-        payload = checkpoint.to_bytes() if checkpoint is not None else None
-        return payload, self._job.emitted
+        return self._job.token(), self._job.emitted
 
     def close(self) -> None:
         """Release the job (idempotent)."""

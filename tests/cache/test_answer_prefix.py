@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session, load_checkpoint
+from repro.api import Session, StreamCheckpoint, load_checkpoint
+from repro.api.stream import RankedStream
 from repro.cache.answers import AnswerCache, preprocess_applies_for
 from repro.graphs.generators import connected_erdos_renyi
 from repro.graphs.graph import Graph
+from repro.service import ServerThread, ServiceClient
 
 
 @pytest.fixture
@@ -223,3 +225,44 @@ def test_write_back_failure_never_fails_the_request(tmp_path):
 
     assert len(reference.results) == 2
     assert rows(page) == rows(reference)
+
+
+class TestEndCheckpointBuiltOnce:
+    """A page with a store builds its end checkpoint once and encodes it
+    once: the response (or the service's resume token) and the answers
+    record share them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"checkpoint": 0, "to_bytes": 0}
+        checkpoint, to_bytes = RankedStream.checkpoint, StreamCheckpoint.to_bytes
+
+        def counted_checkpoint(stream):
+            counts["checkpoint"] += 1
+            return checkpoint(stream)
+
+        def counted_to_bytes(token):
+            counts["to_bytes"] += 1
+            return to_bytes(token)
+
+        monkeypatch.setattr(RankedStream, "checkpoint", counted_checkpoint)
+        monkeypatch.setattr(StreamCheckpoint, "to_bytes", counted_to_bytes)
+        return counts
+
+    @pytest.fixture
+    def page_graph(self):
+        return connected_erdos_renyi(12, 0.3, seed=64)
+
+    def test_session_page(self, tmp_path, page_graph, counts):
+        with Session(cache_dir=tmp_path / "c") as session:
+            page = session.top(page_graph, "fill", k=5)
+        assert page.stats.engine == "serial" and not page.stats.exhausted
+        assert counts == {"checkpoint": 1, "to_bytes": 1}
+
+    def test_inprocess_service_page(self, tmp_path, page_graph, counts):
+        with ServerThread(backend="inprocess", cache_dir=str(tmp_path / "c")) as handle:
+            page = ServiceClient(*handle.address, timeout=60.0).top(
+                page_graph, "fill", k=5
+            )
+        assert page.checkpoint is not None and not page.exhausted
+        assert counts == {"checkpoint": 1, "to_bytes": 1}
