@@ -34,7 +34,9 @@ class EnumerationStats:
         Answers returned in :attr:`EnumerationResponse.results`.
     expansions:
         Constrained ``MinTriang⟨κ[I,X]⟩`` DP runs executed — the
-        Lawler–Murty expansion work this request paid for.
+        Lawler–Murty expansion work this request paid for.  A child the
+        ranked loop's crossing test rules out runs no DP and is not
+        counted.
     init_seconds:
         Wall-clock cost of the shared initialization behind this request
         (0-ish when the context came from the session cache).

@@ -50,6 +50,13 @@ never solves that answer's children.  The ``k`` child optimizations of
 one pop run in process, one after the other in pivot order, each a call
 of :func:`repro.engine.strategy.expand_job` against the unconstrained DP
 table the stream holds.
+
+Before a child's DP, :meth:`RankedStream._settle` skips the children
+that Parra–Scheffler's characterization proves infeasible, reading the
+crossing rows of :meth:`~repro.core.context.SeparatorIndex.crossing`.
+Infeasible children never entered the heap, so the skip changes no
+answer, token or ``order`` number; it lowers ``expansions``, which
+counts DP runs.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from ..core.context import TriangulationContext
 from ..core.mintriang import Triangulation, min_triangulation_and_table
 from ..core.ranked import RankedResult
 from ..engine import strategy
+from ..graphs.bitgraph import iter_bits
 from .checkpoint import FrontierEntry, StreamCheckpoint, TokenGraph
 
 #: Heap entry layout: ``(value, order, bags, include, exclude)``, the
@@ -298,12 +306,30 @@ class RankedStream(Iterator[RankedResult]):
         return result
 
     def _settle(self) -> None:
-        """Solve and push the last answer's children, if still pending."""
+        """Solve and push the last answer's children, if still pending.
+
+        A child ``[I, X]`` whose DP cannot succeed is skipped first.
+        ``MinSep`` of a minimal triangulation is a maximal set of
+        pairwise-parallel minimal separators (Parra–Scheffler), so in a
+        member of ``[I, X]`` each ``x ∈ X`` crosses some member ``T``,
+        and such a ``T`` is not in ``X`` and crosses no member of ``I``.
+        Under a width bound every member has size ``≤ w`` and so is
+        indexed.  A child where some ``x`` is crossed only by separators
+        in ``X`` or crossing ``I`` is infeasible; it runs no DP, takes no
+        ``order`` number and counts in no expansion.
+        """
         if self._pending is None:
             return
         separators, include, exclude = self._pending
         self._pending = None
         context = self._context
+        crossing = context.separator_index().crossing
+        # ``crossed`` ORs the rows of the children's I: those of I here,
+        # and each pivot's once the later children include it.
+        crossed = 0
+        for i in iter_bits(include):
+            crossed |= crossing(1 << i)
+        exclude_rows = [crossing(1 << i) for i in iter_bits(exclude)]
         # The pivots MinSep(H) \ I ascend in pivot order, so the children
         # are solved and pushed in pivot order, which fixes the emitted
         # sequence.
@@ -315,6 +341,11 @@ class RankedStream(Iterator[RankedResult]):
             child_include = include | accumulated
             child_exclude = exclude | pivot
             accumulated |= pivot
+            allowed = ~(crossed | child_exclude)
+            row = crossing(pivot)
+            crossed |= row
+            if not row & allowed or any(not r & allowed for r in exclude_rows):
+                continue
             # Through the module attribute, so a wrapper installed on
             # ``repro.engine.strategy.expand_job`` sees every child.
             outcome = strategy.expand_job(
@@ -358,7 +389,8 @@ class RankedStream(Iterator[RankedResult]):
     def expansions(self) -> int:
         """Constrained ``MinTriang⟨κ[I,X]⟩`` runs executed so far,
         counting the last answer's children: reading it may run their
-        DPs (see :meth:`_settle`)."""
+        DPs (see :meth:`_settle`).  Children the crossing test skips ran
+        no DP and are not counted."""
         self._settle()
         return self._expansions
 

@@ -115,7 +115,10 @@ DEFAULT_MAX_BYTES = 1 << 30
 #: v5: the ``context`` has two lazy tables for checkpoint tokens (PMC
 #: positions, token graph), and the checkpoints inside ``answers``
 #: records are binary tokens.
-CACHE_FORMAT_VERSION = 5
+#: v6: the ``context``'s separator index carries the tables of its
+#: crossing rows (vertex → separators, each separator's two smallest
+#: full components) and the rows built so far.
+CACHE_FORMAT_VERSION = 6
 
 _MAGIC = b"REPROART\x01"
 _DIGEST_BYTES = 32

@@ -431,12 +431,19 @@ class SeparatorIndex:
     * ``MinSep(H)`` is the OR of ``H``'s bags' masks, because the minimal
       separators of a minimal triangulation ``H`` are the members of
       ``MinSep(G)`` that are cliques of ``H``; less ``I``, its bits
-      ascend in pivot order.
+      ascend in pivot order;
+    * :meth:`crossing` gives the separators that cross a separator, from
+      which the ranked loop rules out a child ``[I, X]`` before its DP.
 
     ``blocks`` is parallel to :attr:`TriangulationContext.block_masks`,
     ``pmcs`` maps each PMC to its mask, and ``candidates`` holds each
     candidate's ``(inside, covered)`` parallel to
-    :meth:`TriangulationContext.candidates`.
+    :meth:`TriangulationContext.candidates`.  ``containing`` maps each
+    vertex to the mask of the separators holding it, and ``sides`` holds,
+    per separator ``S`` in bit order, the vertex masks of its two
+    smallest full components: the first two blocks of ``S`` in
+    :attr:`TriangulationContext.block_masks` (every full block of an
+    indexed separator is there, width bound or not).
     """
 
     separators: tuple[Separator, ...]
@@ -444,6 +451,11 @@ class SeparatorIndex:
     blocks: list[int]
     pmcs: dict[PMC, int]
     candidates: tuple[list[tuple[tuple[int, int], ...]], tuple[tuple[int, int], ...]]
+    containing: list[int]
+    sides: list[tuple[int, ...]]
+    #: :meth:`crossing`'s rows by separator bit, built on first use and
+    #: shared by every stream over the context.
+    _crossing: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def build(context: TriangulationContext) -> "SeparatorIndex":
@@ -474,7 +486,14 @@ class SeparatorIndex:
             return everything & ~outside
 
         blocks = [inside(s | c) for s, c in context.block_masks]
-        own = [bit_of[s] for s, _c in context.block_masks]
+        own = []
+        sides: list[tuple[int, ...]] = [()] * len(order)
+        for s, c in context.block_masks:
+            bit = bit_of[s]
+            own.append(bit)
+            at = bit.bit_length() - 1
+            if len(sides[at]) < 2:
+                sides[at] += (c,)
         per_block, root = context.candidates()
         pmcs = {}
         for omega, _size, _fill, children in root:
@@ -493,7 +512,35 @@ class SeparatorIndex:
             return tuple(compiled)
 
         compiled = ([covering(c) for c in per_block], covering(root))
-        return SeparatorIndex(order, bits, blocks, pmcs, compiled)
+        return SeparatorIndex(order, bits, blocks, pmcs, compiled, containing, sides)
+
+    def crossing(self, bit: int) -> int:
+        """The mask of the separators that cross the separator of ``bit``.
+
+        ``T`` crosses ``S`` when ``T`` meets two components of
+        ``G \\ S``; otherwise the two are parallel.  If ``S`` has
+        vertices ``u, v`` in two components of ``G \\ T``, every full
+        component ``D`` of ``S`` holds a ``u``–``v`` path (both have
+        neighbours in ``D``), and that path meets ``T``.  So when ``S``
+        crosses ``T``, ``T`` meets every full component of ``S`` and
+        crosses ``S``: the relation is symmetric, and the row is the
+        separators that meet both of ``S``'s :attr:`sides`.  Built on
+        first use (a few microseconds) and kept; two threads racing here
+        store equal rows.
+        """
+        row = self._crossing.get(bit)
+        if row is None:
+            containing = self.containing
+            row = -1
+            for side in self.sides[bit.bit_length() - 1]:
+                meets = 0
+                while side:
+                    low = side & -side
+                    meets |= containing[low.bit_length() - 1]
+                    side ^= low
+                row &= meets
+            self._crossing[bit] = row
+        return row
 
     def mask_of(self, separators: Iterable[Separator]) -> int | None:
         """The mask of ``separators``; ``None`` if one is not indexed."""

@@ -6,7 +6,8 @@ constrained ``MinTriang⟨κ[I,X]⟩`` DP run over the shared, read-only
 triangulation context and unconstrained DP table.
 :class:`~repro.api.stream.RankedStream` runs them one after the other,
 in pivot order, calling :func:`expand_job` through this module's
-attribute, so a wrapper installed here sees every child.
+attribute, so a wrapper installed here sees every child it solves; the
+children its crossing test rules out as infeasible never reach it.
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ def test_format_2_prepared_table_reads_as_clean_miss(tmp_path, name):
 
 #: Field names of the persisted context under ``CACHE_FORMAT_VERSION``.
 PERSISTED_SHAPE = (
-    5,
+    6,
     (
         "graph",
         "separators",
@@ -224,7 +224,16 @@ PERSISTED_SHAPE = (
         "_pmc_positions",
         "_token_graph",
     ),
-    ("separators", "bits", "blocks", "pmcs", "candidates"),
+    (
+        "separators",
+        "bits",
+        "blocks",
+        "pmcs",
+        "candidates",
+        "containing",
+        "sides",
+        "_crossing",
+    ),
 )
 
 

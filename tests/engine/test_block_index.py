@@ -3,10 +3,11 @@
 :class:`~repro.core.context.SeparatorIndex` numbers ``MinSep(G)`` as bits
 in pivot order; the constrained DP and the ranked loop read every
 constraint, touched block and ``MinSep(H)`` off its masks.  The masks are
-checked against a brute-force subset scan, and the pivots the ranked loop
-derives from them against the clique-tree pass of
+checked against a brute-force subset scan, the crossing rows against
+components found at label level, and the pivots the ranked loop derives
+from them against the clique-tree pass of
 ``Triangulation.minimal_separators``, recorded at the one call the loop
-makes per child.
+makes per child it does not rule out.
 """
 
 from __future__ import annotations
@@ -51,6 +52,28 @@ def _bits(index, separators):
     return sum(
         1 << i for i, s in enumerate(index.separators) if s in separators
     )
+
+
+def _crossing_sets(graph, separators):
+    """Each separator ``S`` mapped to the separators that meet two
+    components of ``G \\ S``, at label level."""
+    crosses = {}
+    for s in separators:
+        components = graph.components_without(s)
+        crosses[s] = {
+            t for t in separators if sum(1 for c in components if c & t) >= 2
+        }
+    return crosses
+
+
+def _ruled_out(crosses, include, exclude):
+    """Whether some separator of ``exclude`` is crossed by no separator
+    outside ``exclude`` that crosses no member of ``include``."""
+    allowed = {
+        t for t in crosses
+        if t not in exclude and not any(t in crosses[i] for i in include)
+    }
+    return any(not crosses[x] & allowed for x in exclude)
 
 
 class TestSeparatorIndex:
@@ -102,17 +125,44 @@ class TestSeparatorIndex:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("width_bound", [None, 3])
+    def test_crossing_rows_match_label_level(self, kernel, width_bound):
+        """Each row is the separators meeting two components of
+        ``G \\ S``, found with ``Graph.components_without``."""
+        for graph in _graphs():
+            ctx = TriangulationContext.build(
+                graph, width_bound=width_bound, kernel=kernel
+            )
+            index = ctx.separator_index()
+            crosses = _crossing_sets(graph, index.separators)
+            for s in index.separators:
+                assert index.crossing(index.bits[s]) == _bits(index, crosses[s])
+
+    def test_crossing_is_symmetric_and_kept(self):
+        for graph in _graphs():
+            index = TriangulationContext.build(graph).separator_index()
+            bits = [index.bits[s] for s in index.separators]
+            for s, t in itertools.product(bits, bits):
+                assert bool(index.crossing(s) & t) == bool(index.crossing(t) & s)
+            # Built once per separator, and invisible to equality.
+            assert len(index._crossing) == len(bits)
+            assert index == TriangulationContext.build(graph).separator_index()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("width_bound", [None, 3])
     def test_pivots_are_minsep_of_h_in_pivot_order(
         self, kernel, width_bound, monkeypatch
     ):
-        """Every pop's children exclude, one at a time, exactly the
-        clique-tree pass's ``MinSep(H) \\ I`` in ``vertex_set_sort_key``
-        order, each solved by a call of ``repro.engine.strategy.expand_job``
+        """Every pop's children exclude, one at a time, the clique-tree
+        pass's ``MinSep(H) \\ I`` in ``vertex_set_sort_key`` order.  Each
+        child is solved by a call of ``repro.engine.strategy.expand_job``
         looked up through the module (where traced runs wrap it) with
-        ``[I, X]`` as separator-index masks.  The last answer's children
-        are solved only when a reader of the frontier (here
-        ``checkpoint()``) asks for them."""
+        ``[I, X]`` as separator-index masks, except the children the
+        crossing test rules out (computed here at label level), which
+        the DP finds infeasible.  The last answer's children are solved
+        only when a reader of the frontier (here ``checkpoint()``) asks
+        for them."""
         recorded = []
+        skipped_anywhere = 0
         original = strategy.expand_job
 
         def recorder(context, cost, base_table, include, exclude):
@@ -133,8 +183,10 @@ class TestSeparatorIndex:
                 stream = session.stream(graph, cost, width_bound=width_bound)
                 results = list(itertools.islice(stream, 25))
                 stream.close()
-                index = session.context(graph, width_bound).separator_index()
-                expected = []
+                ctx = session.context(graph, width_bound)
+                index = ctx.separator_index()
+                crosses = _crossing_sets(graph, index.separators)
+                expected, skipped = [], []
                 last_children = 0
                 for r in results:
                     minseps = r.triangulation.minimal_separators  # Prim
@@ -143,18 +195,30 @@ class TestSeparatorIndex:
                         mask |= index.pmcs[bag]
                     assert set(index.members(mask)) == minseps
                     pivots = sorted(minseps - r.include, key=vertex_set_sort_key)
-                    expected.extend(
-                        (r.include | frozenset(pivots[:i]), r.exclude | {pivot})
-                        for i, pivot in enumerate(pivots)
-                    )
-                    last_children = len(pivots)
+                    last_children = 0
+                    for i, pivot in enumerate(pivots):
+                        child = (r.include | frozenset(pivots[:i]), r.exclude | {pivot})
+                        if _ruled_out(crosses, *child):
+                            skipped.append(child)
+                        else:
+                            expected.append(child)
+                            last_children += 1
                 # A stream that ran dry was pulled once more, and that
                 # pull solved the last answer's children.
                 pending = last_children if len(results) == 25 else 0
                 assert recorded == expected[: len(expected) - pending]
                 stream.checkpoint()
                 assert recorded == expected
-                assert stream.expansions == len(expected)
+                assert stream.expansions == len(recorded)
+                fill = FillInCost()
+                _first, base_table = min_triangulation_and_table(ctx, fill)
+                for include, exclude in skipped:
+                    assert constrained_min_bags(
+                        ctx, fill, base_table,
+                        index.mask_of(include), index.mask_of(exclude),
+                    ) is None
+                skipped_anywhere += len(skipped)
+        assert skipped_anywhere
 
 
 class TestConstrainedTableReuse:
