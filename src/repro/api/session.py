@@ -175,9 +175,12 @@ class Session:
         width_bound: int | None,
         prebuilt: TriangulationContext | None = None,
         fp: str | None = None,
+        separator_masks: frozenset[int] | None = None,
     ) -> tuple[_CacheEntry, str, bool]:
         """The cache entry of ``graph`` (``fp`` is its fingerprint, if the
-        caller has it); concurrent misses on it share one build."""
+        caller has it); concurrent misses on it share one build, which
+        reuses ``separator_masks`` (``MinSep(G)`` over ``graph``'s vertex
+        order) if given."""
         fp = fp or graph_fingerprint(graph)
         if prebuilt is not None:
             key = (fp, prebuilt.width_bound)
@@ -209,7 +212,10 @@ class Session:
                 # afterwards must not be able to poison the entry it was
                 # fingerprinted under.
                 context = TriangulationContext.build(
-                    graph.copy(), width_bound=width_bound, kernel=self._kernel
+                    graph.copy(),
+                    width_bound=width_bound,
+                    kernel=self._kernel,
+                    separator_masks=separator_masks,
                 )
                 with self._lock:
                     self._builds += 1
@@ -522,6 +528,7 @@ class Session:
         if graph.num_vertices() == 0:
             stream = RankedStream.start(None, None, cost_spec=spec, fingerprint=fp)
             return stream, {"context_cached": False, "init_seconds": 0.0}
+        separator_masks = None
         if self._preprocess_applies(spec, context, preprocess):
             assert spec is not None
             composition = composition_for(spec)
@@ -531,6 +538,12 @@ class Session:
                 return self._open_composed(
                     plan, spec, composition, fp, width_bound=width_bound
                 )
+            # The plan's masks follow its snapshot's vertex order, which
+            # the fingerprint ignores.
+            if plan.separator_masks is not None and list(
+                plan.graph.vertices
+            ) == list(graph.vertices):
+                separator_masks = plan.separator_masks
         if context is None and not graph.is_connected():
             raise ValueError(
                 "ranked enumeration requires a connected graph; "
@@ -539,7 +552,8 @@ class Session:
                 "automatically)"
             )
         entry, fp, cached = self._entry_for(
-            graph, width_bound, prebuilt=context, fp=fp
+            graph, width_bound, prebuilt=context, fp=fp,
+            separator_masks=separator_masks,
         )
         cost_obj = resolve_cost(cost, entry.context.graph)
         prepared = self._prepared(entry, spec, cost_obj, fp)

@@ -118,7 +118,9 @@ DEFAULT_MAX_BYTES = 1 << 30
 #: v6: the ``context``'s separator index carries the tables of its
 #: crossing rows (vertex → separators, each separator's two smallest
 #: full components) and the rows built so far.
-CACHE_FORMAT_VERSION = 6
+#: v7: a ``plan`` read off ``MinSep(G)`` (a non-decomposable graph's)
+#: carries that list as vertex masks (``PreprocessPlan.separator_masks``).
+CACHE_FORMAT_VERSION = 7
 
 _MAGIC = b"REPROART\x01"
 _DIGEST_BYTES = 32

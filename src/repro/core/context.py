@@ -37,7 +37,7 @@ the components ``C_k`` of ``G \\ Ω`` and their neighborhoods
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field
 
 from ..graphs.bitgraph import BitGraph, VertexIndexer, iter_bits
@@ -145,6 +145,7 @@ class TriangulationContext:
         separator_limit: int | None = None,
         pmc_limit: int | None = None,
         kernel: str = "bitset",
+        separator_masks: Collection[int] | None = None,
     ) -> "TriangulationContext":
         """Run the initialization step for ``graph``.
 
@@ -170,6 +171,13 @@ class TriangulationContext:
             for that layer) and finds each PMC's components with one
             search.  Both feed the same compile, so both kernels produce
             identical contexts.
+        separator_masks:
+            ``MinSep(G)`` as masks over ``graph``'s vertex order, if the
+            caller has listed it already (a non-decomposable graph's
+            :class:`~repro.preprocess.recompose.PreprocessPlan` carries
+            it).  The ``bitset`` kernel then skips its own listing and
+            ``separator_limit`` with it; the ``sets`` kernel, the
+            reference, always lists its own.
         """
         started = time.perf_counter()
         validate_kernel(kernel)
@@ -182,9 +190,10 @@ class TriangulationContext:
         indexer = VertexIndexer(graph.vertices)
         if kernel == "bitset":
             bitgraph = BitGraph.from_graph(graph, indexer)
-            separator_masks = minimal_separator_masks(
-                bitgraph, limit=separator_limit
-            )
+            if separator_masks is None:
+                separator_masks = minimal_separator_masks(
+                    bitgraph, limit=separator_limit
+                )
             found = potential_maximal_clique_masks(
                 bitgraph, separator_masks=separator_masks, budget=pmc_limit
             )
@@ -315,7 +324,7 @@ class TriangulationContext:
 def _compile(
     graph: Graph,
     bitgraph: BitGraph,
-    separator_masks: set[int],
+    separator_masks: Collection[int],
     found: dict[int, list[tuple[int, int]]],
     width_bound: int | None,
     kernel: str,

@@ -26,6 +26,13 @@ Step 3 also handles disconnected input for free: the stitched clique
 components, the empty set is a clique, so components are never merged —
 connected-component splitting is just the degenerate case of the
 decomposition.
+
+Step 2 has a second reading: the clique minimal separators are the
+members of ``MinSep(G)`` that are cliques.  So a non-decomposable graph
+needs no MCS-M run here: :meth:`~repro.preprocess.recompose
+.PreprocessPlan.build` reads its plan off ``MinSep(G)``, a list its
+context build needs anyway, and calls :func:`atom_decomposition` only
+for graphs that have a simplicial vertex or a clique in that list.
 """
 
 from __future__ import annotations

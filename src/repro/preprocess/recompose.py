@@ -59,7 +59,9 @@ from ..api.checkpoint import (
 from ..costs.base import Bag, BagCost
 from ..core.ranked import RankedResult
 from ..core.mintriang import Triangulation
+from ..graphs.bitgraph import BitGraph, iter_bits
 from ..graphs.graph import Graph, Vertex
+from ..separators.berry import iter_minimal_separator_masks
 from .atoms import Atom, AtomDecomposition, atom_decomposition
 from .reduce import ReductionStep, ReductionTrace, reduce_graph
 
@@ -177,6 +179,12 @@ class PreprocessPlan:
         triangulation (itself, one bag), so it contributes a constant.
     variable_atoms:
         Atoms needing a real per-atom ranked stream.
+    separator_masks:
+        ``MinSep(G)`` as vertex masks over :attr:`graph`'s vertex order,
+        when the plan was read off it (see :meth:`build`), else
+        ``None``.  Such a plan is trivial, and the session hands the
+        list to the graph's context build, which then does not list
+        the separators again.
     """
 
     graph: Graph
@@ -185,6 +193,7 @@ class PreprocessPlan:
     decomposition: AtomDecomposition
     complete_atoms: tuple[Atom, ...]
     variable_atoms: tuple[Atom, ...]
+    separator_masks: frozenset[int] | None = None
 
     @staticmethod
     def build(graph: Graph, *, duplicate_sensitive: bool = False) -> "PreprocessPlan":
@@ -193,12 +202,29 @@ class PreprocessPlan:
         The plan depends on the graph and the ``duplicate_sensitive``
         flag of the cost composition only — it is shared across cost
         specs with the same flag, width bounds and kernels.
+
+        A connected graph with no simplicial vertex (so not complete)
+        is first read off ``MinSep(G)``, listed until its first clique.
+        With no clique in it the plan is trivial, by two facts:
+        reductions only eliminate simplicial vertices, so none apply;
+        and every clique separator contains a clique minimal separator
+        (Berry, Pogorelcnik and Simonet), so the graph is its own only
+        atom.  Every other graph is reduced, then decomposed.
         """
         snapshot = graph.copy()
-        reduced, trace = reduce_graph(
-            snapshot, duplicate_sensitive=duplicate_sensitive
-        )
-        decomposition = atom_decomposition(reduced)
+        separator_masks = _clique_free_separators(snapshot)
+        if separator_masks is None:
+            reduced, trace = reduce_graph(
+                snapshot, duplicate_sensitive=duplicate_sensitive
+            )
+            decomposition = atom_decomposition(reduced)
+        else:
+            reduced, trace = snapshot, ReductionTrace(steps=())
+            decomposition = AtomDecomposition(
+                graph=reduced,
+                atoms=(frozenset(reduced.vertices),),
+                separators=(),
+            )
         complete = tuple(
             a for a in decomposition.atoms if reduced.is_clique(a)
         )
@@ -212,6 +238,7 @@ class PreprocessPlan:
             decomposition=decomposition,
             complete_atoms=complete,
             variable_atoms=variable,
+            separator_masks=separator_masks,
         )
 
     @property
@@ -237,6 +264,24 @@ class PreprocessPlan:
             f"({len(self.variable_atoms)} enumerated, "
             f"{len(self.complete_atoms)} complete)"
         )
+
+
+def _clique_free_separators(graph: Graph) -> frozenset[int] | None:
+    """``MinSep(G)`` as masks over ``graph``'s vertex order, or ``None``
+    if ``graph`` is empty, disconnected, has a simplicial vertex or has
+    a clique minimal separator (listing stops at the first)."""
+    bitgraph = BitGraph.from_graph(graph)
+    full, adj = bitgraph.full_mask, bitgraph.adj
+    if not full or not bitgraph.is_connected():
+        return None
+    if any(bitgraph.is_clique(adj[v]) for v in iter_bits(full)):
+        return None
+    separators = set()
+    for mask in iter_minimal_separator_masks(bitgraph):
+        if bitgraph.is_clique(mask):
+            return None
+        separators.add(mask)
+    return frozenset(separators)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ import json
 import pytest
 
 from repro.api import Session
+from repro.cache import ArtifactStore
 from tests.core.test_golden import COST_SPECS, GRAPHS, MODES, TOP_K, serialize_sequence
+from tests.preprocess.test_plan_shortcut import count_calls
 
 # A representative slice of the corpus: random, structured, and
 # decomposition-friendly instances.  The full sweep runs in CI.
@@ -42,6 +44,30 @@ def test_cold_equals_warm_bytes(tmp_path, name, cost, mode):
     assert disk["kinds"]["answers"]["hits"] >= 1
     hits = sum(k["hits"] for k in disk["kinds"].values())
     assert hits >= 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("cost", COST_SPECS)
+@pytest.mark.parametrize("name", CASES)
+def test_stored_plans_only_equal_cold_bytes(tmp_path, monkeypatch, name, cost, mode):
+    """With only the plans left in the store, every request reads its
+    plan from disk and builds the rest: a stored plan routes to the
+    direct or the composed stream as a fresh one does, and a
+    non-decomposable graph's plan still hands its separators to the
+    context build."""
+    cache_dir = tmp_path / "cache"
+    cold, _ = _run(name, cost, mode, cache_dir)
+    with ArtifactStore(cache_dir) as store:
+        for kind in ("context", "prepared", "answers"):
+            store.clear(kind)
+    listings = count_calls(monkeypatch, "minimal_separator_masks")
+    plans, disk = _run(name, cost, mode, cache_dir)
+    assert plans == cold
+    if mode == "preprocess":
+        assert disk["kinds"]["plan"]["hits"] >= 1
+        factory, _decoder = GRAPHS[name]
+        if Session().plan_for(factory()).separator_masks is not None:
+            assert listings == []
 
 
 #: The extension gate triples the enumeration work per case, so it runs

@@ -203,9 +203,10 @@ def test_format_2_prepared_table_reads_as_clean_miss(tmp_path, name):
     ]
 
 
-#: Field names of the persisted context under ``CACHE_FORMAT_VERSION``.
+#: Field names of the persisted context, its separator index and the
+#: persisted preprocessing plan under ``CACHE_FORMAT_VERSION``.
 PERSISTED_SHAPE = (
-    6,
+    7,
     (
         "graph",
         "separators",
@@ -234,26 +235,38 @@ PERSISTED_SHAPE = (
         "sides",
         "_crossing",
     ),
+    (
+        "graph",
+        "trace",
+        "reduced",
+        "decomposition",
+        "complete_atoms",
+        "variable_atoms",
+        "separator_masks",
+    ),
 )
 
 
 def test_persisted_context_shape_is_pinned_to_the_format_version():
-    """Contexts are pickled into the store, so a change to their fields
-    must come with a format bump, or another build's entries load into
-    objects this build cannot use."""
+    """Contexts and plans are pickled into the store, so a change to
+    their fields must come with a format bump, or another build's
+    entries load into objects this build cannot use."""
     from dataclasses import fields
 
     from repro.cache.store import CACHE_FORMAT_VERSION
     from repro.core.context import SeparatorIndex, TriangulationContext
+    from repro.preprocess.recompose import PreprocessPlan
 
     shape = (
         CACHE_FORMAT_VERSION,
         tuple(f.name for f in fields(TriangulationContext)),
         tuple(f.name for f in fields(SeparatorIndex)),
+        tuple(f.name for f in fields(PreprocessPlan)),
     )
     assert shape == PERSISTED_SHAPE, (
-        "TriangulationContext or SeparatorIndex changed shape, so contexts "
-        "persisted by other builds no longer load. Bump CACHE_FORMAT_VERSION "
+        "TriangulationContext, SeparatorIndex or PreprocessPlan changed "
+        "shape, so contexts or plans persisted by other builds no longer "
+        "load. Bump CACHE_FORMAT_VERSION "
         "in repro/cache/store.py (with a line in its comment), then update "
         "PERSISTED_SHAPE here."
     )
