@@ -3,12 +3,15 @@
 ``RankedTriang`` emits one deterministic sequence per graph, cost and
 width bound, so serving a request is one job whichever surface runs it:
 open the ranked stream, derive the mode's answers over it (Proposition
-6.1 for decompositions), stop on a limit or a clock, report stats and
-store the prefix.  :class:`Job` is that job.  :meth:`Session.execute
+6.1 for decompositions), cut the page on a cancel, a deadline or an
+answer limit, build the page's one terminal record and store the
+prefix.  :class:`Job` is that job.  :meth:`Session.execute
 <repro.api.session.Session.execute>` and :meth:`Session.resume
-<repro.api.session.Session.resume>` pull it to completion; the service
-scheduler's runner pulls it in slices.  Open one with
-:meth:`Session.job <repro.api.session.Session.job>`.
+<repro.api.session.Session.resume>` take it whole; the service
+scheduler's runner takes it in slices.  Open one with
+:meth:`Session.job <repro.api.session.Session.job>`.  A page the
+answers tier serves whole runs no job; :func:`replayed_stats` is its
+terminal record.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from ..core.spanning import clique_trees
 from ..preprocess.recompose import ComposedRankedStream
 from .response import EnumerationStats
 
-__all__ = ["Job"]
+__all__ = ["Job", "replayed_stats"]
 
 
 def _diverse_selection(
@@ -76,21 +79,26 @@ def _expand_decompositions(stream, per_triangulation: int | None):
 
 
 class Job:
-    """A request's ranked stream, the mode's results over it, the live
-    stretch the answers tier stores, and its one stats block.
+    """A request's ranked stream, the mode's results over it, the page's
+    stop rule, the live stretch the answers tier stores, and its one
+    terminal record.
 
-    Iterate it for the mode's results: ranked results, diverse
-    triangulations or ranked decompositions.  ``emitted`` counts the
-    answers delivered so far, starting at the count delivered before
-    the job opened (a replayed head).  ``stream`` is ``None`` only for
-    a fresh request for zero answers, which opens nothing.
+    :meth:`take` pulls the mode's results (ranked results, diverse
+    triangulations or ranked decompositions) and checks, before every
+    answer, the ``cancel`` event, the ``deadline`` (an instant on
+    :func:`time.monotonic`) and the answer ``limit``, in that order;
+    :attr:`terminal` then names how the page ended.  :meth:`finish`
+    returns the page's :class:`~repro.api.response.EnumerationStats`.
+    ``emitted`` counts the answers delivered so far, starting at the
+    count delivered before the job opened (a replayed head).  ``request``
+    is ``None`` for a plain ranked continuation; ``stream`` is ``None``
+    only for a fresh request for zero answers, which opens nothing.
     """
 
     def __init__(
         self,
-        mode: str,
+        request,
         stream,
-        results,
         *,
         meta: dict,
         answers,
@@ -99,11 +107,33 @@ class Job:
         cost_spec: str | None,
         started: float,
         emitted: int = 0,
+        limit: int | None = None,
+        deadline: float | None = None,
+        cancel=None,
     ) -> None:
-        self.mode = mode
+        self.mode = "ranked" if request is None else request.mode
         self.stream = stream
         self.emitted = emitted
-        self._results = results
+        #: How the page ended (``"stats"``, ``"deadline"`` or
+        #: ``"cancelled"``); ``None`` while it runs.
+        self.terminal: str | None = None
+        self._limit = limit
+        self._deadline = deadline
+        self._cancel = cancel
+        self._drained = False
+        if stream is None:
+            self._results = iter(())
+        elif self.mode == "diverse":
+            # Polled once per scanned candidate, so a cancel or a
+            # deadline lands mid-scan.
+            self._results = _diverse_selection(
+                stream, request.result_limit, request.min_distance,
+                request.scan_limit, should_stop=self.interruption,
+            )
+        elif self.mode == "decompositions":
+            self._results = _expand_decompositions(stream, request.per_triangulation)
+        else:
+            self._results = stream
         self._meta = meta
         self._answers = answers
         self._kernel = kernel
@@ -121,20 +151,48 @@ class Job:
         self._checkpoint = None
         self._token: bytes | None = None
 
-    def __iter__(self) -> "Job":
-        return self
+    def interruption(self) -> str | None:
+        """The terminal an interruption calls for now, if any:
+        ``"cancelled"`` once the cancel event is set, else
+        ``"deadline"`` once the deadline has passed."""
+        if self._cancel is not None and self._cancel.is_set():
+            return "cancelled"
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            return "deadline"
+        return None
 
-    def __next__(self):
-        if self._results is None:
-            raise StopIteration
-        self._checkpoint = self._token = None
-        result = next(self._results)
-        self.emitted += 1
-        if self._collected is not None:
-            self._collected.append(result)
-            if self._base + len(self._collected) > MAX_PREFIX:
-                self._collected = None
-        return result
+    def take(self, max_answers: int | None = None) -> list:
+        """The next answers, until the page ends or ``max_answers``.
+
+        Before each answer, the first of these that holds ends the page
+        and sets :attr:`terminal`: the cancel event (``"cancelled"``),
+        the deadline (``"deadline"``), the answer limit (``"stats"``).
+        Only then does ``max_answers`` end the call, so the call that
+        takes the last answer of a limit also ends the page.  When the
+        results run out, the page ends on the interruption that holds
+        then (a diverse scan stops early on one), else on ``"stats"``.
+        An ended page takes nothing more.
+        """
+        taken: list = []
+        while self.terminal is None:
+            at_limit = self._limit is not None and self.emitted >= self._limit
+            self.terminal = self.interruption() or ("stats" if at_limit else None)
+            if self.terminal is not None or len(taken) == max_answers:
+                break
+            self._checkpoint = self._token = None
+            try:
+                result = next(self._results)
+            except StopIteration:
+                self._drained = True
+                self.terminal = self.interruption() or "stats"
+                break
+            self.emitted += 1
+            if self._collected is not None:
+                self._collected.append(result)
+                if self._base + len(self._collected) > MAX_PREFIX:
+                    self._collected = None
+            taken.append(result)
+        return taken
 
     def checkpoint(self):
         """The stream's frontier, in ranked mode; ``None`` otherwise.
@@ -157,16 +215,17 @@ class Job:
                 self._token = checkpoint.to_bytes()
         return self._token
 
-    def stats(
-        self, *, drained: bool = False, timed_out: bool = False
-    ) -> EnumerationStats:
-        """The job's measurements; ``drained`` says the results ran out.
+    def finish(self) -> EnumerationStats:
+        """The page's terminal record; then publishes the live stretch
+        to the answers tier and closes the job.
 
         Ranked and diverse pages are exhausted when the stream is; a
-        decomposition page only if its expansion drained as well.
+        decompositions page only if its expansion drained as well.  A
+        page finished before :meth:`take` ended it reads ``"stats"``.
         """
         stream = self.stream
-        return EnumerationStats(
+        ranked = stream is not None and self.mode == "ranked"
+        stats = EnumerationStats(
             fingerprint=self._fingerprint,
             mode=self.mode,
             cost_spec=self._cost_spec,
@@ -174,37 +233,33 @@ class Job:
             expansions=stream.expansions if stream is not None else 0,
             init_seconds=self._meta["init_seconds"],
             context_cached=self._meta["context_cached"],
-            elapsed_seconds=time.perf_counter() - self._started,
+            elapsed_seconds=time.monotonic() - self._started,
             engine=stream.engine_name if stream is not None else "none",
             exhausted=stream is not None
             and stream.exhausted
-            and (drained or self.mode != "decompositions"),
-            timed_out=timed_out,
+            and (self._drained or self.mode != "decompositions"),
+            terminal=self.terminal or "stats",
+            next_rank=stream.next_rank if ranked else None,
             preprocessed=isinstance(stream, ComposedRankedStream),
             kernel=self._kernel,
         )
-
-    def publish(self) -> None:
-        """Merge the live stretch into the answers tier, best-effort.
-
-        Call it only where the stream stopped between answers.  A cache
-        failure (a full disk, labels a token cannot encode) never fails
-        the request that already has its answers.
-        """
+        # Merge the live stretch into the answers tier, best-effort: a
+        # cache failure (a full disk, labels a token cannot encode)
+        # never fails the page that already has its answers.
         collected = self._collected
-        if collected is None or (not collected and self._base == 0):
-            return
-        stream = self.stream
-        try:
-            self._answers.publish(
-                self._base,
-                collected,
-                self.token(),
-                exhausted=stream.exhausted,
-                preprocessed=isinstance(stream, ComposedRankedStream),
-            )
-        except Exception:
-            pass
+        if collected is not None and (collected or self._base != 0):
+            try:
+                self._answers.publish(
+                    self._base,
+                    collected,
+                    self.token(),
+                    exhausted=stats.exhausted,
+                    preprocessed=stats.preprocessed,
+                )
+            except Exception:
+                pass
+        self.close()
+        return stats
 
     def close(self) -> None:
         """Release the stream (idempotent)."""
@@ -213,3 +268,28 @@ class Job:
             close()
         if self.stream is not None:
             self.stream.close()
+
+
+def replayed_stats(answers, head, *, kernel: str, started: float) -> EnumerationStats:
+    """The terminal record of a page the answers tier serves whole.
+
+    ``answers`` is the :class:`~repro.cache.answers.AnswerCache` that
+    replayed ``head`` (an :class:`~repro.cache.answers.AnswerPage`);
+    ``started`` is the :func:`time.monotonic` instant the page began.
+    No stream ran: ``engine`` reads ``"cache"`` and ``expansions`` 0.
+    """
+    return EnumerationStats(
+        fingerprint=answers.fingerprint,
+        mode="ranked",
+        cost_spec=answers.cost_spec,
+        emitted=len(head.results),
+        expansions=0,
+        init_seconds=0.0,
+        context_cached=False,
+        elapsed_seconds=time.monotonic() - started,
+        engine="cache",
+        exhausted=head.exhausted,
+        next_rank=head.end,
+        preprocessed=head.preprocessed,
+        kernel=kernel,
+    )

@@ -11,16 +11,45 @@ and the convenience methods (``top`` / ``diverse`` /
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Union
 
 from ..costs.base import BagCost
 from ..graphs.graph import Graph
 
-__all__ = ["EnumerationRequest", "MODES"]
+__all__ = ["EnumerationRequest", "MODES", "check_bounds"]
 
 #: Valid request modes.
 MODES = ("ranked", "diverse", "decompositions")
+
+# The numeric bounds of a request, one row per field:
+# ``(field, relation, bound)``.  Both request types hold to them, the
+# library's EnumerationRequest and the service's ServiceRequest.
+_BOUNDS = (
+    ("k", ">=", 0),
+    ("min_distance", ">=", 1),
+    ("answer_budget", ">=", 0),
+    ("time_budget", ">", 0),
+    ("deadline", ">", 0),
+)
+
+_HOLDS = {">=": operator.ge, ">": operator.gt}
+
+
+def check_bounds(request) -> None:
+    """Raise :class:`ValueError` on the first field of ``request``
+    outside its bound.
+
+    A field that is ``None``, or that the request type lacks, is
+    unbounded.  The check asks whether the bound holds, so NaN, which
+    fails every comparison, is refused; infinity passes a lower bound.
+    """
+    for name, relation, bound in _BOUNDS:
+        value = getattr(request, name, None)
+        if value is not None and not _HOLDS[relation](value, bound):
+            raise ValueError(f"{name} must be {relation} {bound}, got {value}")
+
 
 GraphSource = Union[Graph, str]
 CostSpec = Union[str, BagCost]
@@ -69,8 +98,11 @@ class EnumerationRequest:
         pipeline.  Both routes rank over the full graph and agree on
         every cost and every answer set.
     time_budget:
-        Wall-clock seconds after which collection stops early (the
-        response then carries a resumable checkpoint in ranked mode).
+        Wall-clock seconds from the call's start after which collection
+        stops, checked before every answer, the first included, as the
+        service checks its ``deadline`` (the response then reads
+        ``stats.terminal == "deadline"`` and, in ranked mode, carries a
+        resumable checkpoint).
     answer_budget:
         Hard cap on emitted answers, applied on top of ``k``.
     """
@@ -101,16 +133,7 @@ class EnumerationRequest:
                 "cost must be a registry name or a BagCost instance, "
                 f"got {type(self.cost).__name__}"
             )
-        if self.k is not None and self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.min_distance < 1:
-            raise ValueError(f"min_distance must be >= 1, got {self.min_distance}")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError(f"time_budget must be > 0, got {self.time_budget}")
-        if self.answer_budget is not None and self.answer_budget < 0:
-            raise ValueError(
-                f"answer_budget must be >= 0, got {self.answer_budget}"
-            )
+        check_bounds(self)
 
     # ------------------------------------------------------------------
     def resolve_graph(self) -> Graph:

@@ -4,7 +4,9 @@ Every session call returns an :class:`EnumerationResponse`: the answers,
 an :class:`EnumerationStats` block (timing, expansion counts, cache
 provenance — the quantities behind the paper's ``init`` / ``delay``
 columns), and, for ranked mode, the checkpoint from which the sequence
-continues.
+continues.  The stats block is a page's one terminal record: the
+service renders its terminal frame from the same record
+(:func:`repro.service.protocol.terminal_frame`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ __all__ = ["EnumerationStats", "EnumerationResponse"]
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Measurements for one executed request.
+    """The terminal record of one page: how it ended and what it cost.
+
+    :meth:`Job.finish <repro.api.job.Job.finish>` builds it for a live
+    page and :func:`~repro.api.job.replayed_stats` for a page the
+    answers tier serves whole; the library returns it as
+    :attr:`EnumerationResponse.stats` and the service renders it as the
+    page's terminal frame.
 
     Attributes
     ----------
@@ -44,8 +52,10 @@ class EnumerationStats:
         Whether the triangulation context was reused from the session's
         LRU cache rather than built for this request.
     elapsed_seconds:
-        Wall-clock time spent collecting answers (excludes a cached
-        context's original build time).
+        Seconds on :func:`time.monotonic` from the job's open to this
+        record: opening the stream (a context build on a miss) and
+        collecting the answers, not a service job's wait for its first
+        slot, nor a cached context's original build time.
     engine:
         Which path served the request: ``"serial"`` (a live direct
         stream), ``"composed"`` (the preprocessing pipeline),
@@ -54,8 +64,16 @@ class EnumerationStats:
         was left to enumerate when the stream opened).
     exhausted:
         Whether the enumeration space was fully emitted.
-    timed_out:
-        Whether collection stopped on the request's ``time_budget``.
+    terminal:
+        How the page ended: ``"stats"`` (the results or the answer limit
+        ran out), ``"deadline"`` (the library's ``time_budget`` or the
+        service's ``deadline`` passed) or ``"cancelled"`` (the job's
+        cancel event was set).  The service's terminal frame has this
+        type.
+    next_rank:
+        The rank a ranked page continues at, set even when the page is
+        exhausted; ``None`` in the other modes and for a fresh request
+        for zero answers, which opens no stream.
     preprocessed:
         Whether the request was served by the preprocessing pipeline
         (safe reductions + clique-separator atoms with ranked
@@ -78,9 +96,15 @@ class EnumerationStats:
     elapsed_seconds: float
     engine: str
     exhausted: bool
-    timed_out: bool = False
+    terminal: str = "stats"
+    next_rank: int | None = None
     preprocessed: bool = False
     kernel: str = ""
+
+    @property
+    def timed_out(self) -> bool:
+        """Whether the page stopped on its deadline."""
+        return self.terminal == "deadline"
 
 
 @dataclass(frozen=True)

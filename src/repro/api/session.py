@@ -46,9 +46,9 @@ from ..preprocess.recompose import (
 )
 from .checkpoint import StreamCheckpoint, load_checkpoint
 from .fingerprint import graph_fingerprint
-from .job import Job, _diverse_selection, _expand_decompositions
+from .job import Job, _expand_decompositions, replayed_stats
 from .request import EnumerationRequest
-from .response import EnumerationResponse, EnumerationStats
+from .response import EnumerationResponse
 from .stream import RankedStream
 
 __all__ = ["Session"]
@@ -655,7 +655,9 @@ class Session:
         cost: "str | object | None" = None,
         context: TriangulationContext | None = None,
         emitted: int = 0,
-        should_stop=None,
+        limit: int | None = None,
+        deadline: float | None = None,
+        cancel: "threading.Event | None" = None,
     ) -> Job:
         """Open one request's :class:`~repro.api.job.Job`.
 
@@ -667,11 +669,15 @@ class Session:
         before it; otherwise it opens the request on ``graph`` (default:
         the request's own; ``fingerprint`` is its hash, if the caller
         has it) or on a prebuilt ``context``.  A fresh request for zero
-        answers opens nothing.  ``should_stop`` is polled once per
-        scanned candidate in diverse mode.
+        answers opens nothing.  The page's stop rule: ``cancel`` (a
+        :class:`threading.Event`), ``deadline`` (a :func:`time.monotonic`
+        instant) and ``limit`` (a cap on ``emitted``), checked in that
+        order before every answer (:meth:`Job.take
+        <repro.api.job.Job.take>`).
         """
-        started = time.perf_counter()
-        mode = "ranked" if request is None else request.mode
+        started = time.monotonic()
+        stream = answers = None
+        meta = {"context_cached": False, "init_seconds": 0.0}
         if checkpoint is not None:
             if isinstance(checkpoint, (bytes, bytearray)):
                 checkpoint = load_checkpoint(bytes(checkpoint))
@@ -685,43 +691,31 @@ class Session:
 
                 graph = read_graph(graph)
             fingerprint = fingerprint or graph_fingerprint(graph)
-            if mode == "diverse" and request.k is None:
+            if request.mode == "diverse" and request.k is None:
                 raise ValueError("diverse mode requires k")
-            if request.result_limit == 0:
-                return Job(
-                    mode, None, None,
-                    meta={"context_cached": False, "init_seconds": 0.0},
-                    answers=None, kernel=self._kernel, fingerprint=fingerprint,
-                    cost_spec=request.cost if isinstance(request.cost, str) else None,
-                    started=started,
+            if request.result_limit != 0:
+                stream, meta = self._open(
+                    graph,
+                    request.cost,
+                    width_bound=request.width_bound,
+                    context=context,
+                    preprocess=request.preprocess,
+                    fp=fingerprint,
                 )
-            stream, meta = self._open(
-                graph,
-                request.cost,
-                width_bound=request.width_bound,
-                context=context,
-                preprocess=request.preprocess,
-                fp=fingerprint,
-            )
-            answers = None
-            if context is None and mode == "ranked":
-                answers = AnswerCache.for_request(
-                    self._store, fingerprint, request.cost,
-                    request.width_bound, self._preprocess_flag(request),
-                )
-        if mode == "diverse":
-            results = _diverse_selection(
-                stream, request.result_limit, request.min_distance,
-                request.scan_limit, should_stop=should_stop,
-            )
-        elif mode == "decompositions":
-            results = _expand_decompositions(stream, request.per_triangulation)
+                if context is None and request.mode == "ranked":
+                    answers = AnswerCache.for_request(
+                        self._store, fingerprint, request.cost,
+                        request.width_bound, self._preprocess_flag(request),
+                    )
+        if stream is not None:
+            fingerprint, cost_spec = stream.fingerprint, stream.cost_spec
         else:
-            results = stream
+            cost_spec = request.cost if isinstance(request.cost, str) else None
         return Job(
-            mode, stream, results, meta=meta, answers=answers,
-            kernel=self._kernel, fingerprint=stream.fingerprint,
-            cost_spec=stream.cost_spec, started=started, emitted=emitted,
+            request, stream, meta=meta, answers=answers,
+            kernel=self._kernel, fingerprint=fingerprint, cost_spec=cost_spec,
+            started=started, emitted=emitted,
+            limit=limit, deadline=deadline, cancel=cancel,
         )
 
     def _preprocess_flag(self, request) -> bool:
@@ -743,7 +737,7 @@ class Session:
         the rest from the head's stored frontier and writes the longer
         prefix back.
         """
-        started = time.perf_counter()
+        started = time.monotonic()
         graph = request.resolve_graph()
         fp = graph_fingerprint(graph)
         answers = None
@@ -772,26 +766,16 @@ class Session:
         """One page from position ``start``: the head ``answers`` can
         replay (over ``head_graph``, a graph or a callable returning
         one), then a live :class:`~repro.api.job.Job` (opened with
-        ``job_kwargs``, or on the head's end) until ``limit`` answers or
-        the time budget, polled after each answer."""
+        ``job_kwargs``, or on the head's end) that takes the rest up to
+        ``limit`` answers, under a deadline ``time_budget`` seconds
+        after ``started`` (a :func:`time.monotonic` instant)."""
         head = None
         if answers is not None:
             head = answers.replay(answers.load(), head_graph, start, limit)
         if head is not None:
             if head.serves(limit):
-                stats = EnumerationStats(
-                    fingerprint=answers.fingerprint,
-                    mode="ranked",
-                    cost_spec=answers.cost_spec,
-                    emitted=len(head.results),
-                    expansions=0,
-                    init_seconds=0.0,
-                    context_cached=False,
-                    elapsed_seconds=time.perf_counter() - started,
-                    engine="cache",
-                    exhausted=head.exhausted,
-                    preprocessed=head.preprocessed,
-                    kernel=self._kernel,
+                stats = replayed_stats(
+                    answers, head, kernel=self._kernel, started=started
                 )
                 return EnumerationResponse(
                     head.results, stats, load_checkpoint(head.checkpoint)
@@ -799,34 +783,16 @@ class Session:
             job_kwargs.update(
                 checkpoint=head.checkpoint, emitted=len(head.results)
             )
-        results = list(head.results) if head is not None else []
-        timed_out = False
-
-        def over_budget() -> bool:
-            nonlocal timed_out
-            if (
-                time_budget is not None
-                and time.perf_counter() - started > time_budget
-            ):
-                timed_out = True
-            return timed_out
-
-        job = self.job(request, should_stop=over_budget, **job_kwargs)
+        deadline = None if time_budget is None else started + time_budget
+        job = self.job(request, limit=limit, deadline=deadline, **job_kwargs)
         try:
-            drained = False
-            while limit is None or job.emitted < limit:
-                try:
-                    results.append(next(job))
-                except StopIteration:
-                    drained = True
-                    break
-                if over_budget():
-                    break
-            stats = job.stats(drained=drained, timed_out=timed_out)
+            results = job.take()
             checkpoint = job.checkpoint()
-            job.publish()
+            stats = job.finish()
         finally:
             job.close()
+        if head is not None:
+            results = [*head.results, *results]
         return EnumerationResponse(
             results=tuple(results), stats=stats, checkpoint=checkpoint
         )
@@ -1077,7 +1043,7 @@ class Session:
         rest from the head's stored frontier (or from the checkpoint) and
         publishes its stretch back.
         """
-        started = time.perf_counter()
+        started = time.monotonic()
         if isinstance(checkpoint, (bytes, bytearray)):
             checkpoint = load_checkpoint(bytes(checkpoint))
         answers = None

@@ -218,10 +218,9 @@ def figure7(
 
     rows: list[dict] = []
     for inst in figure7_instances(sizes=sizes, draws=draws):
-        started = time.perf_counter()
         try:
             count: int | None = len(
-                minimal_separators(inst.graph, deadline=started + budget)
+                minimal_separators(inst.graph, deadline=time.monotonic() + budget)
             )
             timeout = False
         except SeparatorLimitExceeded:

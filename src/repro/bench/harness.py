@@ -64,7 +64,7 @@ def probe_tractability(
     """
     started = time.perf_counter()
     try:
-        separators = minimal_separators(graph, deadline=started + ms_budget)
+        separators = minimal_separators(graph, deadline=time.monotonic() + ms_budget)
     except SeparatorLimitExceeded:
         return TractabilityProbe(
             name=name,
@@ -81,7 +81,7 @@ def probe_tractability(
     pmc_started = time.perf_counter()
     try:
         pmcs = potential_maximal_cliques(
-            graph, separators=separators, deadline=pmc_started + pmc_budget
+            graph, separators=separators, deadline=time.monotonic() + pmc_budget
         )
     except SeparatorLimitExceeded:
         return TractabilityProbe(

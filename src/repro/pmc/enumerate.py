@@ -417,7 +417,7 @@ def potential_maximal_clique_masks(
             per_prefix[i],
             budget=budget,
         )
-        if deadline is not None and time.perf_counter() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             labels_of = bitgraph.indexer.labels_of
             raise SeparatorLimitExceeded(
                 "PMC enumeration hit its time budget",
@@ -449,7 +449,7 @@ def potential_maximal_cliques(
     order:
         Optional vertex insertion order (defaults to BFS order).
     deadline:
-        Optional :func:`time.perf_counter` value bounding the wall clock
+        Optional :func:`time.monotonic` instant bounding the wall clock
         (raises :class:`SeparatorLimitExceeded` when exceeded) — the PMC
         half of the Figure 5 tractability gate.
     kernel:
@@ -500,7 +500,7 @@ def potential_maximal_cliques(
             per_prefix[i],
             budget=budget,
         )
-        if deadline is not None and time.perf_counter() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise SeparatorLimitExceeded(
                 "PMC enumeration hit its time budget", partial=pmcs
             )

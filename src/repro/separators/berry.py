@@ -222,7 +222,7 @@ def minimal_separator_masks(
                 f"more than {limit} minimal separators",
                 partial={labels_of(m) for m in out},
             )
-        if deadline is not None and time.perf_counter() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise SeparatorLimitExceeded(
                 "minimal separator enumeration hit its time budget",
                 partial={labels_of(m) for m in out},
@@ -253,7 +253,7 @@ def minimal_separators(
         minimal-separator generation blows up are reported as intractable
         rather than looping forever.
     deadline:
-        Optional :func:`time.perf_counter` value; exceeding it raises
+        Optional :func:`time.monotonic` instant; passing it raises
         :class:`SeparatorLimitExceeded` too (the wall-clock budget of the
         Figure 5 tractability study).
     """
@@ -266,7 +266,7 @@ def minimal_separators(
             raise SeparatorLimitExceeded(
                 f"more than {limit} minimal separators", partial=out
             )
-        if deadline is not None and time.perf_counter() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise SeparatorLimitExceeded(
                 "minimal separator enumeration hit its time budget", partial=out
             )

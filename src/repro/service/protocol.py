@@ -58,6 +58,7 @@ import os
 import secrets
 from dataclasses import dataclass, field
 
+from ..api.request import check_bounds
 from ..graphs.graph import Graph, Vertex
 from ..graphs.kernels import validate_kernel
 from ..graphs.ordering import vertex_set_sort_key, vertex_sort_key
@@ -86,6 +87,7 @@ __all__ = [
     "graph_to_wire",
     "graph_from_wire",
     "answer_frame",
+    "terminal_frame",
     "serialize_answers",
     "parse_request",
 ]
@@ -377,6 +379,36 @@ def answer_frame(result, rank: int | None = None) -> dict:
     return frame
 
 
+def terminal_frame(stats, token: bytes | None = None) -> dict:
+    """The terminal frame of a page whose record is ``stats`` (an
+    :class:`~repro.api.response.EnumerationStats`): its ``type`` is
+    ``stats.terminal``.
+
+    Every terminal frame carries ``emitted``, ``next_rank`` and
+    ``checkpoint`` (the signed resume ``token``, base64-wrapped, or
+    ``null``); a ``stats`` frame also carries ``expansions``,
+    ``exhausted``, ``elapsed_seconds`` (rounded to the microsecond),
+    ``engine`` and ``preprocessed``.  A library response holds the same
+    record, so ``terminal_frame(response.stats)`` equals the wire's
+    frame but for ``elapsed_seconds`` and ``checkpoint``.
+    """
+    frame = {
+        "type": stats.terminal,
+        "emitted": stats.emitted,
+        "next_rank": stats.next_rank,
+        "checkpoint": encode_token(token) if token is not None else None,
+    }
+    if stats.terminal == "stats":
+        frame.update(
+            expansions=stats.expansions,
+            exhausted=stats.exhausted,
+            elapsed_seconds=round(stats.elapsed_seconds, 6),
+            engine=stats.engine,
+            preprocessed=stats.preprocessed,
+        )
+    return frame
+
+
 def serialize_answers(results) -> list[bytes]:
     """The exact frame bytes a server streams for ``results``.
 
@@ -439,18 +471,10 @@ class ServiceRequest:
             raise ProtocolError("cost must be a registry name string")
         if self.op in ("top", "diverse") and self.k is None:
             raise ProtocolError(f"op {self.op!r} requires field(s) k")
-        if self.k is not None and self.k < 0:
-            raise ProtocolError(f"k must be >= 0, got {self.k}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ProtocolError(f"deadline must be > 0, got {self.deadline}")
-        if self.answer_budget is not None and self.answer_budget < 0:
-            raise ProtocolError(
-                f"answer_budget must be >= 0, got {self.answer_budget}"
-            )
-        if self.min_distance < 1:
-            raise ProtocolError(
-                f"min_distance must be >= 1, got {self.min_distance}"
-            )
+        try:
+            check_bounds(self)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
 
     @property
     def result_limit(self) -> int | None:

@@ -11,17 +11,24 @@ every cheap job admitted alongside it.  Fairness falls out of the slot
 semaphore's FIFO wakeups: after each slice a job goes to the back of
 the line.
 
-Per-job controls, all cooperative (checked between answers, never by
-killing a thread):
+Per-job controls, all cooperative (never by killing a thread): the
+job's one stop rule (:meth:`Job.take <repro.api.job.Job.take>`, the
+rule the library's pages follow too) checks them before every answer,
+the first included, in this order:
 
-* ``deadline``      — wall-clock seconds from admission; on expiry the
-  job ends with a ``deadline`` frame carrying a resume token;
-* ``answer_budget`` / ``k`` — caps on streamed answers; the terminal
-  ``stats`` frame carries the token for the remainder;
 * :meth:`EnumerationScheduler.cancel` — sets the job's cancel event;
   the running slice notices at the next answer boundary, emits a
   ``cancelled`` frame (with a token when the stream is pausable) and
   releases the slot.  This is exactly what a client disconnect triggers.
+* ``deadline``      — wall-clock seconds from the job's runner start,
+  an instant on :func:`time.monotonic`; on expiry the job ends with a
+  ``deadline`` frame carrying a resume token;
+* ``answer_budget`` / ``k`` — caps on streamed answers; the terminal
+  ``stats`` frame carries the token for the remainder.
+
+Every terminal frame is rendered from the page's one record
+(:class:`~repro.api.response.EnumerationStats`) by
+:func:`~repro.service.protocol.terminal_frame`.
 
 Emission-order guarantee: each job owns its stream exclusively, slices
 of one job never overlap, and the frames of consecutive slices are
@@ -55,10 +62,11 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from ..api import Session, graph_fingerprint, load_checkpoint
 from ..api.checkpoint import read_header
-from ..api.job import Job
+from ..api.job import Job, replayed_stats
 from ..cache.answers import AnswerCache, AnswerPage
 from .protocol import (
     ProtocolError,
@@ -66,9 +74,9 @@ from .protocol import (
     TERMINAL_TYPES,
     TokenAuthError,
     answer_frame,
-    encode_token,
     resolve_token_key,
     sign_token,
+    terminal_frame,
     verify_token,
 )
 
@@ -214,14 +222,18 @@ class ScheduledJob:
 
 
 class _JobRunner:
-    """The synchronous half of one scheduled job: slices its
-    :class:`~repro.api.job.Job`.
+    """The synchronous half of one scheduled job: takes its
+    :class:`~repro.api.job.Job` in slices.
 
-    Never touched by more than one executor thread at a time (the
-    scheduler serializes a job's slices), so it needs no locking of its
-    own.  All blocking work — opening the job (context build) and
-    pulling answers — happens inside :meth:`slice_`, on an executor
-    thread, never on the event loop.
+    The job holds the stop rule (the request's answer limit, the
+    runner's deadline instant and the job's cancel event) and the
+    terminal record; the runner turns answers into frames, the record
+    into the terminal frame, and signs the resume token.  Never touched
+    by more than one executor thread at a time (the scheduler serializes
+    a job's slices), so it needs no locking of its own.  All blocking
+    work — opening the job (context build) and pulling answers — happens
+    inside :meth:`slice_`, on an executor thread, never on the event
+    loop.
     """
 
     def __init__(
@@ -253,21 +265,25 @@ class _JobRunner:
         self._resume_payload = resume_payload
         self._base_emitted = base_emitted
         self._skip = skip_answers
-        # Deadlines (and elapsed reporting) are measured on
-        # time.monotonic(): an NTP step or VM clock correction must not
+        # The deadline is an instant on time.monotonic(), the clock the
+        # job checks: an NTP step or VM clock correction must not
         # prematurely expire — or immortalize — a job.
-        self._started = time.monotonic()
         deadline = (
             deadline_override
             if deadline_override is not None
             else request.deadline
         )
         self._deadline_at = (
-            self._started + deadline if deadline is not None else None
+            time.monotonic() + deadline if deadline is not None else None
         )
 
     def _open(self) -> Job:
         request = self._request
+        stop = {
+            "limit": request.result_limit,
+            "deadline": self._deadline_at,
+            "cancel": self._cancel,
+        }
         if self._resume_payload is not None:
             # The payload is a checkpoint this service minted or stored
             # itself, never wire input, so it loads without the HMAC gate.
@@ -278,7 +294,8 @@ class _JobRunner:
                     f"internal resume checkpoint failed to load: {exc}"
                 ) from exc
             return self._session.job(
-                request, checkpoint=checkpoint, emitted=self._base_emitted
+                request, checkpoint=checkpoint, emitted=self._base_emitted,
+                **stop,
             )
         if request.token is not None:
             # Authenticate before decoding: only tokens this service
@@ -288,72 +305,20 @@ class _JobRunner:
                 checkpoint = load_checkpoint(payload)
             except Exception as exc:
                 raise ProtocolError(f"invalid resume token: {exc}") from None
-            return self._session.job(request, checkpoint=checkpoint)
-        # should_stop is polled once per *scanned* diverse candidate, so
-        # a cancel/deadline lands mid-scan instead of after up to
-        # scan_limit expansions.
+            return self._session.job(request, checkpoint=checkpoint, **stop)
         return self._session.job(
-            request, fingerprint=self._fingerprint, should_stop=self._interruption
+            request, fingerprint=self._fingerprint, **stop
         )
-
-    def _interruption(self) -> str | None:
-        """The terminal an interruption calls for now, if any."""
-        if self._cancel.is_set():
-            return "cancelled"
-        if self._deadline_at is not None and time.monotonic() > self._deadline_at:
-            return "deadline"
-        return None
-
-    # -- terminal frames -----------------------------------------------
-    def _token_fields(self) -> dict:
-        """``checkpoint``/``next_rank`` fields of a ranked job.
-
-        A drained stream gets no token (there is nothing to resume; the
-        README protocol table promises exactly this), and neither does a
-        job still replaying after a crash: a token minted there would
-        sit *before* answers the client already received.
-        """
-        job = self._job
-        stream = job.stream
-        if job.mode != "ranked" or stream is None or self._skip:
-            return {"next_rank": None, "checkpoint": None}
-        if stream.exhausted:
-            return {"next_rank": stream.next_rank, "checkpoint": None}
-        token = sign_token(self._token_key, job.token())
-        return {"next_rank": stream.next_rank, "checkpoint": encode_token(token)}
-
-    def _finish(self, kind: str, *, drained: bool = False) -> dict:
-        """The job's one terminal frame (``stats``, ``cancelled`` or
-        ``deadline``); publishes the live stretch and closes the job."""
-        job = self._job
-        # Answers the client holds: those pulled, plus any a crash
-        # replay has yet to reach.
-        frame = {"type": kind, "emitted": job.emitted + self._skip}
-        if kind == "stats":
-            stats = job.stats(drained=drained)
-            frame.update(
-                expansions=stats.expansions,
-                exhausted=stats.exhausted,
-                elapsed_seconds=round(time.monotonic() - self._started, 6),
-                engine=stats.engine,
-                preprocessed=stats.preprocessed,
-            )
-        frame.update(self._token_fields())
-        job.publish()
-        self.close()
-        return frame
 
     # -- the slice -----------------------------------------------------
     def slice_(self, max_answers: int) -> tuple[list[dict], bool]:
         """Run one slice; returns ``(frames, finished)``.
 
-        Streams up to ``max_answers`` further answers, honoring — in
-        priority order, checked on entry and after each answer —
-        cancellation, the deadline, and the answer cap.  When it reports
-        finished, the last frame is the job's single terminal frame and
-        the job is closed.
+        Takes up to ``max_answers`` further answers from the job, whose
+        stop rule ends the page on a cancel, the deadline or the answer
+        cap.  When it reports finished, the last frame is the job's
+        single terminal frame and the job is closed.
         """
-        frames: list[dict] = []
         try:
             if self._job is None:
                 # Failures while opening — unknown costs, disconnected
@@ -367,36 +332,35 @@ class _JobRunner:
                 except (ValueError, KeyError) as exc:
                     raise ProtocolError(str(exc)) from exc
             job = self._job
-            limit = self._request.result_limit
-            while True:
-                # Checked on entry and after every answer, so the slice
-                # that streams the last answer also ends the job.
-                kind = self._interruption()
-                if kind is None and limit is not None and job.emitted >= limit:
-                    kind = "stats"
-                if kind is not None:
-                    frames.append(self._finish(kind))
-                    return frames, True
-                if len(frames) >= max_answers:
-                    return frames, False
-                try:
-                    result = next(job)
-                except StopIteration:
-                    # An early exit forced by should_stop mid-scan must
-                    # surface as the interruption it was, not as normal
-                    # completion.
-                    kind = self._interruption() or "stats"
-                    frames.append(self._finish(kind, drained=True))
-                    return frames, True
-                if self._skip:
-                    # Crash replay for ops without a checkpoint: the
-                    # enumeration is deterministic, so re-running it and
-                    # discarding the answers the client already has
-                    # restores the exact position.
-                    self._skip -= 1
-                    continue
-                rank = job.emitted - 1 if job.mode == "diverse" else None
-                frames.append(answer_frame(result, rank=rank))
+            if self._skip:
+                # Crash replay for ops without a checkpoint: the
+                # enumeration is deterministic, so re-running it and
+                # discarding the answers the client already has
+                # restores the exact position.
+                self._skip -= len(job.take(self._skip))
+            first = job.emitted
+            frames = [
+                answer_frame(
+                    result, rank=first + i if job.mode == "diverse" else None
+                )
+                for i, result in enumerate(job.take(max_answers))
+            ]
+            if job.terminal is None:
+                return frames, False
+            # The one terminal frame, rendered from the job's record.
+            # Answers a crash replay has yet to reach count as emitted:
+            # the client holds them.  No token for an exhausted page
+            # (nothing to resume; the README protocol table promises
+            # this), nor while a crash replay is pending: it would sit
+            # *before* answers the client already received.
+            stats = job.finish()
+            token = None
+            pausable = stats.next_rank is not None and not stats.exhausted
+            if pausable and not self._skip:
+                token = sign_token(self._token_key, job.token())
+            stats = replace(stats, emitted=stats.emitted + self._skip)
+            frames.append(terminal_frame(stats, token))
+            return frames, True
         except Exception:
             self.close()
             raise
@@ -797,24 +761,13 @@ class EnumerationScheduler:
                 return None
             frames = [answer_frame(result) for result in head.results]
             if head.serves(request.result_limit):
-                token = None
-                if not head.exhausted:
-                    token = encode_token(
-                        sign_token(self._token_key, head.checkpoint)
-                    )
-                frames.append(
-                    {
-                        "type": "stats",
-                        "emitted": len(head.results),
-                        "expansions": 0,
-                        "exhausted": head.exhausted,
-                        "elapsed_seconds": round(time.monotonic() - started, 6),
-                        "engine": "cache",
-                        "preprocessed": head.preprocessed,
-                        "next_rank": head.end,
-                        "checkpoint": token,
-                    }
+                stats = replayed_stats(
+                    answers, head, kernel=request.kernel, started=started
                 )
+                token = None
+                if not stats.exhausted:
+                    token = sign_token(self._token_key, head.checkpoint)
+                frames.append(terminal_frame(stats, token))
             return frames, head
         except Exception:
             return None

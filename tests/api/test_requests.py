@@ -36,6 +36,8 @@ class TestRequestValidation:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="time_budget"):
             EnumerationRequest(graph=cycle_graph(4), time_budget=0)
+        with pytest.raises(ValueError, match="time_budget must be > 0, got nan"):
+            EnumerationRequest(graph=cycle_graph(4), time_budget=float("nan"))
         with pytest.raises(ValueError, match="answer_budget"):
             EnumerationRequest(graph=cycle_graph(4), answer_budget=-2)
 

@@ -214,10 +214,12 @@ class TestRankedResponses:
         response = session.top(
             cycle_graph(7), "fill", k=None, time_budget=1e-9
         )
-        # At least one answer, then the budget cuts collection short.
+        # The budget is checked before every answer, the first included,
+        # as the service checks its deadline: the page is cut at rank 0.
         assert response.stats.timed_out
-        assert len(response.results) >= 1
+        assert response.results == ()
         assert response.checkpoint is not None
+        assert response.checkpoint.next_rank == 0
 
     def test_stream_empty_graph(self):
         session = Session()

@@ -308,6 +308,12 @@ class TestOneRequestContract:
                 "unknown graph kernel 'auto'; expected one of bitset, sets",
                 id="auto-alias",
             ),
+            pytest.param(
+                {"op": "top", "graph": _WIRE_GRAPH, "k": 3,
+                 "deadline": float("nan")},
+                "deadline must be > 0, got nan",
+                id="nan-deadline",
+            ),
         ],
     )
     def test_both_doors_refuse_alike(self, gateway, door, body, fragment):
