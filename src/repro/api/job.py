@@ -222,23 +222,35 @@ class Job:
         Ranked and diverse pages are exhausted when the stream is; a
         decompositions page only if its expansion drained as well.  A
         page finished before :meth:`take` ended it reads ``"stats"``.
+        Reading the stream's ``expansions`` and ``exhausted`` solves the
+        last answer's children, so only a ranked page (its token carries
+        them) or a page that ended on ``"stats"`` (its frame renders
+        both fields) reads them.  A diverse or decompositions page cut
+        by a cancel or a deadline runs no child DP after the cut: it
+        records the DP runs made so far, and not exhausted.
         """
         stream = self.stream
         ranked = stream is not None and self.mode == "ranked"
+        terminal = self.terminal or "stats"
+        settle = stream is not None and (ranked or terminal == "stats")
         stats = EnumerationStats(
             fingerprint=self._fingerprint,
             mode=self.mode,
             cost_spec=self._cost_spec,
             emitted=self.emitted,
-            expansions=stream.expansions if stream is not None else 0,
+            expansions=(
+                stream.expansions if settle
+                else stream.expansions_so_far if stream is not None
+                else 0
+            ),
             init_seconds=self._meta["init_seconds"],
             context_cached=self._meta["context_cached"],
             elapsed_seconds=time.monotonic() - self._started,
             engine=stream.engine_name if stream is not None else "none",
-            exhausted=stream is not None
+            exhausted=settle
             and stream.exhausted
             and (self._drained or self.mode != "decompositions"),
-            terminal=self.terminal or "stats",
+            terminal=terminal,
             next_rank=stream.next_rank if ranked else None,
             preprocessed=isinstance(stream, ComposedRankedStream),
             kernel=self._kernel,

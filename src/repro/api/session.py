@@ -33,10 +33,12 @@ import time
 from collections import OrderedDict
 
 from ..cache.answers import AnswerCache, preprocess_applies_for
+from ..cache.store import context_key, open_store, plan_key, prepared_key
 from ..core.context import TriangulationContext
 from ..core.mintriang import min_triangulation_and_table
 from ..costs.registry import resolve_cost
 from ..graphs.graph import Graph
+from ..graphs.io import read_graph
 from ..graphs.kernels import validate_kernel
 from ..preprocess.recompose import (
     ComposedCheckpoint,
@@ -52,6 +54,16 @@ from .response import EnumerationResponse
 from .stream import RankedStream
 
 __all__ = ["Session"]
+
+
+def _meta(opened: list) -> dict:
+    """The open record :class:`~repro.api.job.Job` reports: warm when
+    the stream opened at least one cache entry and every one was warm;
+    the init seconds of the entries it opened, warm or not, summed."""
+    return {
+        "context_cached": bool(opened) and all(warm for warm, _ in opened),
+        "init_seconds": sum((seconds for _, seconds in opened), 0.0),
+    }
 
 
 class _CacheEntry:
@@ -122,8 +134,6 @@ class Session:
             self._store = store
             self._owns_store = False
         else:
-            from ..cache.store import open_store
-
             self._store = open_store(cache_dir)
             self._owns_store = self._store is not None
         self._contexts: OrderedDict[tuple[str, int | None], _CacheEntry] = (
@@ -205,8 +215,8 @@ class Session:
         def build():
             with self._lock:
                 self._misses += 1
-            context = self._stored_context(fp, width_bound)
-            if context is None:
+
+            def compute():
                 # Snapshot the graph first — the cache key is
                 # content-based, so a caller mutating their graph object
                 # afterwards must not be able to poison the entry it was
@@ -219,7 +229,16 @@ class Session:
                 )
                 with self._lock:
                     self._builds += 1
-                self._publish_context(fp, context)
+                return context
+
+            context = self._through_store(
+                "context",
+                context_key(fp, width_bound, self._kernel),
+                lambda obj: isinstance(obj, TriangulationContext)
+                and obj.kernel == self._kernel
+                and obj.width_bound == width_bound,
+                compute,
+            )
             with self._lock:
                 # A context adopted meanwhile stays the incumbent.
                 entry = self._contexts.get(key) or self._remember(
@@ -265,71 +284,44 @@ class Session:
             cache.popitem(last=False)
         return value
 
-    def _stored_context(
-        self, fp: str, width_bound: int | None
-    ) -> TriangulationContext | None:
-        """This session's kernel-keyed context from the disk store, if any."""
+    def _through_store(self, kind: str, key: str, accept, compute):
+        """The ``kind`` artifact the disk store holds under ``key`` when
+        ``accept`` takes it; otherwise ``compute()``'s, published back.
+        Without a store, ``compute()``'s."""
         if self._store is None:
-            return None
-        from ..cache.store import context_key
-
-        obj = self._store.get(
-            "context", context_key(fp, width_bound, self._kernel)
-        )
-        if (
-            isinstance(obj, TriangulationContext)
-            and obj.kernel == self._kernel
-            and obj.width_bound == width_bound
-        ):
-            return obj
-        return None
-
-    def _publish_context(self, fp: str, context: TriangulationContext) -> None:
-        if self._store is None:
-            return
-        from ..cache.store import context_key
-
-        self._store.put(
-            "context",
-            context_key(fp, context.width_bound, context.kernel),
-            context,
-        )
+            return compute()
+        stored = self._store.get(kind, key)
+        if accept(stored):
+            return stored
+        value = compute()
+        self._store.put(kind, key, value)
+        return value
 
     def _prepared(
         self,
         entry: _CacheEntry,
         spec: str | None,
         cost: object,
-        fingerprint: str | None = None,
+        fingerprint: str,
     ) -> tuple | None:
         """Cached ``(first, unconstrained table)`` for a registry cost.
 
         The service scheduler opens streams from several executor threads
         at once: threads that miss on one spec together share one DP run,
         which holds no lock, so every stream sees one canonical table.
-        With a disk store attached (and a fingerprint to key by), a memory
-        miss consults the store before running the DP and publishes the
-        pair it computed.
+        A memory miss goes through the disk store, if one is attached.
         """
         if spec is None:
             return None
 
         def build():
-            key = pair = None
-            if self._store is not None and fingerprint is not None:
-                from ..cache.store import prepared_key
-
-                key = prepared_key(
-                    fingerprint,
-                    spec,
-                    entry.context.width_bound,
-                    entry.context.kernel,
-                )
-                pair = self._store.get("prepared", key)
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                pair = min_triangulation_and_table(entry.context, cost)
-                if key is not None:
-                    self._store.put("prepared", key, pair)
+            context = entry.context
+            pair = self._through_store(
+                "prepared",
+                prepared_key(fingerprint, spec, context.width_bound, context.kernel),
+                lambda obj: isinstance(obj, tuple) and len(obj) == 2,
+                lambda: min_triangulation_and_table(context, cost),
+            )
             with self._lock:
                 entry.prepared[spec] = pair
             return pair
@@ -426,36 +418,20 @@ class Session:
         key = (fp, duplicate_sensitive)
 
         def build():
-            plan = self._stored_plan(fp, duplicate_sensitive)
-            if plan is None:
-                plan = PreprocessPlan.build(
+            plan = self._through_store(
+                "plan",
+                plan_key(fp, duplicate_sensitive),
+                lambda obj: isinstance(obj, PreprocessPlan),
+                lambda: PreprocessPlan.build(
                     graph, duplicate_sensitive=duplicate_sensitive
-                )
-                self._publish_plan(fp, duplicate_sensitive, plan)
+                ),
+            )
             with self._lock:
                 return self._remember(self._plans, key, plan)
 
         return self._single_flight(
             ("plan", key), lambda: self._recall(self._plans, key), build
         )
-
-    def _stored_plan(
-        self, fp: str, duplicate_sensitive: bool
-    ) -> PreprocessPlan | None:
-        if self._store is None:
-            return None
-        from ..cache.store import plan_key
-
-        obj = self._store.get("plan", plan_key(fp, duplicate_sensitive))
-        return obj if isinstance(obj, PreprocessPlan) else None
-
-    def _publish_plan(
-        self, fp: str, duplicate_sensitive: bool, plan: PreprocessPlan
-    ) -> None:
-        if self._store is not None:
-            from ..cache.store import plan_key
-
-            self._store.put("plan", plan_key(fp, duplicate_sensitive), plan)
 
     # ------------------------------------------------------------------
     # Streams
@@ -478,11 +454,10 @@ class Session:
         is a :class:`~repro.preprocess.recompose.ComposedRankedStream`
         with the same iteration/checkpoint surface.
         """
-        stream, _meta = self._open(
+        return self._open(
             graph, cost, width_bound=width_bound,
             context=context, preprocess=preprocess,
-        )
-        return stream
+        )[0]
 
     def _preprocess_applies(
         self,
@@ -516,28 +491,36 @@ class Session:
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
         fp: str | None = None,
-    ) -> "tuple[RankedStream | ComposedRankedStream, dict]":
+    ) -> "tuple[RankedStream | ComposedRankedStream, list]":
+        """A fresh stream over ``graph``, and its open record: one
+        ``(warm, init seconds)`` pair per cache entry it opened."""
         if isinstance(graph, str):
-            from ..graphs.io import read_graph
-
             graph = read_graph(graph)
         # One fingerprint per request: the plan, the context entry and
         # the stream all key on it.
         fp = fp or graph_fingerprint(graph)
         spec = cost if isinstance(cost, str) else None
+        opened: list = []
         if graph.num_vertices() == 0:
-            stream = RankedStream.start(None, None, cost_spec=spec, fingerprint=fp)
-            return stream, {"context_cached": False, "init_seconds": 0.0}
+            return RankedStream.start(None, None, cost_spec=spec, fingerprint=fp), opened
         separator_masks = None
         if self._preprocess_applies(spec, context, preprocess):
-            assert spec is not None
             composition = composition_for(spec)
-            assert composition is not None
             plan = self._plan_for(graph, fp, composition.duplicate_sensitive)
             if not plan.trivial:
-                return self._open_composed(
-                    plan, spec, composition, fp, width_bound=width_bound
+                # One cached context per variable atom.
+                stream = ComposedRankedStream.start(
+                    plan,
+                    resolve_cost(spec, plan.graph),
+                    composition,
+                    cost_spec=spec,
+                    fingerprint=fp,
+                    width_bound=width_bound,
+                    open_piece=lambda atom: self._piece(
+                        self._entry_for(atom, width_bound), spec, spec, opened
+                    ),
                 )
+                return stream, opened
             # The plan's masks follow its snapshot's vertex order, which
             # the fingerprint ignores.
             if plan.separator_masks is not None and list(
@@ -551,66 +534,42 @@ class Session:
                 "with a composable cost, which splits components "
                 "automatically)"
             )
-        entry, fp, cached = self._entry_for(
+        found = self._entry_for(
             graph, width_bound, prebuilt=context, fp=fp,
             separator_masks=separator_masks,
         )
-        cost_obj = resolve_cost(cost, entry.context.graph)
-        prepared = self._prepared(entry, spec, cost_obj, fp)
-        stream = RankedStream.start(
-            entry.context,
-            cost_obj,
-            cost_spec=spec,
-            fingerprint=fp,
-            prepared=prepared,
-        )
-        meta = {
-            "context_cached": cached,
-            "init_seconds": entry.context.init_seconds,
-        }
-        return stream, meta
+        return self._piece(found, cost, spec, opened), opened
 
-    def _open_composed(
+    def _piece(
         self,
-        plan: PreprocessPlan,
-        spec: str,
-        composition,
-        plan_fp: str,
-        *,
-        width_bound: int | None,
-    ) -> tuple[ComposedRankedStream, dict]:
-        """Start a composed stream, one cached context per variable atom."""
-        cached_flags: list[bool] = []
-        init_seconds = [0.0]
+        found: "tuple[_CacheEntry, str, bool]",
+        cost: "str | object",
+        spec: str | None,
+        opened: list,
+        checkpoint: StreamCheckpoint | None = None,
+    ) -> RankedStream:
+        """A ranked stream over one cache entry: the whole graph's, or
+        one variable atom's.
 
-        def open_piece(atom_graph: Graph):
-            entry, fp, cached = self._entry_for(atom_graph, width_bound)
-            cached_flags.append(cached)
-            init_seconds[0] += entry.context.init_seconds
-            cost_obj = resolve_cost(spec, entry.context.graph)
-            prepared = self._prepared(entry, spec, cost_obj, fp)
+        ``found`` is the ``(entry, fingerprint, warm)`` triple of
+        :meth:`_entry_for`.  Resolves ``cost`` on the entry's graph,
+        fetches the prepared table of ``spec`` (its registry name, if
+        any), and starts at rank 0 or resumes from ``checkpoint``;
+        appends ``(warm, init seconds)`` to ``opened``.
+        """
+        entry, fp, cached = found
+        context = entry.context
+        opened.append((cached, context.init_seconds))
+        cost_obj = resolve_cost(cost, context.graph)
+        prepared = self._prepared(entry, spec, cost_obj, fp)
+        if checkpoint is None:
             return RankedStream.start(
-                entry.context,
-                cost_obj,
-                cost_spec=spec,
-                fingerprint=fp,
+                context, cost_obj, cost_spec=spec, fingerprint=fp,
                 prepared=prepared,
             )
-
-        stream = ComposedRankedStream.start(
-            plan,
-            resolve_cost(spec, plan.graph),
-            composition,
-            cost_spec=spec,
-            fingerprint=plan_fp,
-            width_bound=width_bound,
-            open_piece=open_piece,
+        return RankedStream.from_checkpoint(
+            context, cost_obj, checkpoint, prepared=prepared
         )
-        meta = {
-            "context_cached": bool(cached_flags) and all(cached_flags),
-            "init_seconds": init_seconds[0],
-        }
-        return stream, meta
 
     def decomposition_stream(
         self,
@@ -677,24 +636,22 @@ class Session:
         """
         started = time.monotonic()
         stream = answers = None
-        meta = {"context_cached": False, "init_seconds": 0.0}
+        opened: list = []
         if checkpoint is not None:
             if isinstance(checkpoint, (bytes, bytearray)):
                 checkpoint = load_checkpoint(bytes(checkpoint))
-            stream, meta = self._reopen(checkpoint, cost=cost)
+            stream, opened = self._reopen(checkpoint, cost=cost)
             answers = AnswerCache.for_checkpoint(self._store, checkpoint)
         else:
             if graph is None:
                 graph = request.graph
             if isinstance(graph, str):
-                from ..graphs.io import read_graph
-
                 graph = read_graph(graph)
             fingerprint = fingerprint or graph_fingerprint(graph)
             if request.mode == "diverse" and request.k is None:
                 raise ValueError("diverse mode requires k")
             if request.result_limit != 0:
-                stream, meta = self._open(
+                stream, opened = self._open(
                     graph,
                     request.cost,
                     width_bound=request.width_bound,
@@ -712,7 +669,7 @@ class Session:
         else:
             cost_spec = request.cost if isinstance(request.cost, str) else None
         return Job(
-            request, stream, meta=meta, answers=answers,
+            request, stream, meta=_meta(opened), answers=answers,
             kernel=self._kernel, fingerprint=fingerprint, cost_spec=cost_spec,
             started=started, emitted=emitted,
             limit=limit, deadline=deadline, cancel=cancel,
@@ -888,113 +845,68 @@ class Session:
         from preprocessed (composed) streams both resume here, each with
         its own pipeline, each continuing bit-for-bit.
         """
-        stream, _meta = self._reopen(checkpoint, cost=cost)
-        return stream
-
-    def _reopen_composed(
-        self,
-        checkpoint: ComposedCheckpoint,
-        *,
-        cost: "str | object | None" = None,
-    ) -> tuple[ComposedRankedStream, dict]:
-        graph = checkpoint.restore_graph()
-        if graph_fingerprint(graph) != checkpoint.fingerprint:
-            raise ValueError(
-                "checkpoint fingerprint does not match its embedded graph; "
-                "the token is corrupted"
-            )
-        spec = checkpoint.cost_spec
-        if (
-            cost is not None
-            and isinstance(cost, str)
-            and cost != spec
-        ):
-            raise ValueError(
-                f"checkpoint was taken under cost {spec!r} "
-                f"but resume requested {cost!r}"
-            )
-        composition = composition_for(spec)
-        if composition is None:
-            raise ValueError(
-                f"cost {spec!r} no longer declares a composition; "
-                "cannot resume a preprocessed checkpoint"
-            )
-        cached_flags: list[bool] = []
-        init_seconds = [0.0]
-
-        def resume_piece(piece_checkpoint: StreamCheckpoint):
-            entry, fp, cached = self._entry_for_checkpoint(piece_checkpoint)
-            cached_flags.append(cached)
-            init_seconds[0] += entry.context.init_seconds
-            cost_obj = resolve_cost(spec, entry.context.graph)
-            prepared = self._prepared(entry, spec, cost_obj, fp)
-            return RankedStream.from_checkpoint(
-                entry.context,
-                cost_obj,
-                piece_checkpoint,
-                prepared=prepared,
-            )
-
-        stream = ComposedRankedStream.from_checkpoint(
-            checkpoint,
-            resolve_cost(spec, graph),
-            composition,
-            resume_piece=resume_piece,
-            graph=graph,
-        )
-        meta = {
-            "context_cached": bool(cached_flags) and all(cached_flags),
-            "init_seconds": init_seconds[0],
-        }
-        return stream, meta
+        return self._reopen(checkpoint, cost=cost)[0]
 
     def _reopen(
         self,
         checkpoint: "StreamCheckpoint | ComposedCheckpoint | bytes",
         *,
         cost: "str | object | None" = None,
-    ) -> "tuple[RankedStream | ComposedRankedStream, dict]":
+    ) -> "tuple[RankedStream | ComposedRankedStream, list]":
+        """The stream a checkpoint continues, and its open record (see
+        :meth:`_open`).  A registry ``cost`` must be the token's own,
+        whichever kind of token it is and even when it is exhausted."""
         if isinstance(checkpoint, (bytes, bytearray)):
             checkpoint = load_checkpoint(bytes(checkpoint))
+        taken = checkpoint.cost_spec
+        if isinstance(cost, str) and taken is not None and cost != taken:
+            raise ValueError(
+                f"checkpoint was taken under cost {taken!r} "
+                f"but resume requested {cost!r}"
+            )
+        opened: list = []
         if isinstance(checkpoint, ComposedCheckpoint):
-            return self._reopen_composed(checkpoint, cost=cost)
+            graph = self._restore(checkpoint)
+            composition = composition_for(taken)
+            if composition is None:
+                raise ValueError(
+                    f"cost {taken!r} no longer declares a composition; "
+                    "cannot resume a preprocessed checkpoint"
+                )
+            stream = ComposedRankedStream.from_checkpoint(
+                checkpoint,
+                resolve_cost(taken, graph),
+                composition,
+                resume_piece=lambda piece: self._piece(
+                    self._entry_for_checkpoint(piece), taken, taken, opened, piece
+                ),
+                graph=graph,
+            )
+            return stream, opened
         if checkpoint.exhausted:
-            stream = RankedStream.from_checkpoint(None, None, checkpoint)
-            return stream, {"context_cached": False, "init_seconds": 0.0}
-        entry, fp, cached = self._entry_for_checkpoint(checkpoint)
-        spec: str | None
+            return RankedStream.from_checkpoint(None, None, checkpoint), opened
+        found = self._entry_for_checkpoint(checkpoint)
         if cost is None:
-            spec = checkpoint.cost_spec
-            if spec is None:
+            if taken is None:
                 raise ValueError(
                     "checkpoint was created from a BagCost object and carries "
                     "no cost registry name; pass cost= to resume"
                 )
-            cost_obj = resolve_cost(spec, entry.context.graph)
-        else:
-            spec = cost if isinstance(cost, str) else None
-            if (
-                spec is not None
-                and checkpoint.cost_spec is not None
-                and spec != checkpoint.cost_spec
-            ):
-                raise ValueError(
-                    f"checkpoint was taken under cost {checkpoint.cost_spec!r} "
-                    f"but resume requested {spec!r}"
-                )
-            cost_obj = resolve_cost(cost, entry.context.graph)
-        prepared = self._prepared(entry, spec, cost_obj, fp)
-        stream = RankedStream.from_checkpoint(
-            entry.context,
-            cost_obj,
-            checkpoint,
-            prepared=prepared,
-        )
-        meta = {
-            "context_cached": cached,
-            "init_seconds": entry.context.init_seconds,
-        }
-        return stream, meta
+            cost = taken
+        spec = cost if isinstance(cost, str) else None
+        return self._piece(found, cost, spec, opened, checkpoint), opened
+
+    @staticmethod
+    def _restore(checkpoint: "StreamCheckpoint | ComposedCheckpoint") -> Graph:
+        """The token's graph, restored; it must hash to the token's
+        fingerprint."""
+        graph = checkpoint.restore_graph()
+        if graph_fingerprint(graph) != checkpoint.fingerprint:
+            raise ValueError(
+                "checkpoint fingerprint does not match its embedded graph; "
+                "the token is corrupted"
+            )
+        return graph
 
     def _entry_for_checkpoint(
         self, checkpoint: StreamCheckpoint
@@ -1016,12 +928,7 @@ class Session:
         if entry is not None and entry.context.token_graph() == checkpoint.graph:
             graph = entry.context.graph
         else:
-            graph = checkpoint.restore_graph()
-            if graph_fingerprint(graph) != fp:
-                raise ValueError(
-                    "checkpoint fingerprint does not match its embedded graph; "
-                    "the token is corrupted"
-                )
+            graph = self._restore(checkpoint)
         return self._entry_for(graph, checkpoint.width_bound, fp=fp)
 
     def resume(

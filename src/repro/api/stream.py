@@ -395,6 +395,12 @@ class RankedStream(Iterator[RankedResult]):
         return self._expansions
 
     @property
+    def expansions_so_far(self) -> int:
+        """:attr:`expansions` without settling: the last answer's pending
+        children, if any, are neither run nor counted."""
+        return self._expansions
+
+    @property
     def exhausted(self) -> bool:
         """Whether the enumeration space is fully emitted.  Reading it
         may run the last answer's child DPs (see :meth:`_settle`)."""

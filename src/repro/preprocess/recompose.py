@@ -825,6 +825,13 @@ class ComposedRankedStream(Iterator[RankedResult]):
         return sum(p.expansions for p in self._pieces)
 
     @property
+    def expansions_so_far(self) -> int:
+        """:attr:`expansions` without settling, here or in the atom
+        streams: pending successors and children are neither run nor
+        counted."""
+        return sum(p.stream.expansions_so_far for p in self._pieces)
+
+    @property
     def exhausted(self) -> bool:
         """Whether the enumeration space is fully emitted.  Reading it
         may draw atom answers, and so run child DPs, for the last

@@ -11,10 +11,17 @@ import pickle
 
 import pytest
 
-from repro.api import Session, StreamCheckpoint
+from repro.api import ComposedRankedStream, Session, StreamCheckpoint
 from repro.costs.classic import FillInCost, WidthCost
 from repro.graphs.generators import cycle_graph, paper_example_graph
+from repro.graphs.graph import Graph
 from tests.conftest import connected_random_graphs
+
+#: Two 5-cycles sharing the edge 1-2: the clique separator {1, 2}
+#: splits it into two atoms, so its stream is composed (25 answers).
+TWO_C5 = Graph(
+    edges=[(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 6), (6, 7), (7, 8), (8, 1)]
+)
 
 
 def signature(results):
@@ -190,6 +197,34 @@ class TestCostSpecHandling:
         stream.close()
         with pytest.raises(ValueError, match="resume requested"):
             session.resume_stream(token, cost="width")
+
+    @pytest.mark.parametrize("via", ["resume_stream", "resume"])
+    @pytest.mark.parametrize("drained", [False, True], ids=["live", "exhausted"])
+    @pytest.mark.parametrize(
+        "graph, composed",
+        [(cycle_graph(5), False), (TWO_C5, True)],
+        ids=["direct", "composed"],
+    )
+    def test_another_registry_cost_is_refused_for_every_token(
+        self, tmp_path, graph, composed, drained, via
+    ):
+        """A resume under a registry cost other than the token's is
+        refused whichever kind the token is, live or exhausted, by the
+        stream surface and by the page surface with a store attached."""
+        stream = Session().stream(graph, "fill")
+        assert isinstance(stream, ComposedRankedStream) is composed
+        if drained:
+            assert len(list(stream)) == (25 if composed else 5)
+        else:
+            next(stream)
+        token = stream.checkpoint()
+        assert token.exhausted is drained
+        with Session(cache_dir=tmp_path) as session:
+            with pytest.raises(
+                ValueError,
+                match="taken under cost 'fill' but resume requested 'width'",
+            ):
+                getattr(session, via)(token.to_bytes(), cost="width")
 
     def test_width_bound_survives_the_token(self):
         session = Session()

@@ -9,10 +9,12 @@ from repro.api import EnumerationRequest, EnumerationResponse, Session
 from repro.core.context import TriangulationContext
 from repro.costs.classic import FillInCost, WidthCost
 from repro.graphs.generators import (
+    bowtie_graph,
     cycle_graph,
     paper_example_graph,
     path_graph,
     petersen_graph,
+    ring_of_cycles,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.io import write_graph
@@ -192,6 +194,50 @@ class TestRankedResponses:
         assert len(stats.fingerprint) == 64
         assert not stats.context_cached
         assert session.top(g, "width", k=10).stats.context_cached
+
+    @pytest.mark.parametrize(
+        "graph, preprocess, preprocessed",
+        [
+            (ring_of_cycles(2, 5), True, True),
+            (cycle_graph(7), False, False),
+        ],
+        ids=["composed", "direct"],
+    )
+    def test_one_open_record_on_every_path(self, graph, preprocess, preprocessed):
+        """``context_cached`` reads True only when every cache entry the
+        page opened was warm; ``init_seconds`` is those entries' build
+        time, warm or not.  A fresh page, a repeat, a resume in the same
+        session and a resume in a new one, direct and composed."""
+        session = Session(preprocess=preprocess)
+        cold = session.top(graph, "fill", k=3)
+        warm = session.top(graph, "fill", k=3)
+        resumed = session.resume(cold.checkpoint.to_bytes(), k=3)
+        elsewhere = Session().resume(cold.checkpoint.to_bytes(), k=3)
+        pages = [cold, warm, resumed, elsewhere]
+        assert [p.stats.preprocessed for p in pages] == [preprocessed] * 4
+        assert [p.stats.context_cached for p in pages] == [False, True, True, False]
+        assert cold.stats.init_seconds > 0
+        assert warm.stats.init_seconds == cold.stats.init_seconds
+        assert resumed.stats.init_seconds == cold.stats.init_seconds
+        assert elsewhere.stats.init_seconds > 0
+
+    def test_a_plan_with_no_variable_atom_opens_no_context(self):
+        """``bowtie_graph(4)`` is two cliques: every bag is forced, the
+        composed stream opens no cache entry, and the record reads cold
+        with no init time on every call."""
+        session = Session()
+        graph = bowtie_graph(4)
+        first = session.top(graph, "fill", k=3)
+        pages = [
+            first,
+            session.top(graph, "fill", k=3),
+            session.resume(first.checkpoint.to_bytes()),
+            Session().resume(first.checkpoint.to_bytes()),
+        ]
+        assert first.stats.preprocessed and len(first.results) == 1
+        for page in pages:
+            assert page.stats.context_cached is False
+            assert page.stats.init_seconds == 0.0
 
     def test_k_zero_short_circuits(self):
         session = Session()

@@ -14,19 +14,27 @@ depend on the run are dropped: ``elapsed_seconds``, and ``checkpoint``
 from __future__ import annotations
 
 import asyncio
+import itertools
 import threading
 
 import pytest
 
+import repro.engine.strategy as strategy
 from repro.api import EnumerationRequest, Session, load_checkpoint
-from repro.graphs.generators import cycle_graph, paper_example_graph, petersen_graph
+from repro.api.job import Job
+from repro.graphs.generators import (
+    connected_erdos_renyi,
+    cycle_graph,
+    paper_example_graph,
+    petersen_graph,
+)
 from repro.service.protocol import (
     ServiceRequest,
     decode_token,
     terminal_frame,
     verify_token,
 )
-from repro.service.scheduler import EnumerationScheduler
+from repro.service.scheduler import EnumerationScheduler, _JobRunner
 
 KEY = b"stop-rule"
 
@@ -175,3 +183,79 @@ class TestCancel:
         assert (stats.terminal, stats.emitted, stats.next_rank) == (
             "cancelled", 2, 2,
         )
+
+
+class TestNoChildDPsAfterTheStop:
+    """A page cut by a cancel runs no child DP after it unless its
+    record needs one: a ``diverse`` or ``decompositions`` page carries no
+    token and its ``cancelled`` frame renders neither ``expansions`` nor
+    ``exhausted``, so :meth:`Job.finish` settles nothing and records the
+    DP runs made so far, not exhausted.  A ranked page still solves the
+    last answer's children, because its token carries them."""
+
+    #: After four answers of any mode, children are still pending.
+    GRAPH = connected_erdos_renyi(12, 0.3, seed=5)
+
+    @pytest.fixture
+    def child_dps(self, monkeypatch):
+        """Every ``expand_job`` call, and every record ``Job.finish`` built."""
+        calls, records = [], []
+        expand, finish = strategy.expand_job, Job.finish
+
+        def counting(*args):
+            calls.append(args)
+            return expand(*args)
+
+        def recording(job):
+            records.append(finish(job))
+            return records[-1]
+
+        monkeypatch.setattr(strategy, "expand_job", counting)
+        monkeypatch.setattr(Job, "finish", recording)
+        return calls, records
+
+    @pytest.mark.parametrize(
+        "op, after", [("decompositions", 0), ("diverse", 0), ("top", 4)]
+    )
+    def test_the_runner_slice_after_a_cancel(self, child_dps, op, after):
+        calls, records = child_dps
+        event = threading.Event()
+        request = ServiceRequest(op=op, graph=self.GRAPH, cost="fill", k=50)
+        runner = _JobRunner(
+            Session(preprocess=False), request, event, KEY, fingerprint=None
+        )
+        frames, finished = runner.slice_(4)
+        assert (len(frames), finished) == (4, False)
+        event.set()
+        calls.clear()
+        [terminal], finished = runner.slice_(4)
+        assert finished and terminal["type"] == "cancelled"
+        assert len(calls) == after
+        [stats] = records
+        assert stats.exhausted is False
+        if op != "top":
+            return
+        # The token still resumes exactly.
+        whole = Session(preprocess=False).top(self.GRAPH, "fill", k=8).results
+        token = verify_token(KEY, decode_token(terminal["checkpoint"]))
+        tail = list(itertools.islice(Session().resume_stream(token), 4))
+        assert [(r.rank, r.cost, r.triangulation.bags) for r in tail] == [
+            (r.rank, r.cost, r.triangulation.bags) for r in whole[4:]
+        ]
+
+    @pytest.mark.parametrize("mode", ["decompositions", "diverse"])
+    def test_a_library_job_after_a_cancel(self, child_dps, mode):
+        calls, _records = child_dps
+        event = threading.Event()
+        job = Session().job(
+            EnumerationRequest(graph=self.GRAPH, cost="fill", mode=mode, k=50),
+            cancel=event,
+        )
+        assert len(job.take(4)) == 4
+        event.set()
+        calls.clear()
+        assert job.take() == []
+        stats = job.finish()
+        assert stats.terminal == "cancelled"
+        assert len(calls) == 0
+        assert stats.exhausted is False
