@@ -33,13 +33,25 @@ that any process can resume:
   type-tagged — ``str``, ``int``, ``float``, ``bool``, ``None`` and
   tuples of these, the labels the service wire carries — and the edges
   as index pairs into them;
-* the body: here the frontier entries, each a tagged value (ints and
-  floats keep their type), a varint order and three length-prefixed
-  little-endian masks;
+* the body: here the frontier length and, unless it is zero, the
+  frontier in pop order as five columns, each (a tagged value column
+  excepted) read with one :func:`struct.unpack_from` call:
+
+  - the values: a kind byte, then either (kind 0, every value a float)
+    one run of little-endian doubles, or (kind 1) one tagged value per
+    entry, so an int stays an int;
+  - the ``order``, ``bags``, ``include`` and ``exclude`` integers: per
+    column a width code, then its fields, little-endian.  The code's low
+    three bits give the field size (0: the column is all zero and
+    carries no bytes; 1, 2, 3, 4: 1, 2, 4 or 8 bytes); the bits above
+    count the 8-byte limbs past the first, for a column beyond 64 bits;
 * a CRC32 trailer.
 
 The encoding is canonical: ``decode(encode(x)) == x`` and
-``encode(decode(b)) == b``.  A label of any other type raises
+``encode(decode(b)) == b``.  A column therefore takes the narrowest
+size that holds its maximum, and kind 1 needs an int among the values:
+a wider code, limbs under a size below 8 bytes, an all-float kind 1 and
+an unknown code are refused.  A label of any other type raises
 :class:`ValueError` at ``to_bytes()``.  Every malformed token — truncated,
 corrupted, of another kind, or of another version (a pickle payload is
 the version-1 format) — raises :class:`ValueError`; nothing is
@@ -51,7 +63,9 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import ClassVar, NamedTuple
 
 from ..graphs.bitgraph import iter_bits
@@ -68,8 +82,9 @@ __all__ = [
     "read_header",
 ]
 
-#: v2: the binary token (v1 tokens were pickle payloads).
-CHECKPOINT_VERSION = 2
+#: v3: the frontier as columns (v2 wrote it entry by entry; v1 tokens
+#: were pickle payloads).
+CHECKPOINT_VERSION = 3
 
 MAGIC = b"RPCK"
 STREAM_KIND = 0x53  # "S"
@@ -79,6 +94,13 @@ _DOUBLE = struct.Struct("<d")
 _CRC = struct.Struct(">I")
 #: Value tags (frontier values, drained values).
 _FLOAT, _INT = 0, 1
+#: Kinds of a frontier's value column: all doubles, or tagged values.
+_DOUBLES, _TAGGED = 0, 1
+#: ``struct`` codes of the frontier's integer fields by width code
+#: (code 0, an all-zero column, has none), and the least column maximum
+#: each code holds that the next narrower one does not.
+_FIELD_CODES = "xBHIQ"
+_LEAST_MAXIMUM = (0, 1, 1 << 8, 1 << 16, 1 << 32)
 #: Label tags.
 _L_NONE, _L_FALSE, _L_TRUE, _L_INT, _L_FLOAT, _L_STR, _L_TUPLE = range(7)
 #: Longest accepted varint (counts, lengths, orders): 2^70.
@@ -124,6 +146,10 @@ class TokenWriter:
     def blob(self, data: bytes) -> None:
         self.uint(len(data))
         self.out += data
+
+    def pack(self, layout: str, items) -> None:
+        """``items`` packed by the :mod:`struct` ``layout``, in one call."""
+        self.out += struct.pack(layout, *items)
 
     def optional_text(self, s: str | None) -> None:
         self.flag(s is not None)
@@ -253,6 +279,12 @@ class TokenReader:
 
     def blob(self) -> bytes:
         return self.take(self.uint())
+
+    def unpack(self, layout: str) -> tuple:
+        """The fields of the :mod:`struct` ``layout``, in one call."""
+        fields = struct.unpack_from(layout, self.data, self.pos)
+        self.pos += struct.calcsize(layout)
+        return fields
 
     def text(self) -> str:
         return self.blob().decode("utf-8", "surrogatepass")
@@ -646,24 +678,86 @@ class StreamCheckpoint:
         )
 
 
+def frontier_entries(rows) -> tuple[FrontierEntry, ...]:
+    """``(value, order, bags, include, exclude)`` rows as frontier
+    entries, without the Python-level call ``FrontierEntry._make`` makes
+    per row."""
+    return tuple(map(tuple.__new__, repeat(FrontierEntry), rows))
+
+
 def _write_frontier(writer: TokenWriter, frontier) -> None:
     writer.uint(len(frontier))
-    for value, order, bags, include, exclude in frontier:
-        writer.value(value)
-        writer.uint(order)
-        writer.mask(bags)
-        writer.mask(include)
-        writer.mask(exclude)
+    if not frontier:
+        return
+    values, *columns = zip(*frontier)
+    if all(map(isinstance, values, repeat(float))):
+        writer.out.append(_DOUBLES)
+        writer.pack(f"<{len(values)}d", values)
+    else:
+        writer.out.append(_TAGGED)
+        for value in values:
+            writer.value(value)
+    for column in columns:
+        _write_column(writer, column)
+
+
+def _write_column(writer: TokenWriter, column: tuple[int, ...]) -> None:
+    if min(column) < 0:
+        raise ValueError("cannot encode a negative frontier order or mask")
+    top = max(column)
+    limbs = (top.bit_length() + 63) >> 6
+    if limbs > 1:
+        writer.uint(4 | (limbs - 1) << 3)
+        writer.out += b"".join(
+            map(int.to_bytes, column, repeat(8 * limbs), repeat("little"))
+        )
+        return
+    code = bisect_right(_LEAST_MAXIMUM, top) - 1
+    writer.uint(code)
+    if code:
+        writer.pack(f"<{len(column)}{_FIELD_CODES[code]}", column)
 
 
 def _read_frontier(reader: TokenReader) -> tuple[FrontierEntry, ...]:
     """The frontier entries of a direct token's body."""
-    return tuple(
-        FrontierEntry(
-            reader.value(), reader.uint(), reader.mask(), reader.mask(), reader.mask()
-        )
-        for _ in range(reader.uint())
+    n = reader.uint()
+    if not n:
+        return ()
+    kind = reader.data[reader.pos]
+    reader.pos += 1
+    if kind == _DOUBLES:
+        values = reader.unpack(f"<{n}d")
+    elif kind == _TAGGED:
+        values = tuple(reader.value() for _ in range(n))
+        if all(map(isinstance, values, repeat(float))):
+            raise ValueError("tagged value column holds only floats")
+    else:
+        raise ValueError(f"unknown value column kind {kind}")
+    return frontier_entries(
+        zip(values, *[_read_column(reader, n) for _ in range(4)])
     )
+
+
+def _read_column(reader: TokenReader, n: int) -> tuple[int, ...]:
+    """One integer column of ``n`` fields (see the module docstring)."""
+    code = reader.uint()
+    size, limbs = code & 7, (code >> 3) + 1
+    if size >= len(_FIELD_CODES):
+        raise ValueError(f"unknown frontier column width code {code}")
+    if limbs > 1 and size < 4:
+        raise ValueError("frontier column has limbs under a width below 8 bytes")
+    if not size:
+        return (0,) * n
+    if limbs == 1:
+        column = reader.unpack(f"<{n}{_FIELD_CODES[size]}")
+        least = _LEAST_MAXIMUM[size]
+    else:
+        fields = reader.unpack("<" + f"{8 * limbs}s" * n)
+        column = tuple(map(int.from_bytes, fields, repeat("little")))
+        least = 1 << 64 * (limbs - 1)
+    if max(column) < least:
+        raise ValueError("frontier column is wider than its maximum needs")
+    return column
 
 
 def load_checkpoint(data: bytes):

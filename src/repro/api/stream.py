@@ -64,6 +64,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections.abc import Iterator
+from operator import and_, lt, ne
 
 from ..costs.base import BagCost
 from ..core.context import TriangulationContext
@@ -71,7 +72,7 @@ from ..core.mintriang import Triangulation, min_triangulation_and_table
 from ..core.ranked import RankedResult
 from ..engine import strategy
 from ..graphs.bitgraph import iter_bits
-from .checkpoint import FrontierEntry, StreamCheckpoint, TokenGraph
+from .checkpoint import StreamCheckpoint, TokenGraph, frontier_entries
 
 #: Heap entry layout: ``(value, order, bags, include, exclude)``, the
 #: last three masks (see the module docstring).  The FIFO ``order`` is
@@ -199,7 +200,10 @@ class RankedStream(Iterator[RankedResult]):
         ------
         ValueError
             If a frontier mask names a PMC or separator ``context`` does
-            not have (a token for another graph or width bound).
+            not have (a token for another graph or width bound), or the
+            frontier is not one :meth:`checkpoint` writes: out of pop
+            order, with a repeated order or one at or above
+            ``next_order``, or with a NaN value.
         """
         started = time.perf_counter()
         if not checkpoint.frontier:
@@ -219,26 +223,41 @@ class RankedStream(Iterator[RankedResult]):
                 f"checkpoint was taken under width bound {checkpoint.width_bound}, "
                 f"the context has {context.width_bound}"
             )
-        heap = list(checkpoint.frontier)
-        pmcs = len(context.root_pmc_order())
-        separators = len(context.separator_masks)
-        for _value, _order, bags, include, exclude in heap:
-            if (
-                not bags
-                or bags >> pmcs
-                or (include | exclude) >> separators
-                or include & exclude
-            ):
-                raise ValueError(
-                    "checkpoint frontier does not fit this graph's PMCs "
-                    "and minimal separators; the token is corrupted"
-                )
+        frontier = checkpoint.frontier
+        values, orders, bags, include, exclude = zip(*frontier)
+        constraints = include + exclude
+        if (
+            min(bags) < 1
+            or max(bags) >> len(context.root_pmc_order())
+            or min(constraints) < 0
+            or max(constraints) >> len(context.separator_masks)
+            or any(map(and_, include, exclude))
+        ):
+            raise ValueError(
+                "checkpoint frontier does not fit this graph's PMCs "
+                "and minimal separators; the token is corrupted"
+            )
+        # ``checkpoint()`` writes the heap in pop order, and every entry
+        # took its own ``order`` below ``next_order``.  With unique
+        # orders, comparing whole entries compares their ``(value,
+        # order)`` pairs.  Only NaN differs from itself; a NaN fails
+        # every ``<`` but a lone one has nothing to fail against.
+        if (
+            any(map(ne, values, values))
+            or not all(map(lt, frontier, frontier[1:]))
+            or len(set(orders)) < len(orders)
+            or max(orders) >= checkpoint.next_order
+        ):
+            raise ValueError(
+                "checkpoint frontier is not in pop order with unique orders "
+                "below next_order and no NaN value; the token is corrupted"
+            )
         return cls(
             context=context,
             cost=cost,
             cost_spec=checkpoint.cost_spec,
             fingerprint=checkpoint.fingerprint,
-            heap=heap,
+            heap=list(frontier),
             next_rank=checkpoint.next_rank,
             next_order=checkpoint.next_order,
             base_table=base_table,
@@ -432,7 +451,7 @@ class RankedStream(Iterator[RankedResult]):
             width_bound=width_bound,
             next_rank=self._rank,
             next_order=self._order,
-            frontier=tuple(map(FrontierEntry._make, sorted(self._heap))),
+            frontier=frontier_entries(sorted(self._heap)),
             graph=graph,
         )
 

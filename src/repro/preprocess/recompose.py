@@ -287,8 +287,9 @@ def _clique_free_separators(graph: Graph) -> frozenset[int] | None:
 # ----------------------------------------------------------------------
 # Checkpoint
 # ----------------------------------------------------------------------
-#: v2: the binary token (v1 tokens were pickle payloads).
-COMPOSED_CHECKPOINT_VERSION = 2
+#: v3: the nested direct tokens are v3 tokens (v2 wrote their frontier
+#: entry by entry; v1 tokens were pickle payloads).
+COMPOSED_CHECKPOINT_VERSION = 3
 
 #: Reduction step kinds, by their code in a token.
 _STEP_KINDS = ("isolated", "pendant", "simplicial")

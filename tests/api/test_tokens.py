@@ -15,19 +15,27 @@ import base64
 import dataclasses
 import itertools
 import pickle
+import re
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import Session, StreamCheckpoint, load_checkpoint
-from repro.api.checkpoint import CHECKPOINT_VERSION, TokenGraph, read_header
+from repro.api.checkpoint import (
+    CHECKPOINT_VERSION,
+    TokenGraph,
+    TokenReader,
+    read_header,
+)
 from repro.cache.answers import AnswerCache
 from repro.costs.base import BagCost
 from repro.costs.classic import count_fill_edges
 from repro.graphs.generators import connected_erdos_renyi, cycle_graph
 from repro.graphs.graph import Graph
 from repro.preprocess import ComposedCheckpoint
+from repro.preprocess.recompose import COMPOSED_CHECKPOINT_VERSION
 from repro.service import ErrorFrame, StatsFrame
 from repro.service.protocol import serialize_answers
 
@@ -37,6 +45,46 @@ KINDS = ("direct", "composed")
 COMPOSED_GRAPH = connected_erdos_renyi(12, 0.3, seed=7)
 #: 14 answers, 5 within width bound 2.
 GRAPH = connected_erdos_renyi(12, 0.3, seed=2)
+#: Two 5-cycles sharing the edge 1-2: a composed stream of two atoms.
+TWO_C5 = Graph(
+    edges=[(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 6), (6, 7), (7, 8), (8, 1)]
+)
+
+#: Tokens minted at version 2 (the format before the columnar frontier),
+#: checked in as bytes: ``cycle_graph(7)`` under ``width`` after three
+#: answers, a direct token, and ``TWO_C5`` under ``width`` after three,
+#: a composed one.
+V2_DIRECT_C7 = bytes.fromhex(
+    "5250434b53024034643937343263623332613032646530343762383734616162"
+    "3562313761643434643234323434306539346165643461616564616364336633"
+    "623438336337310105776964746800030a002407030003010203010403010603"
+    "010803010a03010c070001000601020203030404050506070000000000000000"
+    "4003042144008001030104000000000000000040040521220000040107010800"
+    "0000000000000040050404500102000103000000000000000040060402c40080"
+    "01020105000000000000000040070502a2000004010601090000000000000000"
+    "4008048140008401010106000000000000000040090541200002040105010a9e"
+    "988c7f"
+)
+V2_COMPOSED_TWO_C5 = bytes.fromhex(
+    "5250434b43024030376365386261613161326163376165366433313236636564"
+    "3430623233623936366664323837353739346363353564383633613532633364"
+    "3131333763306101057769647468000306002c08030102030104030106030108"
+    "03010a03010c03010e0301100900010004000701020105020303040506060700"
+    "0002011f03000000000000000040030107010d01190000000000000000400301"
+    "0b010e01190000000000000000400301070115011c83015250434b5302403062"
+    "3932363463376637363435306666376164313437356331333038376561336437"
+    "6566303938316438346261316661393731393064616330363765613130630105"
+    "7769647468000304001b0503010203010403010603010803010a050001000401"
+    "02020303040100000000000000004003028402000103405ce68401e303000000"
+    "000000000040030123016101c1000000000000000040030143016201c1000000"
+    "00000000004003012301a101e083015250434b53024030643661646332663530"
+    "3865326465316239393336616138353533366132383938653862636561343235"
+    "6538363662373366626365353638666234346466356401057769647468000304"
+    "001b0503010203010403010c03010e0301100500010004010202030304010000"
+    "0000000000004003028402000103a5a2cf850300000000000000004003020000"
+    "0000000000000040040101000000000000000040050002060000000100020100"
+    "01010200d42f1ac2"
+)
 
 
 def signature(results):
@@ -380,6 +428,124 @@ class TestTypedRefusals:
             warm.resume_stream(forged)
         with pytest.raises(ValueError, match="does not fit"):
             Session().resume_stream(forged)
+
+    @pytest.mark.parametrize("field", ["bags", "include", "exclude"])
+    def test_negative_masks_of_a_checkpoint_object_are_refused(self, field):
+        """No token carries a negative mask (``to_bytes`` refuses one),
+        but a checkpoint object can; the column checks refuse it too."""
+        _head, blob = paused(GRAPH, "direct")
+        checkpoint = load_checkpoint(blob)
+        with pytest.raises(ValueError, match="negative"):
+            dataclasses.replace(
+                checkpoint,
+                frontier=(checkpoint.frontier[0]._replace(**{field: -1}),),
+            ).to_bytes()
+        entry = checkpoint.frontier[0]
+        bad = entry._replace(**{field: -getattr(entry, field) or -1})
+        forged = dataclasses.replace(
+            checkpoint, frontier=(bad,) + checkpoint.frontier[1:]
+        )
+        with pytest.raises(ValueError, match="does not fit"):
+            Session().resume_stream(forged)
+
+    @pytest.mark.parametrize("forge", ["one order", "order too high", "nan"])
+    @pytest.mark.parametrize("source", ["bytes", "object"])
+    def test_a_frontier_no_stream_writes_is_refused(self, forge, source):
+        """Pop order, unique orders below ``next_order``, no NaN: a
+        frontier that breaks one was not written by ``checkpoint()``.
+        Each of these forgeries resumed at version 2, the NaN one
+        emitting an answer of cost ``nan``."""
+        session = Session(preprocess=False)
+        stream = session.stream(GRAPH, "fill")
+        list(itertools.islice(stream, 2))
+        checkpoint = stream.checkpoint()
+        frontier = checkpoint.frontier
+        assert [entry.order for entry in frontier] == [3, 4, 2, 5]
+        assert checkpoint.next_order == 6
+        if forge == "one order":
+            frontier = tuple(entry._replace(order=3) for entry in frontier)
+        elif forge == "order too high":
+            frontier = frontier[:-1] + (
+                frontier[-1]._replace(order=checkpoint.next_order + 5),
+            )
+        else:
+            frontier = (frontier[0]._replace(value=float("nan")),) + frontier[1:]
+        forged = dataclasses.replace(checkpoint, frontier=frontier)
+        if source == "bytes":
+            forged = forged.to_bytes()
+            load_checkpoint(forged)  # decodes; the resume refuses it
+        with pytest.raises(ValueError, match="; the token is corrupted$"):
+            session.resume_stream(forged)
+        with pytest.raises(ValueError, match="; the token is corrupted$"):
+            Session(preprocess=False).resume_stream(forged)
+
+    @pytest.mark.parametrize(
+        "blob, label, version",
+        [
+            (V2_DIRECT_C7, "checkpoint", CHECKPOINT_VERSION),
+            (V2_COMPOSED_TWO_C5, "composed-checkpoint", COMPOSED_CHECKPOINT_VERSION),
+        ],
+        ids=KINDS,
+    )
+    def test_version_2_tokens_are_refused_by_version(
+        self, blob, label, version, tmp_path, capsys
+    ):
+        """Real bytes of an older format, not re-encoded by this build:
+        the library and the CLI refuse them naming both versions."""
+        from repro.cli import main
+        from repro.graphs.io import write_graph
+
+        message = (
+            f"unsupported {label} version 2 (this build reads version {version})"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(blob)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Session().resume_stream(blob)
+        token = tmp_path / "old.tok"
+        token.write_bytes(blob)
+        graph = tmp_path / "g.gr"
+        write_graph(cycle_graph(7) if label == "checkpoint" else TWO_C5, graph)
+        assert main(["enumerate", str(graph), "--resume", str(token)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: checkpoint {token}: {message}\n"
+        assert captured.out == ""
+
+
+class TestBulkDecode:
+    PRIMITIVES = ("uint", "mask", "take", "value")
+
+    def test_reader_calls_do_not_grow_with_the_frontier(self, monkeypatch):
+        """An all-float frontier decodes in a fixed number of reader
+        primitive calls, none of them per entry: a return to per-entry
+        reads makes the 79-entry token's count grow."""
+        blobs = []
+        for graph, k in ((GRAPH, 10), (cycle_graph(10), 77)):
+            stream = Session(preprocess=False).stream(graph, "width")
+            list(itertools.islice(stream, k))
+            blobs.append(stream.checkpoint().to_bytes())
+        calls = Counter()
+
+        def counted(name, method):
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return call
+
+        for name in self.PRIMITIVES:
+            monkeypatch.setattr(
+                TokenReader, name, counted(name, getattr(TokenReader, name))
+            )
+        counts = []
+        for blob in blobs:
+            calls.clear()
+            checkpoint = load_checkpoint(blob)
+            assert all(type(entry.value) is float for entry in checkpoint.frontier)
+            counts.append((len(checkpoint.frontier), dict(calls)))
+        (small, small_calls), (large, large_calls) = counts
+        assert (small, large) == (2, 79)
+        assert small_calls == large_calls
 
 
 def _no_unpickling(*_args, **_kwargs):
