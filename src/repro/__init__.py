@@ -59,12 +59,6 @@ from .api import (
     StreamCheckpoint,
     graph_fingerprint,
 )
-from .hypertree import (
-    GeneralizedHypertreeDecomposition,
-    ghd_from_tree_decomposition,
-    minimum_ghd,
-    ranked_ghds,
-)
 from .baselines import ckk_enumeration
 from .separators import minimal_separators, SeparatorLimitExceeded
 from .pmc import potential_maximal_cliques
@@ -104,10 +98,6 @@ __all__ = [
     "treewidth",
     "minimum_fill_in",
     "triangulation_distance",
-    "GeneralizedHypertreeDecomposition",
-    "ghd_from_tree_decomposition",
-    "minimum_ghd",
-    "ranked_ghds",
     "ckk_enumeration",
     "minimal_separators",
     "SeparatorLimitExceeded",

@@ -127,7 +127,7 @@ class Job:
             # Polled once per scanned candidate, so a cancel or a
             # deadline lands mid-scan.
             self._results = _diverse_selection(
-                stream, request.result_limit, request.min_distance,
+                stream, request.k, request.min_distance,
                 request.scan_limit, should_stop=self.interruption,
             )
         elif self.mode == "decompositions":

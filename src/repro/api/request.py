@@ -29,7 +29,8 @@ MODES = ("ranked", "diverse", "decompositions")
 _BOUNDS = (
     ("k", ">=", 0),
     ("min_distance", ">=", 1),
-    ("answer_budget", ">=", 0),
+    ("scan_limit", ">=", 1),
+    ("per_triangulation", ">=", 1),
     ("time_budget", ">", 0),
     ("deadline", ">", 0),
 )
@@ -103,8 +104,6 @@ class EnumerationRequest:
         service checks its ``deadline`` (the response then reads
         ``stats.terminal == "deadline"`` and, in ranked mode, carries a
         resumable checkpoint).
-    answer_budget:
-        Hard cap on emitted answers, applied on top of ``k``.
     """
 
     graph: GraphSource
@@ -116,7 +115,6 @@ class EnumerationRequest:
     scan_limit: int | None = None
     per_triangulation: int | None = None
     time_budget: float | None = None
-    answer_budget: int | None = None
     preprocess: bool | None = None
 
     def __post_init__(self) -> None:
@@ -148,12 +146,6 @@ class EnumerationRequest:
     def cost_spec(self) -> str | None:
         """The registry name of the cost, when it was given as one."""
         return self.cost if isinstance(self.cost, str) else None
-
-    @property
-    def result_limit(self) -> int | None:
-        """Effective answer cap: the tighter of ``k`` and ``answer_budget``."""
-        limits = [x for x in (self.k, self.answer_budget) if x is not None]
-        return min(limits) if limits else None
 
     def with_(self, **changes: object) -> "EnumerationRequest":
         """A copy with the given fields replaced (functional update)."""

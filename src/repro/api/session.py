@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from types import SimpleNamespace
 
 from ..cache.answers import AnswerCache, preprocess_applies_for
 from ..cache.store import context_key, open_store, plan_key, prepared_key
@@ -49,7 +50,7 @@ from ..preprocess.recompose import (
 from .checkpoint import StreamCheckpoint, load_checkpoint
 from .fingerprint import graph_fingerprint
 from .job import Job, _expand_decompositions, replayed_stats
-from .request import EnumerationRequest
+from .request import EnumerationRequest, check_bounds
 from .response import EnumerationResponse
 from .stream import RankedStream
 
@@ -585,9 +586,11 @@ class Session:
 
         Expands each enumerated triangulation into its clique trees,
         optionally capped at ``per_triangulation`` trees each
-        (``1`` = bag-distinct results only).  Returns a generator;
-        closing it closes the underlying stream.
+        (``1`` = bag-distinct results only; a cap below 1 raises
+        :class:`ValueError`).  Returns a generator; closing it closes
+        the underlying stream.
         """
+        check_bounds(SimpleNamespace(per_triangulation=per_triangulation))
         stream = self.stream(
             graph, cost, width_bound=width_bound,
             context=context, preprocess=preprocess,
@@ -650,7 +653,7 @@ class Session:
             fingerprint = fingerprint or graph_fingerprint(graph)
             if request.mode == "diverse" and request.k is None:
                 raise ValueError("diverse mode requires k")
-            if request.result_limit != 0:
+            if request.k != 0:
                 stream, opened = self._open(
                     graph,
                     request.cost,
@@ -704,7 +707,7 @@ class Session:
                 self._preprocess_flag(request),
             )
         return self._serve(
-            request, answers, graph, 0, request.result_limit,
+            request, answers, graph, 0, request.k,
             request.time_budget, started,
             graph=graph, fingerprint=fp, context=context,
         )
@@ -765,7 +768,6 @@ class Session:
         *,
         width_bound: int | None = None,
         time_budget: float | None = None,
-        answer_budget: int | None = None,
         context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> EnumerationResponse:
@@ -777,7 +779,6 @@ class Session:
             mode="ranked",
             width_bound=width_bound,
             time_budget=time_budget,
-            answer_budget=answer_budget,
             preprocess=preprocess,
         )
         return self.execute(request, context=context)

@@ -1,13 +1,11 @@
-"""Baselines and test oracles: brute force, MIS enumeration, CKK."""
+"""Baselines and test oracles: brute force, CKK."""
 
 from .brute import minimal_triangulations_bruteforce, minimal_triangulations_via_mis
-from .mis import maximal_independent_sets
 from .ckk import CKKResult, ckk_enumeration
 
 __all__ = [
     "minimal_triangulations_bruteforce",
     "minimal_triangulations_via_mis",
-    "maximal_independent_sets",
     "CKKResult",
     "ckk_enumeration",
 ]

@@ -10,7 +10,7 @@ the ranked enumerator and the CKK baseline:
 * :func:`minimal_triangulations_via_mis` — Parra–Scheffler: maximal
   independent sets of the separator crossing graph, found with
   Bron–Kerbosch (networkx) on the complement.  Polynomial in the output
-  but needs all minimal separators; independent of our own MIS code.
+  but needs all minimal separators.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from .exact import (
     weighted_minimum_fill_in,
     weighted_treewidth,
 )
-from .diversity import max_min_dispersion_k, triangulation_distance
+from .diversity import triangulation_distance
 
 __all__ = [
     "TriangulationContext",
@@ -29,6 +29,5 @@ __all__ = [
     "minimum_fill_in",
     "weighted_treewidth",
     "weighted_minimum_fill_in",
-    "max_min_dispersion_k",
     "triangulation_distance",
 ]

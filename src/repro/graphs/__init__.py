@@ -13,14 +13,7 @@ from .chordal import (
     fill_in,
 )
 from .cliquetree import clique_tree, clique_tree_from_cliques, minimal_separators_chordal
-from .lexbfs import lex_bfs, is_chordal_lexbfs, peo_via_lexbfs
 from .ordering import vertex_sort_key, vertex_set_sort_key
-from .lowerbounds import (
-    clique_lower_bound,
-    degeneracy,
-    mmd_plus_lower_bound,
-    treewidth_lower_bound,
-)
 from . import generators, io
 
 __all__ = [
@@ -42,15 +35,8 @@ __all__ = [
     "clique_tree",
     "clique_tree_from_cliques",
     "minimal_separators_chordal",
-    "lex_bfs",
-    "is_chordal_lexbfs",
-    "peo_via_lexbfs",
     "vertex_sort_key",
     "vertex_set_sort_key",
-    "degeneracy",
-    "mmd_plus_lower_bound",
-    "clique_lower_bound",
-    "treewidth_lower_bound",
     "generators",
     "io",
 ]

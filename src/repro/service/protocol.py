@@ -96,8 +96,7 @@ PROTOCOL_VERSION = 1
 
 #: The fields shared by every enumeration job kind.
 _JOB_FIELDS = (
-    "graph", "cost", "kernel", "preprocess", "width_bound", "deadline",
-    "k", "answer_budget",
+    "graph", "cost", "kernel", "preprocess", "width_bound", "deadline", "k",
 )
 
 #: The one request contract, held by both doors: the fields each job
@@ -449,7 +448,6 @@ class ServiceRequest:
     scan_limit: int | None = None
     per_triangulation: int | None = None
     deadline: float | None = None
-    answer_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
@@ -475,12 +473,6 @@ class ServiceRequest:
             check_bounds(self)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
-
-    @property
-    def result_limit(self) -> int | None:
-        """Total answers to stream: the tighter of ``k`` and the budget."""
-        limits = [x for x in (self.k, self.answer_budget) if x is not None]
-        return min(limits) if limits else None
 
     @property
     def mode(self) -> str:
@@ -565,7 +557,7 @@ def parse_request(frame: dict) -> ServiceRequest:
     cost = frame.get("cost", "width")
     # bool is an int subclass; reject it explicitly for the numeric fields.
     for key in ("k", "width_bound", "scan_limit", "per_triangulation",
-                "answer_budget", "min_distance", "deadline"):
+                "min_distance", "deadline"):
         if isinstance(frame.get(key), bool):
             raise ProtocolError(f"{key} must be a number, got {frame[key]!r}")
     kernel = frame.get("kernel", "bitset")
@@ -590,7 +582,6 @@ def parse_request(frame: dict) -> ServiceRequest:
             frame, "per_triangulation", int, "an integer"
         ),
         deadline=float(deadline) if deadline is not None else None,
-        answer_budget=_check_field(frame, "answer_budget", int, "an integer"),
     )
 
 

@@ -23,7 +23,8 @@ the first included, in this order:
 * ``deadline``      — wall-clock seconds from the job's runner start,
   an instant on :func:`time.monotonic`; on expiry the job ends with a
   ``deadline`` frame carrying a resume token;
-* ``answer_budget`` / ``k`` — caps on streamed answers; the terminal
+* ``k`` — the one cap on streamed answers (a frame that carries
+  ``answer_budget`` is refused as an unknown field); the terminal
   ``stats`` frame carries the token for the remainder.
 
 Every terminal frame is rendered from the page's one record
@@ -258,8 +259,8 @@ class _JobRunner:
         self._job: Job | None = None
         # Where the job starts: a trusted checkpoint this service holds
         # (crash re-dispatch, or the end of a head replayed from the
-        # answers tier) with the answers delivered before it — so k and
-        # answer-budget accounting continue there — or, for ops without
+        # answers tier) with the answers delivered before it — so the
+        # count toward k continues there — or, for ops without
         # a checkpoint, how many deterministic answers to replay
         # silently before streaming fresh ones.
         self._resume_payload = resume_payload
@@ -280,7 +281,7 @@ class _JobRunner:
     def _open(self) -> Job:
         request = self._request
         stop = {
-            "limit": request.result_limit,
+            "limit": request.k,
             "deadline": self._deadline_at,
             "cancel": self._cancel,
         }
@@ -754,13 +755,11 @@ class EnumerationScheduler:
                 )
             if answers is None:
                 return None
-            head = answers.replay(
-                answers.load(), graph, start, request.result_limit
-            )
+            head = answers.replay(answers.load(), graph, start, request.k)
             if head is None:
                 return None
             frames = [answer_frame(result) for result in head.results]
-            if head.serves(request.result_limit):
+            if head.serves(request.k):
                 stats = replayed_stats(
                     answers, head, kernel=request.kernel, started=started
                 )

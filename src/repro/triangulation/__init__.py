@@ -5,7 +5,6 @@ from .mcs_m import mcs_m
 from .saturate import (
     saturate_separators,
     saturate_bags,
-    triangulation_from_bags,
     minimal_separators_of_triangulation,
 )
 from .minimality import fill_edges, is_triangulation, is_minimal_triangulation
@@ -23,7 +22,6 @@ __all__ = [
     "mcs_m",
     "saturate_separators",
     "saturate_bags",
-    "triangulation_from_bags",
     "minimal_separators_of_triangulation",
     "fill_edges",
     "is_triangulation",

@@ -27,7 +27,6 @@ __all__ = [
     "saturate_separators",
     "saturate_bags",
     "minimal_separators_of_triangulation",
-    "triangulation_from_bags",
 ]
 
 
@@ -96,11 +95,6 @@ def saturate_bags(
     for bag in bags:
         out.saturate(bag)
     return out
-
-
-def triangulation_from_bags(graph: Graph, bags: Iterable[Iterable[Vertex]]) -> Graph:
-    """Alias of :func:`saturate_bags` with intent: bags of a decomposition."""
-    return saturate_bags(graph, bags)
 
 
 def minimal_separators_of_triangulation(triangulation: Graph) -> set[Separator]:

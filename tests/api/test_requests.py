@@ -15,7 +15,6 @@ class TestRequestValidation:
         assert request.mode == "ranked"
         assert request.cost == "width"
         assert request.k is None
-        assert request.result_limit is None
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -38,14 +37,12 @@ class TestRequestValidation:
             EnumerationRequest(graph=cycle_graph(4), time_budget=0)
         with pytest.raises(ValueError, match="time_budget must be > 0, got nan"):
             EnumerationRequest(graph=cycle_graph(4), time_budget=float("nan"))
-        with pytest.raises(ValueError, match="answer_budget"):
-            EnumerationRequest(graph=cycle_graph(4), answer_budget=-2)
-
-    def test_result_limit_is_the_tighter_bound(self):
-        request = EnumerationRequest(graph=cycle_graph(4), k=10, answer_budget=3)
-        assert request.result_limit == 3
-        request = EnumerationRequest(graph=cycle_graph(4), k=2, answer_budget=9)
-        assert request.result_limit == 2
+        for field in ("per_triangulation", "scan_limit"):
+            for value in (-1, 0):
+                with pytest.raises(
+                    ValueError, match=f"{field} must be >= 1, got {value}"
+                ):
+                    EnumerationRequest(graph=cycle_graph(4), **{field: value})
 
     def test_cost_spec_property(self):
         assert EnumerationRequest(graph=cycle_graph(4), cost="fill").cost_spec == "fill"

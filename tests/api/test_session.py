@@ -246,9 +246,9 @@ class TestRankedResponses:
         assert response.results == ()
         assert session.cache_info()["contexts"] == 0
 
-    def test_answer_budget_caps_k(self):
+    def test_k_caps_a_longer_run(self):
         session = Session()
-        response = session.top(cycle_graph(6), "fill", k=10, answer_budget=3)
+        response = session.top(cycle_graph(6), "fill", k=3)
         assert len(response.results) == 3
         assert not response.exhausted
         # A cycle has no clique separator, so this live run is direct.

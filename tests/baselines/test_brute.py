@@ -13,6 +13,7 @@ from repro.graphs.generators import (
     paper_example_graph,
     path_graph,
 )
+from repro.graphs.graph import Graph
 from repro.triangulation.minimality import is_minimal_triangulation
 from tests.conftest import connected_random_graphs, fill_key
 
@@ -59,6 +60,27 @@ class TestMisOracle:
         # Catalan(5) = 42; brute force over 14 non-edges is slow, the MIS
         # oracle is the fast ground truth at this size.
         assert len(minimal_triangulations_via_mis(cycle_graph(7))) == 42
+
+    def test_graphs_without_separators_are_their_own_triangulation(self):
+        for g in (Graph(), Graph(vertices=[1, 2, 3]), path_graph(5)):
+            results = minimal_triangulations_via_mis(g)
+            assert len(results) == 1
+            assert results[0] == g
+
+    def test_cycle_counts(self):
+        # Catalan(n-2), as for the brute-force oracle: C4 → 2, C5 → 5, C6 → 14.
+        for n, count in ((4, 2), (5, 5), (6, 14)):
+            assert len(minimal_triangulations_via_mis(cycle_graph(n))) == count
+
+    def test_every_output_minimal(self):
+        for g in connected_random_graphs(8, 0.35, 5, seed_base=2050):
+            for h in minimal_triangulations_via_mis(g):
+                assert is_minimal_triangulation(g, h)
+
+    def test_no_duplicates(self):
+        g = erdos_renyi(10, 0.3, seed=3)
+        fills = [fill_key(g, h) for h in minimal_triangulations_via_mis(g)]
+        assert len(fills) == len(set(fills))
 
 
 class TestBitsetKernelAgainstOracle:

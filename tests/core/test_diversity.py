@@ -1,6 +1,6 @@
 """Tests for the diversity extension (paper §8 future work)."""
 
-from repro.core.diversity import max_min_dispersion_k, triangulation_distance
+from repro.core.diversity import triangulation_distance
 from repro.costs.classic import FillInCost, WidthCost
 from repro.graphs.generators import cycle_graph
 
@@ -45,6 +45,34 @@ class TestDiverseTopK:
         kept = session.diverse(g, FillInCost(), k=3, min_distance=3).results
         assert kept[0].cost == 4  # C7 optimum fill = n - 3
 
+    def test_selects_k(self, session):
+        g = cycle_graph(7)
+        optimum = top_triangulations(session, g, FillInCost(), 1)[0]
+        kept = session.diverse(g, FillInCost(), k=4, min_distance=2).results
+        assert len(kept) == 4
+        assert kept[0].bags == optimum.bags
+
+    def test_spread_not_worse_than_prefix(self, session):
+        g = cycle_graph(7)
+
+        def min_dist(ts):
+            return min(
+                triangulation_distance(a, b)
+                for i, a in enumerate(ts)
+                for b in ts[i + 1 :]
+            )
+
+        kept = session.diverse(g, FillInCost(), k=4, min_distance=4).results
+        prefix = top_triangulations(session, g, FillInCost(), 4)
+        assert len(kept) == 4
+        assert min_dist(kept) >= min_dist(prefix)
+
+    def test_small_space(self, session):
+        # C4 has two minimal triangulations: asking for more keeps both.
+        response = session.diverse(cycle_graph(4), FillInCost(), k=10)
+        assert len(response.results) == 2
+        assert response.exhausted
+
     def test_respects_scan_limit(self, session):
         g = cycle_graph(7)
         kept = session.diverse(
@@ -69,33 +97,3 @@ class TestDiverseTopK:
         assert [t.bags for t in bounded] == [t.bags for t in unbounded]
         for tri in bounded:
             assert tri.width <= 2
-
-
-class TestMaxMinDispersion:
-    def test_selects_k(self, session):
-        g = cycle_graph(7)
-        pool = top_triangulations(session, g, FillInCost(), 12)
-        chosen = max_min_dispersion_k(pool, 4)
-        assert len(chosen) == 4
-        assert chosen[0].bags == pool[0].bags  # seeded with the optimum
-
-    def test_dispersion_not_worse_than_prefix(self, session):
-        g = cycle_graph(7)
-        pool = top_triangulations(session, g, FillInCost(), 12)
-
-        def min_dist(ts):
-            return min(
-                triangulation_distance(a, b)
-                for i, a in enumerate(ts)
-                for b in ts[i + 1 :]
-            )
-
-        greedy = max_min_dispersion_k(pool, 4)
-        prefix = pool[:4]
-        assert min_dist(greedy) >= min_dist(prefix)
-
-    def test_small_pool(self, session):
-        g = cycle_graph(4)
-        pool = top_triangulations(session, g, FillInCost(), 2)
-        assert len(max_min_dispersion_k(pool, 10)) == 2
-        assert max_min_dispersion_k([], 3) == []

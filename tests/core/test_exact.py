@@ -11,6 +11,7 @@ from repro.core.exact import (
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
+    erdos_renyi,
     grid_graph,
     hypercube_graph,
     mycielski_graph,
@@ -19,6 +20,26 @@ from repro.graphs.generators import (
     tree_graph,
 )
 from repro.graphs.graph import Graph
+
+
+def path_with_embedded_k4() -> Graph:
+    g = path_graph(6)
+    g.saturate([0, 1, 2, 3])
+    return g
+
+
+#: Graphs whose treewidth must sit between networkx's lower and upper
+#: bounds: the structured families and sparse random graphs.
+BOUNDS_CORPUS = [
+    ("path-6", path_graph(6)),
+    ("cycle-6", cycle_graph(6)),
+    ("cycle-8", cycle_graph(8)),
+    ("grid-3x3", grid_graph(3, 3)),
+    ("grid-4x4", grid_graph(4, 4)),
+    ("petersen", petersen_graph()),
+    ("complete-5", complete_graph(5)),
+    ("path-with-k4", path_with_embedded_k4()),
+] + [(f"er-10-{seed}", erdos_renyi(10, 0.3, seed=seed)) for seed in range(8)]
 
 
 class TestTreewidth:
@@ -50,12 +71,30 @@ class TestTreewidth:
         import networkx as nx
         from networkx.algorithms.approximation import treewidth_min_degree
 
-        from repro.graphs.generators import erdos_renyi
-
         for seed in range(6):
             g = erdos_renyi(11, 0.3, seed=seed)
             ub, _ = treewidth_min_degree(g.to_networkx())
             assert treewidth(g) <= ub
+
+    @pytest.mark.parametrize(
+        "graph", [g for _, g in BOUNDS_CORPUS], ids=[name for name, _ in BOUNDS_CORPUS]
+    )
+    def test_between_networkx_bounds(self, graph):
+        # Degeneracy and clique number minus one bound treewidth from
+        # below; the min-degree and min-fill heuristics bound it from above.
+        import networkx as nx
+        from networkx.algorithms.approximation import (
+            treewidth_min_degree,
+            treewidth_min_fill_in,
+        )
+
+        nx_graph = graph.to_networkx()
+        degeneracy = max(nx.core_number(nx_graph).values())
+        clique = max(len(c) for c in nx.find_cliques(nx_graph)) - 1
+        upper = min(
+            treewidth_min_degree(nx_graph)[0], treewidth_min_fill_in(nx_graph)[0]
+        )
+        assert max(degeneracy, clique) <= treewidth(graph) <= upper
 
 
 class TestMinimumFillIn:

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from repro.costs.classic import FillInCost, WidthCost
 from repro.graphs.generators import cycle_graph
 from tests.conftest import connected_random_graphs
@@ -32,6 +34,11 @@ class TestRankedDecompositions:
         )
         # exactly one decomposition per minimal triangulation
         assert len(capped) == 2
+        for cap in (-1, 0):
+            with pytest.raises(
+                ValueError, match=f"per_triangulation must be >= 1, got {cap}"
+            ):
+                session.decomposition_stream(paper_graph, WidthCost(), per_triangulation=cap)
 
     def test_expansion_multiplicity(self, session):
         # A star is chordal (one minimal triangulation — itself) but has

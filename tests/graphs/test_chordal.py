@@ -81,6 +81,17 @@ class TestMCS:
         g = Graph(edges=[(1, 2), (3, 4)])
         assert len(maximum_cardinality_search(g)) == 4
 
+    def test_unknown_start_vertex_raises(self):
+        with pytest.raises(KeyError):
+            maximum_cardinality_search(path_graph(5), start=99)
+
+    def test_second_vertex_is_a_neighbour(self):
+        # After the start vertex, only its neighbours carry weight, so on
+        # a connected graph the second visited vertex is adjacent to it.
+        for g, start in ((path_graph(6), 3), (grid_graph(3, 4), (1, 1))):
+            order = maximum_cardinality_search(g, start=start)
+            assert order[1] in g.adj(start)
+
 
 class TestPEO:
     def test_path_is_chordal(self):
@@ -88,6 +99,16 @@ class TestPEO:
 
     def test_cycle_not_chordal(self):
         assert perfect_elimination_order(cycle_graph(4)) is None
+
+    def test_chordal_yields_a_valid_order(self):
+        for g in (path_graph(6), complete_graph(5), tree_graph(9, seed=1)):
+            peo = perfect_elimination_order(g)
+            assert peo is not None
+            assert is_perfect_elimination_order(g, peo)
+
+    def test_non_chordal_yields_none(self):
+        assert perfect_elimination_order(cycle_graph(5)) is None
+        assert perfect_elimination_order(grid_graph(3, 3)) is None
 
     def test_explicit_order_check(self):
         # Triangle with a pendant: eliminating the pendant first is perfect.
@@ -126,6 +147,13 @@ class TestIsChordal:
         for seed in range(40):
             g = erdos_renyi(7, 0.45, seed=seed)
             assert is_chordal(g) == brute_force_chordal(g), f"seed={seed}"
+
+    def test_against_networkx_on_random(self):
+        import networkx as nx
+
+        for seed in range(60):
+            g = erdos_renyi(9, 0.45, seed=seed)
+            assert is_chordal(g) == nx.is_chordal(g.to_networkx()), f"seed={seed}"
 
 
 class TestMaximalCliques:

@@ -124,7 +124,6 @@ class TestServiceRequest:
             k=3,
             min_distance=2,
             scan_limit=40,
-            answer_budget=2,
         )
         assert parse_request(diverse.to_frame()) == diverse
 
@@ -144,7 +143,10 @@ class TestServiceRequest:
             dict(op="top", graph=Graph(vertices=[1])),  # top needs k
             dict(op="enumerate", graph=Graph(vertices=[1]), k=-1),
             dict(op="enumerate", graph=Graph(vertices=[1]), deadline=0),
-            dict(op="enumerate", graph=Graph(vertices=[1]), answer_budget=-2),
+            dict(op="decompositions", graph=Graph(vertices=[1]), per_triangulation=-1),
+            dict(op="decompositions", graph=Graph(vertices=[1]), per_triangulation=0),
+            dict(op="diverse", graph=Graph(vertices=[1]), k=2, scan_limit=-1),
+            dict(op="diverse", graph=Graph(vertices=[1]), k=2, scan_limit=0),
         ],
     )
     def test_invalid_requests_raise(self, kwargs):

@@ -207,15 +207,13 @@ class TestFairness:
 
 
 class TestBudgetsDeadlinesCancellation:
-    def test_answer_budget_caps_and_checkpoints(self):
+    def test_k_caps_and_checkpoints(self):
         graph = connected_erdos_renyi(10, 0.35, seed=2)
 
         async def main():
             scheduler = EnumerationScheduler()
             job = await scheduler.submit(
-                ServiceRequest(
-                    op="enumerate", graph=graph, cost="fill", answer_budget=3
-                )
+                ServiceRequest(op="enumerate", graph=graph, cost="fill", k=3)
             )
             frames = await job.drain()
             await scheduler.close()
@@ -488,17 +486,16 @@ class TestExhaustionReporting:
 
 
 class TestDiverseParity:
-    def test_answer_budget_matches_session_surface(self):
+    def test_k_matches_session_surface(self):
         """The service's diverse jobs and Session.diverse are one
-        implementation: the k/answer_budget interaction must agree."""
+        implementation: they must keep the same answers."""
         graph = connected_erdos_renyi(10, 0.35, seed=0)
 
         async def main():
             scheduler = EnumerationScheduler()
             job = await scheduler.submit(
                 ServiceRequest(
-                    op="diverse", graph=graph, cost="fill", k=5,
-                    answer_budget=2, min_distance=1,
+                    op="diverse", graph=graph, cost="fill", k=2, min_distance=1,
                 )
             )
             frames = await job.drain()
@@ -510,8 +507,7 @@ class TestDiverseParity:
         frames = run(main())
         expected = Session().execute(
             EnumerationRequest(
-                graph=graph, cost="fill", k=5, mode="diverse",
-                min_distance=1, answer_budget=2,
+                graph=graph, cost="fill", k=2, mode="diverse", min_distance=1,
             )
         )
         got = answers_of(frames)

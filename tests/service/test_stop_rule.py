@@ -47,10 +47,7 @@ PAGES = [
         "enumerate", paper_example_graph(), "width", {}, id="enumerate-exhausted"
     ),
     pytest.param("top", cycle_graph(6), "fill", {"k": 0}, id="top-zero"),
-    pytest.param(
-        "top", petersen_graph(), "fill", {"k": 4, "answer_budget": 2},
-        id="top-answer-budget",
-    ),
+    pytest.param("top", petersen_graph(), "fill", {"k": 2}, id="top-petersen"),
     pytest.param(
         "diverse", cycle_graph(7), "fill", {"k": 2, "min_distance": 2},
         id="diverse",

@@ -1,12 +1,21 @@
 """Smoke tests of the top-level public API surface."""
 
+import importlib
+import pkgutil
+
 import repro
 
 
 class TestPublicSurface:
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        for package in packages:
+            for name in getattr(package, "__all__", ()):
+                assert hasattr(package, name), f"{package.__name__}.{name}"
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
@@ -31,11 +40,15 @@ class TestPublicSurface:
         assert repro.treewidth(g) == 2
         assert repro.minimum_fill_in(g) == 1
 
-    def test_ghd_surface(self):
+    def test_hypertree_width_surface(self):
         q = repro.Hypergraph([("a", "b"), ("b", "c"), ("c", "a")])
-        ghd = repro.minimum_ghd(q)
-        assert ghd.width == 2
-        assert ghd.is_valid()
+        stream = repro.Session().decomposition_stream(
+            q.primal_graph(), repro.HypertreeWidthCost(q), per_triangulation=1
+        )
+        best = next(stream)
+        stream.close()
+        assert best.cost == 2
+        assert best.decomposition.is_valid(q.primal_graph())
 
     def test_make_cost_surface(self):
         g = repro.Graph(edges=[(0, 1), (1, 2)])
