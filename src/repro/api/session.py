@@ -67,6 +67,14 @@ def _meta(opened: list) -> dict:
     }
 
 
+def _check_decomposable(graph: Graph) -> None:
+    """Decompositions mode's refusal of a disconnected graph (clique
+    forests, not trees), made before any plan or context is built."""
+    if not graph.is_connected():
+        raise ValueError("decompositions mode requires a connected graph; "
+                         "decompose each component separately")
+
+
 class _CacheEntry:
     """One cached context plus its per-cost-spec prepared DP tables."""
 
@@ -587,10 +595,13 @@ class Session:
         Expands each enumerated triangulation into its clique trees,
         optionally capped at ``per_triangulation`` trees each
         (``1`` = bag-distinct results only; a cap below 1 raises
-        :class:`ValueError`).  Returns a generator; closing it closes
-        the underlying stream.
+        :class:`ValueError`, and so does a disconnected graph).  Returns
+        a generator; closing it closes the underlying stream.
         """
         check_bounds(SimpleNamespace(per_triangulation=per_triangulation))
+        if isinstance(graph, str):
+            graph = read_graph(graph)
+        _check_decomposable(graph)
         stream = self.stream(
             graph, cost, width_bound=width_bound,
             context=context, preprocess=preprocess,
@@ -653,6 +664,8 @@ class Session:
             fingerprint = fingerprint or graph_fingerprint(graph)
             if request.mode == "diverse" and request.k is None:
                 raise ValueError("diverse mode requires k")
+            if request.mode == "decompositions":
+                _check_decomposable(graph)
             if request.k != 0:
                 stream, opened = self._open(
                     graph,

@@ -46,14 +46,12 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
+from ..graphs.cliquetree import minimal_separators_chordal
 from ..graphs.graph import Graph, Vertex
 from ..separators.berry import iter_minimal_separators
 from ..separators.crossing import SeparatorFamily
 from ..triangulation.lb_triang import lb_triang
-from ..triangulation.saturate import (
-    minimal_separators_of_triangulation,
-    saturate_separators,
-)
+from ..triangulation.saturate import saturate_separators
 
 Separator = frozenset[Vertex]
 Triangulator = Callable[[Graph], Graph]
@@ -129,7 +127,7 @@ def ckk_enumeration(
                 family.add(s)
 
     first = triangulator(graph)
-    first_key = frozenset(minimal_separators_of_triangulation(first))
+    first_key = frozenset(minimal_separators_chordal(first))
     seen: set[frozenset[Separator]] = {first_key}
     results: list[tuple[Graph, frozenset[Separator]]] = [(first, first_key)]
     admit_to_pool(first_key)
@@ -166,9 +164,7 @@ def ckk_enumeration(
                 seed.add(pivot)
                 saturated = saturate_separators(graph, seed)
                 candidate = triangulator(saturated)
-                candidate_key = frozenset(
-                    minimal_separators_of_triangulation(candidate)
-                )
+                candidate_key = frozenset(minimal_separators_chordal(candidate))
                 if candidate_key not in seen:
                     seen.add(candidate_key)
                     admit_to_pool(candidate_key)

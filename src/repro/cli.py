@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
+from pathlib import Path
 
 from .api import Session, graph_fingerprint
 from .graphs.io import read_graph
@@ -34,6 +35,19 @@ from .core.exact import minimum_fill_in, treewidth
 from .separators.berry import SeparatorLimitExceeded
 
 __all__ = ["main", "run", "build_parser"]
+
+
+class _BadInput(Exception):
+    """A named input file that is missing, unreadable or malformed."""
+
+
+def _read_input(path: str, read=read_graph):
+    """``read(path)`` for a file named on the command line; on a bad file
+    :func:`main` prints ``error: PATH: message`` and exits 2."""
+    try:
+        return read(Path(path))
+    except (OSError, ValueError) as exc:
+        raise _BadInput(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _positive_int(raw: str) -> int:
@@ -169,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="concurrent stream slices; with --backend process (the "
         "default) this is the size of the worker-process pool "
-        "(default: cpu count), with --backend inprocess the executor "
-        "thread count (default: 2)",
+        "(default: the CPU count, at least 2), with --backend inprocess "
+        "the executor thread count (default: 2)",
     )
     p_serve.add_argument(
         "--backend",
@@ -184,10 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--slice-answers",
         type=_positive_int,
-        default=4,
+        default=None,
         metavar="M",
         help="answers a job streams per slice before yielding its worker "
-        "slot (smaller = fairer + faster cancellation)",
+        "slot (smaller = fairer + faster cancellation; default: the "
+        "scheduler's DEFAULT_SLICE_ANSWERS)",
     )
     p_serve.add_argument(
         "--http",
@@ -335,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    graph = read_graph(args.graph)
+    graph = _read_input(args.graph)
     print(f"vertices: {graph.num_vertices()}")
     print(f"edges:    {graph.num_edges()}")
     started = time.perf_counter()
@@ -357,7 +372,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_treewidth(args: argparse.Namespace) -> int:
-    graph = read_graph(args.graph)
+    graph = _read_input(args.graph)
     ctx = None
     if graph.num_vertices() and graph.is_connected():
         ctx = Session(kernel=args.kernel).context(graph)
@@ -370,7 +385,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.resume is not None and args.diverse is not None:
         print("error: --resume cannot be combined with --diverse", file=sys.stderr)
         return 2
-    graph = read_graph(args.graph)
+    graph = _read_input(args.graph)
     session = Session(kernel=args.kernel, preprocess=not args.no_preprocess)
     if args.diverse is not None:
         response = session.diverse(
@@ -387,8 +402,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.resume is not None:
         from .api.checkpoint import load_checkpoint
 
-        with open(args.resume, "rb") as fh:
-            data = fh.read()
+        data = _read_input(args.resume, Path.read_bytes)
         try:
             token = load_checkpoint(data)
         except ValueError as exc:
@@ -482,11 +496,11 @@ def _cell(value) -> str:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import serve
+    from .service.scheduler import DEFAULT_SLICE_ANSWERS
 
     token_key = None
     if args.token_secret is not None:
-        with open(args.token_secret, "rb") as fh:
-            token_key = fh.read()
+        token_key = _read_input(args.token_secret, Path.read_bytes)
         if not token_key:
             print(
                 f"error: token secret {args.token_secret} is empty",
@@ -504,7 +518,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         http_port=args.http,
         workers=workers,
-        slice_answers=args.slice_answers,
+        slice_answers=args.slice_answers or DEFAULT_SLICE_ANSWERS,
         token_key=token_key,
         backend=args.backend,
         cache_dir=args.cache_dir,
@@ -543,15 +557,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        with open(args.resume, "rb") as fh:
-            token = fh.read()
+        token = _read_input(args.resume, Path.read_bytes)
         request = ServiceRequest(
             op="enumerate", token=token, k=args.top, deadline=args.deadline
         )
     else:
         request = ServiceRequest(
             op=args.mode,
-            graph=read_graph(args.graph),
+            graph=_read_input(args.graph),
             cost=args.cost,
             k=args.top,
             width_bound=args.width_bound,
@@ -767,7 +780,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     from .core.mintriang import min_triangulation
     from .graphs.td_io import write_td
 
-    graph = read_graph(args.graph)
+    graph = _read_input(args.graph)
     cost = resolve_cost(args.cost, graph)
     result = min_triangulation(graph, cost)
     assert result is not None
@@ -783,8 +796,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .graphs.td_io import read_td
 
-    graph = read_graph(args.graph)
-    td = read_td(args.decomposition)
+    graph = _read_input(args.graph)
+    td = _read_input(args.decomposition, read_td)
     if not td.is_valid(graph):
         print("INVALID: tree-decomposition axioms violated")
         return 1
@@ -871,7 +884,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Safe to call as a library function: a downstream consumer closing the
     pipe (``BrokenPipeError``) yields the conventional SIGPIPE status 141
-    without touching the process's file descriptors.
+    without touching the process's file descriptors, and a missing or
+    malformed input file prints ``error: PATH: message`` and returns 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -879,6 +893,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return 141
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:  # pragma: no cover - thin process wrapper

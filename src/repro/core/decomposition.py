@@ -10,12 +10,11 @@ decompositions are exactly the clique trees of the minimal triangulations.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Mapping
 
 from ..graphs.graph import Graph, Vertex
 from ..graphs.chordal import maximal_cliques_chordal
-from ..graphs.cliquetree import clique_tree_from_cliques
+from ..graphs.cliquetree import UnionFind, clique_tree_from_cliques, join_forest
 from ..triangulation.minimality import is_minimal_triangulation
 from ..triangulation.saturate import saturate_bags
 
@@ -57,35 +56,14 @@ class TreeDecomposition:
 
         Connects the bags with a maximum-intersection-weight spanning tree;
         when the bags are the maximal cliques of a chordal graph this is a
-        clique tree (junction property guaranteed).
+        clique tree (junction property guaranteed).  A forest (disconnected
+        bags, or a repeated bag) is joined through first nodes in input order.
         """
         bag_list = [frozenset(b) for b in bags]
         index = {bag: i for i, bag in enumerate(bag_list)}
-        tree_edges = clique_tree_from_cliques(set(bag_list))
-        edges = [(index[a], index[b]) for a, b in tree_edges]
-        if len(edges) < len(bag_list) - 1:
-            # Stitch forest components (disconnected underlying graph).
-            adjacency: dict[int, list[int]] = {i: [] for i in range(len(bag_list))}
-            for a, b in edges:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-            seen: set[int] = set()
-            roots = []
-            for i in range(len(bag_list)):
-                if i in seen:
-                    continue
-                roots.append(i)
-                queue = deque((i,))
-                seen.add(i)
-                while queue:
-                    u = queue.popleft()
-                    for w in adjacency[u]:
-                        if w not in seen:
-                            seen.add(w)
-                            queue.append(w)
-            for other in roots[1:]:
-                edges.append((roots[0], other))
-        return cls({i: bag for i, bag in enumerate(bag_list)}, edges)
+        edges = [(index[a], index[b]) for a, b in clique_tree_from_cliques(set(bag_list))]
+        edges += join_forest(len(bag_list), edges, range(len(bag_list)))
+        return cls(dict(enumerate(bag_list)), edges)
 
     @classmethod
     def from_triangulation(cls, triangulation: Graph) -> "TreeDecomposition":
@@ -129,44 +107,19 @@ class TreeDecomposition:
         return all(self._occurrences_connected(v) for v in graph.vertices)
 
     def _is_tree(self) -> bool:
-        n = len(self.bags)
-        if n == 0:
-            return not self.edges
-        adjacency: dict[int, list[int]] = {node: [] for node in self.bags}
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        seen = set()
-        start = next(iter(self.bags))
-        queue = deque((start,))
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == n and len(self.edges) == n - 1
+        """``n - 1`` edges, each joining two components: a spanning tree."""
+        position = {node: i for i, node in enumerate(self.bags)}
+        forest = UnionFind(len(position))
+        return len(self.edges) == max(len(position) - 1, 0) and all(
+            forest.union(position[a], position[b]) for a, b in self.edges
+        )
 
     def _occurrences_connected(self, vertex: Vertex) -> bool:
-        nodes = [n for n, bag in self.bags.items() if vertex in bag]
-        if len(nodes) <= 1:
-            return True
-        node_set = set(nodes)
-        adjacency: dict[int, list[int]] = {n: [] for n in nodes}
-        for a, b in self.edges:
-            if a in node_set and b in node_set:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-        seen = {nodes[0]}
-        queue = deque((nodes[0],))
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(nodes)
+        """Inside a tree, the nodes holding ``vertex`` are connected
+        exactly when they span one edge fewer than nodes."""
+        nodes = {n for n, bag in self.bags.items() if vertex in bag}
+        inner = sum(a in nodes and b in nodes for a, b in self.edges)
+        return not nodes or inner == len(nodes) - 1
 
     def is_clique_tree(self, graph: Graph) -> bool:
         """Whether this is a clique tree of ``graph`` (Section 2).

@@ -51,6 +51,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..graphs.cliquetree import clique_tree_from_cliques
 from ..graphs.graph import Graph, Vertex
 from ..graphs.kernels import validate_kernel
 from ..costs.base import Bag, BagCost, Fold, INFEASIBLE, declared_fold
@@ -92,35 +93,11 @@ class Triangulation:
     def minimal_separators(self) -> frozenset[Separator]:
         """``MinSep(H)`` — the maximal pairwise-parallel set identifying H.
 
-        Computed as the adhesions of a clique tree over the bag set
-        (Parra–Scheffler, Theorem 2.5).  Every clique tree has the same
-        adhesions, so a Prim pass over bag intersections (a
-        maximum-weight spanning tree of the clique graph) serves; an
-        empty adhesion joins two components and is not a separator.
+        The adhesions of any clique tree over the bag set (Parra–Scheffler,
+        Theorem 2.5); :func:`~repro.graphs.cliquetree.clique_tree_from_cliques`
+        joins only bags that meet, so none is empty.
         """
-        rest = list(self.bags)
-        if not rest:
-            return frozenset()
-        tree_bag = rest.pop()
-        # links[i]: the largest adhesion of rest[i] to the tree so far.
-        links = [tree_bag & bag for bag in rest]
-        sizes = [len(link) for link in links]
-        seps = set()
-        while rest:
-            best = sizes.index(max(sizes))
-            tree_bag = rest[best]
-            if sizes[best]:
-                seps.add(links[best])
-            rest[best], links[best], sizes[best] = rest[-1], links[-1], sizes[-1]
-            rest.pop()
-            links.pop()
-            sizes.pop()
-            for i, bag in enumerate(rest):
-                link = tree_bag & bag
-                if len(link) > sizes[i]:
-                    links[i] = link
-                    sizes[i] = len(link)
-        return frozenset(seps)
+        return frozenset(a & b for a, b in clique_tree_from_cliques(self.bags))
 
     @property
     def width(self) -> int:

@@ -1,85 +1,33 @@
 """Enumerating all clique trees of a chordal graph.
 
 The clique trees of a chordal graph ``H`` are exactly the maximum-weight
-spanning trees of its clique graph (nodes ``MaxClq(H)``, weight = size of
-the intersection).  Following the reduction used by Carmeli et al. (via
-Jordan 2002 and the all-spanning-trees enumeration of Yamada, Kataoka and
-Watanabe 2010), :func:`maximum_spanning_trees` enumerates every
-maximum-weight spanning tree with polynomial delay by Lawler-style
-include/exclude partitioning with a constrained-Kruskal oracle, and
-:func:`clique_trees` instantiates it for a triangulation.
+spanning trees of its clique graph (nodes ``MaxClq(H)``, an edge between
+two cliques that meet, weighted by the size of their intersection).
+Following the reduction used by Carmeli et al. (via Jordan 2002 and the
+all-spanning-trees enumeration of Yamada, Kataoka and Watanabe 2010),
+:func:`maximum_spanning_trees` enumerates every maximum-weight spanning
+tree with polynomial delay by Lawler-style include/exclude partitioning;
+each partition is solved by the one Kruskal pass of
+:mod:`repro.graphs.cliquetree` under its forced and forbidden edges.
+:func:`clique_trees` runs it over the clique graph of a triangulation,
+the cliques in label order.
 
-This is the missing piece that lifts ranked enumeration of minimal
-triangulations to ranked enumeration of **proper tree decompositions**
-(Proposition 6.1): all clique trees of one triangulation share its cost.
+Decompositions mode rests on it: the proper tree decompositions are the
+clique trees of the minimal triangulations (Proposition 6.1), and all
+clique trees of one triangulation share its cost.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from ..graphs.graph import Graph
 from ..graphs.chordal import maximal_cliques_chordal
+from ..graphs.cliquetree import WeightedEdge, clique_graph_edges, kruskal
 from ..graphs.ordering import vertex_set_sort_key
 from .decomposition import TreeDecomposition
 
-Node = Hashable
-WeightedEdge = tuple[float, int, int]  # (weight, node index a, node index b)
-
 __all__ = ["maximum_spanning_trees", "clique_trees", "count_clique_trees"]
-
-
-class _DSU:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _constrained_max_tree(
-    n: int,
-    edges: Sequence[WeightedEdge],
-    include: frozenset[int],
-    exclude: frozenset[int],
-) -> tuple[float, list[int]] | None:
-    """Max-weight spanning tree containing ``include`` / avoiding ``exclude``.
-
-    Edge constraints are given as indexes into ``edges``.  Returns
-    ``(weight, edge indexes)`` or ``None`` when infeasible.  Greedy Kruskal
-    with forced inclusions is exact (graphic matroid).
-    """
-    dsu = _DSU(n)
-    weight = 0.0
-    chosen: list[int] = []
-    for i in include:
-        w, a, b = edges[i]
-        if not dsu.union(a, b):
-            return None
-        weight += w
-        chosen.append(i)
-    order = sorted(
-        (i for i in range(len(edges)) if i not in include and i not in exclude),
-        key=lambda i: -edges[i][0],
-    )
-    for i in order:
-        w, a, b = edges[i]
-        if dsu.union(a, b):
-            weight += w
-            chosen.append(i)
-    if len(chosen) != n - 1:
-        return None
-    return weight, chosen
 
 
 def maximum_spanning_trees(
@@ -87,35 +35,25 @@ def maximum_spanning_trees(
 ) -> Iterator[list[int]]:
     """All maximum-weight spanning trees of a graph on ``0..n-1``.
 
-    Yields each tree once, as a list of indexes into ``edges``.  Lawler
-    partitioning: pop a partition's optimal tree, emit it, and split the
-    remainder by the first excluded tree edge.  Every partition's candidate
-    is kept only when it matches the global optimum weight.
+    Yields each tree once, as a sorted list of indexes into ``edges``.
+    Lawler partitioning: pop a partition's optimal tree, emit it, and
+    split the remainder by the first excluded tree edge.  A partition's
+    candidate is the Kruskal forest under its forced and forbidden
+    edges, kept only when it is a spanning tree of the optimum weight.
     """
-    if n == 0:
+    weight, tree = kruskal(n, edges)
+    if len(tree) != n - 1:
         return
-    if n == 1:
-        yield []
-        return
-    base = _constrained_max_tree(n, edges, frozenset(), frozenset())
-    if base is None:
-        return
-    best_weight = base[0]
-    stack: list[tuple[frozenset[int], frozenset[int], list[int]]] = [
-        (frozenset(), frozenset(), base[1])
-    ]
+    stack = [(frozenset(), frozenset(), tree)]
     while stack:
         include, exclude, tree = stack.pop()
         yield sorted(tree)
         free = [i for i in tree if i not in include]
-        accumulated: list[int] = []
-        for pivot in free:
-            child_include = include | frozenset(accumulated)
-            child_exclude = exclude | {pivot}
-            child = _constrained_max_tree(n, edges, child_include, child_exclude)
-            if child is not None and child[0] == best_weight:
-                stack.append((child_include, child_exclude, child[1]))
-            accumulated.append(pivot)
+        for k, pivot in enumerate(free):
+            child = (include.union(free[:k]), exclude | {pivot})
+            found = kruskal(n, edges, *child)
+            if found is not None and found[0] == weight and len(found[1]) == n - 1:
+                stack.append((*child, found[1]))
 
 
 def clique_trees(triangulation: Graph) -> Iterator[TreeDecomposition]:
@@ -133,18 +71,10 @@ def clique_trees(triangulation: Graph) -> Iterator[TreeDecomposition]:
     cliques = sorted(
         maximal_cliques_chordal(triangulation), key=vertex_set_sort_key
     )
-    n = len(cliques)
-    edges: list[WeightedEdge] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = len(cliques[i] & cliques[j])
-            if w > 0:
-                edges.append((float(w), i, j))
-    for tree in maximum_spanning_trees(n, edges):
-        yield TreeDecomposition(
-            {i: c for i, c in enumerate(cliques)},
-            [(edges[i][1], edges[i][2]) for i in tree],
-        )
+    edges = clique_graph_edges(cliques)
+    bags = dict(enumerate(cliques))
+    for tree in maximum_spanning_trees(len(cliques), edges):
+        yield TreeDecomposition(bags, [edges[i][1:] for i in tree])
 
 
 def count_clique_trees(triangulation: Graph, limit: int | None = None) -> int:

@@ -20,6 +20,14 @@ from .graph import Graph
 __all__ = ["parse_gr", "to_gr", "parse_dimacs", "to_dimacs", "read_graph", "write_graph"]
 
 
+def parse_int(token: str, lineno: int) -> int:
+    """``int(token)``, refused as ``line N: ...`` like any malformed line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_gr(text: str) -> Graph:
     """Parse a PACE ``.gr`` document into a :class:`Graph`."""
     graph = Graph()
@@ -32,14 +40,14 @@ def parse_gr(text: str) -> Graph:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "tw":
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            declared = int(parts[2])
+            declared = parse_int(parts[2], lineno)
             for v in range(1, declared + 1):
                 graph.add_vertex(v)
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = (parse_int(t, lineno) for t in parts)
         if u != v:
             graph.add_edge(u, v)
     if declared is not None and graph.num_vertices() != declared:
@@ -75,11 +83,13 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 3 or parts[1] not in {"edge", "edges", "col"}:
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            declared = int(parts[2])
+            declared = parse_int(parts[2], lineno)
             for v in range(1, declared + 1):
                 graph.add_vertex(v)
         elif parts[0] == "e":
-            u, v = int(parts[1]), int(parts[2])
+            if len(parts) < 3:
+                raise ValueError(f"line {lineno}: malformed edge line {line!r}")
+            u, v = (parse_int(t, lineno) for t in parts[1:3])
             if u != v:
                 graph.add_edge(u, v)
         elif parts[0] in {"n", "x"}:  # node weights / extensions: ignored

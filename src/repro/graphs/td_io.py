@@ -21,6 +21,7 @@ from pathlib import Path
 
 from ..core.decomposition import TreeDecomposition
 from .graph import Graph
+from .io import parse_int
 
 __all__ = ["parse_td", "to_td", "read_td", "write_td"]
 
@@ -35,11 +36,12 @@ def parse_td(text: str) -> TreeDecomposition:
     ------
     ValueError
         On malformed documents (missing/duplicate solution line, unknown
-        bag references, bag-count mismatch).
+        bag references, bag-count mismatch, a non-integer token); a
+        malformed line's message starts ``line N:``.
     """
     declared_bags: int | None = None
     bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
+    edges: list[tuple[int, int, int]] = []  # (line, bag id, bag id)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -50,18 +52,18 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise ValueError(f"line {lineno}: duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise ValueError(f"line {lineno}: malformed solution line {line!r}")
-            declared_bags = int(parts[2])
+            declared_bags = parse_int(parts[2], lineno)
         elif parts[0] == "b":
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: malformed bag line {line!r}")
-            bag_id = int(parts[1])
+            bag_id = parse_int(parts[1], lineno)
             if bag_id in bags:
                 raise ValueError(f"line {lineno}: duplicate bag {bag_id}")
-            bags[bag_id] = frozenset(int(v) for v in parts[2:])
+            bags[bag_id] = frozenset(parse_int(v, lineno) for v in parts[2:])
         else:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((lineno, *(parse_int(t, lineno) for t in parts)))
     if declared_bags is None:
         raise ValueError("missing solution line (s td ...)")
     if len(bags) != declared_bags:
@@ -69,12 +71,12 @@ def parse_td(text: str) -> TreeDecomposition:
             f"solution line declared {declared_bags} bags, found {len(bags)}"
         )
     mapping = {bag_id: i for i, bag_id in enumerate(sorted(bags))}
-    for a, b in edges:
+    for lineno, a, b in edges:
         if a not in mapping or b not in mapping:
-            raise ValueError(f"tree edge ({a}, {b}) references unknown bag")
+            raise ValueError(f"line {lineno}: tree edge ({a}, {b}) references unknown bag")
     return TreeDecomposition(
         {mapping[bid]: members for bid, members in bags.items()},
-        [(mapping[a], mapping[b]) for a, b in edges],
+        [(mapping[a], mapping[b]) for _, a, b in edges],
     )
 
 

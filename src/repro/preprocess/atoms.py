@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..graphs.cliquetree import clique_tree
+from ..graphs.cliquetree import UnionFind, clique_tree
 from ..graphs.graph import Graph, Vertex
 from ..graphs.ordering import vertex_set_sort_key
 from ..triangulation.mcs_m import mcs_m
@@ -91,25 +91,6 @@ class AtomDecomposition:
         )
 
 
-class _DisjointSet:
-    """Minimal union-find over clique-tree bag indices."""
-
-    def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self._parent[self.find(x)] = self.find(y)
-
-
 def atom_decomposition(graph: Graph) -> AtomDecomposition:
     """Decompose ``graph`` into its atoms.
 
@@ -125,7 +106,7 @@ def atom_decomposition(graph: Graph) -> AtomDecomposition:
     bags, edges = clique_tree(triangulated)
     bag_list = sorted(bags, key=vertex_set_sort_key)
     index = {bag: i for i, bag in enumerate(bag_list)}
-    ds = _DisjointSet(len(bag_list))
+    ds = UnionFind(len(bag_list))
     cut_separators: set[Separator] = set()
     for a, b in edges:
         adhesion = a & b

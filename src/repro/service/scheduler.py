@@ -815,7 +815,7 @@ class EnumerationScheduler:
                     resume = (head.checkpoint, len(head.results))
             runner = self._backend.create_runner(job, resume=resume)
             while True:
-                async with self._slot():
+                async with self._slots:
                     started = time.perf_counter()
                     frames, finished = await loop.run_in_executor(
                         self._executor, runner.slice_, self._slice_answers
@@ -876,9 +876,6 @@ class EnumerationScheduler:
             job.status = terminal
             self._completed += 1
             self._jobs.pop(job.id, None)
-
-    def _slot(self):
-        return self._slots
 
     @property
     def token_key(self) -> bytes:

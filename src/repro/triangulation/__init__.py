@@ -2,11 +2,7 @@
 
 from .lb_triang import lb_triang, lb_triang_order
 from .mcs_m import mcs_m
-from .saturate import (
-    saturate_separators,
-    saturate_bags,
-    minimal_separators_of_triangulation,
-)
+from .saturate import saturate_separators, saturate_bags
 from .minimality import fill_edges, is_triangulation, is_minimal_triangulation
 from .elimination import (
     elimination_game,
@@ -22,7 +18,6 @@ __all__ = [
     "mcs_m",
     "saturate_separators",
     "saturate_bags",
-    "minimal_separators_of_triangulation",
     "fill_edges",
     "is_triangulation",
     "is_minimal_triangulation",

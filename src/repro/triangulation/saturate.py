@@ -5,7 +5,7 @@ member of a *maximal* set ``M`` of pairwise-parallel minimal separators
 yields a minimal triangulation ``H`` with ``MinSep(H) = M``; conversely
 every minimal triangulation arises this way from its own minimal separator
 set.  These two directions are :func:`saturate_separators` and
-:func:`minimal_separators_of_triangulation`.
+:func:`~repro.graphs.cliquetree.minimal_separators_chordal`.
 
 The ranked enumerator identifies each minimal triangulation with its
 separator set (the Lawler–Murty "items" are minimal separators), so this
@@ -19,15 +19,10 @@ from collections.abc import Iterable
 from ..graphs.bitgraph import BitGraph
 from ..graphs.graph import Graph, Vertex
 from ..graphs.kernels import validate_kernel
-from ..graphs.cliquetree import minimal_separators_chordal
 
 Separator = frozenset[Vertex]
 
-__all__ = [
-    "saturate_separators",
-    "saturate_bags",
-    "minimal_separators_of_triangulation",
-]
+__all__ = ["saturate_separators", "saturate_bags"]
 
 
 def _saturate_masked(graph: Graph, groups: Iterable[Iterable[Vertex]]) -> Graph:
@@ -87,26 +82,6 @@ def saturate_bags(
 
     This is the graph the constraint semantics of Section 6.1 are defined
     on (``κ[I,X]`` checks clique-ness of constraint separators in ``H_T``).
+    Saturating is the same operation on bags as on separators.
     """
-    validate_kernel(kernel)
-    if kernel == "bitset" and graph.num_vertices():
-        return _saturate_masked(graph, bags)
-    out = graph.copy()
-    for bag in bags:
-        out.saturate(bag)
-    return out
-
-
-def minimal_separators_of_triangulation(triangulation: Graph) -> set[Separator]:
-    """``MinSep(H)`` for a chordal graph ``H``.
-
-    These are the clique-tree adhesions; for a minimal triangulation of
-    ``G`` they form the maximal pairwise-parallel set identifying it
-    (Theorem 2.5(2)).
-
-    Raises
-    ------
-    ValueError
-        If ``triangulation`` is not chordal.
-    """
-    return minimal_separators_chordal(triangulation)
+    return saturate_separators(graph, bags, kernel)

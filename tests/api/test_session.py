@@ -389,6 +389,24 @@ class TestDecompositionsMode:
         td = response.results[0].decomposition
         assert td.is_valid(path_graph(5))
 
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_disconnected_graph_refused_at_open(self, preprocess):
+        """Two disjoint 4-cycles have clique forests, not clique trees:
+        both entry points refuse them with one message before any plan
+        or context is built, whether preprocessing is on or off."""
+        two_squares = Graph(
+            edges=[(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5)]
+        )
+        session = Session()
+        message = "decompositions mode requires a connected graph"
+        with pytest.raises(ValueError, match=message):
+            session.decompositions(two_squares, "width", k=3, preprocess=preprocess)
+        with pytest.raises(ValueError, match=message):
+            session.decomposition_stream(two_squares, "width", preprocess=preprocess)
+        info = session.cache_info()
+        assert info["builds"] == 0
+        assert info["plans"] == 0
+
 
 class TestExecuteDispatch:
     def test_request_roundtrip(self):

@@ -54,10 +54,10 @@ class TestContract:
                 assert is_minimal_triangulation(g, r.triangulation)
 
     def test_separator_key_is_consistent(self, paper_graph):
-        from repro.triangulation.saturate import minimal_separators_of_triangulation
+        from repro.graphs.cliquetree import minimal_separators_chordal
 
         for r in ckk_enumeration(paper_graph):
-            assert r.separators == minimal_separators_of_triangulation(r.triangulation)
+            assert r.separators == minimal_separators_chordal(r.triangulation)
 
     def test_first_result_is_fast_no_init(self, paper_graph):
         # The defining behavioral contrast with RankedTriang: the first

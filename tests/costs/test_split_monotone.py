@@ -20,8 +20,8 @@ from repro.costs.classic import FillInCost, LexWidthFillCost, SumExpBagCost, Wid
 from repro.costs.constrained import ConstrainedCost
 from repro.costs.weighted import WeightedFillCost, WeightedWidthCost
 from repro.graphs.chordal import maximal_cliques_chordal
+from repro.graphs.cliquetree import minimal_separators_chordal
 from repro.graphs.generators import erdos_renyi
-from repro.triangulation.saturate import minimal_separators_of_triangulation
 
 
 def _sides(graph, triangulation, separator):
@@ -64,9 +64,7 @@ def test_split_monotone_on_shared_separator_splits(seed):
     costs = _cost_instances(graph)
     checked = 0
     for h1, h2 in itertools.combinations(triangulations, 2):
-        shared = minimal_separators_of_triangulation(
-            h1
-        ) & minimal_separators_of_triangulation(h2)
+        shared = minimal_separators_chordal(h1) & minimal_separators_chordal(h2)
         for s in shared:
             split1 = _sides(graph, h1, s)
             split2 = _sides(graph, h2, s)

@@ -5,7 +5,7 @@ in pivot order; the constrained DP and the ranked loop read every
 constraint, touched block and ``MinSep(H)`` off its masks.  The masks are
 checked against a brute-force subset scan, the crossing rows against
 components found at label level, and the pivots the ranked loop derives
-from them against the clique-tree pass of
+from them against the Kruskal clique-tree adhesions of
 ``Triangulation.minimal_separators``, recorded at the one call the loop
 makes per child it does not rule out.
 """
@@ -189,7 +189,7 @@ class TestSeparatorIndex:
                 expected, skipped = [], []
                 last_children = 0
                 for r in results:
-                    minseps = r.triangulation.minimal_separators  # Prim
+                    minseps = r.triangulation.minimal_separators  # Kruskal
                     mask = 0
                     for bag in r.triangulation.bags:
                         mask |= index.pmcs[bag]

@@ -23,6 +23,7 @@ from repro.graphs.generators import (
     connected_erdos_renyi,
     paper_example_graph,
 )
+from repro.graphs.graph import Graph
 from repro.service import ServerThread
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
@@ -377,6 +378,30 @@ def test_zero_answer_top_opens_nothing_on_either_door(backend):
     assert resumed.terminal.emitted == 0
     assert resumed.terminal.next_rank == 2
     assert resumed.checkpoint is not None
+
+
+def test_disconnected_decompositions_are_a_bad_request_on_both_doors(backend):
+    """A decompositions request on a disconnected graph is refused at
+    open with the library's one message: a ``bad-request`` frame on TCP
+    and HTTP 400 on the gateway, on either backend and whether
+    preprocessing is on or off, never an ``internal`` error."""
+    two_squares = Graph(
+        edges=[(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5)]
+    )
+    with ServerThread(backend=backend) as handle:
+        http = GatewayClient(*handle.http_address, timeout=120.0)
+        for preprocess in (True, False):
+            with pytest.raises(ValueError) as library:
+                Session().decompositions(
+                    two_squares, "width", k=3, preprocess=preprocess
+                )
+            body = {"op": "decompositions", "graph": graph_to_wire(two_squares),
+                    "cost": "width", "k": 3, "preprocess": preprocess}
+            assert _tcp_refusal(handle, body) == str(library.value)
+            over_http = http.submit(body).collect()
+            assert over_http.status == 400
+            assert over_http.terminal["code"] == "bad-request"
+            assert over_http.terminal["message"] == str(library.value)
 
 
 class TestJobRegistryAndCancel:

@@ -49,12 +49,14 @@ class TestGr:
         assert back.num_vertices() == 3
 
     def test_malformed_problem_line(self):
-        with pytest.raises(ValueError):
-            parse_gr("p cnf 3 2\n1 2\n")
+        for text in ("p cnf 3 2\n1 2\n", "p tw three 2\n1 2\n"):
+            with pytest.raises(ValueError, match="^line 1: "):
+                parse_gr(text)
 
     def test_malformed_edge_line(self):
-        with pytest.raises(ValueError):
-            parse_gr("p tw 3 1\n1 2 3\n")
+        for text in ("p tw 3 1\n1 2 3\n", "p tw 3 1\n1 x\n", "p tw 3 1\n1.5 2\n"):
+            with pytest.raises(ValueError, match="^line 2: "):
+                parse_gr(text)
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -74,8 +76,14 @@ class TestDimacs:
         assert back.num_edges() == g.num_edges()
 
     def test_unknown_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_dimacs("p edge 2 1\nq 1 2\n")
+        for text in (
+            "p edge 2 1\nq 1 2\n",
+            "p edge 2 1\ne 1\n",
+            "p edge 2 1\ne 1 x\n",
+            "c comment\np edge two 1\n",
+        ):
+            with pytest.raises(ValueError, match="^line 2: "):
+                parse_dimacs(text)
 
     def test_node_lines_ignored(self):
         g = parse_dimacs("p edge 2 1\nn 1 5\ne 1 2\n")

@@ -41,8 +41,18 @@ class TestParse:
             parse_td("s td 2 1 2\nb 1 1\n")
 
     def test_unknown_bag_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^line 3: tree edge"):
             parse_td("s td 1 1 1\nb 1 1\n1 7\n")
+
+    def test_non_integer_token(self):
+        for text, lineno in (
+            ("s td two 1 1\nb 1 1\n", 1),
+            ("s td 1 1 1\nb one 1\n", 2),
+            ("s td 1 1 1\nb 1 x\n", 2),
+            ("s td 2 1 2\nb 1 1\nb 2 2\n1 y\n", 4),
+        ):
+            with pytest.raises(ValueError, match=f"^line {lineno}: expected an integer"):
+                parse_td(text)
 
     def test_duplicate_bag(self):
         with pytest.raises(ValueError):

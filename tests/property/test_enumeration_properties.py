@@ -4,7 +4,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Session
 from repro.api.stream import RankedStream
@@ -131,9 +131,13 @@ def test_crossing_test_skips_only_infeasible_children(
     monkeypatch.setattr(strategy, "expand_job", recording_expand)
 
     # Sparse graphs: under a width bound of 2 or 3 most dense ones have
-    # no triangulation at all.
+    # no triangulation at all.  With preprocessing on, the random ones
+    # leave few children to skip (at times none in all 20), so the
+    # 5-cycle, whose ranked loop skips 4 children in every
+    # parametrization, is always among them.
     @settings(max_examples=20, deadline=None)
     @given(connected_graphs(min_n=5, max_n=10, max_extra=6))
+    @example(Graph(vertices=range(5), edges=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
     def check(g):
         popped.clear()
         solved.clear()

@@ -3,12 +3,12 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs.chordal import is_chordal, maximal_cliques_chordal
+from repro.graphs.cliquetree import minimal_separators_chordal
 from repro.graphs.graph import Graph
 from repro.pmc.predicate import is_pmc
 from repro.triangulation.lb_triang import lb_triang
 from repro.triangulation.mcs_m import mcs_m
 from repro.triangulation.minimality import is_minimal_triangulation
-from repro.triangulation.saturate import minimal_separators_of_triangulation
 
 
 @st.composite
@@ -57,5 +57,5 @@ def test_triangulation_separator_count(g):
     """A chordal graph on n vertices has at most n-1 minimal separators
     (clique-tree adhesions)."""
     h = lb_triang(g)
-    seps = minimal_separators_of_triangulation(h)
+    seps = minimal_separators_chordal(h)
     assert len(seps) <= max(g.num_vertices() - 1, 0)

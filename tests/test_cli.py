@@ -138,6 +138,60 @@ class TestCheckpointResume:
         assert "--diverse" in capsys.readouterr().err
 
 
+class TestBadInputFiles:
+    """A missing or malformed input file ends every command with
+    ``error: PATH: message`` on stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            pytest.param(["stats", "{missing}"], "missing", id="stats-missing"),
+            pytest.param(["stats", "{bad_gr}"], "bad_gr", id="stats-bad-gr"),
+            pytest.param(["treewidth", "{bad_col}"], "bad_col", id="treewidth-bad-col"),
+            pytest.param(["enumerate", "{bad_gr}"], "bad_gr", id="enumerate-bad-gr"),
+            pytest.param(
+                ["enumerate", "{good}", "--resume", "{missing}"], "missing",
+                id="enumerate-missing-token",
+            ),
+            pytest.param(
+                ["decompose", "{missing}", "{out}"], "missing", id="decompose-missing"
+            ),
+            pytest.param(["validate", "{bad_col}", "{bad_td}"], "bad_col", id="validate-bad-col"),
+            pytest.param(["validate", "{good}", "{bad_td}"], "bad_td", id="validate-bad-td"),
+            pytest.param(
+                ["validate", "{good}", "{unknown_bag_td}"], "unknown_bag_td",
+                id="validate-unknown-bag",
+            ),
+            pytest.param(["validate", "{good}", "{missing}"], "missing", id="validate-missing"),
+            pytest.param(["submit", "{bad_gr}"], "bad_gr", id="submit-bad-gr"),
+            pytest.param(
+                ["submit", "--resume", "{missing}"], "missing", id="submit-missing-token"
+            ),
+            pytest.param(
+                ["serve", "--token-secret", "{missing}"], "missing", id="serve-missing-secret"
+            ),
+        ],
+    )
+    def test_error_and_exit_2(self, argv, bad, gr_file, tmp_path, capsys):
+        files = {
+            "good": gr_file,
+            "missing": tmp_path / "missing.gr",
+            "bad_gr": tmp_path / "bad.gr",
+            "bad_col": tmp_path / "bad.col",
+            "bad_td": tmp_path / "bad.td",
+            "unknown_bag_td": tmp_path / "unknown.td",
+            "out": tmp_path / "out.td",
+        }
+        files["bad_gr"].write_text("p tw 3 1\n1 x\n")
+        files["bad_col"].write_text("p edge 3 1\ne 1\n")
+        files["bad_td"].write_text("s td 1 2 6\nb 1 1 2.5\n")
+        files["unknown_bag_td"].write_text("s td 1 2 6\nb 1 1 2\n1 2\n")
+        assert main([arg.format(**files) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[bad]}: ")
+        assert "Traceback" not in err
+
+
 class TestDatasets:
     def test_lists_families(self, capsys):
         assert main(["datasets"]) == 0

@@ -2,16 +2,13 @@
 
 import pytest
 
+from repro.graphs.cliquetree import minimal_separators_chordal
 from repro.graphs.generators import cycle_graph, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.separators.berry import minimal_separators
 from repro.separators.crossing import SeparatorFamily
 from repro.triangulation.minimality import is_minimal_triangulation
-from repro.triangulation.saturate import (
-    minimal_separators_of_triangulation,
-    saturate_bags,
-    saturate_separators,
-)
+from repro.triangulation.saturate import saturate_bags, saturate_separators
 
 
 def maximal_parallel_sets(graph, limit=None):
@@ -45,7 +42,7 @@ class TestTheorem25:
             for m in maximal_parallel_sets(g, limit=6):
                 h = saturate_separators(g, m)
                 assert is_minimal_triangulation(g, h), seed
-                assert minimal_separators_of_triangulation(h) == set(m), seed
+                assert minimal_separators_chordal(h) == set(m), seed
 
     def test_reverse_direction(self):
         """MinSep(H) of a minimal triangulation is maximal pairwise-parallel
@@ -57,7 +54,7 @@ class TestTheorem25:
             if not g.is_connected():
                 continue
             h = lb_triang(g)
-            m = minimal_separators_of_triangulation(h)
+            m = minimal_separators_chordal(h)
             family = SeparatorFamily(g, minimal_separators(g))
             assert family.is_pairwise_parallel(m)
             # maximality: every outside separator crosses a member
