@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.api import Session
+from repro.api import RankedStream
 from repro.core.context import TriangulationContext
 from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
 from repro.costs.classic import FillInCost, WidthCost
@@ -84,7 +84,7 @@ def test_ranked_ten_results(benchmark, smoke):
     k = 5 if smoke else 10
 
     def run():
-        stream = Session().stream(graph, WidthCost(), context=ctx)
+        stream = RankedStream.start(ctx, WidthCost())
         return len(list(itertools.islice(stream, k)))
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) == k

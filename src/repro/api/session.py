@@ -89,6 +89,12 @@ class _CacheEntry:
 class Session:
     """A build-once context cache plus the typed enumeration entry points.
 
+    Every context the cache holds was built by the session itself, over
+    a private snapshot of the request graph, and is filed under that
+    snapshot's fingerprint.  To stream over a context built elsewhere,
+    call :meth:`RankedStream.start <repro.api.stream.RankedStream.start>`
+    on it directly.
+
     Parameters
     ----------
     max_contexts:
@@ -117,13 +123,11 @@ class Session:
         build, prepared DP table, preprocessing plan — first consults
         the store, and every fill publishes back, so the expensive
         initialization survives the process and is shared with every
-        other session on the same directory.  Answers served from the
-        store are byte-identical to cold builds (CI proves this
-        differentially on the golden corpus).
-    store:
-        An already-open :class:`~repro.cache.store.ArtifactStore` to
-        attach instead of opening one from ``cache_dir``; the caller
-        keeps ownership (``close()`` will not close it).
+        other session on the same directory (they all open its one
+        sqlite file).  The session opens its own handle on the store
+        and :meth:`close` closes it.  Answers served from the store are
+        byte-identical to cold builds (CI proves this differentially on
+        the golden corpus).
     """
 
     def __init__(
@@ -132,19 +136,13 @@ class Session:
         kernel: str = "bitset",
         preprocess: bool = True,
         cache_dir: "str | None" = None,
-        store: "object | None" = None,
     ) -> None:
         if max_contexts < 1:
             raise ValueError(f"max_contexts must be >= 1, got {max_contexts}")
         self._max_contexts = max_contexts
         self._kernel = validate_kernel(kernel)
         self._preprocess = bool(preprocess)
-        if store is not None:
-            self._store = store
-            self._owns_store = False
-        else:
-            self._store = open_store(cache_dir)
-            self._owns_store = self._store is not None
+        self._store = open_store(cache_dir)
         self._contexts: OrderedDict[tuple[str, int | None], _CacheEntry] = (
             OrderedDict()
         )
@@ -176,42 +174,23 @@ class Session:
         entry, _fp, _cached = self._entry_for(graph, width_bound)
         return entry.context
 
-    def adopt_context(self, context: TriangulationContext) -> str:
-        """Register a prebuilt context; returns its graph fingerprint.
-
-        The context (including ``context.graph``) is cached as given —
-        do not mutate the graph afterwards, or the cache entry will no
-        longer match its fingerprint key.
-        """
-        _entry, fp, _cached = self._entry_for(
-            context.graph, context.width_bound, prebuilt=context
-        )
-        return fp
-
     def _entry_for(
         self,
         graph: Graph,
         width_bound: int | None,
-        prebuilt: TriangulationContext | None = None,
         fp: str | None = None,
         separator_masks: frozenset[int] | None = None,
     ) -> tuple[_CacheEntry, str, bool]:
-        """The cache entry of ``graph`` (``fp`` is its fingerprint, if the
-        caller has it); concurrent misses on it share one build, which
-        reuses ``separator_masks`` (``MinSep(G)`` over ``graph``'s vertex
-        order) if given."""
+        """The cache entry of ``graph`` under ``(fp, width_bound)``, ``fp``
+        being its fingerprint (hashed here unless the caller has it).
+
+        This is the one way into the context cache: a miss builds the
+        context over a private snapshot of ``graph`` (or takes the disk
+        store's), and concurrent misses on one key share that build,
+        which reuses ``separator_masks`` (``MinSep(G)`` over ``graph``'s
+        vertex order) if given.
+        """
         fp = fp or graph_fingerprint(graph)
-        if prebuilt is not None:
-            key = (fp, prebuilt.width_bound)
-            with self._lock:
-                entry = self._recall(self._contexts, key)
-                if entry is not None and entry.context is prebuilt:
-                    self._hits += 1
-                    return entry, fp, True
-                if entry is None:
-                    self._misses += 1
-                entry = self._remember(self._contexts, key, _CacheEntry(prebuilt))
-                return entry, fp, False
         key = (fp, width_bound)
 
         def lookup():
@@ -249,10 +228,7 @@ class Session:
                 compute,
             )
             with self._lock:
-                # A context adopted meanwhile stays the incumbent.
-                entry = self._contexts.get(key) or self._remember(
-                    self._contexts, key, _CacheEntry(context)
-                )
+                entry = self._remember(self._contexts, key, _CacheEntry(context))
             return entry, fp, False
 
         return self._single_flight(("context", key), lookup, build)
@@ -390,16 +366,13 @@ class Session:
             return [fp for fp, _width_bound in self._contexts]
 
     def close(self) -> None:
-        """Drop every cached context, prepared table and preprocess plan.
-
-        A store this session opened itself (via ``cache_dir`` or the
-        environment) is closed too; a caller-supplied ``store=`` stays
-        open — the caller owns it.
-        """
+        """Drop every cached context, prepared table and preprocess plan,
+        and close the store handle (opened from ``cache_dir`` or the
+        environment), if any."""
         with self._lock:
             self._contexts.clear()
             self._plans.clear()
-        if self._owns_store and self._store is not None:
+        if self._store is not None:
             self._store.close()
             self._store = None
 
@@ -451,45 +424,29 @@ class Session:
         cost: "str | object" = "width",
         *,
         width_bound: int | None = None,
-        context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> "RankedStream | ComposedRankedStream":
         """Open a resumable cost-ranked stream over ``graph``.
 
-        ``context`` overrides the cache with a prebuilt initialization
-        (it is adopted into the cache; its own ``width_bound`` wins, and
-        preprocessing is bypassed).  ``preprocess=None`` defers to the
-        session default; when preprocessing applies, the returned stream
-        is a :class:`~repro.preprocess.recompose.ComposedRankedStream`
-        with the same iteration/checkpoint surface.
+        ``preprocess=None`` defers to the session default; when
+        preprocessing applies, the returned stream is a
+        :class:`~repro.preprocess.recompose.ComposedRankedStream` with
+        the same iteration/checkpoint surface.
         """
         return self._open(
-            graph, cost, width_bound=width_bound,
-            context=context, preprocess=preprocess,
+            graph, cost, width_bound=width_bound, preprocess=preprocess
         )[0]
 
-    def _preprocess_applies(
-        self,
-        spec: str | None,
-        context: TriangulationContext | None,
-        preprocess: bool | None,
-    ) -> bool:
-        """Whether this request is eligible for the composed pipeline.
+    def _preprocess_flag(self, preprocess: bool | None) -> bool:
+        """A request's ``preprocess`` flag, the session default filled in.
 
-        Preprocessing needs a registry-name cost with a declared
-        composition (per-atom values must combine exactly) and no
-        caller-supplied prebuilt context.  The same rule
-        (:func:`~repro.cache.answers.preprocess_applies_for`) picks the
-        keys of the request's :class:`~repro.cache.answers.AnswerCache`
-        (:meth:`~repro.cache.answers.AnswerCache.for_request`), which the
-        service scheduler also probes before any session exists.
+        With a registry-name cost it decides both the pipeline and the
+        keys of the request's :class:`~repro.cache.answers.AnswerCache`,
+        through the one rule
+        :func:`~repro.cache.answers.preprocess_applies_for` (the service
+        scheduler applies it too, before any session exists).
         """
-        effective = self._preprocess if preprocess is None else preprocess
-        return (
-            context is None
-            and spec is not None
-            and preprocess_applies_for(spec, effective)
-        )
+        return self._preprocess if preprocess is None else preprocess
 
     def _open(
         self,
@@ -497,7 +454,6 @@ class Session:
         cost: "str | object",
         *,
         width_bound: int | None = None,
-        context: TriangulationContext | None = None,
         preprocess: bool | None = None,
         fp: str | None = None,
     ) -> "tuple[RankedStream | ComposedRankedStream, list]":
@@ -513,7 +469,9 @@ class Session:
         if graph.num_vertices() == 0:
             return RankedStream.start(None, None, cost_spec=spec, fingerprint=fp), opened
         separator_masks = None
-        if self._preprocess_applies(spec, context, preprocess):
+        if spec is not None and preprocess_applies_for(
+            spec, self._preprocess_flag(preprocess)
+        ):
             composition = composition_for(spec)
             plan = self._plan_for(graph, fp, composition.duplicate_sensitive)
             if not plan.trivial:
@@ -536,7 +494,7 @@ class Session:
                 plan.graph.vertices
             ) == list(graph.vertices):
                 separator_masks = plan.separator_masks
-        if context is None and not graph.is_connected():
+        if not graph.is_connected():
             raise ValueError(
                 "ranked enumeration requires a connected graph; "
                 "enumerate per component instead (or enable preprocess "
@@ -544,8 +502,7 @@ class Session:
                 "automatically)"
             )
         found = self._entry_for(
-            graph, width_bound, prebuilt=context, fp=fp,
-            separator_masks=separator_masks,
+            graph, width_bound, fp=fp, separator_masks=separator_masks
         )
         return self._piece(found, cost, spec, opened), opened
 
@@ -587,7 +544,6 @@ class Session:
         *,
         per_triangulation: int | None = None,
         width_bound: int | None = None,
-        context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ):
         """Proper tree decompositions by increasing cost (Proposition 6.1).
@@ -603,8 +559,7 @@ class Session:
             graph = read_graph(graph)
         _check_decomposable(graph)
         stream = self.stream(
-            graph, cost, width_bound=width_bound,
-            context=context, preprocess=preprocess,
+            graph, cost, width_bound=width_bound, preprocess=preprocess
         )
 
         def _closing():
@@ -626,7 +581,6 @@ class Session:
         fingerprint: str | None = None,
         checkpoint: "StreamCheckpoint | ComposedCheckpoint | bytes | None" = None,
         cost: "str | object | None" = None,
-        context: TriangulationContext | None = None,
         emitted: int = 0,
         limit: int | None = None,
         deadline: float | None = None,
@@ -641,7 +595,8 @@ class Session:
         :meth:`resume`), and ``emitted`` counts the answers delivered
         before it; otherwise it opens the request on ``graph`` (default:
         the request's own; ``fingerprint`` is its hash, if the caller
-        has it) or on a prebuilt ``context``.  A fresh request for zero
+        has it) through this session's caches, and a ranked request
+        gets the answers tier of its keys.  A fresh request for zero
         answers opens nothing.  The page's stop rule: ``cancel`` (a
         :class:`threading.Event`), ``deadline`` (a :func:`time.monotonic`
         instant) and ``limit`` (a cap on ``emitted``), checked in that
@@ -671,14 +626,14 @@ class Session:
                     graph,
                     request.cost,
                     width_bound=request.width_bound,
-                    context=context,
                     preprocess=request.preprocess,
                     fp=fingerprint,
                 )
-                if context is None and request.mode == "ranked":
+                if request.mode == "ranked":
                     answers = AnswerCache.for_request(
                         self._store, fingerprint, request.cost,
-                        request.width_bound, self._preprocess_flag(request),
+                        request.width_bound,
+                        self._preprocess_flag(request.preprocess),
                     )
         if stream is not None:
             fingerprint, cost_spec = stream.fingerprint, stream.cost_spec
@@ -691,18 +646,7 @@ class Session:
             limit=limit, deadline=deadline, cancel=cancel,
         )
 
-    def _preprocess_flag(self, request) -> bool:
-        """The request's preprocess flag, the session default filled in."""
-        if request.preprocess is None:
-            return self._preprocess
-        return request.preprocess
-
-    def execute(
-        self,
-        request: EnumerationRequest,
-        *,
-        context: TriangulationContext | None = None,
-    ) -> EnumerationResponse:
+    def execute(self, request: EnumerationRequest) -> EnumerationResponse:
         """Serve one :class:`~repro.api.request.EnumerationRequest`.
 
         With a disk store attached, a ranked request first replays the
@@ -714,15 +658,15 @@ class Session:
         graph = request.resolve_graph()
         fp = graph_fingerprint(graph)
         answers = None
-        if request.mode == "ranked" and context is None:
+        if request.mode == "ranked":
             answers = AnswerCache.for_request(
                 self._store, fp, request.cost, request.width_bound,
-                self._preprocess_flag(request),
+                self._preprocess_flag(request.preprocess),
             )
         return self._serve(
             request, answers, graph, 0, request.k,
             request.time_budget, started,
-            graph=graph, fingerprint=fp, context=context,
+            graph=graph, fingerprint=fp,
         )
 
     def _serve(
@@ -781,7 +725,6 @@ class Session:
         *,
         width_bound: int | None = None,
         time_budget: float | None = None,
-        context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> EnumerationResponse:
         """The ``k`` cheapest minimal triangulations, with a resume token."""
@@ -794,7 +737,7 @@ class Session:
             time_budget=time_budget,
             preprocess=preprocess,
         )
-        return self.execute(request, context=context)
+        return self.execute(request)
 
     def diverse(
         self,
@@ -805,7 +748,6 @@ class Session:
         min_distance: int = 1,
         scan_limit: int | None = None,
         width_bound: int | None = None,
-        context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> EnumerationResponse:
         """Up to ``k`` low-cost, pairwise-``min_distance``-separated results."""
@@ -819,7 +761,7 @@ class Session:
             width_bound=width_bound,
             preprocess=preprocess,
         )
-        return self.execute(request, context=context)
+        return self.execute(request)
 
     def decompositions(
         self,
@@ -829,7 +771,6 @@ class Session:
         *,
         per_triangulation: int | None = None,
         width_bound: int | None = None,
-        context: TriangulationContext | None = None,
         preprocess: bool | None = None,
     ) -> EnumerationResponse:
         """The ``k`` cheapest proper tree decompositions."""
@@ -842,7 +783,7 @@ class Session:
             width_bound=width_bound,
             preprocess=preprocess,
         )
-        return self.execute(request, context=context)
+        return self.execute(request)
 
     # ------------------------------------------------------------------
     # Resume

@@ -2,7 +2,7 @@
 
 Each driver returns structured rows, prints nothing by itself, and is
 invoked both by the pytest benchmarks (scaled-down defaults) and by
-``python -m repro.bench.experiments`` for a full report run.  Time budgets
+``repro experiments`` for a report run.  Time budgets
 are per-graph wall-clock seconds; the paper's 30-minute/48-core study maps
 onto seconds-scale budgets here, so the evaluation reruns on one machine
 (each caller sets its own; ``benchmarks/conftest.py`` has the defaults).
@@ -16,7 +16,6 @@ from collections.abc import Iterator, Sequence
 
 from ..api import Session
 from ..graphs.graph import Graph
-from ..core.context import TriangulationContext
 from ..baselines.ckk import ckk_enumeration
 from ..separators.berry import SeparatorLimitExceeded
 from ..graphs.chordal import maximal_cliques_chordal
@@ -52,11 +51,10 @@ __all__ = [
 def _ranked_stream(
     session: Session,
     graph: Graph,
-    context: TriangulationContext,
     cost_name: str,
     offset: float,
 ) -> Iterator[TimedResult]:
-    stream = session.stream(graph, cost_name, context=context)
+    stream = session.stream(graph, cost_name, preprocess=False)
     yield from timed_results(stream, offset=offset)
 
 
@@ -65,7 +63,6 @@ def ranked_run(
     graph: Graph,
     cost_name: str,
     budget: float,
-    context: TriangulationContext | None = None,
     session: Session | None = None,
     preprocess: bool = False,
 ) -> TimedRun:
@@ -73,7 +70,8 @@ def ranked_run(
 
     ``session`` supplies the context cache; each run defaults to a
     private session so the measured ``init`` reflects a cold build, as in
-    the paper's protocol.
+    the paper's protocol.  On a shared session the context is the cached
+    one, and ``init`` is the seconds its build took.
 
     ``preprocess=True`` measures the preprocessing pipeline instead: no
     upfront full-graph context is built — the per-atom initializations
@@ -93,25 +91,22 @@ def ranked_run(
             init_seconds=0.0,
         )
     init_started = time.perf_counter()
-    if context is None:
-        try:
-            context = session.context(graph)
-        except SeparatorLimitExceeded as exc:
-            run = TimedRun(
-                algorithm=f"ranked-{cost_name}",
-                graph_name=name,
-                budget_seconds=budget,
-                init_seconds=time.perf_counter() - init_started,
-            )
-            run.failed = str(exc)
-            return run
+    try:
+        context = session.context(graph)
+    except SeparatorLimitExceeded as exc:
+        run = TimedRun(
+            algorithm=f"ranked-{cost_name}",
+            graph_name=name,
+            budget_seconds=budget,
+            init_seconds=time.perf_counter() - init_started,
+        )
+        run.failed = str(exc)
+        return run
     init = context.init_seconds
     return run_with_budget(
         algorithm=f"ranked-{cost_name}",
         graph_name=name,
-        stream_factory=lambda: _ranked_stream(
-            session, graph, context, cost_name, init
-        ),
+        stream_factory=lambda: _ranked_stream(session, graph, cost_name, init),
         budget_seconds=budget,
         init_seconds=init,
     )
@@ -288,15 +283,14 @@ def table2(
             if probe.status != TERMINATED:
                 continue
             used += 1
-            context = session.context(graph)
             ranked_w.append(
                 compute_metrics(
-                    ranked_run(gname, graph, "width", budget, context, session=session)
+                    ranked_run(gname, graph, "width", budget, session=session)
                 )
             )
             ranked_f.append(
                 compute_metrics(
-                    ranked_run(gname, graph, "fill", budget, context, session=session)
+                    ranked_run(gname, graph, "fill", budget, session=session)
                 )
             )
             ckk_m.append(compute_metrics(ckk_run(gname, graph, budget)))
@@ -446,46 +440,3 @@ def figure9(
                     }
                 )
     return rows
-
-
-def _main() -> None:  # pragma: no cover - exercised via CLI only
-    """Run every experiment at report scale and persist the outputs."""
-    from .reporting import format_table, save_report
-
-    print("Figure 5 (tractability)...")
-    summary, probes = figure5()
-    text = format_table(summary, title="Figure 5: poly-MS tractability per dataset")
-    print(text)
-    save_report("figure5", summary, text)
-    save_report("figure5_probes", probes, format_table(probes))
-
-    print("Figure 6 (separators vs edges)...")
-    points = figure6(probes)
-    text = format_table(points, title="Figure 6: #minseps vs #edges")
-    save_report("figure6", points, text)
-
-    print("Figure 7 (random separator counts)...")
-    rows = figure7()
-    text = format_table(rows, title="Figure 7: |MinSep| on G(n,p)")
-    save_report("figure7", rows, text)
-
-    print("Table 2 (enumeration comparison)...")
-    rows = table2()
-    text = format_table(rows, title="Table 2: RankedTriang vs CKK")
-    print(text)
-    save_report("table2", rows, text)
-
-    print("Figure 8 (random enumeration)...")
-    rows = figure8()
-    text = format_table(rows, title="Figure 8: delays and ratios on G(n,p)")
-    print(text)
-    save_report("figure8", rows, text)
-
-    print("Figure 9 (case study)...")
-    rows = figure9()
-    text = format_table(rows, title="Figure 9: case-study time series")
-    save_report("figure9", rows, text)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _main()

@@ -21,10 +21,11 @@ fleet-wide.
 
 Wiring:
 
-* ``Session(cache_dir=...)`` or ``Session(store=...)`` attaches a store;
-  with neither, the ``REPRO_CACHE_DIR`` environment variable is
-  consulted, so an exported variable warms every session in the fleet
-  (CLI runs, service workers, benchmarks) without code changes.
+* ``Session(cache_dir=...)`` opens a handle on the directory's one
+  sqlite file (every session on the directory shares it); without it,
+  the ``REPRO_CACHE_DIR`` environment variable is consulted, so an
+  exported variable warms every session in the fleet (CLI runs, service
+  workers, benchmarks) without code changes.
 * ``repro serve --cache-dir`` / ``EnumerationScheduler(cache_dir=...)``
   hand one directory to every worker seat.
 * ``repro cache stats | warm | clear`` is the operational surface.

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..graphs.graph import Graph
+from ..graphs.io import read_graph
 from ..preprocess.recompose import ComposedRankedStream
 
 __all__ = ["WarmReport", "warm_graphs"]
@@ -25,7 +26,8 @@ class WarmReport:
 
     ``warmed`` has one row per successful (graph, cost) pair —
     ``{"graph", "fingerprint", "cost", "seconds", "preprocessed"}`` —
-    ``errors`` one per failed pair (``{"graph", "cost", "error"}``), and
+    ``errors`` one per failed pair (``{"graph", "cost", "error"}``) or
+    unreadable file (its ``cost`` is ``None``), and
     ``store`` is the store's :meth:`~repro.cache.store.ArtifactStore
     .stats` snapshot taken after the pass.
     """
@@ -36,7 +38,8 @@ class WarmReport:
 
     @property
     def ok(self) -> bool:
-        """Whether every (graph, cost) pair warmed cleanly."""
+        """Whether every graph was read and every (graph, cost) pair
+        warmed cleanly."""
         return not self.errors
 
 
@@ -51,7 +54,6 @@ def warm_graphs(
     *,
     costs=("width", "fill"),
     cache_dir=None,
-    store=None,
     kernel: str = "bitset",
     width_bound: int | None = None,
     top: int | None = None,
@@ -60,28 +62,43 @@ def warm_graphs(
     """Warm the store for every graph × cost pair; returns a report.
 
     ``graphs`` is an iterable of :class:`~repro.graphs.graph.Graph`
-    objects or file paths (anything ``Session.stream`` accepts).  One of
-    ``store`` / ``cache_dir`` / the ``REPRO_CACHE_DIR`` environment
-    variable must resolve to a store — warming without one is an error,
-    not a silent no-op.  A graph that fails (unreadable file, enumeration
-    error) is reported and does not abort the rest of the pass.
+    objects or file paths, each path read once for all the costs.
+    ``cache_dir`` or the ``REPRO_CACHE_DIR`` environment variable must
+    resolve to a store — warming without one is an error, not a silent
+    no-op.  A file that cannot be read is reported once (one error row
+    with ``cost`` ``None``), a failing (graph, cost) pair once per pair,
+    and neither aborts the rest of the pass.
     ``top`` (``repro cache warm --top K``) additionally enumerates and
     stores the top-K *answer prefix* per pair, so repeat ``top``/
     ``enumerate`` requests are later served straight from disk.
-    ``announce`` (if given) is called with one progress line per pair.
+    ``announce`` (if given) is called with one progress line per pair
+    and per unreadable file.
     """
     from ..api.session import Session
 
-    session = Session(kernel=kernel, cache_dir=cache_dir, store=store)
+    session = Session(kernel=kernel, cache_dir=cache_dir)
     if session.store is None:
         raise ValueError(
-            "warming needs a cache directory: pass store=/cache_dir= or "
-            "set REPRO_CACHE_DIR"
+            "warming needs a cache directory: pass cache_dir= or set "
+            "REPRO_CACHE_DIR"
         )
     report = WarmReport()
+
+    def failed(label: str, cost, exc: Exception) -> None:
+        report.errors.append({"graph": label, "cost": cost, "error": str(exc)})
+        if announce is not None:
+            where = label if cost is None else f"{label} cost={cost}"
+            announce(f"warm FAILED {where}: {exc}")
+
     try:
         for index, graph in enumerate(graphs):
             label = _label(graph, index)
+            if isinstance(graph, str):
+                try:
+                    graph = read_graph(graph)
+                except (OSError, ValueError) as exc:
+                    failed(label, None, exc)
+                    continue
             for cost in costs:
                 started = time.perf_counter()
                 try:
@@ -111,10 +128,7 @@ def warm_graphs(
                         finally:
                             stream.close()
                 except Exception as exc:
-                    row = {"graph": label, "cost": cost, "error": str(exc)}
-                    report.errors.append(row)
-                    if announce is not None:
-                        announce(f"warm FAILED {label} cost={cost}: {exc}")
+                    failed(label, cost, exc)
                     continue
                 row = {
                     "graph": label,

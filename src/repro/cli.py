@@ -91,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="poly-MS statistics of a graph")
     p_stats.add_argument("graph", help="path to a .gr or .col file")
-    p_stats.add_argument(
-        "--budget", type=float, default=30.0, help="seconds before giving up"
-    )
     _add_kernel_option(p_stats)
 
     p_tw = sub.add_parser("treewidth", help="exact treewidth and fill-in")
@@ -345,7 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         choices=["figure5", "figure6", "figure7", "table2", "figure8", "figure9", "all"],
     )
-    p_exp.add_argument("--budget", type=float, default=2.0)
+    p_exp.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        help="per-graph seconds for figure7, table2 and figure8 (figure9 "
+        "runs max(4, 2 x BUDGET)); unset, each driver runs at its own "
+        "default budget",
+    )
     return parser
 
 
@@ -357,10 +361,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     try:
         ctx = Session(kernel=args.kernel).context(graph)
     except SeparatorLimitExceeded as exc:
-        print(f"initialization failed: {exc}")
+        print(f"initialization failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     stats = ctx.stats()
     print(f"kernel: {stats['kernel']}")
@@ -768,7 +772,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     )
     if not report.ok:
         print(
-            f"error: {len(report.errors)} graph/cost pairs failed to warm",
+            f"error: {len(report.errors)} graphs or graph/cost pairs "
+            "failed to warm",
             file=sys.stderr,
         )
         return 1
@@ -824,44 +829,41 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from functools import cache
+
     from .bench import experiments
     from .bench.reporting import format_table, save_report
 
-    targets = set(args.targets)
-    if "all" in targets:
-        targets = {"figure5", "figure6", "figure7", "table2", "figure8", "figure9"}
-    probes = None
-    if {"figure5", "figure6"} & targets:
-        summary, probes = experiments.figure5()
-        if "figure5" in targets:
-            text = format_table(summary, title="Figure 5")
-            print(text)
-            save_report("figure5", summary, text)
-    if "figure6" in targets and probes is not None:
-        points = experiments.figure6(probes)
-        text = format_table(points, title="Figure 6")
+    budget = {} if args.budget is None else {"budget": args.budget}
+    long_budget = (
+        {} if args.budget is None else {"budget": max(4.0, 2 * args.budget)}
+    )
+    # Figure 6 plots the separator counts Figure 5's probes found.
+    figure5 = cache(experiments.figure5)
+    targets = {
+        "figure5": ("Figure 5: poly-MS tractability per dataset",
+                    lambda: figure5()[0]),
+        "figure6": ("Figure 6: #minseps vs #edges",
+                    lambda: experiments.figure6(figure5()[1])),
+        "figure7": ("Figure 7: |MinSep| on G(n,p)",
+                    lambda: experiments.figure7(**budget)),
+        "table2": ("Table 2: RankedTriang vs CKK",
+                   lambda: experiments.table2(**budget)),
+        "figure8": ("Figure 8: delays and ratios on G(n,p)",
+                    lambda: experiments.figure8(**budget)),
+        "figure9": ("Figure 9: case-study time series",
+                    lambda: experiments.figure9(**long_budget)),
+    }
+    for name, (title, run) in targets.items():
+        if name not in args.targets and "all" not in args.targets:
+            continue
+        rows = run()
+        text = format_table(rows, title=title)
         print(text)
-        save_report("figure6", points, text)
-    if "figure7" in targets:
-        rows = experiments.figure7(budget=args.budget)
-        text = format_table(rows, title="Figure 7")
-        print(text)
-        save_report("figure7", rows, text)
-    if "table2" in targets:
-        rows = experiments.table2(budget=args.budget)
-        text = format_table(rows, title="Table 2")
-        print(text)
-        save_report("table2", rows, text)
-    if "figure8" in targets:
-        rows = experiments.figure8(budget=args.budget)
-        text = format_table(rows, title="Figure 8")
-        print(text)
-        save_report("figure8", rows, text)
-    if "figure9" in targets:
-        rows = experiments.figure9(budget=max(4.0, 2 * args.budget))
-        text = format_table(rows, title="Figure 9")
-        print(text)
-        save_report("figure9", rows, text)
+        save_report(name, rows, text)
+        if name == "figure5":
+            probes = figure5()[1]
+            save_report("figure5_probes", probes, format_table(probes))
     return 0
 
 

@@ -80,8 +80,7 @@ def clique_trees(triangulation: Graph) -> Iterator[TreeDecomposition]:
 def count_clique_trees(triangulation: Graph, limit: int | None = None) -> int:
     """The number of clique trees (stop early at ``limit`` if given)."""
     count = 0
-    for _ in clique_trees(triangulation):
+    trees = clique_trees(triangulation)
+    while (limit is None or count < limit) and next(trees, None) is not None:
         count += 1
-        if limit is not None and count >= limit:
-            break
     return count

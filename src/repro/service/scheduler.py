@@ -68,7 +68,7 @@ from dataclasses import replace
 from ..api import Session, graph_fingerprint, load_checkpoint
 from ..api.checkpoint import read_header
 from ..api.job import Job, replayed_stats
-from ..cache.answers import AnswerCache, AnswerPage
+from ..cache.answers import AnswerCache
 from .protocol import (
     ProtocolError,
     ServiceRequest,
@@ -155,7 +155,9 @@ class ScheduledJob:
         self.frames: asyncio.Queue[dict] = asyncio.Queue(maxsize=max_pending)
         self.status = "pending"  # -> running -> <terminal frame type>
         self.emitted = 0
-        #: The request graph's content fingerprint, once hashed.
+        #: The content fingerprint of the job's graph: the request
+        #: graph's once hashed, or a token's, read off its verified
+        #: header when the job is admitted.
         self.fingerprint: str | None = None
         self._cancel = threading.Event()
         self._cancel_callbacks: list[Callable[[], None]] = []
@@ -287,7 +289,8 @@ class _JobRunner:
         }
         if self._resume_payload is not None:
             # The payload is a checkpoint this service minted or stored
-            # itself, never wire input, so it loads without the HMAC gate.
+            # itself — a wire token's only after the scheduler verified
+            # it — so it loads without the HMAC gate.
             try:
                 checkpoint = load_checkpoint(self._resume_payload)
             except Exception as exc:  # server fault, not the client's
@@ -298,15 +301,6 @@ class _JobRunner:
                 request, checkpoint=checkpoint, emitted=self._base_emitted,
                 **stop,
             )
-        if request.token is not None:
-            # Authenticate before decoding: only tokens this service
-            # minted (under its key) are resumed.
-            payload = verify_token(self._token_key, request.token)
-            try:
-                checkpoint = load_checkpoint(payload)
-            except Exception as exc:
-                raise ProtocolError(f"invalid resume token: {exc}") from None
-            return self._session.job(request, checkpoint=checkpoint, **stop)
         return self._session.job(
             request, fingerprint=self._fingerprint, **stop
         )
@@ -323,7 +317,8 @@ class _JobRunner:
         try:
             if self._job is None:
                 # Failures while opening — unknown costs, disconnected
-                # graphs, bad tokens — are the client's fault; anything
+                # graphs, a token resumed under another cost — are the
+                # client's fault; anything
                 # thrown later, mid-enumeration, is a server fault and
                 # must not masquerade as one.
                 try:
@@ -407,8 +402,9 @@ class ExecutionBackend(ABC):
         """A fresh runner for one admitted job (cheap; no blocking work).
 
         ``resume`` is ``(checkpoint bytes, answers delivered)`` when the
-        job continues after a head replayed from the answers tier: the
-        runner starts there, as a crash re-dispatch does.
+        job resumes a wire token the scheduler verified, or continues
+        after a head replayed from the answers tier: the runner starts
+        there, as a crash re-dispatch does.
         """
 
     def worker_stats(self) -> list[dict]:
@@ -715,32 +711,43 @@ class EnumerationScheduler:
                 self._store_init = True
         return self._store_obj
 
-    def _replay_head(
+    def _start_ranked(
         self, job: ScheduledJob
-    ) -> tuple[list[dict], AnswerPage] | None:
-        """A ranked job's page head from the answers tier, as frames.
+    ) -> tuple[list[dict], tuple[bytes, int] | None]:
+        """Where a ranked job starts: ``(frames, resume)``.
 
-        Returns ``(frames, head)`` — the head's answer frames, followed
-        by the terminal ``stats`` frame when the head serves the whole
-        page — or ``None`` whenever the tier has no head for the job,
-        for any reason at all, including errors: the live path re-raises
-        token/validation failures with their proper error frames, so
-        this probe never converts one into a silent miss of a different
-        shape.  Runs on an executor thread.
+        The one gate of a wire token: it is authenticated and its header
+        read here, once per job — a bad tag raises
+        :class:`~repro.service.protocol.TokenAuthError`, a malformed
+        token :class:`~repro.service.protocol.ProtocolError` — and
+        ``job.fingerprint`` becomes the header's.  The job then resumes
+        from the verified payload, or from the end of the page's head
+        the answers tier holds: ``frames`` are that head's answer
+        frames, followed by the terminal ``stats`` frame when the head
+        serves the whole page.  Any failure of the tier probe is a miss
+        (no frames): the live path re-raises validation failures with
+        their proper error frames.  Runs on an executor thread.
         """
         request = job.request
+        header = resume = None
+        if request.token is not None:
+            payload = verify_token(self._token_key, request.token)
+            try:
+                header = read_header(payload)
+            except ValueError as exc:
+                raise ProtocolError(f"invalid resume token: {exc}") from None
+            job.fingerprint = header.fingerprint
+            resume = (payload, 0)
         try:
             store = self._store()
             if store is None:
-                return None
+                return [], resume
             started = time.monotonic()
-            if request.token is not None:
+            if header is not None:
                 # The token's header picks the keys; the frontier is
                 # left to the job that resumes it on a miss.
-                payload = verify_token(self._token_key, request.token)
-                header = read_header(payload)
                 if header.exhausted:
-                    return None
+                    return [], resume
                 answers = AnswerCache.for_checkpoint(store, header)
                 # Restored only on a hit.
                 graph, start = header.restore_graph, header.next_rank
@@ -754,10 +761,10 @@ class EnumerationScheduler:
                     request.preprocess,
                 )
             if answers is None:
-                return None
+                return [], resume
             head = answers.replay(answers.load(), graph, start, request.k)
             if head is None:
-                return None
+                return [], resume
             frames = [answer_frame(result) for result in head.results]
             if head.serves(request.k):
                 stats = replayed_stats(
@@ -767,9 +774,9 @@ class EnumerationScheduler:
                 if not stats.exhausted:
                     token = sign_token(self._token_key, head.checkpoint)
                 frames.append(terminal_frame(stats, token))
-            return frames, head
+            return frames, (head.checkpoint, len(head.results))
         except Exception:
-            return None
+            return [], resume
 
     async def _deliver(self, job: ScheduledJob, frames: list[dict]) -> str | None:
         """Queue ``frames`` on the job; the terminal frame's type, if any.
@@ -797,22 +804,20 @@ class EnumerationScheduler:
         try:
             resume = None
             if job.request.mode == "ranked":
-                # The answers tier serves the page's head without a slice
-                # slot or the backend (the probe runs on the executor's
-                # spare thread, like stats).  A head that is the whole
-                # page ends the job there — no worker seat, no slot wait;
-                # otherwise the live rest starts at the head's end.
-                replayed = await loop.run_in_executor(
-                    self._executor, self._replay_head, job
+                # One hop per ranked job, on the executor's spare thread
+                # like stats: a token is verified there, and the answers
+                # tier serves the page's head without a slice slot or the
+                # backend.  A head that is the whole page ends the job
+                # there — no worker seat, no slot wait; otherwise the
+                # live rest starts at the head's end (or the token's).
+                frames, resume = await loop.run_in_executor(
+                    self._executor, self._start_ranked, job
                 )
-                if replayed is not None:
-                    frames, head = replayed
-                    served = await self._deliver(job, frames)
-                    if served is not None:
-                        terminal = served
-                        self._answers_served += 1
-                        return
-                    resume = (head.checkpoint, len(head.results))
+                served = await self._deliver(job, frames)
+                if served is not None:
+                    terminal = served
+                    self._answers_served += 1
+                    return
             runner = self._backend.create_runner(job, resume=resume)
             while True:
                 async with self._slots:

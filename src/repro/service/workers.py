@@ -70,8 +70,7 @@ import threading
 import time
 import zlib
 
-from ..api.checkpoint import read_header
-from .protocol import ProtocolError, TokenAuthError, verify_token
+from .protocol import ProtocolError
 from .scheduler import ExecutionBackend, ScheduledJob, SessionPool, _JobRunner
 
 __all__ = ["ProcessWorkerBackend", "WorkerPool"]
@@ -258,9 +257,6 @@ def _worker_loop(
                             ),
                         )
                     )
-            except TokenAuthError as exc:
-                drop(job_id)
-                conn.send((seq, ("error", job_id, "token", str(exc))))
             except ProtocolError as exc:
                 drop(job_id)
                 conn.send((seq, ("error", job_id, "protocol", str(exc))))
@@ -538,19 +534,18 @@ class _RemoteRunner:
     last acknowledged ``(checkpoint, emitted)`` pair so a worker crash
     re-dispatches the job — to a freshly routed worker — continuing
     exactly where the last delivered answer batch ended.  A job that
-    continues after a replayed head starts from that pair (``resume``).
+    resumes a verified wire token, or continues after a replayed head,
+    starts from that pair (``resume``).
     """
 
     def __init__(
         self,
         pool: WorkerPool,
         job: ScheduledJob,
-        token_key: bytes,
         resume: "tuple[bytes, int] | None" = None,
     ) -> None:
         self._pool = pool
         self._job = job
-        self._token_key = token_key
         self._handle: WorkerHandle | None = None
         self._checkpoint, self._emitted = resume or (None, 0)
         self._finished = False
@@ -576,20 +571,6 @@ class _RemoteRunner:
         except (OSError, ValueError):
             pass  # dead pipe: the re-dispatch spec carries the flag
 
-    # -- routing -------------------------------------------------------
-    def _routing_fingerprint(self) -> str:
-        request = self._job.request
-        if request.graph is not None:
-            return self._job.graph_fingerprint()
-        # Token resume: authenticate (same gate as the worker will
-        # apply), then read the fingerprint from the token's header so
-        # the resumed job lands on the worker already warm for its graph.
-        payload = verify_token(self._token_key, request.token)
-        try:
-            return read_header(payload).fingerprint
-        except ValueError as exc:
-            raise ProtocolError(f"invalid resume token: {exc}") from None
-
     def _spec(self) -> dict:
         """The dispatch spec: the request plus resume/replay state."""
         remaining = None
@@ -613,7 +594,9 @@ class _RemoteRunner:
     # -- the slice -----------------------------------------------------
     def slice_(self, max_answers: int) -> tuple[list[dict], bool]:
         if self._fingerprint is None:
-            self._fingerprint = self._routing_fingerprint()
+            # A token's fingerprint was read off its header at admission,
+            # so a resumed job lands on the worker warm for its graph.
+            self._fingerprint = self._job.graph_fingerprint()
         while True:
             handle = self._handle
             spec = None
@@ -654,8 +637,6 @@ class _RemoteRunner:
             if kind == "error":
                 _, _job_id, error_kind, message = reply
                 self._finish(handle)
-                if error_kind == "token":
-                    raise TokenAuthError(message)
                 if error_kind == "protocol":
                     raise ProtocolError(message)
                 raise RuntimeError(message)
@@ -702,13 +683,12 @@ class ProcessWorkerBackend(ExecutionBackend):
     def __init__(
         self, workers: int, token_key: bytes, cache_dir: "str | None" = None
     ) -> None:
-        self._token_key = token_key
         self.pool = WorkerPool(workers, token_key, cache_dir=cache_dir)
 
     def create_runner(
         self, job: ScheduledJob, resume: "tuple[bytes, int] | None" = None
     ) -> _RemoteRunner:
-        return _RemoteRunner(self.pool, job, self._token_key, resume)
+        return _RemoteRunner(self.pool, job, resume)
 
     def worker_stats(self) -> list[dict]:
         return self.pool.worker_stats()

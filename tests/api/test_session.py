@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 import repro.api.session as session_mod
-from repro.api import EnumerationRequest, EnumerationResponse, Session
+from repro.api import (
+    EnumerationRequest,
+    EnumerationResponse,
+    RankedStream,
+    Session,
+)
 from repro.core.context import TriangulationContext
 from repro.costs.classic import FillInCost, WidthCost
 from repro.graphs.generators import (
@@ -136,20 +141,10 @@ class TestContextCache:
         assert info["hits"] >= 1
         assert info["contexts"] == 1
 
-    def test_adopt_context(self, build_counter):
-        session = Session()
-        g = cycle_graph(6)
-        ctx = TriangulationContext.build(g)
-        fp = session.adopt_context(ctx)
-        assert session.context(g) is ctx
-        assert session.top(g, "width", k=1).stats.fingerprint == fp
-        assert len(build_counter) == 1  # only the explicit build
-
     def test_prebuilt_context_argument_is_used(self):
-        session = Session()
         g = paper_example_graph()
         ctx = TriangulationContext.build(g)
-        results = list(session.stream(g, "width", context=ctx))
+        results = list(RankedStream.start(ctx, WidthCost()))
         assert len(results) == 2
         assert results[0].triangulation.graph is ctx.graph
 

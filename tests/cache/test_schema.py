@@ -92,10 +92,11 @@ def test_hand_corrupted_payload_is_miss_plus_eviction(tmp_path):
         store.close()
 
 
-def test_session_falls_back_to_build_on_wrong_tag(tmp_path):
+def test_session_falls_back_to_build_on_wrong_tag(tmp_path, monkeypatch):
     """A cache full of foreign-schema blobs must not poison a session:
     every read is a miss, the session rebuilds, and answers match a
     cache-less run."""
+    import repro.cache.store as store_mod
     from repro.api import Session
     from repro.graphs.generators import connected_erdos_renyi
 
@@ -104,13 +105,15 @@ def test_session_falls_back_to_build_on_wrong_tag(tmp_path):
     expected = plain.top(graph, "fill", k=8)
     plain.close()
 
+    # Another build fills the directory under its own schema tag.
     path = tmp_path / "c"
-    warm = Session(cache_dir=path)
-    warm.top(graph, "fill", k=8)
-    warm.close()
+    with monkeypatch.context() as patch:
+        patch.setattr(store_mod, "default_schema_tag", lambda: "a-different-build")
+        foreign = Session(cache_dir=path)
+        foreign.top(graph, "fill", k=8)
+        foreign.close()
 
-    stale = ArtifactStore(path, schema_tag="a-different-build")
-    session = Session(store=stale)
+    session = Session(cache_dir=path)
     try:
         with pytest.warns(CacheIntegrityWarning):
             response = session.top(graph, "fill", k=8)
@@ -120,7 +123,6 @@ def test_session_falls_back_to_build_on_wrong_tag(tmp_path):
         assert session.cache_info()["builds"] >= 1
     finally:
         session.close()
-        stale.close()
 
 
 def _parent_shaped_table(context, table):

@@ -12,7 +12,6 @@ from itertools import islice
 import pytest
 
 from repro.api import Session
-from repro.cache import ArtifactStore, default_schema_tag
 from repro.graphs.generators import connected_erdos_renyi, grid_graph
 
 
@@ -112,19 +111,6 @@ def test_width_bound_keys_are_separate(tmp_path):
         kinds = _disk(second)["kinds"]
         assert kinds["context"]["hits"] == 0
         assert kinds["context"]["misses"] >= 1
-
-
-def test_caller_owned_store_survives_session_close(tmp_path, graph):
-    store = ArtifactStore(tmp_path / "c", schema_tag=default_schema_tag())
-    try:
-        session = Session(store=store)
-        session.top(graph, "width", k=3)
-        session.close()
-        # The session must not close a store it was handed.
-        assert store.put("context", "probe", b"alive")
-        assert store.get("context", "probe") == b"alive"
-    finally:
-        store.close()
 
 
 def test_session_owned_store_closes_with_session(tmp_path, graph):

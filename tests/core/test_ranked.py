@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.api import RankedStream
 from repro.baselines.brute import (
     minimal_triangulations_bruteforce,
     minimal_triangulations_via_mis,
@@ -161,8 +162,8 @@ class TestEdgesAndErrors:
         with pytest.raises(ValueError):
             list(session.stream(g, WidthCost()))
 
-    def test_shared_context(self, session, paper_graph):
+    def test_shared_context(self, paper_graph):
         ctx = TriangulationContext.build(paper_graph)
-        a = list(session.stream(paper_graph, WidthCost(), context=ctx))
-        b = list(session.stream(paper_graph, FillInCost(), context=ctx))
+        a = list(RankedStream.start(ctx, WidthCost()))
+        b = list(RankedStream.start(ctx, FillInCost()))
         assert len(a) == len(b) == 2

@@ -114,6 +114,7 @@ class TestCliqueTrees:
     def test_limit(self):
         g = star_graph(4)
         assert count_clique_trees(g, limit=2) == 2
+        assert count_clique_trees(star_graph(3), limit=0) == 0
 
     def test_disconnected_rejected(self):
         g = Graph(edges=[(1, 2), (3, 4)])

@@ -12,8 +12,9 @@ survives a server restart.  These tests pin down the three regimes:
   so operators can tell key drift from client bugs;
 * a structurally broken token stays a plain ``bad-request``.
 
-The suite runs against both execution backends (the process pool
-re-verifies tokens inside the worker children with the same key).
+The suite runs against both execution backends.  Either way the
+scheduler checks a token once, when it admits the job, and the job
+(in-process, or in a worker child) resumes from the verified payload.
 """
 
 from __future__ import annotations
@@ -130,3 +131,38 @@ class TestKeyRotation:
             with pytest.raises(ServiceError) as excinfo:
                 client.resume(b"ABC", k=3)  # shorter than the HMAC tag
         assert excinfo.value.frame.code == "bad-request"
+
+
+class TestOneTokenCheck:
+    def test_resume_is_verified_once_in_the_scheduler_process(
+        self, backend, monkeypatch, tmp_path
+    ):
+        """With a cache directory, the answers probe, the routing step
+        and the runner all start from one verified token."""
+        import repro.service.scheduler as scheduler_mod
+        import repro.service.workers as workers_mod
+
+        monkeypatch.delenv(ENV_TOKEN_SECRET, raising=False)
+        checks = []
+
+        def counting(verify):
+            def wrapper(key, blob):
+                checks.append(blob)
+                return verify(key, blob)
+
+            return wrapper
+
+        for module in (scheduler_mod, workers_mod):
+            if hasattr(module, "verify_token"):
+                monkeypatch.setattr(
+                    module, "verify_token", counting(module.verify_token)
+                )
+        graph = connected_erdos_renyi(10, 0.35, seed=2)
+        with server(backend, cache_dir=str(tmp_path / "cache")) as handle:
+            client = ServiceClient(*handle.address, timeout=60.0)
+            page = client.top(graph, "fill", k=4)
+            checks.clear()
+            rest = client.resume(page.checkpoint, k=4)
+        assert checks == [page.checkpoint]
+        got = list(page.answer_lines) + list(rest.answer_lines)
+        assert got == serial_lines(graph, "fill", 8)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -27,6 +29,9 @@ class TestStats:
         path = tmp_path / "two.gr"
         write_graph(Graph(edges=[(1, 2), (3, 4)]), path)
         assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out
+        assert captured.err.startswith("error:")
 
 
 class TestTreewidth:
@@ -198,6 +203,52 @@ class TestDatasets:
         out = capsys.readouterr().out
         assert "TPC-H" in out
         assert "Pace2016-100s" in out
+
+
+class TestExperiments:
+    def test_figure7_report(self, tmp_path, monkeypatch, capsys):
+        """The cheapest target, run for real: printed and saved under
+        the working directory's ``results/``."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiments", "figure7", "--budget", "0.01"]) == 0
+        assert "Figure 7" in capsys.readouterr().out
+        rows = json.loads((tmp_path / "results" / "figure7.json").read_text())
+        assert rows and {"n", "p", "minseps", "timeout"} <= set(rows[0])
+
+    def test_budget_reaches_drivers_only_when_set(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.bench import experiments
+
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        probes = [{"dataset": "d", "graph": "g", "edges": 4, "minseps": 2}]
+
+        def recording(name, rows):
+            def driver(*args, **kwargs):
+                calls.append((name, kwargs))
+                return rows
+
+            monkeypatch.setattr(experiments, name, driver)
+
+        recording("figure5", ([{"dataset": "d", "terminated": 1}], probes))
+        for name in ("figure7", "table2", "figure8", "figure9"):
+            recording(name, [{"row": name}])
+        assert main(["experiments", "all"]) == 0
+        # Unset, every driver keeps its own default budget; Figure 6
+        # reuses Figure 5's one run.
+        assert calls == [
+            ("figure5", {}),
+            ("figure7", {}),
+            ("table2", {}),
+            ("figure8", {}),
+            ("figure9", {}),
+        ]
+        saved = {path.name for path in (tmp_path / "results").iterdir()}
+        assert {"figure5_probes.json", "figure6.json", "figure9.json"} <= saved
+        calls.clear()
+        assert main(["experiments", "figure9", "figure7", "--budget", "1"]) == 0
+        assert calls == [("figure7", {"budget": 1.0}), ("figure9", {"budget": 4.0})]
 
 
 class TestParser:

@@ -11,6 +11,7 @@ import itertools
 from repro import (
     FillInCost,
     LexWidthFillCost,
+    RankedStream,
     TriangulationContext,
     WidthCost,
     ckk_enumeration,
@@ -77,22 +78,18 @@ class TestControlFlowPipeline:
 
 
 class TestSharedContextConsistency:
-    def test_three_costs_one_context(self, session):
+    def test_three_costs_one_context(self):
         graph = control_flow_graph(15, seed=2)
         ctx = TriangulationContext.build(graph)
         by_width = list(
-            itertools.islice(
-                session.stream(graph, WidthCost(), context=ctx), 8
-            )
+            itertools.islice(RankedStream.start(ctx, WidthCost()), 8)
         )
         by_fill = list(
-            itertools.islice(
-                session.stream(graph, FillInCost(), context=ctx), 8
-            )
+            itertools.islice(RankedStream.start(ctx, FillInCost()), 8)
         )
         by_lex = list(
             itertools.islice(
-                session.stream(graph, LexWidthFillCost(graph), context=ctx), 8
+                RankedStream.start(ctx, LexWidthFillCost(graph)), 8
             )
         )
         # All produce genuinely minimal triangulations of the same graph.

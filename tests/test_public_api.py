@@ -1,6 +1,7 @@
 """Smoke tests of the top-level public API surface."""
 
 import importlib
+import inspect
 import pkgutil
 
 import repro
@@ -54,3 +55,20 @@ class TestPublicSurface:
         g = repro.Graph(edges=[(0, 1), (1, 2)])
         cost = repro.make_cost("width", g)
         assert cost.evaluate(g, [frozenset({0, 1})]) == 1
+
+    def test_session_caches_have_one_way_in(self):
+        """Every context a Session caches is one it built: no entry point
+        takes a caller's context or store."""
+        from repro.cache import warm_graphs
+
+        entry_points = [repro.Session.__init__, warm_graphs] + [
+            member
+            for name, member in inspect.getmembers(
+                repro.Session, inspect.isfunction
+            )
+            if not name.startswith("_")
+        ]
+        for function in entry_points:
+            parameters = inspect.signature(function).parameters
+            assert not {"context", "store"} & set(parameters), function
+        assert not hasattr(repro.Session, "adopt_context")
