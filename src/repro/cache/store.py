@@ -94,7 +94,7 @@ __all__ = [
 
 #: Environment variable naming the fleet-wide cache directory; consulted
 #: by every :class:`~repro.api.session.Session` that was not given an
-#: explicit ``cache_dir``/``store``.
+#: explicit ``cache_dir``.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Environment variable overriding the default size cap (bytes).

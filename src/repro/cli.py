@@ -386,9 +386,12 @@ def _cmd_treewidth(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.resume is not None and args.diverse is not None:
-        print("error: --resume cannot be combined with --diverse", file=sys.stderr)
-        return 2
+    if args.diverse is not None:
+        # A diverse page has no frontier: nothing to resume or to save.
+        for flag, value in (("--resume", args.resume), ("--checkpoint", args.checkpoint)):
+            if value is not None:
+                print(f"error: {flag} cannot be combined with --diverse", file=sys.stderr)
+                return 2
     graph = _read_input(args.graph)
     session = Session(kernel=args.kernel, preprocess=not args.no_preprocess)
     if args.diverse is not None:

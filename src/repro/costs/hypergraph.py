@@ -20,11 +20,12 @@ setting are small); the fractional cover by an LP via
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from functools import lru_cache
 
 from ..graphs.graph import Graph, Vertex
-from .base import Bag, BagCost
+from .base import Bag
+from .weighted import WeightedWidthCost
 
 Hyperedge = frozenset[Vertex]
 
@@ -142,7 +143,7 @@ def fractional_cover_weight(hypergraph: Hypergraph, bag: Bag) -> float:
     return float(result.fun)
 
 
-class HypertreeWidthCost(BagCost):
+class HypertreeWidthCost(WeightedWidthCost):
     """Generalized hypertree width as a bag cost: max cover number.
 
     Values are cached per bag — the DP re-evaluates shared sub-blocks.
@@ -151,29 +152,21 @@ class HypertreeWidthCost(BagCost):
     name = "hypertree-width"
 
     def __init__(self, hypergraph: Hypergraph) -> None:
-        self._hypergraph = hypergraph
-        self._cover = lru_cache(maxsize=None)(
-            lambda bag: minimum_edge_cover_size(self._hypergraph, bag)
+        super().__init__(
+            lru_cache(maxsize=None)(
+                lambda bag: minimum_edge_cover_size(hypergraph, bag)
+            )
         )
 
-    def evaluate(self, graph: Graph, bags: Collection[Bag]) -> float:
-        if not bags:
-            return 0.0
-        return float(max(self._cover(b) for b in bags))
 
-
-class FractionalHypertreeWidthCost(BagCost):
+class FractionalHypertreeWidthCost(WeightedWidthCost):
     """Fractional hypertree width as a bag cost: max fractional cover."""
 
     name = "fractional-hypertree-width"
 
     def __init__(self, hypergraph: Hypergraph) -> None:
-        self._hypergraph = hypergraph
-        self._cover = lru_cache(maxsize=None)(
-            lambda bag: fractional_cover_weight(self._hypergraph, bag)
+        super().__init__(
+            lru_cache(maxsize=None)(
+                lambda bag: fractional_cover_weight(hypergraph, bag)
+            )
         )
-
-    def evaluate(self, graph: Graph, bags: Collection[Bag]) -> float:
-        if not bags:
-            return 0.0
-        return float(max(self._cover(b) for b in bags))

@@ -10,15 +10,15 @@ of ``G`` (Theorem 2.5 of the paper).
 
 :class:`SeparatorFamily` caches one component labelling per separator so a
 crossing query costs ``O(|T|)`` dictionary lookups after the first query
-involving ``S``.  Both the ranked enumerator and the CKK baseline issue many
-thousands of these queries.
+involving ``S``.  The CKK and brute-force baselines issue many thousands of
+these queries; the ranked enumerator uses the mask-level rows of
+:meth:`~repro.core.context.SeparatorIndex.crossing` instead.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from ..graphs.bitgraph import BitGraph
 from ..graphs.graph import Graph, Vertex
 
 Separator = frozenset[Vertex]
@@ -54,14 +54,6 @@ class SeparatorFamily:
     separators:
         The separators of interest (typically ``MinSep(G)``).
 
-    bitgraph:
-        Optional :class:`~repro.graphs.bitgraph.BitGraph` encoding of
-        ``graph``.  When given, the per-separator component labelling is
-        stored as a list of bitmasks and a crossing query is a handful
-        of word-parallel ``&`` tests instead of per-vertex dictionary
-        lookups.  Queries still take (and answers stay identical for)
-        label-level frozensets.
-
     Notes
     -----
     The cache stores, per separator ``S``, a map ``vertex -> component id``
@@ -69,19 +61,11 @@ class SeparatorFamily:
     met by ``T \\ S``; two or more means crossing.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        separators: Iterable[Separator] = (),
-        bitgraph: BitGraph | None = None,
-    ) -> None:
+    def __init__(self, graph: Graph, separators: Iterable[Separator] = ()) -> None:
         self._graph = graph
-        self._bitgraph = bitgraph
         self._separators: list[Separator] = []
-        self._masks: list[int] = []
         self._index: dict[Separator, int] = {}
         self._component_maps: dict[Separator, dict[Vertex, int]] = {}
-        self._component_masks: dict[int, list[int]] = {}
         self._pair_cache: dict[tuple[int, int], bool] = {}
         for s in separators:
             self.add(s)
@@ -108,8 +92,6 @@ class SeparatorFamily:
         idx = len(self._separators)
         self._index[sep] = idx
         self._separators.append(sep)
-        if self._bitgraph is not None:
-            self._masks.append(self._bitgraph.indexer.mask_of(sep))
         return idx
 
     def id_of(self, s: Separator) -> int:
@@ -138,39 +120,19 @@ class SeparatorFamily:
         key = (i, j) if i < j else (j, i)
         cached = self._pair_cache.get(key)
         if cached is None:
-            if self._bitgraph is not None:
-                cached = self._crosses_masks(key[0], key[1])
-            else:
-                comp_map = self._component_map(self._separators[key[0]])
-                other = self._separators[key[1]]
-                seen_comp: set[int] = set()
-                cached = False
-                for v in other:
-                    cid = comp_map.get(v)
-                    if cid is not None:
-                        seen_comp.add(cid)
-                        if len(seen_comp) >= 2:
-                            cached = True
-                            break
+            comp_map = self._component_map(self._separators[key[0]])
+            other = self._separators[key[1]]
+            seen_comp: set[int] = set()
+            cached = False
+            for v in other:
+                cid = comp_map.get(v)
+                if cid is not None:
+                    seen_comp.add(cid)
+                    if len(seen_comp) >= 2:
+                        cached = True
+                        break
             self._pair_cache[key] = cached
         return cached
-
-    def _crosses_masks(self, sep_id: int, other_id: int) -> bool:
-        """Bitset crossing check: ``other`` meets ≥ 2 components of
-        ``G \\ sep`` iff its mask intersects ≥ 2 component masks."""
-        assert self._bitgraph is not None
-        comps = self._component_masks.get(sep_id)
-        if comps is None:
-            comps = self._bitgraph.components_without(self._masks[sep_id])
-            self._component_masks[sep_id] = comps
-        other = self._masks[other_id]
-        count = 0
-        for comp in comps:
-            if comp & other:
-                count += 1
-                if count >= 2:
-                    return True
-        return False
 
     def parallel(self, s: Separator, t: Separator) -> bool:
         """Whether ``s`` and ``t`` are parallel."""

@@ -29,7 +29,10 @@ the first included, in this order:
 
 Every terminal frame is rendered from the page's one record
 (:class:`~repro.api.response.EnumerationStats`) by
-:func:`~repro.service.protocol.terminal_frame`.
+:func:`~repro.service.protocol.terminal_frame`, in one place:
+:meth:`EnumerationScheduler._terminal`, which also signs the page's
+resume token.  Backends hand back the record and the unsigned token,
+so the signing key never leaves the scheduler process.
 
 Emission-order guarantee: each job owns its stream exclusively, slices
 of one job never overlap, and the frames of consecutive slices are
@@ -65,7 +68,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from ..api import Session, graph_fingerprint, load_checkpoint
+from ..api import EnumerationStats, Session, graph_fingerprint, load_checkpoint
 from ..api.checkpoint import read_header
 from ..api.job import Job, replayed_stats
 from ..cache.answers import AnswerCache
@@ -159,6 +162,12 @@ class ScheduledJob:
         #: graph's once hashed, or a token's, read off its verified
         #: header when the job is admitted.
         self.fingerprint: str | None = None
+        #: The job's deadline, an instant on :func:`time.monotonic`, set
+        #: once when its runner starts (``None``: no deadline).  The
+        #: monotonic clock is the one the job checks: an NTP step or VM
+        #: clock correction must not prematurely expire, or immortalize,
+        #: a job.
+        self.deadline_at: float | None = None
         self._cancel = threading.Event()
         self._cancel_callbacks: list[Callable[[], None]] = []
         self._task: asyncio.Task | None = None
@@ -228,15 +237,15 @@ class _JobRunner:
     """The synchronous half of one scheduled job: takes its
     :class:`~repro.api.job.Job` in slices.
 
-    The job holds the stop rule (the request's answer limit, the
-    runner's deadline instant and the job's cancel event) and the
-    terminal record; the runner turns answers into frames, the record
-    into the terminal frame, and signs the resume token.  Never touched
-    by more than one executor thread at a time (the scheduler serializes
-    a job's slices), so it needs no locking of its own.  All blocking
-    work — opening the job (context build) and pulling answers — happens
-    inside :meth:`slice_`, on an executor thread, never on the event
-    loop.
+    The job holds the stop rule (the request's answer limit, the job's
+    deadline instant and its cancel event) and the terminal record; the
+    runner turns answers into frames and hands the page's record and
+    *unsigned* resume token back to the scheduler, which renders the
+    terminal frame and signs the token.  Never touched by more than one
+    executor thread at a time (the scheduler serializes a job's slices),
+    so it needs no locking of its own.  All blocking work — opening the
+    job (context build) and pulling answers — happens inside
+    :meth:`slice_`, on an executor thread, never on the event loop.
     """
 
     def __init__(
@@ -244,12 +253,11 @@ class _JobRunner:
         session: Session,
         request: ServiceRequest,
         cancel: threading.Event,
-        token_key: bytes,
         *,
         resume_payload: bytes | None = None,
         base_emitted: int = 0,
         skip_answers: int = 0,
-        deadline_override: float | None = None,
+        deadline_at: float | None,
         fingerprint: str | None,
     ) -> None:
         self._session = session
@@ -257,7 +265,7 @@ class _JobRunner:
         # The request graph's hash, if the scheduler already took it.
         self._fingerprint = fingerprint
         self._cancel = cancel
-        self._token_key = token_key
+        self._deadline_at = deadline_at
         self._job: Job | None = None
         # Where the job starts: a trusted checkpoint this service holds
         # (crash re-dispatch, or the end of a head replayed from the
@@ -268,17 +276,6 @@ class _JobRunner:
         self._resume_payload = resume_payload
         self._base_emitted = base_emitted
         self._skip = skip_answers
-        # The deadline is an instant on time.monotonic(), the clock the
-        # job checks: an NTP step or VM clock correction must not
-        # prematurely expire — or immortalize — a job.
-        deadline = (
-            deadline_override
-            if deadline_override is not None
-            else request.deadline
-        )
-        self._deadline_at = (
-            time.monotonic() + deadline if deadline is not None else None
-        )
 
     def _open(self) -> Job:
         request = self._request
@@ -306,13 +303,19 @@ class _JobRunner:
         )
 
     # -- the slice -----------------------------------------------------
-    def slice_(self, max_answers: int) -> tuple[list[dict], bool]:
-        """Run one slice; returns ``(frames, finished)``.
+    def slice_(
+        self, max_answers: int
+    ) -> tuple[list[dict], EnumerationStats | None, bytes | None]:
+        """Run one slice; returns ``(frames, stats, token)``.
 
         Takes up to ``max_answers`` further answers from the job, whose
         stop rule ends the page on a cancel, the deadline or the answer
-        cap.  When it reports finished, the last frame is the job's
-        single terminal frame and the job is closed.
+        cap; ``frames`` are their answer frames.  While the page runs,
+        ``stats`` and ``token`` are ``None``.  When it ended, the job is
+        closed, ``stats`` is the page's one record and ``token`` its
+        *unsigned* resume payload, or ``None`` when there is nothing to
+        resume.  The scheduler renders and signs the two
+        (:meth:`EnumerationScheduler._terminal`).
         """
         try:
             if self._job is None:
@@ -342,21 +345,17 @@ class _JobRunner:
                 for i, result in enumerate(job.take(max_answers))
             ]
             if job.terminal is None:
-                return frames, False
-            # The one terminal frame, rendered from the job's record.
+                return frames, None, None
             # Answers a crash replay has yet to reach count as emitted:
             # the client holds them.  No token for an exhausted page
             # (nothing to resume; the README protocol table promises
             # this), nor while a crash replay is pending: it would sit
             # *before* answers the client already received.
             stats = job.finish()
-            token = None
             pausable = stats.next_rank is not None and not stats.exhausted
-            if pausable and not self._skip:
-                token = sign_token(self._token_key, job.token())
+            token = job.token() if pausable and not self._skip else None
             stats = replace(stats, emitted=stats.emitted + self._skip)
-            frames.append(terminal_frame(stats, token))
-            return frames, True
+            return frames, stats, token
         except Exception:
             self.close()
             raise
@@ -384,12 +383,16 @@ class _JobRunner:
 class ExecutionBackend(ABC):
     """Where a job's slices execute.
 
-    The scheduler owns admission, fairness, frame queues and
-    cancellation; a backend owns the enumeration itself.  Its runners
+    The scheduler owns admission, fairness, frame queues, cancellation
+    and each job's wire side: the deadline instant, the terminal frame
+    and the resume token's signature (the signing key never leaves the
+    scheduler).  A backend owns the enumeration itself.  Its runners
     expose the :class:`_JobRunner` surface — ``slice_(max_answers)``
-    returning ``(frames, finished)``, plus ``close()`` — and every
-    backend must produce bit-identical answer frames for the same
-    request (``tests/service/`` holds them to it).
+    returning ``(frames, stats, token)``: the slice's answer frames,
+    and, once the page ended, its record and unsigned token (both
+    ``None`` before) — plus ``close()``; every backend must produce
+    bit-identical answer frames for the same request
+    (``tests/service/`` holds them to it).
     """
 
     #: Stable name reported by ``stats`` frames.
@@ -401,10 +404,11 @@ class ExecutionBackend(ABC):
     ):
         """A fresh runner for one admitted job (cheap; no blocking work).
 
-        ``resume`` is ``(checkpoint bytes, answers delivered)`` when the
-        job resumes a wire token the scheduler verified, or continues
-        after a head replayed from the answers tier: the runner starts
-        there, as a crash re-dispatch does.
+        The runner ends the page at ``job.deadline_at``.  ``resume`` is
+        ``(checkpoint bytes, answers delivered)`` when the job resumes a
+        wire token the scheduler verified, or continues after a head
+        replayed from the answers tier: the runner starts there, as a
+        crash re-dispatch does.
         """
 
     def worker_stats(self) -> list[dict]:
@@ -482,8 +486,7 @@ class InProcessBackend(ExecutionBackend):
 
     name = "inprocess"
 
-    def __init__(self, token_key: bytes, cache_dir: "str | None" = None) -> None:
-        self._token_key = token_key
+    def __init__(self, cache_dir: "str | None" = None) -> None:
         self.sessions = SessionPool(cache_dir)
 
     def create_runner(
@@ -494,9 +497,9 @@ class InProcessBackend(ExecutionBackend):
             self.sessions.get(job.request.kernel),
             job.request,
             job._cancel,
-            self._token_key,
             resume_payload=payload,
             base_emitted=emitted,
+            deadline_at=job.deadline_at,
             fingerprint=job.fingerprint,
         )
 
@@ -628,13 +631,11 @@ class EnumerationScheduler:
         self._token_key = resolve_token_key(token_key)
         self._cache_dir = cache_dir
         if backend == "inprocess":
-            self._backend = InProcessBackend(self._token_key, cache_dir)
+            self._backend = InProcessBackend(cache_dir)
         elif backend == "process":
             from .workers import ProcessWorkerBackend
 
-            self._backend = ProcessWorkerBackend(
-                workers, self._token_key, cache_dir
-            )
+            self._backend = ProcessWorkerBackend(workers, cache_dir)
         else:
             raise ValueError(
                 f"unknown backend {backend!r}; expected 'inprocess' or 'process'"
@@ -770,10 +771,8 @@ class EnumerationScheduler:
                 stats = replayed_stats(
                     answers, head, kernel=request.kernel, started=started
                 )
-                token = None
-                if not stats.exhausted:
-                    token = sign_token(self._token_key, head.checkpoint)
-                frames.append(terminal_frame(stats, token))
+                token = None if stats.exhausted else head.checkpoint
+                frames.append(self._terminal(stats, token))
             return frames, (head.checkpoint, len(head.results))
         except Exception:
             return [], resume
@@ -793,15 +792,42 @@ class EnumerationScheduler:
             await job.frames.put(frame)
         return terminal
 
+    def _terminal(self, stats: EnumerationStats, token: bytes | None) -> dict:
+        """The job's one terminal frame: ``stats`` rendered with the
+        unsigned ``token`` (``None``: nothing to resume) signed under
+        this scheduler's key — the one place a wire token is minted."""
+        if token is not None:
+            token = sign_token(self._token_key, token)
+        return terminal_frame(stats, token)
+
+    def _slice(self, runner) -> tuple[list[dict], bool]:
+        """One slice of ``runner``: ``(frames, finished)``, the terminal
+        frame last once the page ended.  Runs on an executor thread."""
+        frames, stats, token = runner.slice_(self._slice_answers)
+        if stats is None:
+            return frames, False
+        frames.append(self._terminal(stats, token))
+        return frames, True
+
     async def _run(self, job: ScheduledJob) -> None:
         job.status = "running"
         loop = asyncio.get_running_loop()
-        if job.request.op == "stats":
-            await self._run_stats(job, loop)
-            return
         runner = None
         terminal = "error"
         try:
+            if job.request.op == "stats":
+                # Introspection may block on worker pipe round trips, so
+                # it runs on the executor, but outside the slot
+                # semaphore: observability must answer even when every
+                # slice slot is busy (the executor keeps a spare thread
+                # for exactly this).
+                payload = await loop.run_in_executor(
+                    self._executor, self.service_stats
+                )
+                terminal = await self._deliver(
+                    job, [{"type": "service-stats", **payload}]
+                )
+                return
             resume = None
             if job.request.mode == "ranked":
                 # One hop per ranked job, on the executor's spare thread
@@ -818,12 +844,15 @@ class EnumerationScheduler:
                     terminal = served
                     self._answers_served += 1
                     return
+            deadline = job.request.deadline
+            if deadline is not None:
+                job.deadline_at = time.monotonic() + deadline
             runner = self._backend.create_runner(job, resume=resume)
             while True:
                 async with self._slots:
                     started = time.perf_counter()
                     frames, finished = await loop.run_in_executor(
-                        self._executor, runner.slice_, self._slice_answers
+                        self._executor, self._slice, runner
                     )
                     self._slice_hist.observe(time.perf_counter() - started)
                 # The slot is already released while frames queue.
@@ -854,30 +883,6 @@ class EnumerationScheduler:
         finally:
             if runner is not None:
                 runner.close()
-            job.status = terminal
-            self._completed += 1
-            self._jobs.pop(job.id, None)
-
-    async def _run_stats(self, job: ScheduledJob, loop) -> None:
-        """The ``stats`` job kind: one terminal ``service-stats`` frame.
-
-        Worker introspection may block on pipe round trips, so it runs
-        on the executor (never the event loop) — but outside the slot
-        semaphore: observability must answer even when every slice slot
-        is busy (the executor keeps a spare thread for exactly this).
-        """
-        terminal = "error"
-        try:
-            payload = await loop.run_in_executor(
-                self._executor, self.service_stats
-            )
-            terminal = "service-stats"
-            await job.frames.put({"type": "service-stats", **payload})
-        except Exception as exc:
-            await job.frames.put(
-                {"type": "error", "code": "internal", "message": str(exc)}
-            )
-        finally:
             job.status = terminal
             self._completed += 1
             self._jobs.pop(job.id, None)
@@ -956,7 +961,8 @@ class EnumerationScheduler:
         Scheduler counters plus per-worker introspection rows from the
         backend (queue depth, warm-session fingerprints, cache hits).
         May block on worker pipe round trips — call from an executor
-        thread, never the event loop (``_run_stats`` does).
+        thread, never the event loop (``_run`` does, for a ``stats``
+        job).
         """
         workers = self._backend.worker_stats()
         extra = []

@@ -24,8 +24,8 @@ parent -> worker           meaning
 ========================  ============================================
 ``(seq, "slice", job_id,   run one slice; ``spec`` (first dispatch or
 max_answers, spec)``       crash re-dispatch only) carries the request,
-                           its graph's fingerprint and resume/replay
-                           state
+                           its graph's fingerprint, the seconds left
+                           to its deadline and resume/replay state
 ``(None, "cancel", id)``   cooperative cancel — handled by the worker's
                            *reader thread* while the slice runs, so it
                            lands at the next answer boundary
@@ -35,11 +35,16 @@ max_answers, spec)``       crash re-dispatch only) carries the request,
 ``(None, "shutdown")``     exit the worker loop
 ========================  ============================================
 
-Replies echo ``seq``: ``("frames", job_id, frames, finished,
-checkpoint, emitted)`` — the *checkpoint frame*: after every unfinished
-slice the worker serializes its stream frontier, so the parent always
-holds the state as of the last acknowledged answer batch — plus
-``("error", ...)``, ``("stats-reply", ...)`` and ``("pong", ...)``.
+Replies echo ``seq``: ``("frames", job_id, frames, stats, checkpoint,
+emitted)`` — the slice's answer frames, then either ``stats=None`` and
+the *checkpoint frame* (after every unfinished slice the worker
+serializes its stream frontier, so the parent always holds the state as
+of the last acknowledged answer batch) or, once the page ended, its
+:class:`~repro.api.response.EnumerationStats` record with the page's
+*unsigned* resume token as ``checkpoint``: the scheduler renders the
+terminal frame and signs the token, so a worker never holds the signing
+key — plus ``("error", ...)``, ``("stats-reply", ...)`` and
+``("pong", ...)``.
 Exactly one round trip is in flight per worker (the parent's dispatch
 lock), so replies need no demultiplexer; stale replies from a timed-out
 stats probe are discarded by sequence number.
@@ -70,6 +75,7 @@ import threading
 import time
 import zlib
 
+from ..api import EnumerationStats
 from .protocol import ProtocolError
 from .scheduler import ExecutionBackend, ScheduledJob, SessionPool, _JobRunner
 
@@ -88,9 +94,7 @@ DEFAULT_MAX_REDISPATCH = 3
 # ----------------------------------------------------------------------
 # Worker process side
 # ----------------------------------------------------------------------
-def _worker_main(
-    conn, token_key: bytes, index: int, cache_dir: "str | None" = None
-) -> None:
+def _worker_main(conn, index: int, cache_dir: "str | None" = None) -> None:
     """One worker process: warm sessions, a slice loop, a cancel reader.
 
     The reader thread owns ``conn.recv``: it turns ``cancel`` messages
@@ -157,8 +161,8 @@ def _worker_main(
 
     try:
         _worker_loop(
-            conn, token_key, work, state_lock, cancel_events, pre_cancelled,
-            sessions, runners, drop,
+            conn, work, state_lock, cancel_events, pre_cancelled, sessions,
+            runners, drop,
         )
     finally:
         # Orderly seat teardown even when the loop dies on a pipe error:
@@ -174,7 +178,6 @@ def _worker_main(
 
 def _worker_loop(
     conn,
-    token_key: bytes,
     work,
     state_lock,
     cancel_events,
@@ -224,39 +227,29 @@ def _worker_loop(
                             pre_cancelled.discard(job_id)
                             event.set()
                         cancel_events[job_id] = event
+                    left = spec["seconds_left"]
                     runner = _JobRunner(
                         sessions.get(request.kernel),
                         request,
                         event,
-                        token_key,
                         resume_payload=spec["resume_payload"],
                         base_emitted=spec["base_emitted"],
                         skip_answers=spec["skip_answers"],
-                        deadline_override=spec["deadline_override"],
+                        deadline_at=(
+                            None if left is None else time.monotonic() + left
+                        ),
                         fingerprint=spec["fingerprint"],
                     )
                     runners[job_id] = runner
-                frames, finished = runner.slice_(max_answers)
-                if finished:
-                    drop(job_id)
-                    conn.send(
-                        (seq, ("frames", job_id, frames, True, None, 0))
-                    )
-                else:
+                frames, stats, token = runner.slice_(max_answers)
+                if stats is None:
                     checkpoint, emitted = runner.internal_state()
-                    conn.send(
-                        (
-                            seq,
-                            (
-                                "frames",
-                                job_id,
-                                frames,
-                                False,
-                                checkpoint,
-                                emitted,
-                            ),
-                        )
-                    )
+                else:
+                    drop(job_id)
+                    checkpoint, emitted = token, 0
+                conn.send(
+                    (seq, ("frames", job_id, frames, stats, checkpoint, emitted))
+                )
             except ProtocolError as exc:
                 drop(job_id)
                 conn.send((seq, ("error", job_id, "protocol", str(exc))))
@@ -362,15 +355,9 @@ class WorkerPool:
     next slice and re-dispatch themselves.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        token_key: bytes,
-        cache_dir: "str | None" = None,
-    ) -> None:
+    def __init__(self, workers: int, cache_dir: "str | None" = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self._token_key = token_key
         self._cache_dir = cache_dir
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
@@ -382,7 +369,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._token_key, index, self._cache_dir),
+            args=(child_conn, index, self._cache_dir),
             name=f"repro-worker-{index}",
             daemon=True,
         )
@@ -529,8 +516,12 @@ class _RemoteRunner:
     """The parent-side runner of one job on the worker pool.
 
     Presents the exact ``slice_``/``close`` surface of
-    :class:`~repro.service.scheduler._JobRunner`, but each slice is one
-    pipe round trip to the worker holding the job's stream.  Keeps the
+    :class:`~repro.service.scheduler._JobRunner` — a finished slice hands
+    back the worker's record and unsigned token for the scheduler to
+    render and sign — but each slice is one pipe round trip to the
+    worker holding the job's stream.  Routes by the job's cached graph
+    fingerprint, and hands the worker what is left of the job's deadline
+    instant, which the worker turns back into one.  Keeps the
     last acknowledged ``(checkpoint, emitted)`` pair so a worker crash
     re-dispatches the job — to a freshly routed worker — continuing
     exactly where the last delivered answer batch ended.  A job that
@@ -550,15 +541,6 @@ class _RemoteRunner:
         self._checkpoint, self._emitted = resume or (None, 0)
         self._finished = False
         self._crashes = 0
-        self._fingerprint: str | None = None
-        deadline = job.request.deadline
-        # time.monotonic(), matching the runner-side deadline clock and
-        # the probe reply timeouts in try_round_trip: a wall-clock step
-        # (NTP, VM resume) must neither expire a fresh job nor grant a
-        # re-dispatched one extra time.
-        self._deadline_at = (
-            time.monotonic() + deadline if deadline is not None else None
-        )
         job.add_cancel_callback(self._forward_cancel)
 
     # -- cancel forwarding ---------------------------------------------
@@ -573,9 +555,12 @@ class _RemoteRunner:
 
     def _spec(self) -> dict:
         """The dispatch spec: the request plus resume/replay state."""
-        remaining = None
-        if self._deadline_at is not None:
-            remaining = max(self._deadline_at - time.monotonic(), 1e-6)
+        deadline_at = self._job.deadline_at
+        left = None
+        if deadline_at is not None:
+            # On time.monotonic(), the job's clock: a re-dispatched job
+            # gets only what is left of its deadline, never a fresh one.
+            left = max(deadline_at - time.monotonic(), 1e-6)
         return {
             "request": self._job.request,
             # A ranked job resumes its serialized frontier, counters
@@ -585,18 +570,16 @@ class _RemoteRunner:
             "resume_payload": self._checkpoint,
             "base_emitted": self._emitted,
             "skip_answers": 0 if self._checkpoint is not None else self._emitted,
-            "deadline_override": remaining,
+            "seconds_left": left,
             "cancelled": self._job.cancelled,
             # A fresh job's graph hash, taken once in this process.
             "fingerprint": self._job.fingerprint,
         }
 
     # -- the slice -----------------------------------------------------
-    def slice_(self, max_answers: int) -> tuple[list[dict], bool]:
-        if self._fingerprint is None:
-            # A token's fingerprint was read off its header at admission,
-            # so a resumed job lands on the worker warm for its graph.
-            self._fingerprint = self._job.graph_fingerprint()
+    def slice_(
+        self, max_answers: int
+    ) -> tuple[list[dict], EnumerationStats | None, bytes | None]:
         while True:
             handle = self._handle
             spec = None
@@ -605,7 +588,10 @@ class _RemoteRunner:
                     # Our worker died between slices; its state is gone.
                     self._pool.release(handle)
                     self._pool.report_crash(handle)
-                handle = self._pool.route(self._fingerprint)
+                # A token's fingerprint was read off its header at
+                # admission, so a resumed job lands on the worker warm
+                # for its graph.
+                handle = self._pool.route(self._job.graph_fingerprint())
                 self._handle = handle
                 spec = self._spec()
             try:
@@ -626,14 +612,14 @@ class _RemoteRunner:
                 continue  # re-dispatch from the last acknowledged state
             kind = reply[0]
             if kind == "frames":
-                _, _job_id, frames, finished, checkpoint, emitted = reply
-                if finished:
+                _, _job_id, frames, stats, checkpoint, emitted = reply
+                if stats is not None:
                     self._finish(handle)
-                else:
-                    if checkpoint is not None:
-                        self._checkpoint = checkpoint
-                    self._emitted = emitted
-                return frames, finished
+                    return frames, stats, checkpoint
+                if checkpoint is not None:
+                    self._checkpoint = checkpoint
+                self._emitted = emitted
+                return frames, None, None
             if kind == "error":
                 _, _job_id, error_kind, message = reply
                 self._finish(handle)
@@ -664,13 +650,14 @@ class _RemoteRunner:
 class ProcessWorkerBackend(ExecutionBackend):
     """``backend="process"``: slices execute on the worker-process pool.
 
+    A worker ships a finished page's record and raw resume token; the
+    scheduler renders the terminal frame and signs the token, so no
+    worker process ever holds the signing key.
+
     Parameters
     ----------
     workers:
         Pool size.  Long-lived — spawned here, reaped by :meth:`close`.
-    token_key:
-        The scheduler's token-signing key; workers mint resume tokens
-        under it so pause/resume is backend-transparent.
     cache_dir:
         Persistent artifact-store directory shared by every seat's
         sessions (:mod:`repro.cache`); ``None`` defers to the
@@ -680,10 +667,8 @@ class ProcessWorkerBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(
-        self, workers: int, token_key: bytes, cache_dir: "str | None" = None
-    ) -> None:
-        self.pool = WorkerPool(workers, token_key, cache_dir=cache_dir)
+    def __init__(self, workers: int, cache_dir: "str | None" = None) -> None:
+        self.pool = WorkerPool(workers, cache_dir=cache_dir)
 
     def create_runner(
         self, job: ScheduledJob, resume: "tuple[bytes, int] | None" = None

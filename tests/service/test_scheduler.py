@@ -805,3 +805,63 @@ class TestSliceEnd:
         assert aligned[1][1] == serial_lines(graph, "fill", 8)
         assert aligned[1][2]["type"] == "stats"
         assert aligned[1][2]["checkpoint"] is not None
+
+
+class TestStatsJob:
+    """The ``stats`` op runs in the one job loop, on the executor's
+    spare thread and outside the slot semaphore."""
+
+    def test_stats_answers_while_every_slot_runs_a_scan(
+        self, backend, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        # Its diverse scan runs for well over ten seconds: far longer than
+        # the process backend's two-second wait for a busy seat's lock.
+        graph = connected_erdos_renyi(18, 0.3, seed=5)
+
+        async def main():
+            scheduler = EnumerationScheduler(backend=backend, workers=1)
+            try:
+                scan = await scheduler.submit(
+                    ServiceRequest(
+                        op="diverse", graph=graph, cost="fill", k=50,
+                        min_distance=10_000, scan_limit=100_000,
+                    )
+                )
+                while scheduler.metrics_snapshot()["slots_free"]:
+                    await asyncio.sleep(0.01)
+                job = await scheduler.submit(ServiceRequest(op="stats"))
+                frames = await asyncio.wait_for(job.drain(), timeout=60)
+                scanning = not scan.finished
+                scheduler.cancel(scan)
+                return frames, scanning, (await scan.drain())[-1]
+            finally:
+                await scheduler.close()
+
+        frames, scanning, scan_end = run(main())
+        assert [frame["type"] for frame in frames] == ["service-stats"]
+        assert frames[0]["scheduler"]["active"] == 2
+        assert scanning and scan_end["type"] == "cancelled"
+
+    def test_a_failing_stats_job_ends_in_one_internal_error(self, monkeypatch):
+        def failing(scheduler):
+            raise RuntimeError("introspection failed")
+
+        monkeypatch.setattr(EnumerationScheduler, "service_stats", failing)
+
+        async def main():
+            scheduler = EnumerationScheduler()
+            try:
+                job = await scheduler.submit(ServiceRequest(op="stats"))
+                frames = await job.drain()
+                await job.wait()
+                return frames, job, scheduler.stats()
+            finally:
+                await scheduler.close()
+
+        frames, job, counters = run(main())
+        assert frames == [
+            {"type": "error", "code": "internal", "message": "introspection failed"}
+        ]
+        assert job.frames.empty() and job.status == "error"
+        assert (counters["completed"], counters["active"]) == (1, 0)

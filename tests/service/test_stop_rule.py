@@ -219,22 +219,23 @@ class TestNoChildDPsAfterTheStop:
         event = threading.Event()
         request = ServiceRequest(op=op, graph=self.GRAPH, cost="fill", k=50)
         runner = _JobRunner(
-            Session(preprocess=False), request, event, KEY, fingerprint=None
+            Session(preprocess=False), request, event,
+            deadline_at=None, fingerprint=None,
         )
-        frames, finished = runner.slice_(4)
-        assert (len(frames), finished) == (4, False)
+        frames, stats, token = runner.slice_(4)
+        assert (len(frames), stats, token) == (4, None, None)
         event.set()
         calls.clear()
-        [terminal], finished = runner.slice_(4)
-        assert finished and terminal["type"] == "cancelled"
+        frames, stats, token = runner.slice_(4)
+        assert frames == [] and stats.terminal == "cancelled"
         assert len(calls) == after
-        [stats] = records
-        assert stats.exhausted is False
+        [record] = records
+        assert record.exhausted is False
         if op != "top":
+            assert token is None
             return
-        # The token still resumes exactly.
+        # The unsigned token still resumes exactly.
         whole = Session(preprocess=False).top(self.GRAPH, "fill", k=8).results
-        token = verify_token(KEY, decode_token(terminal["checkpoint"]))
         tail = list(itertools.islice(Session().resume_stream(token), 4))
         assert [(r.rank, r.cost, r.triangulation.bags) for r in tail] == [
             (r.rank, r.cost, r.triangulation.bags) for r in whole[4:]

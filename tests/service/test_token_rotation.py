@@ -14,7 +14,9 @@ survives a server restart.  These tests pin down the three regimes:
 
 The suite runs against both execution backends.  Either way the
 scheduler checks a token once, when it admits the job, and the job
-(in-process, or in a worker child) resumes from the verified payload.
+(in-process, or in a worker child) resumes from the verified payload;
+the scheduler also signs every token it hands out, so the key never
+reaches a worker process.
 """
 
 from __future__ import annotations
@@ -166,3 +168,55 @@ class TestOneTokenCheck:
         assert checks == [page.checkpoint]
         got = list(page.answer_lines) + list(rest.answer_lines)
         assert got == serial_lines(graph, "fill", 8)
+
+
+class TestOneTokenMint:
+    def test_every_wire_token_is_signed_in_the_scheduler_process(
+        self, backend, monkeypatch, tmp_path
+    ):
+        """A live page's token and a page the answers tier replays are
+        both signed by the scheduler."""
+        import repro.service.scheduler as scheduler_mod
+        import repro.service.workers as workers_mod
+
+        monkeypatch.delenv(ENV_TOKEN_SECRET, raising=False)
+        signed = []
+
+        def recording(sign):
+            def wrapper(key, payload):
+                signed.append(sign(key, payload))
+                return signed[-1]
+
+            return wrapper
+
+        for module in (scheduler_mod, workers_mod):
+            if hasattr(module, "sign_token"):
+                monkeypatch.setattr(
+                    module, "sign_token", recording(module.sign_token)
+                )
+        graph = connected_erdos_renyi(10, 0.35, seed=2)
+        with server(backend, cache_dir=str(tmp_path / "cache")) as handle:
+            client = ServiceClient(*handle.address, timeout=60.0)
+            live = client.top(graph, "fill", k=4)
+            replayed = client.top(graph, "fill", k=4)
+            served = handle.scheduler.stats()["answers_served"]
+        assert served == 1
+        assert signed == [live.checkpoint, replayed.checkpoint]
+
+    def test_no_backend_holds_the_key(self):
+        import inspect
+
+        import repro.service.workers as workers_mod
+        from repro.service.scheduler import InProcessBackend, _JobRunner
+
+        for target in (
+            InProcessBackend,
+            workers_mod.ProcessWorkerBackend,
+            workers_mod.WorkerPool,
+            _JobRunner,
+            workers_mod._worker_main,
+            workers_mod._worker_loop,
+        ):
+            assert "token_key" not in inspect.signature(target).parameters
+        assert not hasattr(workers_mod, "sign_token")
+        assert not hasattr(workers_mod, "verify_token")

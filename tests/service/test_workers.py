@@ -23,7 +23,7 @@ from repro.service import (
     ServiceStatsFrame,
     WorkerPool,
 )
-from repro.service.protocol import ProtocolError, ServiceRequest, new_token_key
+from repro.service.protocol import ProtocolError, ServiceRequest
 from repro.service.workers import (
     DEFAULT_SPILL_THRESHOLD,
     _affinity_index,
@@ -32,7 +32,7 @@ from repro.service.workers import (
 
 @contextlib.contextmanager
 def pool(workers: int, **kwargs):
-    p = WorkerPool(workers, new_token_key(), **kwargs)
+    p = WorkerPool(workers, **kwargs)
     try:
         yield p
     finally:
@@ -72,7 +72,7 @@ def test_route_prefers_affinity_then_spills_under_load():
 
 
 def test_route_rejects_closed_pool():
-    p = WorkerPool(1, new_token_key())
+    p = WorkerPool(1)
     p.close()
     with pytest.raises(RuntimeError, match="closed"):
         p.route("deadbeef")
@@ -230,7 +230,7 @@ def test_process_backend_hashes_the_request_graph_once(
     hashed.clear()
     parent, child = multiprocessing.Pipe()
     worker = threading.Thread(
-        target=_worker_main, args=(child, new_token_key(), 0), daemon=True
+        target=_worker_main, args=(child, 0), daemon=True
     )
     worker.start()
     try:

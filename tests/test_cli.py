@@ -135,12 +135,19 @@ class TestCheckpointResume:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
-    def test_resume_with_diverse_rejected(self, gr_file, tmp_path, capsys):
-        token = str(tmp_path / "state.bin")
+    @pytest.mark.parametrize("flag", ["--resume", "--checkpoint"])
+    def test_diverse_refuses_a_token_flag(self, gr_file, tmp_path, capsys, flag):
+        """A diverse page has no frontier to resume or to save: the pair
+        is refused before any work, and no file is written."""
+        token = tmp_path / "state.bin"
         assert main(
-            ["enumerate", gr_file, "--resume", token, "--diverse", "2"]
+            ["enumerate", gr_file, flag, str(token), "--diverse", "2"]
         ) == 2
-        assert "--diverse" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert flag in captured.err and "--diverse" in captured.err
+        assert captured.out == ""
+        assert not token.exists()
 
 
 class TestBadInputFiles:
