@@ -128,9 +128,9 @@ class RankedStream(Iterator[RankedResult]):
         self.engine_name = "none" if base_table is None else "serial"
         self._expansions = 0
         self._closed = False
-        # The last answer's ``(MinSep(H), I, X)`` masks while its
-        # children are still unsolved (see _settle), else None.
-        self._pending: tuple[int, int, int] | None = None
+        # The last answer's value and ``(MinSep(H), I, X)`` masks while
+        # its children are still unsolved (see _settle), else None.
+        self._pending: tuple[float, int, int, int] | None = None
         # The delay clock: covers the unconstrained DP when this stream
         # ran it (the constructors start the clock before preparing), so
         # rank-0 delay keeps the paper's "init included" accounting.
@@ -321,7 +321,7 @@ class RankedStream(Iterator[RankedResult]):
             exclude=frozenset(index.members(exclude)),
         )
         self._rank += 1
-        self._pending = (separators, include, exclude)
+        self._pending = (value, separators, include, exclude)
         return result
 
     def _settle(self) -> None:
@@ -339,7 +339,7 @@ class RankedStream(Iterator[RankedResult]):
         """
         if self._pending is None:
             return
-        separators, include, exclude = self._pending
+        value, separators, include, exclude = self._pending
         self._pending = None
         context = self._context
         crossing = context.separator_index().crossing
@@ -366,10 +366,12 @@ class RankedStream(Iterator[RankedResult]):
             if not row & allowed or any(not r & allowed for r in exclude_rows):
                 continue
             # Through the module attribute, so a wrapper installed on
-            # ``repro.engine.strategy.expand_job`` sees every child.
+            # ``repro.engine.strategy.expand_job`` sees every child.  A
+            # child's partition lies inside the parent's, so the
+            # parent's value is a floor for its DP.
             outcome = strategy.expand_job(
                 context, self._cost, self._base_table,
-                child_include, child_exclude,
+                child_include, child_exclude, value,
             )
             self._expansions += 1
             if outcome is None:

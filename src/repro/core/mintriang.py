@@ -43,6 +43,13 @@ Over a non-folding base the generic step calls
 :meth:`ConstrainedCost.evaluate`, and so does a run with a constraint
 outside ``MinSep(G)`` (only a library caller can pass one, as a
 :class:`ConstrainedCost` to :func:`min_triangulation_and_table`).
+
+A step may have a *floor*: a value none of its candidates goes below.
+Candidates are scanned in index order and ties go to the first, so the
+scan ends as soon as the best value reaches the floor.  Only a child's
+DP over a monotone fold has floors (:func:`constrained_min_bags` says
+why they are exact); the unconstrained DP and every other run scan all
+candidates.
 """
 
 from __future__ import annotations
@@ -118,6 +125,8 @@ class Triangulation:
 _Entry = tuple[float, object, int]
 _Table = list[_Entry]
 _INFEASIBLE_ENTRY: _Entry = (INFEASIBLE, None, -1)
+#: The floor of a scan that must visit every candidate.
+_NO_FLOOR = -INFEASIBLE
 #: The constraint check of one DP step: the candidates' ``(inside,
 #: covered)`` masks, the included separators that apply there and the
 #: excluded ones (see :class:`~repro.core.context.SeparatorIndex`).
@@ -139,11 +148,12 @@ def _fold_and_constraints(
         isinstance(cost, ConstrainedCost)
         and type(cost).evaluate is ConstrainedCost.evaluate
     ):
-        fold = declared_fold(cost.base, graph)
-        if fold is None:
+        declared = declared_fold(cost.base, graph)
+        if declared is None:
             return None, empty, empty
-        return fold, cost.include, cost.exclude
-    return declared_fold(cost, graph), empty, empty
+        return declared[0], cost.include, cost.exclude
+    declared = declared_fold(cost, graph)
+    return None if declared is None else declared[0], empty, empty
 
 
 def _best(
@@ -153,11 +163,15 @@ def _best(
     cost: BagCost,
     region: Graph | None,
     checks: _Checks | None,
+    floor: float,
 ) -> _Entry:
     """One DP step: the cheapest feasible candidate, ties to the first.
 
     ``region`` is the graph the generic step evaluates on (unused by a
     fold); ``checks`` are the constraints that apply here, if any.
+    ``floor`` is a value no candidate here goes below: the scan ends at
+    the first candidate that reaches it, which no later one can beat or
+    tie ahead of.
     """
     best = _INFEASIBLE_ENTRY
     best_value = INFEASIBLE
@@ -185,6 +199,8 @@ def _best(
             if value < best_value:
                 best_value = value
                 best = (value, state, index)
+                if value <= floor:
+                    break
     return best
 
 
@@ -242,6 +258,7 @@ def constrained_min_bags(
     base_table: _Table,
     include: int,
     exclude: int,
+    floor: float = _NO_FLOOR,
 ) -> tuple[float, list[PMC]] | None:
     """``MinTriang⟨κ[I,X]⟩`` for one Lawler–Murty child, with ``I`` and
     ``X`` as masks over the context's
@@ -253,17 +270,32 @@ def constrained_min_bags(
     masks' separators, for the generic step.  Returns the value and bags
     of the partition's representative, or ``None`` when the partition
     holds no triangulation.
+
+    A monotone fold (:attr:`~repro.costs.base.BagCost.monotone_fold`)
+    scans with floors.  A recomputed block's floor is its own entry in
+    ``base_table``: constraints only remove candidates and raise the
+    children's values, so no candidate goes below the unconstrained
+    optimum.  The root's floor is ``floor``, which the ranked loop sets
+    to the popped parent's value: the child's partition is a subset of
+    the parent's, so its optimum is no lower.  Each scan ends at the
+    first candidate that reaches its floor; that candidate is the one a
+    full scan picks, ties included, so the answer is the same.  Other
+    folds and the generic step scan every candidate.
     """
-    fold = declared_fold(cost, context.graph)
+    declared = declared_fold(cost, context.graph)
     touched = include | exclude
-    if fold is None:
+    if declared is None:
+        fold, floors = None, None
         index = context.separator_index()
         cost = ConstrainedCost(
             cost, include=index.members(include), exclude=index.members(exclude)
         )
         include = exclude = 0
+    else:
+        fold, monotone = declared
+        floors = floor if monotone else None
     value, bags, _table = _solve(
-        context, cost, fold, include, exclude, (base_table, touched)
+        context, cost, fold, include, exclude, (base_table, touched), floors
     )
     if bags is None or value >= INFEASIBLE:
         return None
@@ -277,6 +309,7 @@ def _solve(
     included: int,
     excluded: int,
     reuse: tuple[_Table, int] | None = None,
+    floor: float | None = None,
 ) -> tuple[float, list[PMC] | None, _Table]:
     """The block DP: ``(value, bags, table)``, ``bags`` ``None`` when no
     feasible triangulation exists.
@@ -284,7 +317,9 @@ def _solve(
     ``included``/``excluded`` are the constraint masks the fold path
     checks.  ``reuse`` is ``(table, touched)``: an unconstrained table of
     the same context and base cost, of which only the blocks whose mask
-    meets the separator mask ``touched`` are recomputed.
+    meets the separator mask ``touched`` are recomputed.  A ``floor``
+    other than ``None`` (reuse only) ends each recomputed block's scan at
+    that block's reused value and the root's at ``floor``.
     """
     per_block, root = context.candidates()
     constrained = included | excluded
@@ -316,11 +351,16 @@ def _solve(
             cost,
             None if blocks is None else context.block_subgraph(blocks[position]),
             checks,
+            # Still the reused entry: its value is this block's floor.
+            _NO_FLOOR if floor is None else table[position][0],
         )
     # The root candidates follow root_pmc_order(): ties must resolve the
     # same way under every graph kernel and across resumed processes.
     checks = (root_checks, included, excluded) if constrained else None
-    value, state, winner = _best(root, table, fold, cost, context.graph, checks)
+    value, state, winner = _best(
+        root, table, fold, cost, context.graph, checks,
+        _NO_FLOOR if floor is None else floor,
+    )
     if winner < 0:
         return value, None, table
     bags = state if fold is None else _rebuild_bags(root[winner], per_block, table)

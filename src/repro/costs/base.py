@@ -34,10 +34,24 @@ defines ``fold`` (see :func:`declared_fold`): a subclass that overrides
 fold — weighted, hypergraph and user-defined ones — take the generic
 path, where the fold state is the assembled bag list and ``evaluate``
 values it.
+
+A fold may also declare itself *monotone* (:attr:`BagCost.monotone_fold`):
+its value never decreases when one child's state is replaced by a state
+of higher value.  Then a Lawler–Murty child's DP can stop a block's scan
+at a floor (see :func:`~repro.core.mintriang.constrained_min_bags`),
+since constraints only remove candidates and raise the children's
+values.  Width's ``max`` and the sums of fill and ``Σ 2^|b|`` qualify.
+The lexicographic ``scale · width + fill`` does not: at scale 20, a
+``|Ω| = 5`` candidate over a child ``(width 1, fill 10)``, of value 30,
+is worth 90, and over a child ``(width 2, fill 0)``, of value 40, only
+80.  The declaration counts only on the class that defines ``fold``, so
+a subclass that redefines ``fold`` declares it afresh or folds without
+floors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Collection, Sequence
@@ -72,6 +86,10 @@ class BagCost(ABC):
     #: Declared by subclasses; the enumeration guarantees of Theorems 4.4
     #: and 4.5 only hold when this is True.
     split_monotone: bool = True
+
+    #: Declared beside a :meth:`fold` whose value never decreases when a
+    #: child's value rises; see the module docstring.
+    monotone_fold: bool = False
 
     @abstractmethod
     def evaluate(self, graph: Graph, bags: Collection[Bag]) -> float:
@@ -109,18 +127,31 @@ class BagCost(ABC):
         return f"{type(self).__name__}({self.name!r})"
 
 
-def declared_fold(cost: BagCost, graph: Graph) -> Fold | None:
-    """``cost.fold(graph)`` when the class defining ``evaluate`` declares it.
+def declared_fold(cost: BagCost, graph: Graph) -> tuple[Fold, bool] | None:
+    """``(cost.fold(graph), monotone)`` when the class defining
+    ``evaluate`` declares the fold, else ``None``.
 
     The fold mirrors one particular ``evaluate``; a subclass that
     overrides ``evaluate`` without declaring its own fold must not
     inherit its parent's, so dispatch keys on where the two methods are
-    defined rather than on ``isinstance`` of a built-in.
+    defined rather than on ``isinstance`` of a built-in.  ``monotone``
+    is :attr:`BagCost.monotone_fold` as the class defining ``fold``
+    declares it.
     """
+    folds, monotone = _declaration(type(cost))
+    if not folds:
+        return None
+    fold = cost.fold(graph)
+    return None if fold is None else (fold, monotone)
+
+
+@functools.cache
+def _declaration(cls: type) -> tuple[bool, bool]:
+    """``(folds, monotone)`` of a cost class, its MRO walked once."""
 
     def definer(name: str) -> type:
-        return next(k for k in type(cost).__mro__ if name in vars(k))
+        return next(k for k in cls.__mro__ if name in vars(k))
 
-    if definer("fold") is not definer("evaluate"):
-        return None
-    return cost.fold(graph)
+    folds = definer("fold") is definer("evaluate")
+    monotone = folds and definer("monotone_fold") is definer("fold")
+    return folds, bool(monotone and cls.monotone_fold)

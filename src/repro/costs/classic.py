@@ -9,11 +9,14 @@ These are the costs named explicitly in Section 3 of the paper:
 
 Each declares a fold next to its ``evaluate`` (the contract is in
 :mod:`repro.costs.base`), so the block DP values candidates without
-assembling bag lists.
+assembling bag lists.  All but the lexicographic combination also
+declare the fold monotone, which lets a Lawler–Murty child's DP stop
+its scans early.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Collection, Sequence
 
 from ..graphs.graph import Graph, Vertex
@@ -60,6 +63,9 @@ class WidthCost(BagCost):
         """``max(|Ω| − 1, children)``."""
         return _width_fold
 
+    #: ``max`` never falls when a child's width rises.
+    monotone_fold = True
+
 
 def _width_fold(
     size: int, _fill: int, states: Sequence[float]
@@ -88,6 +94,9 @@ class FillInCost(BagCost):
         distinct non-edge once.
         """
         return _fill_fold
+
+    #: A sum never falls when a child's fill rises.
+    monotone_fold = True
 
 
 def _fill_fold(
@@ -122,7 +131,11 @@ class LexWidthFillCost(BagCost):
         return self._scale * width + count_fill_edges(graph, bags)
 
     def fold(self, graph: Graph) -> Fold:
-        """The pair (width, fill), valued ``scale · width + fill``."""
+        """The pair (width, fill), valued ``scale · width + fill``.
+
+        Not monotone: a child of higher value can lower the parent's
+        (see :mod:`repro.costs.base`), so it declares no floors.
+        """
         scale = self._scale
 
         def lex_fold(
@@ -170,14 +183,24 @@ class SumExpBagCost(BagCost):
         base = self._base
         if not base.is_integer() or n * int(base) ** n >= 2**53:
             return None
-        terms = [base**k for k in range(n + 1)]
+        return _sum_exp_fold(base, n)
 
-        def sum_exp_fold(
-            size: int, _fill: int, states: Sequence[float]
-        ) -> tuple[float, float]:
-            value = terms[size]
-            for state in states:
-                value += state
-            return value, value
+    #: A sum never falls when a child's sum rises.
+    monotone_fold = True
 
-        return sum_exp_fold
+
+@functools.lru_cache(maxsize=64)
+def _sum_exp_fold(base: float, n: int) -> Fold:
+    """The fold of ``Σ base^|b|`` over graphs of ``n`` vertices, its
+    powers computed once per ``(base, n)``."""
+    terms = [base**k for k in range(n + 1)]
+
+    def sum_exp_fold(
+        size: int, _fill: int, states: Sequence[float]
+    ) -> tuple[float, float]:
+        value = terms[size]
+        for state in states:
+            value += state
+        return value, value
+
+    return sum_exp_fold

@@ -12,6 +12,8 @@ children its crossing test rules out as infeasible never reach it.
 
 from __future__ import annotations
 
+import math
+
 from ..costs.base import BagCost
 from ..core.context import TriangulationContext
 from ..core.mintriang import constrained_min_bags
@@ -25,20 +27,27 @@ def expand_job(
     base_table: list,
     include: int,
     exclude: int,
+    floor: float = -math.inf,
 ) -> tuple[int, float] | None:
     """Solve ``MinTriang⟨κ[I,X]⟩`` for one Lawler–Murty child partition.
 
     ``include`` and ``exclude`` are masks over the context's
     :class:`~repro.core.context.SeparatorIndex`.  The constrained DP
     reuses the unconstrained ``base_table`` for every block no
-    constraint separator touches.  Returns ``(bags, base_cost)`` of the
-    partition's representative, its bags as a mask over
+    constraint separator touches.  ``floor`` is a lower bound on the
+    child's optimum (the ranked loop passes the popped parent's value),
+    at which a monotone fold ends its root scan (see
+    :func:`~repro.core.mintriang.constrained_min_bags`).  Returns
+    ``(bags, base_cost)`` of the partition's representative, its bags as
+    a mask over
     :meth:`~repro.core.context.TriangulationContext.root_pmc_order` — or
     ``None`` when the partition contains no triangulation (the
     constrained DP came back infeasible).  A feasible ``κ[I,X]`` value is
     the ``κ`` value, so the DP's own value is the base cost.
     """
-    found = constrained_min_bags(context, cost, base_table, include, exclude)
+    found = constrained_min_bags(
+        context, cost, base_table, include, exclude, floor
+    )
     if found is None:
         return None
     value, bags = found

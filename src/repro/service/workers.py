@@ -438,9 +438,10 @@ class WorkerPool:
     def probe(self) -> bool:
         """One ``ping`` round trip against a live seat (``/health``).
 
-        Tries the least-loaded seats first; a busy pool degrades to a
-        slower probe (waiting on the dispatch lock), a dead pool — every
-        seat crashed faster than revival — reports unhealthy.
+        Tries the least-loaded seats first.  A live seat whose dispatch
+        lock a slice holds is busy, not dead, and counts as healthy
+        without a wait; a dead pool — every seat crashed faster than
+        revival — reports unhealthy.
         """
         with self._lock:
             if self._closed:
@@ -454,19 +455,25 @@ class WorkerPool:
                 continue
             try:
                 reply = worker.try_round_trip(
-                    "ping", lock_timeout=2.0, reply_timeout=15.0
+                    "ping", lock_timeout=0.0, reply_timeout=15.0
                 )
             except (TimeoutError, EOFError, OSError):
                 continue
-            if reply is not None and reply[0] == "pong":
+            if reply is None or reply[0] == "pong":
                 return True
         return False
 
     def worker_stats(self) -> list[dict]:
-        """One introspection row per seat (best-effort pipe probes)."""
+        """One introspection row per seat (best-effort pipe probes).
+
+        A busy seat's row reads ``busy``.  The seats share one 2 s wait
+        for their dispatch locks, so a pool of busy seats answers in
+        about 2 s, not 2 s per seat.
+        """
         with self._lock:
             workers = list(self._workers)
             respawns = self._respawns
+        locks_by = time.monotonic() + 2.0
         rows = []
         for worker in workers:
             row = {
@@ -480,7 +487,9 @@ class WorkerPool:
             if worker.alive:
                 try:
                     reply = worker.try_round_trip(
-                        "stats", lock_timeout=2.0, reply_timeout=15.0
+                        "stats",
+                        lock_timeout=max(0.0, locks_by - time.monotonic()),
+                        reply_timeout=15.0,
                     )
                 except (TimeoutError, EOFError, OSError):
                     row["busy"] = True

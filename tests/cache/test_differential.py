@@ -15,12 +15,16 @@ import pytest
 
 from repro.api import Session
 from repro.cache import ArtifactStore
-from tests.core.test_golden import COST_SPECS, GRAPHS, MODES, TOP_K, serialize_sequence
+from tests.core.test_golden import GRAPHS, MODES, TOP_K, serialize_sequence
 from tests.preprocess.test_plan_shortcut import count_calls
 
 # A representative slice of the corpus: random, structured, and
 # decomposition-friendly instances.  The full sweep runs in CI.
 CASES = ("gnp-n10-p0.35-a", "grid-4x4", "bowtie-k4", "ring-of-c5")
+#: Two of the golden corpus's costs.  ``lex-width-fill`` never
+#: preprocesses, so it stores no plan for the stored-plans gate to read;
+#: CI's full sweep covers all four.
+COST_SPECS = ("width", "fill")
 
 
 def _run(name, cost, mode, cache_dir):

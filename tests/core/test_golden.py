@@ -1,9 +1,9 @@
 """Golden regression corpus: pinned top-20 ranked sequences.
 
-``tests/data/golden_top20.json`` stores, for nine fixed graphs under two
-cost specs and both pipelines (direct enumeration and the preprocessing
-pipeline of ``repro.preprocess``), the exact (cost, bag set) sequence of
-the first 20 ranked answers.  Both graph kernels must reproduce every
+``tests/data/golden_top20.json`` stores, for nine fixed graphs under the
+four registry costs and both pipelines (direct enumeration and the
+preprocessing pipeline of ``repro.preprocess``), the exact (cost, bag
+set) sequence of the first 20 ranked answers.  Both graph kernels must reproduce every
 sequence bit-for-bit, forever — any change to DP tie-breaking, pivot
 order, heap layout, the kernels, the reduction rules, the atom
 decomposition or the recomposition merge that reorders an output stream
@@ -48,7 +48,9 @@ from repro.graphs.ordering import vertex_set_sort_key, vertex_sort_key
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_top20.json"
 TOP_K = 20
-COST_SPECS = ("width", "fill")
+#: Every registry cost: ``sum-exp-bags`` scans its child DPs with floors,
+#: ``lex-width-fill`` (not monotone) without.
+COST_SPECS = ("width", "fill", "lex-width-fill", "sum-exp-bags")
 #: Pipelines: "direct" is the core Lawler-Murty enumerator, "preprocess"
 #: routes through reductions + atoms + ranked recomposition.
 MODES = ("direct", "preprocess")

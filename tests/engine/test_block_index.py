@@ -165,7 +165,7 @@ class TestSeparatorIndex:
         skipped_anywhere = 0
         original = strategy.expand_job
 
-        def recorder(context, cost, base_table, include, exclude):
+        def recorder(context, cost, base_table, include, exclude, floor):
             index = context.separator_index()
             recorded.append(
                 (
@@ -173,7 +173,7 @@ class TestSeparatorIndex:
                     frozenset(index.members(exclude)),
                 )
             )
-            return original(context, cost, base_table, include, exclude)
+            return original(context, cost, base_table, include, exclude, floor)
 
         monkeypatch.setattr(strategy, "expand_job", recorder)
         for graph in _graphs():

@@ -123,9 +123,9 @@ def test_crossing_test_skips_only_infeasible_children(
         popped.append((stream._context, result))
         return result
 
-    def recording_expand(context, cost, base_table, include, exclude):
+    def recording_expand(context, cost, base_table, include, exclude, floor):
         solved.append((id(context), include, exclude))
-        return expand_job(context, cost, base_table, include, exclude)
+        return expand_job(context, cost, base_table, include, exclude, floor)
 
     monkeypatch.setattr(RankedStream, "__next__", recording_next)
     monkeypatch.setattr(strategy, "expand_job", recording_expand)

@@ -11,19 +11,25 @@ and without the reused unconstrained table, under width bounds that leave
 blocks without a feasible candidate, and on infeasible constraint pairs.
 The reused-table runs go through :func:`constrained_min_bags`, the entry
 the ranked loop takes, with ``[I, X]`` as separator-index masks; over
-the generic path it wraps the cost in a :class:`ConstrainedCost`.
+the generic path it wraps the cost in a :class:`ConstrainedCost`.  Over
+a monotone fold those runs stop each recomputed block at its reused
+value, and a child's root at its parent's optimum when it is passed as
+the floor; both must leave the answer as it was.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
+from repro.api.stream import RankedStream
 from repro.core.context import TriangulationContext
 from repro.core.mintriang import constrained_min_bags, min_triangulation_and_table
 from repro.costs.base import BagCost, declared_fold
-from repro.costs.classic import FillInCost, SumExpBagCost
+from repro.costs.classic import FillInCost, LexWidthFillCost, SumExpBagCost
 from repro.costs.constrained import ConstrainedCost
 from repro.costs.registry import make_cost
 from repro.graphs.generators import cycle_graph, grid_graph, petersen_graph
@@ -226,3 +232,122 @@ def test_folding_costs_never_evaluate(monkeypatch):
         assert [(r.cost, r.triangulation.bags) for r in got.results] == [
             (r.cost, r.triangulation.bags) for r in want.results
         ]
+
+
+#: Each separator's role for a parent ``[I, X]`` and its child
+#: ``[I ∪ A, X ∪ B]``.
+ROLES = ("include", "exclude", "add-include", "add-exclude", "free")
+
+
+@pytest.mark.parametrize("cost_name", COSTS)
+@settings(max_examples=30, deadline=None)
+@given(graph=connected_graphs(min_n=6, max_n=10), data=st.data())
+def test_parent_floor_keeps_the_child_optimum(cost_name, graph, data):
+    """A child solved with its parent's optimum as the floor returns the
+    bags and float of the run without a floor and of a full
+    :class:`ConstrainedCost` DP.  Random roles are mostly infeasible, so
+    they are also bent to hold each of the first ranked answers, in
+    parent and child alike."""
+    width_bound = data.draw(
+        st.none() | st.integers(1, graph.num_vertices() - 1), label="bound"
+    )
+    context = TriangulationContext.build(graph, width_bound=width_bound)
+    cost = make_cost(cost_name, graph)
+    _first, table = min_triangulation_and_table(context, cost)
+    separators = sorted(context.separators, key=vertex_set_sort_key)
+    drawn = data.draw(
+        st.lists(
+            st.sampled_from(ROLES),
+            min_size=len(separators),
+            max_size=len(separators),
+        ),
+        label="roles",
+    )
+    index = context.separator_index()
+    anchors = itertools.islice(RankedStream.start(context, cost), 4)
+    for anchor in [None, *anchors]:
+        roles = drawn
+        if anchor is not None:
+            kept = anchor.triangulation.minimal_separators
+            roles = [
+                "free" if r != "free" and ("include" in r) != (s in kept) else r
+                for s, r in zip(separators, drawn)
+            ]
+
+        def mask(*wanted):
+            return index.mask_of(
+                s for s, r in zip(separators, roles) if r in wanted
+            )
+
+        include = mask("include", "add-include")
+        exclude = mask("exclude", "add-exclude")
+        parent = constrained_min_bags(
+            context, cost, table, mask("include"), mask("exclude")
+        )
+        child = constrained_min_bags(context, cost, table, include, exclude)
+        oracle, _ = min_triangulation_and_table(
+            context,
+            ConstrainedCost(
+                cost,
+                include=index.members(include),
+                exclude=index.members(exclude),
+            ),
+        )
+        _same(child, oracle)
+        if parent is None:
+            assert child is None
+            continue
+        floored = constrained_min_bags(
+            context, cost, table, include, exclude, parent[0]
+        )
+        _same(floored, child)
+
+
+def test_monotone_declarations():
+    """Width, fill and sum-exp-bags declare their folds monotone; the
+    lexicographic fold, whose value can fall as a child's rises, does
+    not."""
+    graph = petersen_graph()
+    declared = {
+        name: declared_fold(make_cost(name, graph), graph)[1] for name in COSTS
+    }
+    assert declared == {
+        "width": True,
+        "fill": True,
+        "lex-width-fill": False,
+        "sum-exp-bags": True,
+    }
+    lex_fold = LexWidthFillCost(graph, scale=20).fold(graph)
+    # Child values 20 · 1 + 10 = 30 and 20 · 2 + 0 = 40.
+    assert lex_fold(5, 0, [(1, 10)])[0] == 90
+    assert lex_fold(5, 0, [(2, 0)])[0] == 80
+
+
+class DoubledFill(FillInCost):
+    """Redefines ``evaluate`` and ``fold`` but declares no monotone fold:
+    ``FillInCost``'s declaration must not carry over."""
+
+    name = "doubled-fill"
+
+    def evaluate(self, graph, bags):
+        return 2.0 * super().evaluate(graph, bags)
+
+    def fold(self, graph):
+        def doubled(size, fill, states):
+            for state in states:
+                fill += state
+            return 2.0 * fill, fill
+
+        return doubled
+
+
+def test_fold_redefinition_drops_the_monotone_declaration():
+    graph = grid_graph(3, 3)
+    cost = DoubledFill()
+    assert DoubledFill.monotone_fold  # the inherited attribute...
+    _fold, monotone = declared_fold(cost, graph)
+    assert not monotone  # ...is not the redefined fold's declaration
+    context = TriangulationContext.build(graph)
+    result, _ = min_triangulation_and_table(context, cost)
+    oracle, _ = min_triangulation_and_table(context, BagsOnly(cost))
+    _same(result, oracle)
