@@ -32,41 +32,30 @@ def canonical_vertices(graph: Graph) -> tuple[Vertex, ...]:
 
 def canonical_edges(graph: Graph) -> tuple[tuple[Vertex, Vertex], ...]:
     """The edges, each endpoint-sorted, in deterministic (content) order."""
-    return tuple(_sorted_edges(graph, {v: vertex_sort_key(v) for v in graph.vertices}))
-
-
-def _sorted_edges(
-    graph: Graph, keys: dict[Vertex, tuple]
-) -> list[tuple[Vertex, Vertex]]:
-    """:func:`canonical_edges` over each vertex's precomputed sort key."""
     edges = []
     for u, v in graph.edges():
-        if keys[v] < keys[u]:
+        if vertex_sort_key(v) < vertex_sort_key(u):
             u, v = v, u
         edges.append((u, v))
-    edges.sort(key=lambda e: (keys[e[0]], keys[e[1]]))
-    return edges
+    edges.sort(key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1])))
+    return tuple(edges)
+
+
+def _fold(h: "hashlib._Hash", label: Vertex) -> None:
+    h.update(repr(label).encode("utf-8", "backslashreplace"))
+    h.update(b"\x1f")  # unit separator: "ab","c" never collides with "a","bc"
 
 
 def graph_fingerprint(graph: Graph) -> str:
-    """A hex digest identifying ``graph`` by content (labels + edges).
-
-    SHA-256 of ``V:<n>;``, each label in canonical order, ``E:<m>;`` and
-    each canonical edge's two labels, a label being its ``repr`` in
-    UTF-8 and a unit separator (so ``"ab","c"`` never collides with
-    ``"a","bc"``).  Each vertex's sort key and label bytes are computed
-    once, and the digest hashes one joined buffer.
-    """
-    keys = {v: vertex_sort_key(v) for v in graph.vertices}
-    label = {
-        v: repr(v).encode("utf-8", "backslashreplace") + b"\x1f" for v in keys
-    }
-    vertices = sorted(keys, key=keys.__getitem__)
-    edges = _sorted_edges(graph, keys)
-    parts = [f"V:{len(vertices)};".encode()]
-    parts.extend(map(label.__getitem__, vertices))
-    parts.append(f"E:{len(edges)};".encode())
-    for u, v in edges:
-        parts.append(label[u])
-        parts.append(label[v])
-    return hashlib.sha256(b"".join(parts)).hexdigest()
+    """A hex digest identifying ``graph`` by content (labels + edges)."""
+    h = hashlib.sha256()
+    vs = canonical_vertices(graph)
+    h.update(f"V:{len(vs)};".encode())
+    for v in vs:
+        _fold(h, v)
+    es = canonical_edges(graph)
+    h.update(f"E:{len(es)};".encode())
+    for u, v in es:
+        _fold(h, u)
+        _fold(h, v)
+    return h.hexdigest()

@@ -16,7 +16,6 @@ its scans early.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Collection, Sequence
 
 from ..graphs.graph import Graph, Vertex
@@ -183,24 +182,17 @@ class SumExpBagCost(BagCost):
         base = self._base
         if not base.is_integer() or n * int(base) ** n >= 2**53:
             return None
-        return _sum_exp_fold(base, n)
+        terms = [base**k for k in range(n + 1)]
+
+        def sum_exp_fold(
+            size: int, _fill: int, states: Sequence[float]
+        ) -> tuple[float, float]:
+            value = terms[size]
+            for state in states:
+                value += state
+            return value, value
+
+        return sum_exp_fold
 
     #: A sum never falls when a child's sum rises.
     monotone_fold = True
-
-
-@functools.lru_cache(maxsize=64)
-def _sum_exp_fold(base: float, n: int) -> Fold:
-    """The fold of ``Σ base^|b|`` over graphs of ``n`` vertices, its
-    powers computed once per ``(base, n)``."""
-    terms = [base**k for k in range(n + 1)]
-
-    def sum_exp_fold(
-        size: int, _fill: int, states: Sequence[float]
-    ) -> tuple[float, float]:
-        value = terms[size]
-        for state in states:
-            value += state
-        return value, value
-
-    return sum_exp_fold

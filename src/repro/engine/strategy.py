@@ -12,8 +12,6 @@ children its crossing test rules out as infeasible never reach it.
 
 from __future__ import annotations
 
-import math
-
 from ..costs.base import BagCost
 from ..core.context import TriangulationContext
 from ..core.mintriang import constrained_min_bags
@@ -27,7 +25,7 @@ def expand_job(
     base_table: list,
     include: int,
     exclude: int,
-    floor: float = -math.inf,
+    floor: float,
 ) -> tuple[int, float] | None:
     """Solve ``MinTriang⟨κ[I,X]⟩`` for one Lawler–Murty child partition.
 

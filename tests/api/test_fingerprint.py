@@ -1,6 +1,6 @@
 """``graph_fingerprint`` digests are cache keys, token fields and stored
-record keys, so they must never move.  These digests were recorded
-before the one-pass hash; each case includes an isolated vertex."""
+record keys, so they must never move, whatever the hashing code does to
+get them.  Each case includes an isolated vertex."""
 
 from __future__ import annotations
 
