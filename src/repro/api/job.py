@@ -24,6 +24,7 @@ from ..core.diversity import _fill_set
 from ..core.proper import RankedDecomposition
 from ..core.spanning import clique_trees
 from ..preprocess.recompose import ComposedRankedStream
+from ..wire import answer_line
 from .response import EnumerationStats
 
 __all__ = ["Job", "replayed_stats"]
@@ -87,7 +88,8 @@ class Job:
     triangulations or ranked decompositions) and checks, before every
     answer, the ``cancel`` event, the ``deadline`` (an instant on
     :func:`time.monotonic`) and the answer ``limit``, in that order;
-    :attr:`terminal` then names how the page ended.  :meth:`finish`
+    :attr:`terminal` then names how the page ended.  :meth:`take_lines`
+    takes the same answers as their wire lines.  :meth:`finish`
     returns the page's :class:`~repro.api.response.EnumerationStats`.
     ``emitted`` counts the answers delivered so far, starting at the
     count delivered before the job opened (a replayed head).  ``request``
@@ -146,6 +148,8 @@ class Job:
         # checkpoint sits at the stream's position, not the stretch's).
         self._base = stream.next_rank if stream is not None else 0
         self._collected: list | None = [] if answers is not None else None
+        # The collected results' wire lines, when take_lines took them.
+        self._lines: list[bytes] = []
         # The checkpoint at the current position and its bytes, built
         # at the first ask and dropped by the next answer.
         self._checkpoint = None
@@ -193,6 +197,21 @@ class Job:
                     self._collected = None
             taken.append(result)
         return taken
+
+    def take_lines(self, max_answers: int | None = None) -> list[bytes]:
+        """:meth:`take`, each answer as its canonical wire line
+        (:func:`~repro.wire.answer_line`; a diverse answer's rank is its
+        selection index).  Encoded once: the answers tier stores these
+        same bytes for a page taken through here."""
+        first = self.emitted
+        diverse = self.mode == "diverse"
+        lines = [
+            answer_line(result, first + i if diverse else None)
+            for i, result in enumerate(self.take(max_answers))
+        ]
+        if self._collected is not None:
+            self._lines.extend(lines)
+        return lines
 
     def checkpoint(self):
         """The stream's frontier, in ranked mode; ``None`` otherwise.
@@ -260,6 +279,8 @@ class Job:
         # never fails the page that already has its answers.
         collected = self._collected
         if collected is not None and (collected or self._base != 0):
+            # The lines take_lines encoded, if it took every answer.
+            lines = self._lines if len(self._lines) == len(collected) else None
             try:
                 self._answers.publish(
                     self._base,
@@ -267,6 +288,7 @@ class Job:
                     self.token(),
                     exhausted=stats.exhausted,
                     preprocessed=stats.preprocessed,
+                    lines=lines,
                 )
             except Exception:
                 pass
@@ -294,7 +316,7 @@ def replayed_stats(answers, head, *, kernel: str, started: float) -> Enumeration
         fingerprint=answers.fingerprint,
         mode="ranked",
         cost_spec=answers.cost_spec,
-        emitted=len(head.results),
+        emitted=len(head.answers),
         expansions=0,
         init_seconds=0.0,
         context_cached=False,

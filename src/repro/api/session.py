@@ -67,6 +67,17 @@ def _meta(opened: list) -> dict:
     }
 
 
+def _check_connected(graph: Graph) -> None:
+    """The direct pipeline's refusal of a disconnected graph."""
+    if not graph.is_connected():
+        raise ValueError(
+            "ranked enumeration requires a connected graph; "
+            "enumerate per component instead (or enable preprocess "
+            "with a composable cost, which splits components "
+            "automatically)"
+        )
+
+
 def _check_decomposable(graph: Graph) -> None:
     """Decompositions mode's refusal of a disconnected graph (clique
     forests, not trees), made before any plan or context is built."""
@@ -494,17 +505,26 @@ class Session:
                 plan.graph.vertices
             ) == list(graph.vertices):
                 separator_masks = plan.separator_masks
-        if not graph.is_connected():
-            raise ValueError(
-                "ranked enumeration requires a connected graph; "
-                "enumerate per component instead (or enable preprocess "
-                "with a composable cost, which splits components "
-                "automatically)"
-            )
+        _check_connected(graph)
         found = self._entry_for(
             graph, width_bound, fp=fp, separator_masks=separator_masks
         )
         return self._piece(found, cost, spec, opened), opened
+
+    def _check_open(
+        self, graph: Graph, cost: "str | object", preprocess: bool | None
+    ) -> None:
+        """Raise what :meth:`_open` raises for ``graph`` and ``cost``
+        before a first answer, building nothing: a disconnected graph on
+        the direct pipeline, then a cost that does not resolve."""
+        if graph.num_vertices() == 0:
+            return
+        if not (
+            isinstance(cost, str)
+            and preprocess_applies_for(cost, self._preprocess_flag(preprocess))
+        ):
+            _check_connected(graph)
+        resolve_cost(cost, graph)
 
     def _piece(
         self,
@@ -597,11 +617,12 @@ class Session:
         the request's own; ``fingerprint`` is its hash, if the caller
         has it) through this session's caches, and a ranked request
         gets the answers tier of its keys.  A fresh request for zero
-        answers opens nothing.  The page's stop rule: ``cancel`` (a
-        :class:`threading.Event`), ``deadline`` (a :func:`time.monotonic`
-        instant) and ``limit`` (a cap on ``emitted``), checked in that
-        order before every answer (:meth:`Job.take
-        <repro.api.job.Job.take>`).
+        answers opens nothing, but refuses what a request for one would
+        refuse before its answer (:meth:`_check_open`).  The page's stop
+        rule: ``cancel`` (a :class:`threading.Event`), ``deadline`` (a
+        :func:`time.monotonic` instant) and ``limit`` (a cap on
+        ``emitted``), checked in that order before every answer
+        (:meth:`Job.take <repro.api.job.Job.take>`).
         """
         started = time.monotonic()
         stream = answers = None
@@ -621,7 +642,9 @@ class Session:
                 raise ValueError("diverse mode requires k")
             if request.mode == "decompositions":
                 _check_decomposable(graph)
-            if request.k != 0:
+            if request.k == 0:
+                self._check_open(graph, request.cost, request.preprocess)
+            else:
                 stream, opened = self._open(
                     graph,
                     request.cost,
@@ -690,15 +713,16 @@ class Session:
         if answers is not None:
             head = answers.replay(answers.load(), head_graph, start, limit)
         if head is not None:
+            replayed = head.results()
             if head.serves(limit):
                 stats = replayed_stats(
                     answers, head, kernel=self._kernel, started=started
                 )
                 return EnumerationResponse(
-                    head.results, stats, load_checkpoint(head.checkpoint)
+                    replayed, stats, load_checkpoint(head.checkpoint)
                 )
             job_kwargs.update(
-                checkpoint=head.checkpoint, emitted=len(head.results)
+                checkpoint=head.checkpoint, emitted=len(replayed)
             )
         deadline = None if time_budget is None else started + time_budget
         job = self.job(request, limit=limit, deadline=deadline, **job_kwargs)
@@ -709,7 +733,7 @@ class Session:
         finally:
             job.close()
         if head is not None:
-            results = [*head.results, *results]
+            results = [*replayed, *results]
         return EnumerationResponse(
             results=tuple(results), stats=stats, checkpoint=checkpoint
         )

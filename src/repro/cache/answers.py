@@ -15,12 +15,14 @@ runs the rest from the head's stored frontier.
 
 Design notes
 ------------
-* Answers are stored as :class:`CachedAnswer` rows (cost, bags,
-  constraint pair), **not** as rendered frames.  Serving rebuilds a
-  :class:`~repro.core.ranked.RankedResult` and derives the frame via
-  :func:`repro.service.protocol.answer_frame`, which is a pure function
-  of (cost, bags, rank) — so served bytes are identical to live
-  enumeration by construction, without pinning pickle byte layouts.
+* Answers are stored as :class:`CachedAnswer` rows: cost, bags,
+  constraint pair, and the answer's canonical wire line at its absolute
+  rank (:func:`repro.wire.answer_line`, a pure function of cost, bags
+  and rank).  A live run stores the very bytes it streamed, so the
+  service replays a page by writing the stored lines as they are,
+  building no result and no frame; a :class:`~repro.api.Session` replay
+  rebuilds :class:`~repro.core.ranked.RankedResult` objects from the
+  rows (:meth:`AnswerPage.results`), only when it asks for them.
 * ``checkpoints`` maps *answer positions* to checkpoint tokens
   (``StreamCheckpoint``/``ComposedCheckpoint`` ``to_bytes()``, canonical
   bytes, so a replayed page's checkpoint re-serializes to them).  A
@@ -42,11 +44,12 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..core.mintriang import Triangulation
 from ..core.ranked import RankedResult
 from ..preprocess.recompose import composition_for
+from ..wire import answer_line
 from .store import answers_key
 
 __all__ = [
@@ -63,7 +66,8 @@ __all__ = [
 #: Version folded into the artifact key (and stored on the record):
 #: bump on any change to the record layout or replay semantics.
 #: v2: the stored checkpoints are binary tokens (were pickle payloads).
-ANSWERS_VERSION = 2
+#: v3: each answer row stores its canonical wire line.
+ANSWERS_VERSION = 3
 
 #: Longest prefix a single record will grow to.  Beyond this, requests
 #: fall through to live enumeration (the frontier at the cap is still
@@ -75,15 +79,18 @@ MAX_PREFIX = 512
 class CachedAnswer:
     """One enumerated answer, stripped of timing metadata.
 
-    Holds exactly what :func:`~repro.service.protocol.answer_frame` and
-    result reconstruction need; ``elapsed_seconds`` is intentionally
-    absent (frames are timing-free, replayed results carry 0.0).
+    Holds what result reconstruction needs, and ``line``: the answer's
+    canonical wire line (:func:`~repro.wire.answer_line`) at its
+    absolute rank, the bytes a replay streams.  ``elapsed_seconds`` is
+    intentionally absent (frames are timing-free, replayed results
+    carry 0.0).
     """
 
     cost: float
     bags: frozenset
     include: frozenset
     exclude: frozenset
+    line: bytes
 
 
 @dataclass(frozen=True)
@@ -142,20 +149,50 @@ class AnswerPrefix:
 
 @dataclass(frozen=True)
 class AnswerPage:
-    """A replayed page head: results (absolute ranks, 0.0 timings), the
-    position after them, the serialized frontier there, whether the
-    head ends the sequence and whether its pipeline was composed."""
+    """A replayed page head: the stored answers from position ``start``,
+    the serialized frontier after them, whether the head ends the
+    sequence and whether its pipeline was composed.
 
-    results: tuple[RankedResult, ...]
-    end: int
+    ``graph`` is the graph :meth:`results` rebuilds the triangulations
+    over, or a zero-argument callable returning it; nothing reads it
+    until then.
+    """
+
+    answers: tuple[CachedAnswer, ...]
+    start: int
     checkpoint: bytes
     exhausted: bool
     preprocessed: bool
+    graph: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def end(self) -> int:
+        """The position after the head: its frontier's next rank."""
+        return self.start + len(self.answers)
+
+    @property
+    def lines(self) -> list[bytes]:
+        """The head's stored wire lines, as the service streams them."""
+        return [answer.line for answer in self.answers]
+
+    def results(self) -> tuple[RankedResult, ...]:
+        """The head rebuilt into results (absolute ranks, 0.0 timings)."""
+        graph = self.graph() if callable(self.graph) else self.graph
+        return tuple(
+            RankedResult(
+                triangulation=Triangulation(graph, answer.bags, answer.cost),
+                rank=rank,
+                elapsed_seconds=0.0,
+                include=answer.include,
+                exclude=answer.exclude,
+            )
+            for rank, answer in enumerate(self.answers, self.start)
+        )
 
     def serves(self, limit: int | None) -> bool:
         """Whether this head is the whole page of ``limit`` answers (all
         if ``None``), rather than a stretch a live job must continue."""
-        return self.exhausted or (limit is not None and len(self.results) >= limit)
+        return self.exhausted or (limit is not None and len(self.answers) >= limit)
 
 
 def merge_prefix(
@@ -340,15 +377,14 @@ class AnswerCache:
         limit: int | None,
     ) -> AnswerPage | None:
         """The longest head of the page of ``limit`` answers (all if
-        ``None``) from ``start`` that ``record`` can serve, rebuilt; or
-        ``None``.
+        ``None``) from ``start`` that ``record`` can serve; or ``None``.
 
         A record that covers the page serves all of it.  Otherwise the
         head ends at the last stored checkpoint inside the page, so the
         rest can run live from there (:meth:`AnswerPage.serves` tells
-        the two apart).  ``graph`` is the graph the rebuilt
-        triangulations belong to, or a zero-argument callable returning
-        it, called only on a hit.
+        the two apart).  ``graph`` is the graph the page's
+        :meth:`~AnswerPage.results` belong to, or a zero-argument
+        callable returning it; only that method reads it.
         """
         if record is None:
             return None
@@ -361,24 +397,13 @@ class AnswerCache:
             )
             if end is None:
                 return None
-        if callable(graph):
-            graph = graph()
-        results = tuple(
-            RankedResult(
-                triangulation=Triangulation(graph, answer.bags, answer.cost),
-                rank=rank,
-                elapsed_seconds=0.0,
-                include=answer.include,
-                exclude=answer.exclude,
-            )
-            for rank, answer in enumerate(record.answers[start:end], start)
-        )
         return AnswerPage(
-            results,
-            end,
+            record.answers[start:end],
+            start,
             record.checkpoints[end],
             record.exhausted and end == n,
             record.preprocessed,
+            graph,
         )
 
     def publish(
@@ -389,17 +414,22 @@ class AnswerCache:
         *,
         exhausted: bool,
         preprocessed: bool,
+        lines: "list[bytes] | None" = None,
     ) -> None:
         """Merge a live run back into the record.
 
         The run emitted ``results`` from absolute position ``start`` and
-        paused (or finished) at the serialized ``checkpoint``.  The
-        record is re-read here, not reused from :meth:`load`: another
-        writer may have stored a longer prefix while the run was live.
+        paused (or finished) at the serialized ``checkpoint``.  ``lines``
+        are the results' wire lines when the run already encoded them
+        (the service's), else they are encoded here.  The record is
+        re-read here, not reused from :meth:`load`: another writer may
+        have stored a longer prefix while the run was live.
         """
+        if lines is None:
+            lines = [answer_line(r) for r in results]
         answers = tuple(
-            CachedAnswer(r.cost, r.triangulation.bags, r.include, r.exclude)
-            for r in results
+            CachedAnswer(r.cost, r.triangulation.bags, r.include, r.exclude, line)
+            for r, line in zip(results, lines)
         )
         key, record = self._probe()
         if record is None and not answers:

@@ -165,33 +165,37 @@ class StreamingResponse:
         self._writer = writer
         self._content_type = content_type
         self.committed_status: int | None = None
+        # The committed head, until the first write sends it.
+        self._head = b""
 
     def commit(self, status: int) -> None:
-        """Write the head once; later calls are no-ops."""
+        """Fix the head once (the next write sends it); later calls are
+        no-ops."""
         if self.committed_status is not None:
             return
         self.committed_status = status
-        self._writer.write(
-            _head(
-                status,
-                [
-                    ("Content-Type", self._content_type),
-                    ("Cache-Control", "no-store"),
-                    ("Transfer-Encoding", "chunked"),
-                ],
-            )
+        self._head = _head(
+            status,
+            [
+                ("Content-Type", self._content_type),
+                ("Cache-Control", "no-store"),
+                ("Transfer-Encoding", "chunked"),
+            ],
         )
 
-    async def write(self, payload: bytes) -> None:
-        """One chunk (commits a 200 head if none was committed yet)."""
+    async def write(self, *payloads: bytes, last: bool = False) -> None:
+        """One chunk per payload, and the terminating empty chunk if
+        ``last``, all in one write (commits a 200 head if none was
+        committed yet)."""
         self.commit(200)
-        if payload:
-            self._writer.write(
-                b"%x\r\n" % len(payload) + payload + b"\r\n"
-            )
+        body = b"".join(
+            b"%x\r\n" % len(payload) + payload + b"\r\n"
+            for payload in payloads
+            if payload
+        )
+        if last:
+            body += b"0\r\n\r\n"
+        if body:
+            self._writer.write(self._head + body)
+            self._head = b""
             await self._writer.drain()
-
-    async def finish(self) -> None:
-        self.commit(200)
-        self._writer.write(b"0\r\n\r\n")
-        await self._writer.drain()

@@ -40,7 +40,9 @@ SSE framing is chosen so the answer payloads are the NDJSON frames::
 
 — the ``data:`` bytes plus a newline are exactly
 :func:`repro.service.protocol.encode_frame` of the same frame, which is
-what the differential tests assert against the TCP byte stream.
+what the differential tests assert against the TCP byte stream.  Either
+way each frame is one chunk, and every frame queued when the door
+writes goes out in one write.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from ..service.protocol import ProtocolError, encode_frame, parse_request
+from ..service.protocol import ProtocolError, parse_request
 from ..service.scheduler import EnumerationScheduler, ScheduledJob
 from ..service.server import Door
 from . import metrics as metrics_mod
@@ -271,25 +273,32 @@ class GatewayServer(Door):
             writer, SSE_CONTENT_TYPE if sse else NDJSON_CONTENT_TYPE
         )
 
-        async def send(frame: dict) -> None:
-            if frame["type"] == "error":
+        def chunk(frame: bytes | dict) -> bytes:
+            line = self.line(frame)
+            if not sse:
+                return line
+            kind = "answer" if isinstance(frame, bytes) else frame["type"]
+            # data bytes + "\n" == the NDJSON frame, by construction.
+            return (
+                b"event: " + kind.encode("ascii")
+                + b"\ndata: " + line[:-1] + b"\n\n"
+            )
+
+        async def send(frames: list[bytes | dict]) -> None:
+            first = frames[0]
+            if isinstance(first, dict) and first["type"] == "error":
                 # Picks the status only while none is committed, i.e.
-                # when the error is the first frame.
-                response.commit(ERROR_STATUS.get(frame.get("code"), 500))
-            line = encode_frame(frame)
-            if sse:
-                # data bytes + "\n" == the NDJSON frame, by construction.
-                line = (
-                    b"event: " + frame["type"].encode("ascii")
-                    + b"\ndata: " + line[:-1] + b"\n\n"
-                )
-            await response.write(line)
+                # when the error is the response's first frame.
+                response.commit(ERROR_STATUS.get(first.get("code"), 500))
+            # The terminal frame, always last, ends the response.
+            await response.write(
+                *map(chunk, frames), last=isinstance(frames[-1], dict)
+            )
 
         self._live[job.id] = job
         watcher = asyncio.create_task(self._watch_disconnect(reader, job))
         try:
-            if await self.stream(job, send):
-                await response.finish()
+            await self.stream(job, send)
         finally:
             watcher.cancel()
             self._live.pop(job.id, None)

@@ -21,7 +21,9 @@ and list their bags in the canonical vertex order: the byte sequence a
 client receives for a given request is therefore **bit-identical** to
 the serialization of the results ``Session.stream`` produces serially
 (the service differential harness in ``tests/service/`` holds the
-servers to exactly that).
+servers to exactly that).  The answer line itself lives in
+:mod:`repro.wire`, re-exported here: the answers tier stores the same
+bytes, so a replayed answer is its stored line.
 
 Vertex labels travel as JSON values with one extension: tuple labels
 (e.g. grid coordinates) are encoded as JSON arrays and decoded back to
@@ -61,7 +63,13 @@ from dataclasses import dataclass, field
 from ..api.request import check_bounds
 from ..graphs.graph import Graph, Vertex
 from ..graphs.kernels import validate_kernel
-from ..graphs.ordering import vertex_set_sort_key, vertex_sort_key
+from ..wire import (
+    ProtocolError,
+    answer_frame,
+    answer_line,
+    encode_frame,
+    encode_label,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -121,10 +129,6 @@ TERMINAL_TYPES = frozenset(
 )
 
 
-class ProtocolError(ValueError):
-    """A frame that violates the wire protocol (malformed, wrong type)."""
-
-
 class TokenAuthError(ProtocolError):
     """A structurally valid resume token whose HMAC tag does not verify.
 
@@ -137,15 +141,8 @@ class TokenAuthError(ProtocolError):
 
 
 # ----------------------------------------------------------------------
-# Canonical encoding
+# Canonical encoding (``encode_frame`` lives in :mod:`repro.wire`)
 # ----------------------------------------------------------------------
-def encode_frame(frame: dict) -> bytes:
-    """One frame as its canonical NDJSON line (including the newline)."""
-    return (
-        json.dumps(frame, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
 def decode_frame(line: bytes) -> dict:
     """Parse one NDJSON line into a frame dict.
 
@@ -247,17 +244,6 @@ def verify_token(key: bytes, blob: bytes) -> bytes:
 # ----------------------------------------------------------------------
 # Vertex labels and graphs on the wire
 # ----------------------------------------------------------------------
-def _encode_label(label: Vertex):
-    if isinstance(label, tuple):
-        return [_encode_label(x) for x in label]
-    if isinstance(label, (str, int, float, bool)) or label is None:
-        return label
-    raise ProtocolError(
-        f"vertex label {label!r} of type {type(label).__name__} is not "
-        "wire-encodable (use str/int/float/bool or tuples of those)"
-    )
-
-
 def _decode_label(value) -> Vertex:
     if isinstance(value, list):
         return tuple(_decode_label(x) for x in value)
@@ -273,9 +259,9 @@ def graph_to_wire(graph: Graph) -> dict:
     from ..api.fingerprint import canonical_edges, canonical_vertices
 
     return {
-        "vertices": [_encode_label(v) for v in canonical_vertices(graph)],
+        "vertices": [encode_label(v) for v in canonical_vertices(graph)],
         "edges": [
-            [_encode_label(u), _encode_label(v)]
+            [encode_label(u), encode_label(v)]
             for u, v in canonical_edges(graph)
         ],
     }
@@ -315,69 +301,9 @@ def graph_from_wire(wire) -> Graph:
 
 
 # ----------------------------------------------------------------------
-# Answer serialization — the byte-identity anchor
+# Terminal frames and the reference serialization.  The byte-identity
+# anchor, each answer's line, is :func:`repro.wire.answer_line`.
 # ----------------------------------------------------------------------
-def _canonical_bags(bags) -> list:
-    return [
-        [_encode_label(v) for v in bag]
-        for bag in sorted(
-            (sorted(bag, key=vertex_sort_key) for bag in bags),
-            key=vertex_set_sort_key,
-        )
-    ]
-
-
-def _tree_to_wire(decomposition) -> dict:
-    """A :class:`~repro.core.decomposition.TreeDecomposition` on the wire.
-
-    Nodes are renumbered into their sorted-id order, so the encoding is a
-    pure function of the decomposition's content.
-    """
-    node_ids = sorted(decomposition.bags)
-    index = {node: i for i, node in enumerate(node_ids)}
-    edges = sorted(
-        tuple(sorted((index[a], index[b]))) for a, b in decomposition.edges
-    )
-    return {
-        "bags": [
-            [
-                _encode_label(v)
-                for v in sorted(decomposition.bags[node], key=vertex_sort_key)
-            ]
-            for node in node_ids
-        ],
-        "edges": [list(e) for e in edges],
-    }
-
-
-def answer_frame(result, rank: int | None = None) -> dict:
-    """The canonical ``answer`` frame of one enumerated result.
-
-    Accepts a :class:`~repro.core.ranked.RankedResult`, a
-    :class:`~repro.core.proper.RankedDecomposition` or a bare
-    :class:`~repro.core.mintriang.Triangulation` (diverse mode passes
-    the selection index as ``rank``).  Deliberately timing-free: the
-    frame bytes depend only on the enumerated structure, never on which
-    pipeline, kernel, or interleaving produced it.  A decomposition result
-    additionally carries its ``tree`` (node bags + tree edges), since
-    distinct clique trees of one triangulation share the same bag set.
-    """
-    triangulation = getattr(result, "triangulation", result)
-    if rank is None:
-        rank = result.rank
-    frame = {
-        "type": "answer",
-        "rank": rank,
-        "cost": result.cost,
-        "width": triangulation.width,
-        "bags": _canonical_bags(triangulation.bags),
-    }
-    decomposition = getattr(result, "decomposition", None)
-    if decomposition is not None:
-        frame["tree"] = _tree_to_wire(decomposition)
-    return frame
-
-
 def terminal_frame(stats, token: bytes | None = None) -> dict:
     """The terminal frame of a page whose record is ``stats`` (an
     :class:`~repro.api.response.EnumerationStats`): its ``type`` is
@@ -413,9 +339,10 @@ def serialize_answers(results) -> list[bytes]:
 
     The reference side of the service differential tests: feed it the
     output of a serial ``Session.stream`` run and compare against the
-    raw ``answer`` lines a client received.
+    raw ``answer`` lines a client received, live or replayed from the
+    answers tier's stored lines.
     """
-    return [encode_frame(answer_frame(r)) for r in results]
+    return [answer_line(r) for r in results]
 
 
 # ----------------------------------------------------------------------

@@ -38,10 +38,13 @@ Emission-order guarantee: each job owns its stream exclusively, slices
 of one job never overlap, and the frames of consecutive slices are
 concatenated in order — so the answer frames of a job are bit-identical
 to a serial ``Session.stream`` run of the same request, no matter how
-many jobs run concurrently.  Sessions are shared across jobs (that is
-the point: one context build serves every client asking about the same
-graph); :class:`~repro.api.Session` is lock-protected for exactly this
-slice-reentrant use.
+many jobs run concurrently.  Answer frames travel as their encoded wire
+lines (:func:`repro.wire.answer_line`) from the slice that takes them to
+the door that writes them, and an answers-tier replay queues the lines
+the tier stored; only terminal frames travel as dicts.  Sessions are
+shared across jobs (that is the point: one context build serves every
+client asking about the same graph); :class:`~repro.api.Session` is
+lock-protected for exactly this slice-reentrant use.
 
 *Where* a slice executes is pluggable (:class:`ExecutionBackend`):
 
@@ -77,7 +80,7 @@ from .protocol import (
     ServiceRequest,
     TERMINAL_TYPES,
     TokenAuthError,
-    answer_frame,
+    decode_frame,
     resolve_token_key,
     sign_token,
     terminal_frame,
@@ -141,12 +144,15 @@ class _SliceHistogram:
 class ScheduledJob:
     """One admitted job: a frame queue plus its cooperative-cancel state.
 
-    Consumers read :attr:`frames` until a terminal frame (``type`` in
-    :data:`~repro.service.protocol.TERMINAL_TYPES`) arrives; the
-    scheduler guarantees exactly one terminal frame per job, always
-    delivered last.  The queue is *bounded* (``max_pending``): a job
-    whose consumer reads slowly stops slicing once the buffer fills —
-    backpressure, not unbounded server-side buffering — and resumes as
+    :attr:`frames` holds one item per frame: an ``answer`` frame as its
+    encoded wire line (``bytes``), the terminal frame as a dict (``type``
+    in :data:`~repro.service.protocol.TERMINAL_TYPES`).  The scheduler
+    guarantees exactly one terminal frame per job, always delivered last.
+    A door reads the queue with :meth:`next_batch`, so it writes the
+    lines as they are; :meth:`next_frame` and :meth:`drain` hand out
+    every frame as a dict.  The queue is *bounded* (``max_pending``): a
+    job whose consumer reads slowly stops slicing once the buffer fills
+    — backpressure, not unbounded server-side buffering — and resumes as
     the consumer catches up.
     """
 
@@ -155,7 +161,9 @@ class ScheduledJob:
     ) -> None:
         self.id = job_id
         self.request = request
-        self.frames: asyncio.Queue[dict] = asyncio.Queue(maxsize=max_pending)
+        self.frames: asyncio.Queue[bytes | dict] = asyncio.Queue(
+            maxsize=max_pending
+        )
         self.status = "pending"  # -> running -> <terminal frame type>
         self.emitted = 0
         #: The content fingerprint of the job's graph: the request
@@ -214,17 +222,27 @@ class ScheduledJob:
         """Whether the job's terminal frame has been produced."""
         return self.status in TERMINAL_TYPES
 
+    async def next_batch(self) -> list[bytes | dict]:
+        """Every frame queued now, as queued (waits for the first): the
+        answer lines, then the terminal frame if it has come."""
+        batch = [await self.frames.get()]
+        while not isinstance(batch[-1], dict) and not self.frames.empty():
+            batch.append(self.frames.get_nowait())
+        return batch
+
     async def next_frame(self) -> dict:
-        """The next frame of this job (blocks until one is available)."""
-        return await self.frames.get()
+        """The next frame of this job as a dict (blocks until one is
+        available)."""
+        frame = await self.frames.get()
+        return decode_frame(frame) if isinstance(frame, bytes) else frame
 
     async def drain(self) -> list[dict]:
-        """Consume and return all remaining frames through the terminal one."""
+        """Consume and return all remaining frames through the terminal
+        one, as dicts."""
         out = []
         while True:
-            frame = await self.frames.get()
-            out.append(frame)
-            if frame["type"] in TERMINAL_TYPES:
+            out.append(await self.next_frame())
+            if out[-1]["type"] in TERMINAL_TYPES:
                 return out
 
     async def wait(self) -> None:
@@ -239,13 +257,14 @@ class _JobRunner:
 
     The job holds the stop rule (the request's answer limit, the job's
     deadline instant and its cancel event) and the terminal record; the
-    runner turns answers into frames and hands the page's record and
-    *unsigned* resume token back to the scheduler, which renders the
-    terminal frame and signs the token.  Never touched by more than one
-    executor thread at a time (the scheduler serializes a job's slices),
-    so it needs no locking of its own.  All blocking work — opening the
-    job (context build) and pulling answers — happens inside
-    :meth:`slice_`, on an executor thread, never on the event loop.
+    runner takes answers as their encoded wire lines and hands the
+    page's record and *unsigned* resume token back to the scheduler,
+    which renders the terminal frame and signs the token.  Never touched
+    by more than one executor thread at a time (the scheduler serializes
+    a job's slices), so it needs no locking of its own.  All blocking
+    work — opening the job (context build) and pulling answers — happens
+    inside :meth:`slice_`, on an executor thread, never on the event
+    loop.
     """
 
     def __init__(
@@ -305,12 +324,15 @@ class _JobRunner:
     # -- the slice -----------------------------------------------------
     def slice_(
         self, max_answers: int
-    ) -> tuple[list[dict], EnumerationStats | None, bytes | None]:
-        """Run one slice; returns ``(frames, stats, token)``.
+    ) -> tuple[list[bytes], EnumerationStats | None, bytes | None]:
+        """Run one slice; returns ``(lines, stats, token)``.
 
         Takes up to ``max_answers`` further answers from the job, whose
         stop rule ends the page on a cancel, the deadline or the answer
-        cap; ``frames`` are their answer frames.  While the page runs,
+        cap; ``lines`` are their answer frames, each encoded once
+        (:meth:`Job.take_lines <repro.api.job.Job.take_lines>`): the
+        same bytes cross a worker pipe, reach the door and are what the
+        answers tier stores for a ranked page.  While the page runs,
         ``stats`` and ``token`` are ``None``.  When it ended, the job is
         closed, ``stats`` is the page's one record and ``token`` its
         *unsigned* resume payload, or ``None`` when there is nothing to
@@ -337,15 +359,9 @@ class _JobRunner:
                 # discarding the answers the client already has
                 # restores the exact position.
                 self._skip -= len(job.take(self._skip))
-            first = job.emitted
-            frames = [
-                answer_frame(
-                    result, rank=first + i if job.mode == "diverse" else None
-                )
-                for i, result in enumerate(job.take(max_answers))
-            ]
+            lines = job.take_lines(max_answers)
             if job.terminal is None:
-                return frames, None, None
+                return lines, None, None
             # Answers a crash replay has yet to reach count as emitted:
             # the client holds them.  No token for an exhausted page
             # (nothing to resume; the README protocol table promises
@@ -355,7 +371,7 @@ class _JobRunner:
             pausable = stats.next_rank is not None and not stats.exhausted
             token = job.token() if pausable and not self._skip else None
             stats = replace(stats, emitted=stats.emitted + self._skip)
-            return frames, stats, token
+            return lines, stats, token
         except Exception:
             self.close()
             raise
@@ -388,10 +404,10 @@ class ExecutionBackend(ABC):
     and the resume token's signature (the signing key never leaves the
     scheduler).  A backend owns the enumeration itself.  Its runners
     expose the :class:`_JobRunner` surface — ``slice_(max_answers)``
-    returning ``(frames, stats, token)``: the slice's answer frames,
-    and, once the page ended, its record and unsigned token (both
-    ``None`` before) — plus ``close()``; every backend must produce
-    bit-identical answer frames for the same request
+    returning ``(lines, stats, token)``: the slice's answer frames as
+    encoded wire lines, and, once the page ended, its record and
+    unsigned token (both ``None`` before) — plus ``close()``; every
+    backend must produce bit-identical answer lines for the same request
     (``tests/service/`` holds them to it).
     """
 
@@ -714,7 +730,7 @@ class EnumerationScheduler:
 
     def _start_ranked(
         self, job: ScheduledJob
-    ) -> tuple[list[dict], tuple[bytes, int] | None]:
+    ) -> tuple[list[bytes | dict], tuple[bytes, int] | None]:
         """Where a ranked job starts: ``(frames, resume)``.
 
         The one gate of a wire token: it is authenticated and its header
@@ -723,9 +739,10 @@ class EnumerationScheduler:
         token :class:`~repro.service.protocol.ProtocolError` — and
         ``job.fingerprint`` becomes the header's.  The job then resumes
         from the verified payload, or from the end of the page's head
-        the answers tier holds: ``frames`` are that head's answer
-        frames, followed by the terminal ``stats`` frame when the head
-        serves the whole page.  Any failure of the tier probe is a miss
+        the answers tier holds: ``frames`` are that head's stored answer
+        lines, queued as they are (no result, frame or JSON is built),
+        followed by the terminal ``stats`` frame when the head serves the
+        whole page.  Any failure of the tier probe is a miss
         (no frames): the live path re-raises validation failures with
         their proper error frames.  Runs on an executor thread.
         """
@@ -750,10 +767,9 @@ class EnumerationScheduler:
                 if header.exhausted:
                     return [], resume
                 answers = AnswerCache.for_checkpoint(store, header)
-                # Restored only on a hit.
-                graph, start = header.restore_graph, header.next_rank
+                start = header.next_rank
             else:
-                graph, start = request.graph, 0
+                start = 0
                 answers = AnswerCache.for_request(
                     store,
                     job.graph_fingerprint(),
@@ -763,29 +779,33 @@ class EnumerationScheduler:
                 )
             if answers is None:
                 return [], resume
-            head = answers.replay(answers.load(), graph, start, request.k)
+            # No graph: a replay here streams lines, never results.
+            head = answers.replay(answers.load(), None, start, request.k)
             if head is None:
                 return [], resume
-            frames = [answer_frame(result) for result in head.results]
+            frames: list[bytes | dict] = head.lines
             if head.serves(request.k):
                 stats = replayed_stats(
                     answers, head, kernel=request.kernel, started=started
                 )
                 token = None if stats.exhausted else head.checkpoint
                 frames.append(self._terminal(stats, token))
-            return frames, (head.checkpoint, len(head.results))
+            return frames, (head.checkpoint, len(head.answers))
         except Exception:
             return [], resume
 
-    async def _deliver(self, job: ScheduledJob, frames: list[dict]) -> str | None:
-        """Queue ``frames`` on the job; the terminal frame's type, if any.
+    async def _deliver(
+        self, job: ScheduledJob, frames: list[bytes | dict]
+    ) -> str | None:
+        """Queue ``frames`` (answer lines, then perhaps the terminal
+        frame) on the job; the terminal frame's type, if any.
 
         Blocks when the consumer is behind (bounded queue): a slow
         client costs buffer space and its own latency, nothing else.
         """
         terminal = None
         for frame in frames:
-            if frame["type"] == "answer":
+            if isinstance(frame, bytes):
                 job.emitted += 1
             else:
                 terminal = frame["type"]
@@ -800,9 +820,10 @@ class EnumerationScheduler:
             token = sign_token(self._token_key, token)
         return terminal_frame(stats, token)
 
-    def _slice(self, runner) -> tuple[list[dict], bool]:
-        """One slice of ``runner``: ``(frames, finished)``, the terminal
-        frame last once the page ended.  Runs on an executor thread."""
+    def _slice(self, runner) -> tuple[list[bytes | dict], bool]:
+        """One slice of ``runner``: ``(frames, finished)``, its answer
+        lines and, once the page ended, the terminal frame last.  Runs
+        on an executor thread."""
         frames, stats, token = runner.slice_(self._slice_answers)
         if stats is None:
             return frames, False

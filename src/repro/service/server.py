@@ -31,13 +31,7 @@ import signal
 import threading
 from collections.abc import Awaitable, Callable
 
-from .protocol import (
-    ProtocolError,
-    TERMINAL_TYPES,
-    decode_frame,
-    encode_frame,
-    parse_request,
-)
+from .protocol import ProtocolError, decode_frame, encode_frame, parse_request
 from .scheduler import EnumerationScheduler, ScheduledJob
 
 __all__ = ["EnumerationServer", "ServerThread", "serve"]
@@ -111,25 +105,37 @@ class Door:
                 pass
 
     async def stream(
-        self, job: ScheduledJob, send: Callable[[dict], Awaitable[None]]
+        self,
+        job: ScheduledJob,
+        send: Callable[[list[bytes | dict]], Awaitable[None]],
     ) -> bool:
         """Send ``job``'s frames through the terminal one.
 
+        Each call of ``send`` gets every frame queued by then
+        (:meth:`ScheduledJob.next_batch`: answer lines as they are, the
+        terminal frame a dict) and sends them with one write and one
+        drain; the bytes on the wire are those of one frame at a time.
         ``send`` raises ``OSError`` once the client is gone; the job is
         then cancelled and drained, so its slot frees cooperatively.
         Returns whether every frame went out.
         """
         while True:
-            frame = await job.next_frame()
+            batch = await job.next_batch()
             try:
-                await send(frame)
+                await send(batch)
             except OSError:
                 self.scheduler.cancel(job)
-                if frame["type"] not in TERMINAL_TYPES:
-                    await job.drain()
+                while not isinstance(batch[-1], dict):
+                    batch = await job.next_batch()
                 return False
-            if frame["type"] in TERMINAL_TYPES:
+            if isinstance(batch[-1], dict):
                 return True
+
+    @staticmethod
+    def line(frame: bytes | dict) -> bytes:
+        """A queued frame's wire line: an answer's line as it is, a
+        terminal frame encoded."""
+        return frame if isinstance(frame, bytes) else encode_frame(frame)
 
 
 class EnumerationServer(Door):
@@ -171,7 +177,7 @@ class EnumerationServer(Door):
             return
         watcher = asyncio.create_task(self._watch_client(reader, job))
         try:
-            await self.stream(job, lambda frame: self._send(writer, frame))
+            await self.stream(job, lambda frames: self._send(writer, frames))
         finally:
             watcher.cancel()
 
@@ -201,12 +207,15 @@ class EnumerationServer(Door):
         cls, writer: asyncio.StreamWriter, code: str, message: str
     ) -> None:
         await cls._send(
-            writer, {"type": "error", "code": code, "message": message}
+            writer, [{"type": "error", "code": code, "message": message}]
         )
 
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, frame: dict) -> None:
-        writer.write(encode_frame(frame))
+    @classmethod
+    async def _send(
+        cls, writer: asyncio.StreamWriter, frames: list[bytes | dict]
+    ) -> None:
+        """``frames``' lines, concatenated, in one write."""
+        writer.write(b"".join(map(cls.line, frames)))
         await writer.drain()
 
 

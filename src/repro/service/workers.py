@@ -35,15 +35,16 @@ max_answers, spec)``       crash re-dispatch only) carries the request,
 ``(None, "shutdown")``     exit the worker loop
 ========================  ============================================
 
-Replies echo ``seq``: ``("frames", job_id, frames, stats, checkpoint,
-emitted)`` — the slice's answer frames, then either ``stats=None`` and
-the *checkpoint frame* (after every unfinished slice the worker
-serializes its stream frontier, so the parent always holds the state as
-of the last acknowledged answer batch) or, once the page ended, its
-:class:`~repro.api.response.EnumerationStats` record with the page's
-*unsigned* resume token as ``checkpoint``: the scheduler renders the
-terminal frame and signs the token, so a worker never holds the signing
-key — plus ``("error", ...)``, ``("stats-reply", ...)`` and
+Replies echo ``seq``: ``("frames", job_id, lines, stats, checkpoint,
+emitted)`` — the slice's answer frames as their encoded wire lines (the
+bytes the door writes and the answers tier stores), then either
+``stats=None`` and the *checkpoint frame* (after every unfinished slice
+the worker serializes its stream frontier, so the parent always holds
+the state as of the last acknowledged answer batch) or, once the page
+ended, its :class:`~repro.api.response.EnumerationStats` record with the
+page's *unsigned* resume token as ``checkpoint``: the scheduler renders
+the terminal frame and signs the token, so a worker never holds the
+signing key — plus ``("error", ...)``, ``("stats-reply", ...)`` and
 ``("pong", ...)``.
 Exactly one round trip is in flight per worker (the parent's dispatch
 lock), so replies need no demultiplexer; stale replies from a timed-out
@@ -241,14 +242,14 @@ def _worker_loop(
                         fingerprint=spec["fingerprint"],
                     )
                     runners[job_id] = runner
-                frames, stats, token = runner.slice_(max_answers)
+                lines, stats, token = runner.slice_(max_answers)
                 if stats is None:
                     checkpoint, emitted = runner.internal_state()
                 else:
                     drop(job_id)
                     checkpoint, emitted = token, 0
                 conn.send(
-                    (seq, ("frames", job_id, frames, stats, checkpoint, emitted))
+                    (seq, ("frames", job_id, lines, stats, checkpoint, emitted))
                 )
             except ProtocolError as exc:
                 drop(job_id)
@@ -588,7 +589,7 @@ class _RemoteRunner:
     # -- the slice -----------------------------------------------------
     def slice_(
         self, max_answers: int
-    ) -> tuple[list[dict], EnumerationStats | None, bytes | None]:
+    ) -> tuple[list[bytes], EnumerationStats | None, bytes | None]:
         while True:
             handle = self._handle
             spec = None
@@ -621,14 +622,14 @@ class _RemoteRunner:
                 continue  # re-dispatch from the last acknowledged state
             kind = reply[0]
             if kind == "frames":
-                _, _job_id, frames, stats, checkpoint, emitted = reply
+                _, _job_id, lines, stats, checkpoint, emitted = reply
                 if stats is not None:
                     self._finish(handle)
-                    return frames, stats, checkpoint
+                    return lines, stats, checkpoint
                 if checkpoint is not None:
                     self._checkpoint = checkpoint
                 self._emitted = emitted
-                return frames, None, None
+                return lines, None, None
             if kind == "error":
                 _, _job_id, error_kind, message = reply
                 self._finish(handle)

@@ -8,6 +8,7 @@ over one scheduler) with the blocking
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import itertools
 import json
@@ -17,10 +18,11 @@ import time
 
 import pytest
 
-from repro.api import Session
-from repro.gateway import GatewayClient, GatewayError
+from repro.api import EnumerationRequest, Session
+from repro.gateway import GatewayClient, GatewayError, GatewayServer
 from repro.graphs.generators import (
     connected_erdos_renyi,
+    cycle_graph,
     paper_example_graph,
 )
 from repro.graphs.graph import Graph
@@ -35,6 +37,7 @@ from repro.service.protocol import (
     parse_request,
     serialize_answers,
 )
+from repro.service.scheduler import ScheduledJob
 from tests.conftest import needs_process_backend
 
 
@@ -380,6 +383,42 @@ def test_zero_answer_top_opens_nothing_on_either_door(backend):
     assert resumed.checkpoint is not None
 
 
+def test_zero_answer_top_refuses_what_one_answer_refuses(backend):
+    """k=0 builds nothing, but refuses what k=1 refuses before its first
+    answer, in the same words: an unknown cost, and a disconnected graph
+    on the direct pipeline.  The library raises, TCP ends in a
+    ``bad-request`` frame and HTTP answers 400."""
+    two_squares = Graph(
+        edges=[(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5)]
+    )
+    cases = [
+        (cycle_graph(5), {"cost": "nope"}),
+        (two_squares, {"cost": "fill", "preprocess": False}),
+    ]
+    with ServerThread(backend=backend) as handle:
+        http = GatewayClient(*handle.http_address, timeout=120.0)
+        for graph, fields in cases:
+            for k in (0, 1):
+                with pytest.raises((KeyError, ValueError)) as library:
+                    Session().execute(
+                        EnumerationRequest(graph=graph, k=k, **fields)
+                    )
+                body = {"op": "top", "graph": graph_to_wire(graph), "k": k,
+                        **fields}
+                assert _tcp_refusal(handle, body) == str(library.value)
+                over_http = http.submit(body).collect()
+                assert over_http.status == 400
+                assert over_http.terminal["code"] == "bad-request"
+                assert over_http.terminal["message"] == str(library.value)
+        stats = ServiceClient(*handle.address, timeout=120.0).service_stats()
+    builds = [
+        session["cache"]["builds"]
+        for row in stats.workers
+        for session in (row.get("sessions") or {}).values()
+    ]
+    assert sum(builds) == 1  # k=1 on the five-cycle, before its cost failed
+
+
 def test_disconnected_decompositions_are_a_bad_request_on_both_doors(backend):
     """A decompositions request on a disconnected graph is refused at
     open with the library's one message: a ``bad-request`` frame on TCP
@@ -402,6 +441,52 @@ def test_disconnected_decompositions_are_a_bad_request_on_both_doors(backend):
             assert over_http.status == 400
             assert over_http.terminal["code"] == "bad-request"
             assert over_http.terminal["message"] == str(library.value)
+
+
+def test_a_batch_of_answers_then_an_error_commits_200():
+    """Frames queued together leave in one write, and the status still
+    comes from the response's first frame: answers, then an error,
+    commit 200 and keep the error in-band, one chunk per frame."""
+    graph = paper_example_graph()
+    lines = serial_lines(graph, "fill", 2)
+    error = {"type": "error", "code": "internal", "message": "worker lost"}
+
+    class QueuedJob:
+        """A scheduler whose one job has every frame queued at once."""
+
+        async def submit(self, request):
+            job = ScheduledJob(1, request)
+            for frame in (*lines, error):
+                job.frames.put_nowait(frame)
+            return job
+
+        def cancel(self, job):
+            job.request_cancel()
+
+    async def post():
+        door = GatewayServer(QueuedJob())
+        host, port = await door.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        body = json.dumps({"op": "top", "graph": graph_to_wire(graph),
+                           "cost": "fill", "k": 2}).encode()
+        writer.write(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                     % len(body) + body)
+        response = await reader.read()
+        writer.close()
+        door.close()
+        await door.wait_closed()
+        return response
+
+    head, _, chunked = asyncio.run(post()).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    chunks = []
+    while True:
+        size, _, chunked = chunked.partition(b"\r\n")
+        if int(size, 16) == 0:
+            break
+        chunks.append(chunked[:int(size, 16)])
+        chunked = chunked[int(size, 16) + 2:]
+    assert chunks == [*lines, encode_frame(error)]
 
 
 class TestJobRegistryAndCancel:

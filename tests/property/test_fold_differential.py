@@ -24,6 +24,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.engine.strategy as strategy
 from repro.api import Session
 from repro.api.stream import RankedStream
 from repro.core.context import TriangulationContext
@@ -32,7 +33,12 @@ from repro.costs.base import BagCost, declared_fold
 from repro.costs.classic import FillInCost, LexWidthFillCost, SumExpBagCost
 from repro.costs.constrained import ConstrainedCost
 from repro.costs.registry import make_cost
-from repro.graphs.generators import cycle_graph, grid_graph, petersen_graph
+from repro.graphs.generators import (
+    connected_erdos_renyi,
+    cycle_graph,
+    grid_graph,
+    petersen_graph,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.ordering import vertex_set_sort_key
 
@@ -301,6 +307,60 @@ def test_parent_floor_keeps_the_child_optimum(cost_name, graph, data):
             context, cost, table, include, exclude, parent[0]
         )
         _same(floored, child)
+
+
+#: 8–12-vertex graphs, with a width bound, whose ranked loops push many
+#: children.
+CHILD_GRAPHS = {
+    "grid3x3": (lambda: grid_graph(3, 3), None),
+    "er10": (lambda: connected_erdos_renyi(10, 0.4, seed=3), None),
+    "er11": (lambda: connected_erdos_renyi(11, 0.35, seed=4), None),
+    "er12": (lambda: connected_erdos_renyi(12, 0.3, seed=5), None),
+    "petersen": (petersen_graph, None),
+    "grid3x4-wb4": (lambda: grid_graph(3, 4), 4),
+}
+
+
+@pytest.mark.parametrize("cost_name", ("width", "fill"))
+@pytest.mark.parametrize("graph_name", sorted(CHILD_GRAPHS))
+def test_lawler_murty_children_match_the_constrained_dp(
+    monkeypatch, graph_name, cost_name
+):
+    """Every child the ranked loop solves in its first 20 pops: its
+    ``[I, X]`` pair, floored at the popped parent's value on the reused
+    table, gives the bags and float of a full :class:`ConstrainedCost`
+    DP.  These pairs are the loop's real ones, so most are feasible and
+    every recomputed block runs to its floor."""
+    factory, width_bound = CHILD_GRAPHS[graph_name]
+    graph = factory()
+    context = TriangulationContext.build(graph, width_bound=width_bound)
+    cost = make_cost(cost_name, graph)
+    children = []
+    expand = strategy.expand_job
+
+    def recording(*args):
+        children.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(strategy, "expand_job", recording)
+    stream = RankedStream.start(context, cost)
+    assert len(list(itertools.islice(stream, 20))) == 20
+    stream.checkpoint()  # solves the last answer's children too
+    index = context.separator_index()
+    feasible = 0
+    for _context, _cost, table, include, exclude, floor in children:
+        child = constrained_min_bags(context, cost, table, include, exclude, floor)
+        oracle, _ = min_triangulation_and_table(
+            context,
+            ConstrainedCost(
+                cost,
+                include=index.members(include),
+                exclude=index.members(exclude),
+            ),
+        )
+        _same(child, oracle)
+        feasible += child is not None
+    assert feasible >= 20
 
 
 def test_monotone_declarations():

@@ -241,8 +241,8 @@ def test_process_backend_hashes_the_request_graph_once(
         worker.join(timeout=60)
         parent.close()
     assert reply[0] == "frames"
-    answers = [f for f in reply[2] if f["type"] == "answer"]
-    assert [encode_frame(f) for f in answers] == [
+    # The worker replies with the answers' wire lines.
+    assert reply[2] == [
         encode_frame(f) for f in frames if f["type"] == "answer"
     ]
     assert len(graph) not in hashed
